@@ -7,6 +7,8 @@
 //! cardinality ≤ 7), so exact variable elimination is cheap and fully
 //! deterministic.
 
+use std::borrow::Cow;
+
 /// A table over a sorted list of discrete variables.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Factor {
@@ -79,13 +81,9 @@ impl Factor {
         self.vars.is_empty()
     }
 
-    /// Strides per variable for this factor's layout (last var stride 1).
-    fn strides(&self) -> Vec<usize> {
-        let mut s = vec![1usize; self.vars.len()];
-        for i in (0..self.vars.len().saturating_sub(1)).rev() {
-            s[i] = s[i + 1] * self.card[i + 1];
-        }
-        s
+    /// Consumes the factor, returning its raw values.
+    pub fn into_values(self) -> Vec<f64> {
+        self.values
     }
 
     /// Value at a full assignment (aligned with `vars`).
@@ -98,11 +96,11 @@ impl Factor {
             self.vars.len(),
             "assignment arity mismatch"
         );
-        let strides = self.strides();
+        // Row-major flat index by Horner's rule (last variable fastest).
         let mut idx = 0;
-        for (i, &a) in assignment.iter().enumerate() {
-            assert!(a < self.card[i], "assignment out of range");
-            idx += a * strides[i];
+        for (&a, &c) in assignment.iter().zip(&self.card) {
+            assert!(a < c, "assignment out of range");
+            idx = idx * c + a;
         }
         self.values[idx]
     }
@@ -110,8 +108,9 @@ impl Factor {
     /// Pointwise product of two factors over the union of their scopes.
     pub fn product(&self, other: &Factor) -> Factor {
         // Union of scopes, merging cardinalities.
-        let mut vars: Vec<usize> = Vec::new();
-        let mut card: Vec<usize> = Vec::new();
+        let cap = self.vars.len() + other.vars.len();
+        let mut vars: Vec<usize> = Vec::with_capacity(cap);
+        let mut card: Vec<usize> = Vec::with_capacity(cap);
         let (mut i, mut j) = (0, 0);
         while i < self.vars.len() || j < other.vars.len() {
             let take_left =
@@ -135,46 +134,63 @@ impl Factor {
             }
         }
         let size: usize = card.iter().product();
-        // Map union positions to positions in each operand.
-        let pos_of = |f: &Factor| -> Vec<Option<usize>> {
-            vars.iter()
-                .map(|v| f.vars.iter().position(|x| x == v))
-                .collect()
-        };
-        let lpos = pos_of(self);
-        let rpos = pos_of(other);
-        let lstr = self.strides();
-        let rstr = other.strides();
-
-        // Per-union-variable strides into each operand (0 when absent), so
-        // the enumeration below can walk both tables with an odometer
-        // increment instead of a div/mod decode per entry. The (li, ri)
-        // pair visited for every flat index is exactly the decoded
-        // assignment's, so the output table is bit-identical.
-        let lstr_u: Vec<usize> = (0..vars.len())
-            .map(|k| lpos[k].map_or(0, |p| lstr[p]))
-            .collect();
-        let rstr_u: Vec<usize> = (0..vars.len())
-            .map(|k| rpos[k].map_or(0, |p| rstr[p]))
-            .collect();
+        let n = vars.len();
         let mut values = vec![0.0; size];
-        let mut assign = vec![0usize; vars.len()];
-        let (mut li, mut ri) = (0usize, 0usize);
-        for value in values.iter_mut() {
-            *value = self.values[li] * other.values[ri];
-            for k in (0..vars.len()).rev() {
-                assign[k] += 1;
-                li += lstr_u[k];
-                ri += rstr_u[k];
-                if assign[k] < card[k] {
-                    break;
+        with_index_scratch(3 * n, |scratch| {
+            // Per-union-variable strides into each operand (0 when
+            // absent), so the enumeration below walks both tables with an
+            // odometer increment instead of a div/mod decode per entry.
+            // The (li, ri) pair visited for every flat index is exactly the
+            // decoded assignment's, so the output table is bit-identical.
+            let (lstr, rest) = scratch.split_at_mut(n);
+            let (rstr, assign) = rest.split_at_mut(n);
+            operand_strides(&vars, &self.vars, &self.card, lstr);
+            operand_strides(&vars, &other.vars, &other.card, rstr);
+            let (mut li, mut ri) = (0usize, 0usize);
+            for value in values.iter_mut() {
+                *value = self.values[li] * other.values[ri];
+                for k in (0..n).rev() {
+                    assign[k] += 1;
+                    li += lstr[k];
+                    ri += rstr[k];
+                    if assign[k] < card[k] {
+                        break;
+                    }
+                    assign[k] = 0;
+                    li -= lstr[k] * card[k];
+                    ri -= rstr[k] * card[k];
                 }
-                assign[k] = 0;
-                li -= lstr_u[k] * card[k];
-                ri -= rstr_u[k] * card[k];
             }
-        }
+        });
         Factor { vars, card, values }
+    }
+
+    /// Locates `var` at scope position `p` and splits the layout around
+    /// it into `(p, outer, card[p], inner)`: `outer` and `inner` count the
+    /// entries of the variables before and after `p`. Row-major order
+    /// makes the flat index `(a · card[p] + x) · inner + b` for outer row
+    /// `a`, value `x` and inner offset `b`.
+    fn split_at_var(&self, var: usize) -> (usize, usize, usize, usize) {
+        let p = self
+            .vars
+            .iter()
+            .position(|&v| v == var)
+            .expect("var not in scope");
+        let outer: usize = self.card[..p].iter().product();
+        let inner: usize = self.card[p + 1..].iter().product();
+        (p, outer, self.card[p], inner)
+    }
+
+    /// Scope and cardinalities without position `p`.
+    fn scope_without(&self, p: usize) -> (Vec<usize>, Vec<usize>) {
+        let n = self.vars.len() - 1;
+        let mut vars = Vec::with_capacity(n);
+        let mut card = Vec::with_capacity(n);
+        vars.extend_from_slice(&self.vars[..p]);
+        vars.extend_from_slice(&self.vars[p + 1..]);
+        card.extend_from_slice(&self.card[..p]);
+        card.extend_from_slice(&self.card[p + 1..]);
+        (vars, card)
     }
 
     /// Sums out variable `var`, removing it from the scope.
@@ -182,42 +198,19 @@ impl Factor {
     /// # Panics
     /// Panics if `var` is not in the factor's scope.
     pub fn sum_out(&self, var: usize) -> Factor {
-        let p = self
-            .vars
-            .iter()
-            .position(|&v| v == var)
-            .expect("var not in scope");
-        let mut vars = self.vars.clone();
-        let mut card = self.card.clone();
-        vars.remove(p);
-        let vcard = card.remove(p);
-        let size: usize = card.iter().product();
-        let strides = self.strides();
-        // Source strides of the remaining variables, aligned with the
-        // output scope; the output is enumerated with an odometer walk
-        // (same `base` per entry as the decoded form — bit-identical, and
-        // the inner summation order over `var` is unchanged).
-        let rem_strides: Vec<usize> = (0..self.vars.len())
-            .filter(|&k| k != p)
-            .map(|k| strides[k])
-            .collect();
-        let mut values = vec![0.0; size];
-        let mut assign = vec![0usize; vars.len()];
-        let mut base = 0usize;
-        for value in values.iter_mut() {
-            let mut sum = 0.0;
-            for v in 0..vcard {
-                sum += self.values[base + v * strides[p]];
-            }
-            *value = sum;
-            for k in (0..vars.len()).rev() {
-                assign[k] += 1;
-                base += rem_strides[k];
-                if assign[k] < card[k] {
-                    break;
+        let (p, outer, vcard, inner) = self.split_at_var(var);
+        let (vars, card) = self.scope_without(p);
+        // Output entry `a · inner + b` sums the source column
+        // `a · vcard · inner + b + x · inner` over `x` in ascending order.
+        let mut values = Vec::with_capacity(outer * inner);
+        for a in 0..outer {
+            let row = a * vcard * inner;
+            for b in 0..inner {
+                let mut sum = 0.0;
+                for x in 0..vcard {
+                    sum += self.values[row + b + x * inner];
                 }
-                assign[k] = 0;
-                base -= rem_strides[k] * card[k];
+                values.push(sum);
             }
         }
         Factor { vars, card, values }
@@ -228,37 +221,14 @@ impl Factor {
     /// # Panics
     /// Panics if `var` is not in scope or `value` is out of range.
     pub fn reduce(&self, var: usize, value: usize) -> Factor {
-        let p = self
-            .vars
-            .iter()
-            .position(|&v| v == var)
-            .expect("var not in scope");
-        assert!(value < self.card[p], "evidence value out of range");
-        let mut vars = self.vars.clone();
-        let mut card = self.card.clone();
-        vars.remove(p);
-        card.remove(p);
-        let size: usize = card.iter().product();
-        let strides = self.strides();
-        // Odometer walk over the remaining variables (see `sum_out`).
-        let rem_strides: Vec<usize> = (0..self.vars.len())
-            .filter(|&k| k != p)
-            .map(|k| strides[k])
-            .collect();
-        let mut values = vec![0.0; size];
-        let mut assign = vec![0usize; vars.len()];
-        let mut idx = value * strides[p];
-        for out in values.iter_mut() {
-            *out = self.values[idx];
-            for k in (0..vars.len()).rev() {
-                assign[k] += 1;
-                idx += rem_strides[k];
-                if assign[k] < card[k] {
-                    break;
-                }
-                assign[k] = 0;
-                idx -= rem_strides[k] * card[k];
-            }
+        let (p, outer, vcard, inner) = self.split_at_var(var);
+        assert!(value < vcard, "evidence value out of range");
+        let (vars, card) = self.scope_without(p);
+        // Each outer row keeps the contiguous `inner` block at `value`.
+        let mut values = Vec::with_capacity(outer * inner);
+        for a in 0..outer {
+            let start = (a * vcard + value) * inner;
+            values.extend_from_slice(&self.values[start..start + inner]);
         }
         Factor { vars, card, values }
     }
@@ -303,67 +273,187 @@ impl Factor {
     }
 }
 
-/// Exact variable elimination.
-///
-/// Multiplies `factors` (each already reduced by evidence), eliminates every
-/// variable not in `targets` (ascending order — networks here are tiny), and
-/// returns the normalized joint over `targets`.
-///
-/// # Panics
-/// Panics if a target variable does not appear in any factor.
-pub fn eliminate_to_joint(factors: &[Factor], targets: &[usize]) -> Factor {
-    // Input factors are only ever *read* (products take references), so
-    // the working pool borrows them and owns nothing but the intermediate
-    // elimination results — the old `to_vec()` clone of every input table
-    // was pure allocator churn on the scheduler's posterior hot path.
-    let mut pool: Vec<std::borrow::Cow<'_, Factor>> =
-        factors.iter().map(std::borrow::Cow::Borrowed).collect();
+/// Per-call index scratch of up to this many entries lives on the stack;
+/// factors here span at most a dozen variables, so the heap fallback is
+/// only for unusually wide tables.
+const INLINE_SCRATCH: usize = 48;
+
+/// Runs `f` over a zeroed `len`-entry index scratch slice.
+fn with_index_scratch<R>(len: usize, f: impl FnOnce(&mut [usize]) -> R) -> R {
+    if len <= INLINE_SCRATCH {
+        f(&mut [0usize; INLINE_SCRATCH][..len])
+    } else {
+        f(&mut vec![0usize; len])
+    }
+}
+
+/// Fills `out[k]` with the stride of `union[k]` in the operand laid out
+/// over `vars`/`card` (a sorted subset of the sorted `union`), or 0 when
+/// the operand does not mention it.
+fn operand_strides(union: &[usize], vars: &[usize], card: &[usize], out: &mut [usize]) {
+    let mut stride = 1;
+    let mut i = vars.len();
+    for k in (0..union.len()).rev() {
+        if i > 0 && vars[i - 1] == union[k] {
+            i -= 1;
+            out[k] = stride;
+            stride *= card[i];
+        } else {
+            out[k] = 0;
+        }
+    }
+}
+
+/// Working set of a variable elimination: input factors are only ever
+/// *read* (products take references), so the pool borrows them and owns
+/// nothing but intermediate results.
+type Pool<'a> = Vec<Cow<'a, Factor>>;
+
+/// Ascending list of every variable mentioned by `pool`.
+fn scope_of(pool: &[Cow<'_, Factor>]) -> Vec<usize> {
     let mut all_vars: Vec<usize> = Vec::new();
-    for f in &pool {
+    for f in pool {
         for &v in f.vars() {
             if !all_vars.contains(&v) {
                 all_vars.push(v);
             }
         }
     }
+    all_vars.sort_unstable();
+    all_vars
+}
+
+/// One elimination step: multiplies every factor mentioning `v` in pool
+/// order, sums `v` out and appends the result after the untouched
+/// factors, which keep their order. `spare` is an empty buffer the pool
+/// swaps with, so a step allocates only the new tables.
+///
+/// A merge starts from its first factor as-is: the unit-factor product it
+/// replaces computes `1.0 * x`, which is `x` exactly.
+fn eliminate_var<'a>(pool: &mut Pool<'a>, spare: &mut Pool<'a>, v: usize) {
+    let mut merged: Option<Cow<'a, Factor>> = None;
+    for f in pool.drain(..) {
+        if f.vars().contains(&v) {
+            merged = Some(match merged {
+                None => f,
+                Some(m) => Cow::Owned(times(m, &f)),
+            });
+        } else {
+            spare.push(f);
+        }
+    }
+    std::mem::swap(pool, spare);
+    if let Some(m) = merged {
+        pool.push(Cow::Owned(m.sum_out(v)));
+    }
+}
+
+/// The normalized product of an eliminated pool, in pool order. Every
+/// non-target variable is gone, so the product's scope is exactly the
+/// targets: no further marginalization is needed.
+fn normalized_product(pool: Pool<'_>) -> Factor {
+    let mut factors = pool.into_iter();
+    let mut joint = factors.next().unwrap_or(Cow::Owned(Factor::unit()));
+    for f in factors {
+        joint = Cow::Owned(times(joint, &f));
+    }
+    let mut joint = joint.into_owned();
+    joint.normalize();
+    joint
+}
+
+/// `acc.product(f)`, computed in `acc`'s own table when `acc` is owned
+/// and `f`'s scope is a subset of its scope. The output layout is then
+/// `acc`'s, and every entry is the same `acc[i] * f[ri]` product, so the
+/// result is bit-identical to [`Factor::product`] without allocating.
+/// (Eliminations multiply many summed-out scalars into one table; this
+/// is what keeps those steps allocation-free.)
+fn times(acc: Cow<'_, Factor>, f: &Factor) -> Factor {
+    let mut acc = match acc {
+        Cow::Owned(acc) if f.vars.iter().all(|v| acc.vars.binary_search(v).is_ok()) => acc,
+        acc => return acc.product(f),
+    };
+    if let [c] = f.values[..] {
+        for value in acc.values.iter_mut() {
+            *value *= c;
+        }
+        return acc;
+    }
+    let n = acc.vars.len();
+    with_index_scratch(2 * n, |scratch| {
+        let (fstr, assign) = scratch.split_at_mut(n);
+        operand_strides(&acc.vars, &f.vars, &f.card, fstr);
+        let mut fi = 0usize;
+        for value in acc.values.iter_mut() {
+            *value *= f.values[fi];
+            for k in (0..n).rev() {
+                assign[k] += 1;
+                fi += fstr[k];
+                if assign[k] < acc.card[k] {
+                    break;
+                }
+                assign[k] = 0;
+                fi -= fstr[k] * acc.card[k];
+            }
+        }
+    });
+    acc
+}
+
+/// Exact variable elimination.
+///
+/// Multiplies `factors` (each already reduced by evidence), eliminates every
+/// variable not in `targets` (ascending order — networks here are tiny), and
+/// returns the normalized joint over `targets` (ascending).
+///
+/// # Panics
+/// Panics if a target variable does not appear in any factor.
+pub fn eliminate_to_joint(factors: &[Factor], targets: &[usize]) -> Factor {
+    let mut pool: Pool<'_> = factors.iter().map(Cow::Borrowed).collect();
+    let all_vars = scope_of(&pool);
     for t in targets {
         assert!(
             all_vars.contains(t),
             "target variable {t} not in any factor"
         );
     }
-    all_vars.sort_unstable();
+    let mut spare = Vec::with_capacity(pool.len());
     for v in all_vars {
-        if targets.contains(&v) {
-            continue;
-        }
-        // Multiply all factors mentioning v, sum v out, put the result
-        // back (in the exact pool order the cloning version used).
-        let mut merged: Option<Factor> = None;
-        let mut kept = Vec::with_capacity(pool.len());
-        for f in pool {
-            if f.vars().contains(&v) {
-                merged = Some(match merged {
-                    None => Factor::unit().product(&f),
-                    Some(m) => m.product(&f),
-                });
-            } else {
-                kept.push(f);
-            }
-        }
-        pool = kept;
-        if let Some(m) = merged {
-            pool.push(std::borrow::Cow::Owned(m.sum_out(v)));
+        if !targets.contains(&v) {
+            eliminate_var(&mut pool, &mut spare, v);
         }
     }
-    let mut joint = Factor::unit();
-    for f in &pool {
-        joint = joint.product(f);
+    normalized_product(pool)
+}
+
+/// Every single-variable posterior of `factors`: one normalized marginal
+/// per mentioned variable, ascending, each bit-identical to
+/// `eliminate_to_joint(factors, &[v])`.
+///
+/// The single-target elimination for `t = all_vars[k]` eliminates
+/// `all_vars[..k]` and then `all_vars[k + 1..]`, and its first `k` steps
+/// never touch `t`. So those steps are run once, as a shared prefix pool
+/// that advances by one variable per target, and each target only
+/// finishes the suffix from a borrowed copy of it. Pool order and every
+/// floating-point operation are the same as the per-target runs; only the
+/// repeated prefix work is gone (about half the elimination steps).
+pub fn eliminate_to_marginals(factors: &[Factor]) -> Vec<(usize, Factor)> {
+    let mut prefix: Pool<'_> = factors.iter().map(Cow::Borrowed).collect();
+    let all_vars = scope_of(&prefix);
+    let mut spare = Vec::with_capacity(prefix.len());
+    let mut out = Vec::with_capacity(all_vars.len());
+    for (k, &t) in all_vars.iter().enumerate() {
+        let mut pool: Pool<'_> = prefix.iter().map(|f| Cow::Borrowed(&**f)).collect();
+        let mut pool_spare = Vec::with_capacity(pool.len());
+        for &v in &all_vars[k + 1..] {
+            eliminate_var(&mut pool, &mut pool_spare, v);
+        }
+        out.push((t, normalized_product(pool)));
+        if k + 1 < all_vars.len() {
+            eliminate_var(&mut prefix, &mut spare, t);
+        }
     }
-    // Present in canonical target order (ascending is automatic).
-    let mut joint = joint.marginalize_to(targets);
-    joint.normalize();
-    joint
+    out
 }
 
 #[cfg(test)]

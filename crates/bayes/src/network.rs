@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 
 use crate::dataset::DiscreteData;
-use crate::factor::{eliminate_to_joint, Factor};
+use crate::factor::{eliminate_to_joint, eliminate_to_marginals, Factor};
 
 /// Evidence: observed values for a subset of variables.
 pub type Evidence = BTreeMap<usize, usize>;
@@ -162,13 +162,13 @@ impl BayesNet {
         self.cpts
             .iter()
             .map(|cpt| {
-                let mut f = cpt.clone();
+                let mut f = std::borrow::Cow::Borrowed(cpt);
                 for (&var, &val) in evidence {
                     if f.vars().contains(&var) {
-                        f = f.reduce(var, val);
+                        f = std::borrow::Cow::Owned(f.reduce(var, val));
                     }
                 }
-                f
+                f.into_owned()
             })
             .collect()
     }
@@ -221,8 +221,38 @@ impl BayesNet {
             p[val] = 1.0;
             return p;
         }
-        let f = self.posterior_joint_with(reduced, &[var], evidence);
-        f.values().to_vec()
+        self.posterior_joint_with(reduced, &[var], evidence)
+            .into_values()
+    }
+
+    /// Every variable's [`BayesNet::posterior_marginal_with`] in one pass,
+    /// indexed by variable: observed variables get their point mass, the
+    /// rest come from one shared-prefix elimination over `reduced`
+    /// ([`eliminate_to_marginals`]). Bit-identical to querying each
+    /// variable separately, at about half the elimination work.
+    pub fn posterior_marginals_with(
+        &self,
+        reduced: &[Factor],
+        evidence: &Evidence,
+    ) -> Vec<Vec<f64>> {
+        let mut out: Vec<Vec<f64>> = (0..self.n_vars())
+            .map(|v| match evidence.get(&v) {
+                Some(&val) => {
+                    let mut p = vec![0.0; self.card[v]];
+                    p[val] = 1.0;
+                    p
+                }
+                None => Vec::new(),
+            })
+            .collect();
+        for (v, f) in eliminate_to_marginals(reduced) {
+            out[v] = f.into_values();
+        }
+        assert!(
+            out.iter().all(|p| !p.is_empty()),
+            "an unobserved variable is in no factor of the reduced pool"
+        );
+        out
     }
 
     /// Ancestral sample of all variables.

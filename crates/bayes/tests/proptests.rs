@@ -296,3 +296,261 @@ fn bn_posteriors_normalize() {
         }
     }
 }
+
+/// A network over random cardinalities with random parent sets (each
+/// variable draws up to `max_parents` parents among its predecessors) and
+/// CPTs fitted to random rows.
+fn random_net(rng: &mut StdRng, max_vars: usize, max_parents: usize) -> (BayesNet, Vec<usize>) {
+    let n_vars = rng.gen_range(1..max_vars + 1);
+    let card: Vec<usize> = (0..n_vars).map(|_| rng.gen_range(2..6usize)).collect();
+    let parents: Vec<Vec<usize>> = (0..n_vars)
+        .map(|v| {
+            let mut ps: Vec<usize> = (0..v).filter(|_| rng.gen_bool(0.5)).collect();
+            while ps.len() > max_parents {
+                ps.remove(rng.gen_range(0..ps.len()));
+            }
+            ps
+        })
+        .collect();
+    let n_rows = rng.gen_range(5..60usize);
+    let rows: Vec<Vec<usize>> = (0..n_rows)
+        .map(|_| card.iter().map(|&c| rng.gen_range(0..c)).collect())
+        .collect();
+    let data = DiscreteData::new(rows, card.clone()).expect("valid rows");
+    let alpha = rng.gen_range(0.1..2.0);
+    let net = BayesNet::fit(&data, parents, alpha).expect("parents precede children");
+    (net, card)
+}
+
+/// The shared-prefix all-marginals routine returns, for every variable,
+/// the exact bits of the per-variable `posterior_marginal_with` query —
+/// on random structures and cardinalities, under no evidence, random
+/// masks, and all-but-one-observed masks.
+#[test]
+fn shared_prefix_marginals_match_per_variable_queries_bitwise() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (net, card) = random_net(&mut rng, 8, 3);
+        let n = card.len();
+        let mut masks = vec![Evidence::new()];
+        for _ in 0..4 {
+            let mut ev = Evidence::new();
+            for (v, &c) in card.iter().enumerate() {
+                if rng.gen_bool(0.5) {
+                    ev.insert(v, rng.gen_range(0..c));
+                }
+            }
+            masks.push(ev);
+        }
+        let free = rng.gen_range(0..n);
+        masks.push(
+            (0..n)
+                .filter(|&v| v != free)
+                .map(|v| (v, rng.gen_range(0..card[v])))
+                .collect(),
+        );
+        for ev in masks {
+            let pool = net.reduced_cpts(&ev);
+            let all = net.posterior_marginals_with(&pool, &ev);
+            assert_eq!(all.len(), n, "seed {seed}: one marginal per variable");
+            for (var, got) in all.iter().enumerate() {
+                let want = net.posterior_marginal_with(&pool, var, &ev);
+                let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(got),
+                    bits(&want),
+                    "seed {seed}: mask {ev:?}, var {var}: {got:?} vs {want:?}"
+                );
+            }
+        }
+    }
+}
+
+/// Reference factor algebra with the straightforward layout: decode every
+/// flat index into an assignment by div/mod and look each operand up.
+mod reference {
+    use llmsched_bayes::prelude::Factor;
+
+    fn decode(mut idx: usize, card: &[usize]) -> Vec<usize> {
+        let mut a = vec![0; card.len()];
+        for k in (0..card.len()).rev() {
+            a[k] = idx % card[k];
+            idx /= card[k];
+        }
+        a
+    }
+
+    fn lookup(f: &Factor, vars: &[usize], assign: &[usize]) -> f64 {
+        let sub: Vec<usize> = f
+            .vars()
+            .iter()
+            .map(|v| assign[vars.iter().position(|x| x == v).unwrap()])
+            .collect();
+        f.at(&sub)
+    }
+
+    pub fn product(a: &Factor, b: &Factor) -> Factor {
+        let mut vars: Vec<usize> = a.vars().iter().chain(b.vars()).copied().collect();
+        vars.sort_unstable();
+        vars.dedup();
+        let card: Vec<usize> = vars
+            .iter()
+            .map(|v| {
+                let (f, p) = match a.vars().iter().position(|x| x == v) {
+                    Some(p) => (a, p),
+                    None => (b, b.vars().iter().position(|x| x == v).unwrap()),
+                };
+                f.card()[p]
+            })
+            .collect();
+        let size: usize = card.iter().product();
+        let values = (0..size)
+            .map(|i| {
+                let asg = decode(i, &card);
+                lookup(a, &vars, &asg) * lookup(b, &vars, &asg)
+            })
+            .collect();
+        Factor::new(vars, card, values)
+    }
+
+    pub fn sum_out(f: &Factor, var: usize) -> Factor {
+        let p = f.vars().iter().position(|&v| v == var).unwrap();
+        let mut vars = f.vars().to_vec();
+        let mut card = f.card().to_vec();
+        vars.remove(p);
+        let vcard = card.remove(p);
+        let size: usize = card.iter().product();
+        let values = (0..size)
+            .map(|i| {
+                let mut asg = decode(i, &card);
+                asg.insert(p, 0);
+                let mut sum = 0.0;
+                for x in 0..vcard {
+                    asg[p] = x;
+                    sum += f.at(&asg);
+                }
+                sum
+            })
+            .collect();
+        Factor::new(vars, card, values)
+    }
+
+    pub fn reduce(f: &Factor, var: usize, value: usize) -> Factor {
+        let p = f.vars().iter().position(|&v| v == var).unwrap();
+        let mut vars = f.vars().to_vec();
+        let mut card = f.card().to_vec();
+        vars.remove(p);
+        card.remove(p);
+        let size: usize = card.iter().product();
+        let values = (0..size)
+            .map(|i| {
+                let mut asg = decode(i, &card);
+                asg.insert(p, value);
+                f.at(&asg)
+            })
+            .collect();
+        Factor::new(vars, card, values)
+    }
+
+    /// Single-target-set elimination: ascending order, every merge
+    /// starting from the unit factor, the final joint built up from the
+    /// unit factor and marginalized onto the targets.
+    pub fn eliminate_to_joint(factors: &[Factor], targets: &[usize]) -> Factor {
+        let mut pool: Vec<Factor> = factors.to_vec();
+        let mut all_vars: Vec<usize> = pool.iter().flat_map(|f| f.vars().to_vec()).collect();
+        all_vars.sort_unstable();
+        all_vars.dedup();
+        for v in all_vars {
+            if targets.contains(&v) {
+                continue;
+            }
+            let mut merged: Option<Factor> = None;
+            let mut kept = Vec::new();
+            for f in pool {
+                if f.vars().contains(&v) {
+                    merged = Some(product(merged.as_ref().unwrap_or(&Factor::unit()), &f));
+                } else {
+                    kept.push(f);
+                }
+            }
+            pool = kept;
+            if let Some(m) = merged {
+                pool.push(sum_out(&m, v));
+            }
+        }
+        let mut joint = Factor::unit();
+        for f in &pool {
+            joint = product(&joint, f);
+        }
+        let mut joint = joint.marginalize_to(targets);
+        joint.normalize();
+        joint
+    }
+}
+
+fn bits_of(f: &Factor) -> (Vec<usize>, Vec<usize>, Vec<u64>) {
+    (
+        f.vars().to_vec(),
+        f.card().to_vec(),
+        f.values().iter().map(|x| x.to_bits()).collect(),
+    )
+}
+
+/// The odometer/block kernels and the pooled elimination reproduce the
+/// decoded reference bit for bit: products, sums, reductions, and joint
+/// posteriors over random target sets of random networks.
+#[test]
+fn factor_kernels_match_decoded_reference_bitwise() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (net, card) = random_net(&mut rng, 7, 3);
+        let n = card.len();
+        let mut ev = Evidence::new();
+        for (v, &c) in card.iter().enumerate() {
+            if rng.gen_bool(0.3) {
+                ev.insert(v, rng.gen_range(0..c));
+            }
+        }
+        let pool = net.reduced_cpts(&Evidence::new());
+        // Kernel by kernel over pairs of CPT tables.
+        for a in &pool {
+            for b in &pool {
+                assert_eq!(
+                    bits_of(&a.product(b)),
+                    bits_of(&reference::product(a, b)),
+                    "seed {seed}: product"
+                );
+            }
+            for (k, &v) in a.vars().iter().enumerate() {
+                assert_eq!(
+                    bits_of(&a.sum_out(v)),
+                    bits_of(&reference::sum_out(a, v)),
+                    "seed {seed}: sum_out {v}"
+                );
+                let val = rng.gen_range(0..a.card()[k]);
+                assert_eq!(
+                    bits_of(&a.reduce(v, val)),
+                    bits_of(&reference::reduce(a, v, val)),
+                    "seed {seed}: reduce {v}={val}"
+                );
+            }
+        }
+        // Whole eliminations under evidence.
+        let reduced = net.reduced_cpts(&ev);
+        let free: Vec<usize> = (0..n).filter(|v| !ev.contains_key(v)).collect();
+        if free.is_empty() {
+            continue;
+        }
+        let targets: Vec<usize> = free.iter().copied().filter(|_| rng.gen_bool(0.4)).collect();
+        let targets = if targets.is_empty() {
+            vec![free[0]]
+        } else {
+            targets
+        };
+        assert_eq!(
+            bits_of(&eliminate_to_joint(&reduced, &targets)),
+            bits_of(&reference::eliminate_to_joint(&reduced, &targets)),
+            "seed {seed}: joint over {targets:?} given {ev:?}"
+        );
+    }
+}

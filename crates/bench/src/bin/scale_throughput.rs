@@ -149,10 +149,9 @@ struct Run {
     sched_p99_ms: f64,
     avg_jct_secs: f64,
     /// Worker-pool size the run attached (0 = no pool, e.g. 1-thread
-    /// hosts or sequential rows without parallel scoring).
+    /// hosts).
     pool_threads: usize,
-    /// Per-worker busy wall clock (ms) across the run — window stepping
-    /// plus parallel candidate scoring.
+    /// Per-worker busy wall clock (ms) across the run (window stepping).
     pool_busy_ms: Vec<f64>,
     /// Per-shard work breakdown (parallel rows only; empty otherwise).
     shards: Vec<ShardStats>,

@@ -149,9 +149,10 @@ impl BeliefStore {
         }
     }
 
-    /// Brings the store in sync with `ctx` and returns the ids whose
-    /// [`JobBelief::work`] actually changed (callers reposition those in
-    /// their ordered indices).
+    /// Brings the store in sync with `ctx` and replaces the contents of
+    /// `changed` with the ids whose [`JobBelief::work`] actually changed
+    /// (callers reposition those in their ordered indices; passing the
+    /// same buffer every call keeps this allocation-free).
     ///
     /// Dirty jobs re-derive their evidence mask — an O(template stages)
     /// scan — and only a *moved* mask (or snapshot version) triggers the
@@ -163,9 +164,12 @@ impl BeliefStore {
         ctx: &SchedContext<'_>,
         use_bn: bool,
         tail_mass: f64,
-    ) -> Vec<JobId> {
-        let mut changed = Vec::new();
-        for id in std::mem::take(&mut self.dirty) {
+        changed: &mut Vec<JobId>,
+    ) {
+        changed.clear();
+        // Drained in place so the set keeps its capacity across calls.
+        let mut dirty = std::mem::take(&mut self.dirty);
+        for id in dirty.drain() {
             match ctx.job(id) {
                 Some(job) => {
                     if self.update(store, job, use_bn, tail_mass) {
@@ -177,6 +181,7 @@ impl BeliefStore {
                 }
             }
         }
+        self.dirty = dirty;
         if self.beliefs.len() != ctx.jobs.len() {
             self.beliefs.clear();
             self.by_app.clear();
@@ -186,7 +191,6 @@ impl BeliefStore {
                 changed.push(job.id());
             }
         }
-        changed
     }
 
     fn evict(&mut self, id: JobId) {
@@ -270,13 +274,6 @@ impl BeliefStore {
     /// Eq. 6 uncertainty-reduction score for a ready stage, memoized in
     /// the job's belief. One profile lookup per call — this is where the
     /// old path's double `profiler.profile()` per score went.
-    ///
-    /// Sequential composition of the split API below:
-    /// [`memoized_reduction`](Self::memoized_reduction) →
-    /// [`score`](Self::score) →
-    /// [`memoize_reduction`](Self::memoize_reduction). Batch callers
-    /// (parallel candidate scoring) run the same three phases with the
-    /// middle one fork-joined; values are identical either way.
     pub fn reduction(
         &mut self,
         store: &ProfileStore,
@@ -284,30 +281,24 @@ impl BeliefStore {
         job: &JobRt,
         stage: StageId,
     ) -> f64 {
-        if let Some(r) = self.memoized_reduction(job.id(), stage) {
-            return r;
+        if let Some(r) = self
+            .beliefs
+            .get(&job.id())
+            .and_then(|b| b.reductions.get(&stage.0))
+        {
+            return *r;
         }
         let r = self.score(store, mi, job, stage);
-        self.memoize_reduction(job.id(), stage, r);
+        // Belief-less scores (context outside the delta stream, not yet
+        // refreshed) are not memoized.
+        if let Some(b) = self.beliefs.get_mut(&job.id()) {
+            b.reductions.insert(stage.0, r);
+        }
         r
     }
 
-    /// Probes the per-job Eq. 6 memo without computing anything.
-    pub fn memoized_reduction(&self, job: JobId, stage: StageId) -> Option<f64> {
-        self.beliefs
-            .get(&job)
-            .and_then(|b| b.reductions.get(&stage.0).copied())
-    }
-
-    /// Computes a ready stage's Eq. 6 score against the held belief
-    /// **without mutating the store** — safe to call from several worker
-    /// threads at once over disjoint candidates. The only shared write is
-    /// the per-evidence MI memo behind its mutex
-    /// ([`EvidencePosteriors`]); the MI term is a pure function of
-    /// `(application, evidence, stage)`, so racing fills store the same
-    /// value whichever thread lands first and results stay bit-identical
-    /// to the sequential order.
-    pub fn score(&self, store: &ProfileStore, mi: MiEstimator, job: &JobRt, stage: StageId) -> f64 {
+    /// Computes a ready stage's Eq. 6 score against the held belief.
+    fn score(&self, store: &ProfileStore, mi: MiEstimator, job: &JobRt, stage: StageId) -> f64 {
         let Some(profile) = store.profile(job.app()) else {
             return 0.0;
         };
@@ -324,22 +315,16 @@ impl BeliefStore {
                     if b.evidence.contains_key(&stage.index()) {
                         0.0
                     } else {
-                        let memoized = ep.mi_memo(stage.0);
-                        let part = match memoized {
-                            Some(m) => m,
-                            None => {
-                                let m = crate::uncertainty::mi_part_cached(
-                                    profile,
-                                    job,
-                                    stage,
-                                    &b.evidence,
-                                    ep,
-                                    mi,
-                                );
-                                ep.mi_memo_insert(stage.0, m);
-                                m
-                            }
-                        };
+                        let part = ep.mi_memo(stage.index(), || {
+                            crate::uncertainty::mi_part_cached(
+                                profile,
+                                job,
+                                stage,
+                                &b.evidence,
+                                ep,
+                                mi,
+                            )
+                        });
                         crate::uncertainty::add_dynamic_bonus(profile, job, stage, part)
                     }
                 }
@@ -348,15 +333,6 @@ impl BeliefStore {
             // No belief (context outside the delta stream and not yet
             // refreshed): compute against fresh evidence, uncached.
             None => uncertainty_reduction(profile, job, stage, &profile.evidence_of(job), mi),
-        }
-    }
-
-    /// Commits one computed score into the job's belief memo (no-op when
-    /// the job holds no belief, matching the sequential path, which never
-    /// memoizes belief-less scores).
-    pub fn memoize_reduction(&mut self, job: JobId, stage: StageId, r: f64) {
-        if let Some(b) = self.beliefs.get_mut(&job) {
-            b.reductions.insert(stage.0, r);
         }
     }
 }
@@ -392,7 +368,6 @@ mod tests {
             dispatchable_regular: jobs.iter().map(|j| j.ready_unstarted_by_class().0).sum(),
             dispatchable_llm: jobs.iter().map(|j| j.ready_unstarted_by_class().1).sum(),
             could_dispatch: true,
-            pool: None,
             templates,
             latency,
         }
@@ -414,12 +389,13 @@ mod tests {
         let ctx = ctx_of(&jobs, &w.templates, &latency, &[]);
 
         let mut beliefs = BeliefStore::new();
-        let changed = beliefs.refresh(&store, &ctx, true, 0.35);
+        let mut changed = Vec::new();
+        beliefs.refresh(&store, &ctx, true, 0.35, &mut changed);
         assert_eq!(changed.len(), 5, "safety net computes every belief");
         assert_eq!(beliefs.len(), 5);
 
         // A second refresh with no deltas changes nothing.
-        let changed = beliefs.refresh(&store, &ctx, true, 0.35);
+        beliefs.refresh(&store, &ctx, true, 0.35, &mut changed);
         assert!(changed.is_empty(), "clean store must not recompute");
 
         // Dirty without an actual evidence change: still nothing.
@@ -427,7 +403,7 @@ mod tests {
             job: jobs[0].id(),
             stage: StageId(0),
         });
-        let changed = beliefs.refresh(&store, &ctx, true, 0.35);
+        beliefs.refresh(&store, &ctx, true, 0.35, &mut changed);
         assert!(
             changed.is_empty(),
             "unchanged evidence mask must not invalidate the belief"
@@ -458,8 +434,10 @@ mod tests {
         let ctx = ctx_of(&jobs, &w.templates, &latency, &[]);
 
         let mut beliefs = BeliefStore::new();
-        beliefs.refresh(&store, &ctx, true, 0.35);
-        assert!(beliefs.refresh(&store, &ctx, true, 0.35).is_empty());
+        let mut changed = Vec::new();
+        beliefs.refresh(&store, &ctx, true, 0.35, &mut changed);
+        beliefs.refresh(&store, &ctx, true, 0.35, &mut changed);
+        assert!(changed.is_empty());
 
         // Publish a new snapshot for exactly one app.
         let app = jobs[0].app();
@@ -468,13 +446,12 @@ mod tests {
         assert!(store.observe_job_spec(w.templates.expect(app), &extra[0]));
         beliefs.mark_app_dirty(app);
 
-        let changed = beliefs.refresh(&store, &ctx, true, 0.35);
+        beliefs.refresh(&store, &ctx, true, 0.35, &mut changed);
         let expected: Vec<JobId> = jobs
             .iter()
             .filter(|j| j.app() == app)
             .map(|j| j.id())
             .collect();
-        let mut changed = changed;
         changed.sort();
         assert_eq!(
             changed, expected,

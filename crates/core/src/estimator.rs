@@ -138,15 +138,11 @@ pub struct EvidencePosteriors {
     /// BN-path cache; `None` for the w/o-BN ablation (whose bands come
     /// from the evidence-free prior and whose cost profile is untouched).
     pub(crate) cache: Option<PosteriorCache>,
-    /// Shared memo of Eq. 6 MI terms per stage: the term is a pure
-    /// function of `(application, evidence)` (see
+    /// Shared memo of Eq. 6 MI terms, one slot per stage: the term is a
+    /// pure function of `(application, evidence)` (see
     /// [`crate::uncertainty`]), so every job under this evidence reuses
-    /// one computation. The `Mutex` guards the lazy fills: parallel
-    /// candidate scoring computes misses from several worker threads at
-    /// once, and because the memoized value is a pure function of the
-    /// key, racing fills write the same bits whichever thread lands
-    /// first.
-    pub(crate) mi: std::sync::Mutex<std::collections::HashMap<u32, f64>>,
+    /// one computation. Filled lazily through the shared `Arc`.
+    mi: Vec<std::sync::OnceLock<f64>>,
 }
 
 /// The shareable inference state behind one evidence map.
@@ -165,21 +161,10 @@ impl EvidencePosteriors {
         self.cache.is_some()
     }
 
-    /// Reads the shared MI memo for `stage`.
-    pub(crate) fn mi_memo(&self, stage: u32) -> Option<f64> {
-        self.mi
-            .lock()
-            .expect("mi memo poisoned")
-            .get(&stage)
-            .copied()
-    }
-
-    /// Fills the shared MI memo for `stage`.
-    pub(crate) fn mi_memo_insert(&self, stage: u32, value: f64) {
-        self.mi
-            .lock()
-            .expect("mi memo poisoned")
-            .insert(stage, value);
+    /// The shared MI term of template stage `stage`, computed by
+    /// `compute` on first use.
+    pub(crate) fn mi_memo(&self, stage: usize, compute: impl FnOnce() -> f64) -> f64 {
+        *self.mi[stage].get_or_init(compute)
     }
 
     /// Builds the posterior state for one evidence map.
@@ -188,15 +173,15 @@ impl EvidencePosteriors {
             return EvidencePosteriors {
                 bands: stage_bands(profile, evidence, false, tail_mass),
                 cache: None,
-                mi: std::sync::Mutex::new(std::collections::HashMap::new()),
+                mi: Vec::new(),
             };
         }
         let net = profile.net();
         let pool = net.reduced_cpts(evidence);
         let n = profile.n_stages();
-        let marginals: Vec<Vec<f64>> = (0..n)
-            .map(|s| net.posterior_marginal_with(&pool, s, evidence))
-            .collect();
+        // One shared-prefix elimination for every stage's marginal,
+        // bit-identical to per-stage `posterior_marginal_with` queries.
+        let marginals = net.posterior_marginals_with(&pool, evidence);
         let bands = (0..n)
             .map(|s| {
                 if evidence.contains_key(&s) {
@@ -215,7 +200,7 @@ impl EvidencePosteriors {
         EvidencePosteriors {
             bands,
             cache: Some(PosteriorCache { pool, marginals }),
-            mi: std::sync::Mutex::new(std::collections::HashMap::new()),
+            mi: (0..n).map(|_| std::sync::OnceLock::new()).collect(),
         }
     }
 }

@@ -13,7 +13,7 @@
 //!
 //! * **incremental** (default) — persistent per-job
 //!   [`JobBelief`](crate::belief::JobBelief)s (see [`crate::belief`])
-//!   plus two delta-maintained ordered indices: the
+//!   plus two delta-maintained, ready-flagged dense indices: the
 //!   SRTF exploitation order and the interval index behind the
 //!   non-overlapping grouping. Only jobs whose evidence changed are
 //!   re-estimated and repositioned; a full re-key happens only when the
@@ -34,7 +34,7 @@ use std::collections::HashMap;
 use llmsched_bayes::network::Evidence;
 use llmsched_dag::ids::{JobId, StageId};
 use llmsched_dag::time::SimTime;
-use llmsched_sim::incr::{FiniteF64, OrderedJobs};
+use llmsched_sim::incr::FiniteF64;
 use llmsched_sim::scheduler::{Preference, SchedContext, SchedDelta, Scheduler};
 use llmsched_sim::state::JobRt;
 use llmsched_telemetry::{DecisionList, DecisionRecord};
@@ -44,6 +44,7 @@ use rand::{Rng, SeedableRng};
 use crate::belief::BeliefStore;
 use crate::estimator::WorkEstimate;
 use crate::profiler::Profiler;
+use crate::ready_index::{IndexEntry, ReadyIndex};
 use crate::store::{ProfileStore, ProfileStoreConfig, ProfileUpdate};
 use crate::uncertainty::{uncertainty_reduction, MiEstimator};
 
@@ -133,11 +134,12 @@ pub struct LlmSched {
     beliefs: BeliefStore,
     /// …the SRTF exploitation order, keyed by (calibrated estimate,
     /// arrival)…
-    exploit: OrderedJobs<(FiniteF64, SimTime)>,
+    exploit: ReadyIndex<(FiniteF64, SimTime), ()>,
     /// …and the interval index behind the non-overlapping grouping
-    /// (ordered by calibrated lower bound; upper bounds ride alongside).
-    intervals: OrderedJobs<FiniteF64>,
-    interval_hi: HashMap<JobId, f64>,
+    /// (ordered by calibrated lower bound; upper bounds ride inline).
+    /// Both carry each job's ready flag (`ready_counts[job].stages > 0`)
+    /// inline, so the lazy sources skip non-ready jobs without a lookup.
+    intervals: ReadyIndex<FiniteF64, f64>,
     /// The Eq. 2 calibration the persistent keys were computed under; a
     /// moved calibration re-keys everything.
     last_calib: Option<f64>,
@@ -148,16 +150,14 @@ pub struct LlmSched {
     ready_counts: HashMap<JobId, ReadyProfile>,
     ready_dirty: std::collections::HashSet<JobId>,
     total_ready: ReadyProfile,
+    /// Reused buffer for [`BeliefStore::refresh`]'s changed-job list.
+    changed_buf: Vec<JobId>,
     /// Reused per-invocation merge scratch (cleared at the top of every
     /// incremental schedule; persisting the capacity keeps the merge
     /// allocation-free at steady state).
     merge_emitted: HashMap<(usize, StageId), usize>,
     st_mat_buf: Vec<StageRef>,
     su_heap_buf: std::collections::BinaryHeap<SuEntry>,
-    /// Group-scoring scratch: the current non-overlapping group's
-    /// ready-stage frontier and its Eq. 6 scores (parallel arrays).
-    su_cands_buf: Vec<(usize, StageId)>,
-    su_scores_buf: Vec<f64>,
     /// Dirty-set scored frontier: each job's ready-stage list with its
     /// Eq. 6 scores, in `ready_stage_ids` order, persisted across
     /// invocations. A job is re-scored only when a delta actually touched
@@ -169,13 +169,6 @@ pub struct LlmSched {
     /// belief memos' (pure, bit-stable), so the merge — and the schedule
     /// — is bit-identical to scoring from scratch every time.
     frontier: HashMap<JobId, Vec<(StageId, f64)>>,
-    /// Scratch: `(job, su_cands_buf offset)` of each frontier miss in the
-    /// group being materialized (offsets delimit each job's candidates).
-    frontier_miss_buf: Vec<(JobId, usize)>,
-    /// Candidates scored via the worker-pool fork-join route since
-    /// construction/reset — observability only, never consulted by the
-    /// schedule itself.
-    par_scored: u64,
     /// Decision-provenance collection, flipped by the engine via
     /// [`Scheduler::set_telemetry`]. Observation-only: records are built
     /// from values both paths already computed, so the ε-greedy RNG
@@ -284,21 +277,17 @@ impl LlmSched {
             rng: StdRng::seed_from_u64(seed),
             cache: HashMap::new(),
             beliefs: BeliefStore::new(),
-            exploit: OrderedJobs::new(),
-            intervals: OrderedJobs::new(),
-            interval_hi: HashMap::new(),
+            exploit: ReadyIndex::default(),
+            intervals: ReadyIndex::default(),
             last_calib: None,
             ready_counts: HashMap::new(),
             ready_dirty: std::collections::HashSet::new(),
             total_ready: ReadyProfile::default(),
+            changed_buf: Vec::new(),
             merge_emitted: HashMap::new(),
             st_mat_buf: Vec::new(),
             su_heap_buf: std::collections::BinaryHeap::new(),
-            su_cands_buf: Vec::new(),
-            su_scores_buf: Vec::new(),
             frontier: HashMap::new(),
-            frontier_miss_buf: Vec::new(),
-            par_scored: 0,
             telemetry: false,
             decisions: Vec::new(),
             name,
@@ -319,12 +308,6 @@ impl LlmSched {
     /// cadence, feeds with completed-stage observations).
     pub fn profile_store(&self) -> &ProfileStore {
         &self.store
-    }
-
-    /// Number of Eq. 6 candidates scored on the engine's worker pool
-    /// (the fork-join route) since construction or the last reset.
-    pub fn par_scored(&self) -> u64 {
-        self.par_scored
     }
 
     // ------------------------------------------------------------------
@@ -481,16 +464,25 @@ impl LlmSched {
     // Incremental path
     // ------------------------------------------------------------------
 
-    /// (Re)derives one job's persistent sort keys from its belief.
+    /// (Re)derives one job's persistent sort keys from its belief; a
+    /// newly indexed job takes its ready flag from `ready_counts`.
     fn index_job(&mut self, job: &JobRt, calib: f64) {
-        let w = self.beliefs.work(job.id());
-        self.exploit
-            .upsert(job.id(), (FiniteF64(w.expected(calib)), job.arrival()));
+        let (srtf, interval) = index_entries(&self.beliefs, &self.ready_counts, job, calib);
+        self.exploit.upsert(srtf);
         if self.cfg.use_uncertainty {
-            let (lo, hi) = w.interval(calib);
-            self.intervals.upsert(job.id(), FiniteF64(lo));
-            self.interval_hi.insert(job.id(), hi);
+            self.intervals.upsert(interval);
         }
+    }
+
+    /// Records one job's ready-work profile, flipping its index flags
+    /// when its ready/non-ready status moves.
+    fn set_ready_profile(&mut self, id: JobId, old: ReadyProfile, new: ReadyProfile) {
+        if (old.stages > 0) != (new.stages > 0) {
+            self.exploit.set_ready(id, new.stages > 0);
+            self.intervals.set_ready(id, new.stages > 0);
+        }
+        self.total_ready.sub(old);
+        self.total_ready.add(new);
     }
 
     /// Brings the profile store, beliefs, ready-stage counts and both
@@ -502,11 +494,13 @@ impl LlmSched {
             self.beliefs.mark_app_dirty(app);
         }
         let calib = crate::estimator::batching_calibration(ctx);
-        let changed = self.beliefs.refresh(
+        let mut changed = std::mem::take(&mut self.changed_buf);
+        self.beliefs.refresh(
             &self.store,
             ctx,
             self.cfg.use_bn,
             self.cfg.interval_tail_mass,
+            &mut changed,
         );
         // A replaced belief cleared its Eq. 6 memos: the job's cached
         // scored frontier is stale with it. (Calibration moves, by
@@ -518,26 +512,33 @@ impl LlmSched {
         if self.last_calib == Some(calib) {
             // Calibration stable: reposition only the jobs whose belief
             // moved (arrivals included — their upsert is the insert).
-            for id in changed {
+            for &id in &changed {
                 if let Some(job) = ctx.job(id) {
                     self.index_job(job, calib);
                 }
             }
         }
+        self.changed_buf = changed;
         if self.last_calib != Some(calib) || self.exploit.len() != ctx.jobs.len() {
             // Calibration moved (every persistent key is stale), or the
             // context bypassed the delta stream: rebuild the indices.
-            self.exploit.clear();
-            self.intervals.clear();
-            self.interval_hi.clear();
-            for i in 0..ctx.jobs.len() {
-                self.index_job(&ctx.jobs[i], calib);
+            let (beliefs, ready_counts) = (&self.beliefs, &self.ready_counts);
+            let entries = |job| index_entries(beliefs, ready_counts, job, calib);
+            self.exploit
+                .rebuild(ctx.jobs.iter().map(|job| entries(job).0));
+            if self.cfg.use_uncertainty {
+                self.intervals
+                    .rebuild(ctx.jobs.iter().map(|job| entries(job).1));
+            } else {
+                self.intervals.clear();
             }
             self.last_calib = Some(calib);
         }
-        // Ready-work profiles: the exact lengths of the lazy St/Su sources
-        // and the per-class availability behind the emission budgets.
-        for id in std::mem::take(&mut self.ready_dirty) {
+        // Ready-work profiles: the exact lengths of the lazy St/Su sources,
+        // the per-class availability behind the emission budgets, and the
+        // indices' ready flags.
+        let mut dirty = std::mem::take(&mut self.ready_dirty);
+        for id in dirty.drain() {
             let old = self.ready_counts.get(&id).copied().unwrap_or_default();
             let new = match ctx.job(id) {
                 Some(job) => {
@@ -550,22 +551,34 @@ impl LlmSched {
                     ReadyProfile::default()
                 }
             };
-            self.total_ready.sub(old);
-            self.total_ready.add(new);
+            self.set_ready_profile(id, old, new);
         }
+        self.ready_dirty = dirty;
         if self.ready_counts.len() != ctx.jobs.len() {
-            self.ready_counts.clear();
-            self.total_ready = ReadyProfile::default();
             // Same bypassed-delta-stream safety net for the frontier: the
             // ready-stage sets can no longer be trusted, so drop every
             // cached scoring wholesale.
             self.frontier.clear();
+            let stale = std::mem::take(&mut self.ready_counts);
+            self.total_ready = ReadyProfile::default();
             for job in &ctx.jobs {
                 let p = ReadyProfile::of(job);
                 self.ready_counts.insert(job.id(), p);
+                let was_ready = stale.get(&job.id()).is_some_and(|o| o.stages > 0);
+                if was_ready != (p.stages > 0) {
+                    self.exploit.set_ready(job.id(), p.stages > 0);
+                    self.intervals.set_ready(job.id(), p.stages > 0);
+                }
                 self.total_ready.add(p);
             }
         }
+        debug_assert!(
+            self.exploit
+                .entries()
+                .iter()
+                .all(|e| e.ready == self.ready_counts.get(&e.job).is_some_and(|p| p.stages > 0)),
+            "SRTF index ready flags out of sync with the ready-work profiles"
+        );
     }
 
     /// The delta-driven fast path: Algorithm 1 over *lazy* sources.
@@ -577,10 +590,13 @@ impl LlmSched {
     /// length depends on both list lengths), but it only needs counts,
     /// which the delta-maintained `total_ready` provides without touching
     /// any job. St materializes per-job on demand in the persistent SRTF
-    /// order; Su materializes per *group* on demand (groups scanned off
-    /// the persistent interval index) into a max-heap, so the
+    /// order, skipping non-ready entries by their inline flag; Su
+    /// materializes per *group* on demand (groups scanned off the
+    /// persistent interval index) into a max-heap, so the
     /// most-uncertainty-reduction-first order costs O(pops · log g)
-    /// instead of a full per-invocation sort. Everything emitted is
+    /// instead of a full per-invocation sort. The group scan still walks
+    /// non-ready entries — their intervals can bridge two groups — but
+    /// reads nothing beyond the entry itself for them. Everything emitted is
     /// bit-identical to the rebuild path's schedule; the equivalence suite
     /// pins it.
     fn schedule_incremental(&mut self, ctx: &SchedContext<'_>) -> Preference {
@@ -606,8 +622,6 @@ impl LlmSched {
         let LlmSched {
             ref exploit,
             ref intervals,
-            ref interval_hi,
-            ref ready_counts,
             ref mut beliefs,
             ref store,
             ref cfg,
@@ -615,11 +629,7 @@ impl LlmSched {
             ref mut merge_emitted,
             ref mut st_mat_buf,
             ref mut su_heap_buf,
-            ref mut su_cands_buf,
-            ref mut su_scores_buf,
             ref mut frontier,
-            ref mut frontier_miss_buf,
-            ref mut par_scored,
             ref mut decisions,
             ..
         } = *self;
@@ -632,10 +642,10 @@ impl LlmSched {
         // Lazy St state: materialized prefix + cursor into the SRTF order.
         let st_mat = st_mat_buf;
         st_mat.clear();
-        let mut st_src = exploit.entries().map(|(_, id)| id);
+        let mut st_src = exploit.entries().iter().filter(|e| e.ready).map(|e| e.job);
         // Lazy Su state: cursor into the interval order + current group's
         // scored heap.
-        let mut iv_src = intervals.entries().map(|(k, id)| (k.0, id)).peekable();
+        let mut iv_src = intervals.entries().iter().peekable();
         let heap = su_heap_buf;
         heap.clear();
 
@@ -670,24 +680,23 @@ impl LlmSched {
                     // Materialize the next non-overlapping group: scan the
                     // interval order, merging while lower bounds stay
                     // within the group's running upper bound (exactly
-                    // `non_overlapping_groups`), collecting the group's
-                    // ready-stage frontier as scoring candidates.
+                    // `non_overlapping_groups`), pushing the group's
+                    // scored ready-stage frontier onto the heap.
                     let mut cur_hi = f64::NEG_INFINITY;
                     let mut first = true;
-                    su_cands_buf.clear();
-                    frontier_miss_buf.clear();
-                    while let Some(&(lo, id)) = iv_src.peek() {
-                        if !first && lo > cur_hi {
+                    while let Some(&e) = iv_src.peek() {
+                        if !first && e.key.0 > cur_hi {
                             break;
                         }
                         first = false;
-                        cur_hi = cur_hi.max(interval_hi[&id]);
+                        cur_hi = cur_hi.max(e.val);
                         iv_src.next();
-                        // Jobs with no ready stages contribute nothing:
-                        // skip them without touching the job state.
-                        if ready_counts.get(&id).map_or(0, |p| p.stages) == 0 {
+                        // Jobs with no ready stages contribute nothing
+                        // but their interval: skip them on the flag.
+                        if !e.ready {
                             continue;
                         }
+                        let id = e.job;
                         let Some(idx) = ctx.job_index(id) else {
                             continue;
                         };
@@ -695,50 +704,19 @@ impl LlmSched {
                         // touched since its last scoring replays its
                         // persistent (stage, score) frontier straight
                         // into the heap — no job scan, no memo probes.
-                        // Only the misses fall through to `score_group`.
-                        if let Some(fr) = frontier.get(&id) {
-                            for &(s, r) in fr {
-                                heap.push(SuEntry {
-                                    score: FiniteF64(r),
-                                    tie: std::cmp::Reverse((id, s)),
-                                    job_idx: idx,
-                                    stage: s,
-                                });
-                            }
-                        } else {
-                            frontier_miss_buf.push((id, su_cands_buf.len()));
-                            for &s in ctx.jobs[idx].ready_stage_ids() {
-                                su_cands_buf.push((idx, s));
-                            }
-                        }
-                    }
-                    // Score the missed jobs' candidates — fork-joined
-                    // across the engine's worker pool when one is attached
-                    // and the batch is wide enough to amortize the
-                    // fan-out, inline otherwise; bit-identical either way
-                    // (see `score_group`). The heap's order is total (ties
-                    // break on unique (job, stage)), so the pops — and
-                    // with them the ε-draw consumption — never observe
-                    // which route ran, the push order, or which jobs came
-                    // out of the persistent frontier.
-                    *par_scored += score_group(
-                        beliefs,
-                        store,
-                        cfg.mi,
-                        ctx,
-                        su_cands_buf,
-                        su_scores_buf,
-                        ctx.pool,
-                    );
-                    for (m, &(id, start)) in frontier_miss_buf.iter().enumerate() {
-                        let end = frontier_miss_buf
-                            .get(m + 1)
-                            .map_or(su_cands_buf.len(), |&(_, off)| off);
-                        let mut fr = Vec::with_capacity(end - start);
-                        for k in start..end {
-                            let (idx, s) = su_cands_buf[k];
-                            let r = su_scores_buf[k];
-                            fr.push((s, r));
+                        // A miss is scored now and cached. The heap's
+                        // order is total (ties break on unique (job,
+                        // stage)), so the pops — and with them the ε-draw
+                        // consumption — never observe the push order or
+                        // which jobs came out of the persistent frontier.
+                        let fr = frontier.entry(id).or_insert_with(|| {
+                            ctx.jobs[idx]
+                                .ready_stage_ids()
+                                .iter()
+                                .map(|&s| (s, beliefs.reduction(store, cfg.mi, &ctx.jobs[idx], s)))
+                                .collect()
+                        });
+                        for &(s, r) in fr.iter() {
                             heap.push(SuEntry {
                                 score: FiniteF64(r),
                                 tie: std::cmp::Reverse((id, s)),
@@ -746,7 +724,6 @@ impl LlmSched {
                                 stage: s,
                             });
                         }
-                        frontier.insert(id, fr);
                     }
                 }
                 let popped = heap.pop();
@@ -763,9 +740,6 @@ impl LlmSched {
                 st_i += 1;
                 while st_mat.len() < st_i {
                     let Some(id) = st_src.next() else { break };
-                    if ready_counts.get(&id).map_or(0, |p| p.stages) == 0 {
-                        continue;
-                    }
                     if let Some(i) = ctx.job_index(id) {
                         for &s in ctx.jobs[i].ready_stage_ids() {
                             st_mat.push(StageRef {
@@ -1043,6 +1017,36 @@ struct StageRef {
     stage: StageId,
 }
 
+/// One job's SRTF (`St`) and interval (`Su`) index entries under the Eq. 2
+/// calibration `calib`, flagged ready from `ready_counts`.
+fn index_entries(
+    beliefs: &BeliefStore,
+    ready_counts: &HashMap<JobId, ReadyProfile>,
+    job: &JobRt,
+    calib: f64,
+) -> (
+    IndexEntry<(FiniteF64, SimTime), ()>,
+    IndexEntry<FiniteF64, f64>,
+) {
+    let w = beliefs.work(job.id());
+    let ready = ready_counts.get(&job.id()).is_some_and(|p| p.stages > 0);
+    let (lo, hi) = w.interval(calib);
+    (
+        IndexEntry {
+            key: (FiniteF64(w.expected(calib)), job.arrival()),
+            job: job.id(),
+            ready,
+            val: (),
+        },
+        IndexEntry {
+            key: FiniteF64(lo),
+            job: job.id(),
+            ready,
+            val: hi,
+        },
+    )
+}
+
 /// Builds one incremental-path provenance record from the job's persistent
 /// belief — pure reads of state `sync` already materialized. `at`/`seq`
 /// are stamped by the engine at drain time.
@@ -1075,80 +1079,6 @@ fn provenance_record(
         interval: work.interval(calib),
         reduction,
     }
-}
-
-/// Minimum group frontier size before a scoring batch fans out across the
-/// worker pool: below this the per-task coordination costs more than the
-/// Eq. 6 inference being parallelized.
-const MIN_PAR_FRONTIER: usize = 16;
-
-/// Scores one non-overlapping group's ready-stage frontier (Eq. 6) into
-/// `scores` (kept parallel to `cands`); returns how many candidates were
-/// scored on the worker pool (0 on the inline route).
-///
-/// Three phases, equivalent to calling [`BeliefStore::reduction`] per
-/// candidate in order:
-/// 1. probe the per-job memos (sequential, read-only);
-/// 2. compute the misses — fork-joined across `pool` when one is attached
-///    and the miss count reaches [`MIN_PAR_FRONTIER`], inline otherwise.
-///    Compute takes `&BeliefStore`; the only shared write is the
-///    per-evidence MI memo behind its mutex, whose fills are pure
-///    functions of the key, so racing threads store identical bits;
-/// 3. commit the computed scores into the per-job memos (sequential) —
-///    exactly the mutations the sequential path performs.
-///
-/// The one observable difference from strict sequential order: two
-/// same-evidence candidates that would have shared an MI memo fill may
-/// both compute it concurrently. The values are identical, so the scores
-/// — and everything downstream — are bit-identical.
-fn score_group(
-    beliefs: &mut BeliefStore,
-    store: &ProfileStore,
-    mi: MiEstimator,
-    ctx: &SchedContext<'_>,
-    cands: &[(usize, StageId)],
-    scores: &mut Vec<f64>,
-    pool: Option<&llmsched_sim::par::WorkerPool>,
-) -> u64 {
-    scores.clear();
-    scores.resize(cands.len(), 0.0);
-    let mut misses: Vec<usize> = Vec::new();
-    for (k, &(idx, s)) in cands.iter().enumerate() {
-        match beliefs.memoized_reduction(ctx.jobs[idx].id(), s) {
-            Some(r) => scores[k] = r,
-            None => misses.push(k),
-        }
-    }
-    let mut fanned = 0u64;
-    let computed: Vec<f64> = match pool {
-        Some(pool) if misses.len() >= MIN_PAR_FRONTIER => {
-            fanned = misses.len() as u64;
-            let shared: &BeliefStore = beliefs;
-            let out: llmsched_sim::par::TaskSlots<f64> =
-                llmsched_sim::par::TaskSlots::new(misses.len());
-            pool.run(misses.len(), &|i| {
-                let (idx, s) = cands[misses[i]];
-                out.put(i, shared.score(store, mi, &ctx.jobs[idx], s));
-            });
-            out.into_inner()
-                .into_iter()
-                .map(|v| v.expect("every scoring task fills its slot"))
-                .collect()
-        }
-        _ => misses
-            .iter()
-            .map(|&k| {
-                let (idx, s) = cands[k];
-                beliefs.score(store, mi, &ctx.jobs[idx], s)
-            })
-            .collect(),
-    };
-    for (&k, r) in misses.iter().zip(computed) {
-        let (idx, s) = cands[k];
-        scores[k] = r;
-        beliefs.memoize_reduction(ctx.jobs[idx].id(), s, r);
-    }
-    fanned
 }
 
 /// Most-uncertainty-reduction-first ordering within one group (ties by
@@ -1206,7 +1136,6 @@ impl Scheduler for LlmSched {
             SchedDelta::JobCompleted { job } => {
                 self.exploit.remove(*job);
                 self.intervals.remove(*job);
-                self.interval_hi.remove(job);
                 if let Some(c) = self.ready_counts.remove(job) {
                     self.total_ready.sub(c);
                 }
@@ -1242,14 +1171,12 @@ impl Scheduler for LlmSched {
         self.beliefs.clear();
         self.exploit.clear();
         self.intervals.clear();
-        self.interval_hi.clear();
         self.last_calib = None;
         self.ready_counts.clear();
         self.ready_dirty.clear();
         self.total_ready = ReadyProfile::default();
         self.frontier.clear();
         self.rng = StdRng::seed_from_u64(self.cfg.seed);
-        self.par_scored = 0;
         self.decisions.clear();
     }
 

@@ -228,9 +228,9 @@ struct Engine<'a> {
     /// window threading (and the pool itself) is skipped outright when
     /// this is 1.
     hw_threads: usize,
-    /// The persistent parked-worker pool (`None` when `hw_threads < 2`):
-    /// shard window stepping and policy-side parallel scoring share it,
-    /// so per-round thread-spawn overhead is paid once per *run*.
+    /// The persistent parked-worker pool (`None` when `hw_threads < 2`)
+    /// behind shard window stepping, so per-round thread-spawn overhead
+    /// is paid once per *run*.
     pool: Option<crate::par::WorkerPool>,
     /// Ready, unstarted tasks across active jobs — the dispatchable-work
     /// count behind scheduler-invocation coalescing. Maintained
@@ -1662,7 +1662,6 @@ impl Engine<'_> {
                 dispatchable_regular: self.ready_reg,
                 dispatchable_llm: self.ready_llm,
                 could_dispatch: self.could_dispatch(),
-                pool: self.pool.as_ref(),
                 templates: self.templates,
                 latency: &self.cfg.latency,
             };

@@ -154,9 +154,8 @@ pub struct ShardStats {
     pub busy: std::time::Duration,
 }
 
-/// A persistent fork-join pool of parked worker threads, shared by the
-/// partitioned engine's window stepping and by intra-invocation
-/// candidate scoring (see `DESIGN.md` §13).
+/// A persistent fork-join pool of parked worker threads behind the
+/// partitioned engine's window stepping (see `DESIGN.md` §13).
 ///
 /// [`WorkerPool::run`] publishes one job — `f(i)` for every
 /// `i < tasks` — wakes the parked workers, participates from the calling

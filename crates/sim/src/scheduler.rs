@@ -406,12 +406,6 @@ pub struct SchedContext<'a> {
     /// engine-computed (not derived from the views) so the policy-side
     /// early-return and the engine-side elision can never disagree.
     pub could_dispatch: bool,
-    /// The engine's persistent worker pool, when one is running (the
-    /// engine builds it for effective `hw_threads >= 2`). Policies with
-    /// embarrassingly parallel per-job work (LLMSched's Eq. 6 scoring)
-    /// may fork-join across it, provided the merge is deterministic —
-    /// results must be bit-identical to the sequential fold.
-    pub pool: Option<&'a crate::par::WorkerPool>,
     /// Registered application templates.
     pub templates: &'a TemplateSet,
     /// The cluster's decode-latency curve (public knowledge: providers
@@ -650,7 +644,6 @@ mod tests {
             dispatchable_regular: jobs.iter().map(|j| j.ready_unstarted_by_class().0).sum(),
             dispatchable_llm: jobs.iter().map(|j| j.ready_unstarted_by_class().1).sum(),
             could_dispatch: true,
-            pool: None,
             templates: &templates,
             latency: &latency,
         };

@@ -14,11 +14,6 @@
 //! point keeps its sequence number whether it ran, was coalesced, or was
 //! elided, so `sched_calls + sched_skipped + sched_elided` is the same
 //! total either way, and provenance `seq` values match exactly.
-//!
-//! The suite also pins the second leg of the scheduler-parallelism
-//! contract: LLMSched's fork-joined Eq. 6 candidate scoring (worker pool
-//! attached via [`ClusterConfig::pool_threads`]) is bit-identical to the
-//! inline route.
 
 use std::sync::OnceLock;
 
@@ -218,55 +213,4 @@ fn stock_llmsched_is_never_elided() {
             kind.name()
         );
     }
-}
-
-/// LLMSched's fork-joined Eq. 6 candidate scoring is bit-identical to
-/// the inline route: a forced 2-thread worker pool
-/// (`pool_threads: Some(2)`) against a forced-off pool
-/// (`pool_threads: Some(1)`) lands on the same result bits, and the
-/// pooled run actually exercised the parallel path.
-#[test]
-fn parallel_scoring_matches_sequential_scoring_bit_for_bit() {
-    let (profiler, _) = artifacts();
-    // A dense burst keeps hundreds of jobs in flight so the Su groups'
-    // scoring frontiers clear the parallel gate's minimum width.
-    let run = |pool_threads: usize| {
-        let w = generate_workload_with(
-            WorkloadKind::Mixed,
-            120,
-            &ArrivalProcess::Poisson { lambda: 12.0 },
-            29,
-        );
-        let mut cfg = WorkloadKind::Mixed.default_cluster();
-        cfg.pool_threads = Some(pool_threads);
-        let mut sched = LlmSched::new(
-            profiler.clone(),
-            LlmSchedConfig {
-                work_conserving: true,
-                ..LlmSchedConfig::default()
-            },
-        );
-        let r = simulate(&cfg, &w.templates, w.jobs, &mut sched);
-        (r, sched.par_scored())
-    };
-    let (pooled, par_scored) = run(2);
-    let (inline, inline_scored) = run(1);
-    assert_eq!(inline_scored, 0, "pool-less run took the fork-join route");
-    assert!(
-        par_scored > 0,
-        "pooled run never fanned a scoring batch out"
-    );
-    assert_eq!(pooled.events, inline.events, "event counts");
-    assert_eq!(pooled.makespan, inline.makespan, "makespans");
-    assert_eq!(
-        pooled.avg_jct_secs().to_bits(),
-        inline.avg_jct_secs().to_bits(),
-        "avg JCT bit pattern"
-    );
-    let completions = |r: &SimResult| {
-        let mut v: Vec<_> = r.jobs.iter().map(|j| (j.id, j.completion)).collect();
-        v.sort();
-        v
-    };
-    assert_eq!(completions(&pooled), completions(&inline), "completions");
 }

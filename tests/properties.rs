@@ -150,7 +150,6 @@ fn llmsched_preferences_are_valid() {
             dispatchable_regular: jobs.iter().map(|j| j.ready_unstarted_by_class().0).sum(),
             dispatchable_llm: jobs.iter().map(|j| j.ready_unstarted_by_class().1).sum(),
             could_dispatch: true,
-            pool: None,
             templates: &w.templates,
             latency: &latency,
         };
