@@ -52,7 +52,6 @@
 pub mod belief;
 pub mod estimator;
 pub mod profiler;
-mod ready_index;
 pub mod scheduler;
 pub mod store;
 pub mod uncertainty;

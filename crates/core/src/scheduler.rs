@@ -34,7 +34,7 @@ use std::collections::HashMap;
 use llmsched_bayes::network::Evidence;
 use llmsched_dag::ids::{JobId, StageId};
 use llmsched_dag::time::SimTime;
-use llmsched_sim::incr::FiniteF64;
+use llmsched_sim::incr::{FiniteF64, IndexEntry, ReadyIndex};
 use llmsched_sim::scheduler::{Preference, SchedContext, SchedDelta, Scheduler};
 use llmsched_sim::state::JobRt;
 use llmsched_telemetry::{DecisionList, DecisionRecord};
@@ -44,7 +44,6 @@ use rand::{Rng, SeedableRng};
 use crate::belief::BeliefStore;
 use crate::estimator::WorkEstimate;
 use crate::profiler::Profiler;
-use crate::ready_index::{IndexEntry, ReadyIndex};
 use crate::store::{ProfileStore, ProfileStoreConfig, ProfileUpdate};
 use crate::uncertainty::{uncertainty_reduction, MiEstimator};
 

@@ -79,7 +79,7 @@ impl Scheduler for Argus {
         if self.rebuild {
             return;
         }
-        self.index.on_delta(d, |_| false);
+        self.index.on_delta(d);
         match d {
             // Visibility changed: the cached heights are stale.
             SchedDelta::StageRevealed { job, .. } => {
@@ -141,23 +141,21 @@ impl Scheduler for Argus {
         // Incremental path: the (arrival, id) job order is the index order,
         // and the full-key sort above groups candidates by job first — so
         // ranking stages *within* each job in index order reproduces the
-        // rebuild schedule exactly. If the index had to rebuild (context
-        // outside the delta stream), the heights cache missed the same
-        // reveals: drop it too.
+        // rebuild schedule exactly. A job with no ready stage contributes
+        // no candidate, so the walk visits ready jobs only. If the index
+        // had to rebuild (context outside the delta stream), the heights
+        // cache missed the same reveals: drop it too.
         if self.index.refresh(ctx, |j| j.arrival()) {
             self.heights.clear();
         }
         let budget = Budget::of(ctx);
         let mut p = Preference::new();
-        for id in self.index.jobs().ids() {
+        for id in self.index.ready_ids() {
             if budget.met(&p) {
                 break;
             }
             let Some(job) = ctx.job(id) else { continue };
             let ready = job.ready_stage_ids();
-            if ready.is_empty() {
-                continue;
-            }
             let heights = self
                 .heights
                 .entry(id)

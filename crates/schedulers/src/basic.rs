@@ -5,8 +5,9 @@
 //!
 //! * **incremental** (default) — a persistent [`DeltaIndex`] keeps the
 //!   job ordering across invocations; [`Scheduler::on_delta`] marks jobs
-//!   whose sort key changed and only those are repositioned
-//!   (O(changes · log n) per event);
+//!   whose sort key or ready set may have changed, only those are
+//!   re-derived, and a decision walks only the jobs with ready work (a
+//!   job with none emits nothing in any policy here);
 //! * **rebuild** (via the `::rebuild()` constructors) — the original
 //!   sort-everything-per-call behavior, kept as the reference
 //!   implementation the equivalence tests and the `scale_throughput`
@@ -56,8 +57,7 @@ impl Scheduler for Fcfs {
 
     fn on_delta(&mut self, d: &SchedDelta) {
         if !self.rebuild {
-            // Arrival order never changes: no delta dirties a key.
-            self.index.on_delta(d, |_| false);
+            self.index.on_delta(d);
         }
     }
 
@@ -90,7 +90,7 @@ impl Scheduler for Fcfs {
         } else {
             self.index.refresh(ctx, |j| j.arrival());
             let budget = Budget::of(ctx);
-            for id in self.index.jobs().ids() {
+            for id in self.index.ready_ids() {
                 if budget.met(&p) {
                     break;
                 }
@@ -182,13 +182,7 @@ impl Scheduler for Fair {
 
     fn on_delta(&mut self, d: &SchedDelta) {
         if !self.rebuild {
-            // Running-task counts move exactly on dispatch/finish deltas.
-            self.index.on_delta(d, |d| {
-                matches!(
-                    d,
-                    SchedDelta::TasksDispatched { .. } | SchedDelta::TasksFinished { .. }
-                )
-            });
+            self.index.on_delta(d);
         }
     }
 
@@ -225,10 +219,11 @@ impl Scheduler for Fair {
         } else {
             self.index
                 .refresh(ctx, |j| (j.running_tasks(), j.arrival()));
+            // A non-ready job's queue is empty and never emits or moves
+            // the budget check: only ready jobs need a queue.
             let queues: Vec<(&JobRt, ReadyTasks)> = self
                 .index
-                .jobs()
-                .ids()
+                .ready_ids()
                 .filter_map(|id| ctx.job(id))
                 .map(|j| (j, Self::ready_queue(j)))
                 .collect();
@@ -277,7 +272,7 @@ impl Scheduler for Sjf {
 
     fn on_delta(&mut self, d: &SchedDelta) {
         if !self.rebuild {
-            self.index.on_delta(d, |_| false);
+            self.index.on_delta(d);
         }
     }
 
@@ -318,7 +313,7 @@ impl Scheduler for Sjf {
             self.index
                 .refresh(ctx, |j| (FiniteF64(priors.job_mean(j.app())), j.arrival()));
             let budget = Budget::of(ctx);
-            for id in self.index.jobs().ids() {
+            for id in self.index.ready_ids() {
                 if budget.met(&p) {
                     break;
                 }
@@ -369,8 +364,7 @@ impl Scheduler for Srtf {
 
     fn on_delta(&mut self, d: &SchedDelta) {
         if !self.rebuild {
-            self.index
-                .on_delta(d, |d| matches!(d, SchedDelta::StageCompleted { .. }));
+            self.index.on_delta(d);
         }
     }
 
@@ -414,7 +408,7 @@ impl Scheduler for Srtf {
                 (FiniteF64(priors.remaining_estimate(j)), j.arrival())
             });
             let budget = Budget::of(ctx);
-            for id in self.index.jobs().ids() {
+            for id in self.index.ready_ids() {
                 if budget.met(&p) {
                     break;
                 }

@@ -140,12 +140,7 @@ impl Scheduler for CarbyneLike {
         if self.rebuild {
             return;
         }
-        self.index.on_delta(d, |d| {
-            matches!(
-                d,
-                SchedDelta::TasksDispatched { .. } | SchedDelta::TasksFinished { .. }
-            )
-        });
+        self.index.on_delta(d);
         self.estimates.on_delta(d);
     }
 
@@ -192,7 +187,9 @@ impl Scheduler for CarbyneLike {
                 .refresh(ctx, |j| priors.remaining_estimate(j));
             let budget = Budget::of(ctx);
             let mut leftovers: Vec<(f64, &JobRt, ReadyTasks)> = Vec::new();
-            for id in self.index.jobs().ids() {
+            // `fair_phase` pushes nothing for a job with no ready stage,
+            // so the walk visits ready jobs only.
+            for id in self.index.ready_ids() {
                 if budget.met(&p) {
                     break;
                 }

@@ -109,7 +109,7 @@ pub mod prelude {
     pub use crate::exec::{
         AnalyticExec, ClusterExec, DisaggExec, ExecutorBackend, LlmTaskRef, StepOutcome, TokenExec,
     };
-    pub use crate::incr::{DeltaIndex, EstimateCache, FiniteF64, OrderedJobs};
+    pub use crate::incr::{DeltaIndex, EstimateCache, FiniteF64};
     pub use crate::latency::{LatencyProfile, LatencyProfileError};
     pub use crate::metrics::{
         JctPercentiles, JobOutcome, SchedOverheadPercentiles, SimResult, Utilization,

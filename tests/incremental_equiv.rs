@@ -366,40 +366,59 @@ fn analytic_seed_sweep_with_ablations() {
     }
 }
 
-/// LLMSched at the benchmark's concurrency: ~300 Mixed jobs arriving at
-/// λ = 24 jobs/s on the Mixed default cluster scaled ×48 (the benchmark's
-/// shape), analytic backend. Here a decision point sees far more active
-/// jobs than ready ones, so the lazy sources skip non-ready jobs and
-/// non-overlapping groups are bridged by non-ready jobs' intervals —
-/// neither happens in the small, lightly loaded cases above, where almost
-/// every job is ready and groups are tiny. At ×48 a 300-job run rarely
-/// fills the cluster, so nearly every ready task starts whatever the
-/// order; the ×16 run keeps the same concurrency with capacity binding,
-/// which is what makes a mis-grouped exploration list change the
-/// schedule.
+/// Runs `policy` incrementally and by rebuild on ~300 Mixed jobs
+/// arriving at λ = 24 jobs/s on the Mixed default cluster scaled
+/// `×scale` — the benchmark's concurrency — and asserts the two are
+/// bit-identical.
+fn assert_equiv_at_benchmark_concurrency(policy: &str, mode: EngineMode, scale: usize) {
+    let run = |rebuild: bool| {
+        let w = generate_workload(WorkloadKind::Mixed, 300, 24.0, 5);
+        let base = WorkloadKind::Mixed.default_cluster();
+        let cfg = ClusterConfig {
+            regular_executors: base.regular_executors * scale,
+            llm_executors: base.llm_executors * scale,
+            mode,
+            ..base
+        };
+        let mut sched = build(policy, rebuild);
+        simulate(&cfg, &w.templates, w.jobs, &mut sched)
+    };
+    let (inc, reb) = (run(false), run(true));
+    let label = format!("{policy} / Mixed x300 / λ=24 / {mode:?} / cluster ×{scale}");
+    assert_eq!(inc.incomplete, 0, "{label}: every job completes");
+    assert_equiv(&inc, &reb, &label);
+    assert_eq!(
+        inc.avg_jct_secs().to_bits(),
+        reb.avg_jct_secs().to_bits(),
+        "{label}: avg JCT bit pattern"
+    );
+}
+
+/// LLMSched at the benchmark's concurrency, analytic backend. Here a
+/// decision point sees far more active jobs than ready ones, so the lazy
+/// sources skip non-ready jobs and non-overlapping groups are bridged by
+/// non-ready jobs' intervals — neither happens in the small, lightly
+/// loaded cases above, where almost every job is ready and groups are
+/// tiny. At ×48 (the benchmark's shape) a 300-job run rarely fills the
+/// cluster, so nearly every ready task starts whatever the order; the ×16
+/// run keeps the same concurrency with capacity binding, which is what
+/// makes a mis-grouped exploration list change the schedule.
 #[test]
 fn llmsched_matches_rebuild_at_benchmark_concurrency() {
     for scale in [48, 16] {
-        let run = |rebuild: bool| {
-            let w = generate_workload(WorkloadKind::Mixed, 300, 24.0, 5);
-            let base = WorkloadKind::Mixed.default_cluster();
-            let cfg = ClusterConfig {
-                regular_executors: base.regular_executors * scale,
-                llm_executors: base.llm_executors * scale,
-                mode: EngineMode::Analytic,
-                ..base
-            };
-            let mut sched = build("LLMSched", rebuild);
-            simulate(&cfg, &w.templates, w.jobs, &mut sched)
-        };
-        let (inc, reb) = (run(false), run(true));
-        let label = format!("LLMSched / Mixed x300 / λ=24 / cluster ×{scale}");
-        assert_eq!(inc.incomplete, 0, "{label}: every job completes");
-        assert_equiv(&inc, &reb, &label);
-        assert_eq!(
-            inc.avg_jct_secs().to_bits(),
-            reb.avg_jct_secs().to_bits(),
-            "{label}: avg JCT bit pattern"
-        );
+        assert_equiv_at_benchmark_concurrency("LLMSched", EngineMode::Analytic, scale);
     }
+}
+
+/// The `DeltaIndex` baselines at the benchmark's concurrency, where their
+/// incremental paths walk only the few ready jobs among hundreds of
+/// active ones: all six on the analytic ×16 cluster, where capacity binds
+/// and the walk order decides who starts, and FCFS on the token-level ×48
+/// cluster, the benchmark's `fcfs-token-disagg` path.
+#[test]
+fn baselines_match_rebuild_at_benchmark_concurrency() {
+    for policy in ["FCFS", "SJF", "SRTF", "Fair", "Argus", "Carbyne"] {
+        assert_equiv_at_benchmark_concurrency(policy, EngineMode::Analytic, 16);
+    }
+    assert_equiv_at_benchmark_concurrency("FCFS", EngineMode::TokenLevel, 48);
 }
