@@ -31,6 +31,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn main() {
+    llmsched_bench::cli::Cli::new("alloc_probe", &[]).parse();
     use llmsched_core::scheduler::{LlmSched, LlmSchedConfig};
     use llmsched_sim::engine::ClusterConfig;
     use llmsched_workloads::prelude::*;

@@ -7,14 +7,13 @@
 //!
 //! Usage: `cargo run --release -p llmsched-bench --bin calibrate [n_jobs]`
 
+use llmsched_bench::cli::Cli;
 use llmsched_bench::{run_policy, ExperimentConfig, Policy, Table, TrainedArtifacts};
 use llmsched_workloads::prelude::WorkloadKind;
 
 fn main() {
-    let n_jobs: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(300);
+    let args = Cli::new("calibrate", &[]).with_positional("n_jobs").parse();
+    let n_jobs: usize = args.positional().unwrap_or(300);
     let art = TrainedArtifacts::train(llmsched_bench::roster::DEFAULT_TRAINING_PER_APP, 1);
     let mut table = Table::new(vec![
         "workload",

@@ -37,6 +37,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use llmsched_bayes::network::Evidence;
+use llmsched_bench::cli::{Cli, Flag};
 use llmsched_core::prelude::*;
 use llmsched_dag::ids::{AppId, JobId};
 use llmsched_dag::time::SimDuration;
@@ -242,21 +243,27 @@ fn drift_workload(n: usize, seed: u64) -> Workload {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let check = args.iter().any(|a| a == "--check");
+    let args = Cli::new(
+        "drift_adapt",
+        &[
+            Flag::switch("--quick"),
+            Flag::switch("--check"),
+            Flag::value("--out", "path"),
+            Flag::optional("--trace", "prefix"),
+            Flag::switch("--timeseries"),
+        ],
+    )
+    .parse();
+    let quick = args.has("--quick");
+    let check = args.has("--check");
     let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "results/drift_adapt.json".to_string());
-    let trace: Option<String> = args.iter().position(|a| a == "--trace").map(|i| {
-        args.get(i + 1)
-            .filter(|v| !v.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "results/drift_trace".to_string())
-    });
-    let timeseries = args.iter().any(|a| a == "--timeseries");
+        .value("--out")
+        .unwrap_or("results/drift_adapt.json")
+        .to_string();
+    let trace: Option<String> = args
+        .value_or("--trace", "results/drift_trace")
+        .map(str::to_string);
+    let timeseries = args.has("--timeseries");
 
     let seeds: &[u64] = if quick { &[11] } else { &[11, 29, 47] };
     let n_drift = if quick { 160 } else { 400 };

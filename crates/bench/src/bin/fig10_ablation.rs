@@ -14,12 +14,15 @@
 //!
 //! Usage: `cargo run --release -p llmsched-bench --bin fig10_ablation [--quick]`
 
+use llmsched_bench::cli::{Cli, Flag};
 use llmsched_bench::{run_policy, write_csv, ExperimentConfig, Policy, Table, TrainedArtifacts};
 use llmsched_core::prelude::*;
 use llmsched_workloads::prelude::*;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = Cli::new("fig10_ablation", &[Flag::switch("--quick")])
+        .parse()
+        .has("--quick");
     let n_jobs = if quick { 120 } else { 300 };
     let per_app = if quick {
         150

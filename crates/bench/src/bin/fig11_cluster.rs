@@ -20,6 +20,7 @@
 //! with routing/batch-occupancy tracks); `--timeseries` prints its
 //! windowed tail-latency/SLO trajectory.
 
+use llmsched_bench::cli::{Cli, Flag};
 use llmsched_bench::{jct_summary_cells, write_csv, Table, JCT_SUMMARY_HEADER};
 use llmsched_dag::time::SimDuration;
 use llmsched_schedulers::prelude::Fcfs;
@@ -73,25 +74,24 @@ struct Point {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let flag = |name: &str| {
-        args.iter()
-            .skip_while(|a| *a != name)
-            .nth(1)
-            .and_then(|s| s.parse::<f64>().ok())
-    };
-    let n_jobs = flag("--jobs")
-        .map(|v| v as usize)
-        .unwrap_or(if quick { 40 } else { 150 });
-    let slo = SimDuration::from_secs_f64(flag("--slo").unwrap_or(60.0));
-    let trace: Option<String> = args.iter().position(|a| a == "--trace").map(|i| {
-        args.get(i + 1)
-            .filter(|v| !v.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "results/fig11_trace".to_string())
-    });
-    let timeseries = args.iter().any(|a| a == "--timeseries");
+    let args = Cli::new(
+        "fig11_cluster",
+        &[
+            Flag::switch("--quick"),
+            Flag::value("--jobs", "n"),
+            Flag::value("--slo", "secs"),
+            Flag::optional("--trace", "prefix"),
+            Flag::switch("--timeseries"),
+        ],
+    )
+    .parse();
+    let quick = args.has("--quick");
+    let n_jobs: usize = args.get("--jobs").unwrap_or(if quick { 40 } else { 150 });
+    let slo = SimDuration::from_secs_f64(args.get("--slo").unwrap_or(60.0));
+    let trace: Option<String> = args
+        .value_or("--trace", "results/fig11_trace")
+        .map(str::to_string);
+    let timeseries = args.has("--timeseries");
     let seed = 42u64;
 
     let arrival_processes = [ArrivalProcess::bursty(0.9), ArrivalProcess::diurnal(0.9)];

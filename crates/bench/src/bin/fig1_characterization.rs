@@ -11,6 +11,7 @@
 //! Usage: `cargo run --release -p llmsched-bench --bin fig1_characterization [--quick]`
 
 use llmsched_bayes::stats::Histogram;
+use llmsched_bench::cli::{Cli, Flag};
 use llmsched_bench::{write_csv, Table};
 use llmsched_dag::ids::{JobId, StageId};
 use llmsched_dag::time::{SimDuration, SimTime};
@@ -20,7 +21,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = Cli::new("fig1_characterization", &[Flag::switch("--quick")])
+        .parse()
+        .has("--quick");
     let per_token = SimDuration::from_secs_f64(NOMINAL_PER_TOKEN_SECS);
     let mut rng = StdRng::seed_from_u64(1);
 

@@ -13,6 +13,7 @@
 use llmsched_bench::{write_csv, Table};
 
 fn main() {
+    llmsched_bench::cli::Cli::new("fig2_motivation", &[]).parse();
     let (sjf, ours) = fig2::run();
     let mut t = Table::new(vec!["policy", "job1_jct_s", "job2_jct_s", "avg_jct_s"]);
     for r in [&sjf, &ours] {

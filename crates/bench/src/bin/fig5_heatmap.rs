@@ -8,6 +8,7 @@
 //! Usage: `cargo run --release -p llmsched-bench --bin fig5_heatmap [--quick]`
 
 use llmsched_bayes::stats::pearson_matrix;
+use llmsched_bench::cli::{Cli, Flag};
 use llmsched_bench::{write_csv, Table};
 use llmsched_dag::ids::JobId;
 use llmsched_dag::time::{SimDuration, SimTime};
@@ -60,7 +61,9 @@ fn print_and_save(name: &str, label: &str, m: &[Vec<f64>]) {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = Cli::new("fig5_heatmap", &[Flag::switch("--quick")])
+        .parse()
+        .has("--quick");
     let n = if quick { 150 } else { 500 };
 
     let sorting = heatmap(AppKind::SequenceSorting, n, 2);

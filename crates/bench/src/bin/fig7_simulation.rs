@@ -12,17 +12,19 @@
 //! Usage: `cargo run --release -p llmsched-bench --bin fig7_simulation
 //!         [--quick] [--seeds N]`
 
+use llmsched_bench::cli::{Cli, Flag};
 use llmsched_bench::runner::run_policies_parallel;
 use llmsched_bench::{write_csv, ExperimentConfig, Policy, Table, TrainedArtifacts};
 use llmsched_workloads::prelude::WorkloadKind;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let seeds: u64 = std::env::args()
-        .skip_while(|a| a != "--seeds")
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if quick { 1 } else { 2 });
+    let args = Cli::new(
+        "fig7_simulation",
+        &[Flag::switch("--quick"), Flag::value("--seeds", "n")],
+    )
+    .parse();
+    let quick = args.has("--quick");
+    let seeds: u64 = args.get("--seeds").unwrap_or(if quick { 1 } else { 2 });
     let job_counts: Vec<usize> = if quick {
         vec![100, 200]
     } else {

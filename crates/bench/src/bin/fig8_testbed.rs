@@ -12,13 +12,16 @@
 //!
 //! Usage: `cargo run --release -p llmsched-bench --bin fig8_testbed [--quick]`
 
+use llmsched_bench::cli::{Cli, Flag};
 use llmsched_bench::runner::run_policies_parallel;
 use llmsched_bench::{write_csv, ExperimentConfig, Policy, Table, TrainedArtifacts};
 use llmsched_sim::engine::EngineMode;
 use llmsched_workloads::prelude::WorkloadKind;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = Cli::new("fig8_testbed", &[Flag::switch("--quick")])
+        .parse()
+        .has("--quick");
     let n_jobs = if quick { 120 } else { 300 };
     let chunk = if quick { 8 } else { 4 };
 

@@ -11,12 +11,15 @@
 //!
 //! Usage: `cargo run --release -p llmsched-bench --bin fig9_sensitivity [--quick]`
 
+use llmsched_bench::cli::{Cli, Flag};
 use llmsched_bench::{run_policy, write_csv, ExperimentConfig, Policy, Table, TrainedArtifacts};
 use llmsched_core::prelude::LlmSchedConfig;
 use llmsched_workloads::prelude::WorkloadKind;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = Cli::new("fig9_sensitivity", &[Flag::switch("--quick")])
+        .parse()
+        .has("--quick");
     let n_jobs = if quick { 120 } else { 300 };
     let art = TrainedArtifacts::train(
         if quick {

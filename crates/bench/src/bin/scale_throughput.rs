@@ -8,34 +8,27 @@
 //! analytic, cluster and disaggregated backends (incremental path), plus
 //! rebuild-path reference runs for the speedup ratio (all three backends
 //! in `--quick` mode; analytic-only on the full sweep, where a non-analytic
-//! 50k rebuild would take minutes) and partitioned-engine runs
-//! (`path: "parallel"`) on every backend for the parallel-vs-sequential
-//! ratio. Sweep rows run under the documented bounded-staleness decision
-//! horizon ([`DECISION_HORIZON_SECS`]; rebuild rows stay exact), with one
-//! exact (ε = 0) twin per backend at the smallest sweep size so the
-//! avg-JCT drift the relaxation buys its throughput with is always on
-//! record. Writes `BENCH_scale.json` at the repo root, including the
-//! host's `hw_threads` — partitioned speedup is meaningless without it (a
-//! 1-hardware-thread container time-slices the shard workers, so the
-//! parallel rows measure barrier overhead, not speedup).
+//! 50k rebuild would take minutes). Sweep rows run under the documented
+//! bounded-staleness decision horizon ([`DECISION_HORIZON_SECS`]; rebuild
+//! rows stay exact), with one exact (ε = 0) twin per backend at the
+//! smallest sweep size so the avg-JCT drift the relaxation buys its
+//! throughput with is always on record. Writes `BENCH_scale.json` at the
+//! repo root, including the host's `hw_threads`.
 //!
 //! Usage:
 //!   cargo run --release -p llmsched-bench --bin scale_throughput
 //!     [--quick]            # one small sweep (CI)
 //!     [--runs <n>]         # repeat every row n times, report the
 //!                          # median-of-n wall clock (default 1)
-//!     [--partitions <n>]   # shard count of the parallel rows (default 4)
 //!     [--horizon <secs>]   # bounded-staleness horizon ε for the sweep
 //!                          # rows (default DECISION_HORIZON_SECS; 0 = exact)
 //!     [--floor <jobs/s>]   # exit non-zero if any incremental run
 //!                          # simulates fewer jobs/sec than this
 //!     [--check]            # exit non-zero if disagg throughput decays
-//!                          # from 10k to 50k jobs, a partitioned run
-//!                          # falls below 0.9x its sequential twin, any
-//!                          # row spends more than the ceiling of its
-//!                          # wall clock inside the scheduler, or the
-//!                          # ε>0 avg-JCT drift vs the ε=0 twin exceeds
-//!                          # 0.5% on any backend
+//!                          # from 10k to 50k jobs, any row spends more
+//!                          # than the ceiling of its wall clock inside
+//!                          # the scheduler, or the ε>0 avg-JCT drift vs
+//!                          # the ε=0 twin exceeds 0.5% on any backend
 //!     [--out <path>]       # default BENCH_scale.json
 //!     [--trace <prefix>]   # also run one probed sweep point and export
 //!                          # <prefix>.jsonl + <prefix>.trace.json
@@ -44,15 +37,20 @@
 //!     [--timeseries]       # print the probed run's windowed time-series
 //!     [--no-coalescing]    # A/B switch: disable scheduler invocation
 //!                          # coalescing (schedules stay bit-identical)
+//!     [--jobs <n>]         # one incremental sweep at a custom job count
+//!
+//! An unknown flag, a flag missing its value or an unparsable value exits
+//! with status 2 and a usage line.
 
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 use std::time::Instant;
 
+use llmsched_bench::cli::{Args, Cli, Flag};
 use llmsched_bench::{ExperimentConfig, Policy, TrainedArtifacts};
 use llmsched_core::prelude::LlmSchedConfig;
 use llmsched_dag::time::SimDuration;
 use llmsched_sim::engine::{ClusterConfig, EngineMode};
-use llmsched_sim::par::{Parallelism, ShardStats};
 use llmsched_sim::telemetry::{TraceConfig, TraceRecorder, WindowConfig};
 use llmsched_workloads::prelude::WorkloadKind;
 
@@ -71,19 +69,14 @@ const CLUSTER_SCALE: usize = 48;
 /// below the scaled service capacity.
 const LAMBDA: f64 = 24.0;
 
-/// Default shard count of the `path: "parallel"` rows (matches the
-/// partitioned engine's reference configuration; clamped to the executor
-/// count). Override with `--partitions`.
-const PARALLEL_PARTS: usize = 4;
-
 /// The documented default bounded-staleness horizon (ε, simulated
-/// seconds) the sweep's incremental and parallel rows run under: decision
+/// seconds) the sweep's incremental rows run under: decision
 /// points within ε of the previous invocation are folded into one batched
 /// invocation at the horizon edge (DESIGN.md §14). 30 ms sits where the
 /// measured trade-off curve bends: avg-JCT drift stays at 0.1–0.46%
 /// across backends (under the gated 0.5%), scheduler invocations drop to
-/// the ~1/ε flush cadence (~1.4/job at 100k, from 5.1 exact), and the
-/// partitioned path lands at ~3.4 barriers/job. Drift scales roughly
+/// the ~1/ε flush cadence (~1.4/job at 100k, from 5.1 exact). Drift
+/// scales roughly
 /// linearly in ε (measured 0.22% at 20 ms, 0.51–0.79% at 40 ms), so
 /// 40 ms already breaches the gate on the disagg backend. Override with
 /// `--horizon` (0 = exact); rebuild reference rows and the ε=0 drift
@@ -96,12 +89,10 @@ const JCT_DRIFT_CEILING: f64 = 0.005;
 /// How one sweep point exercises the engine + scheduler pipeline.
 #[derive(Clone, Copy, PartialEq)]
 enum Path {
-    /// Delta-driven scheduling, sequential engine (the default).
+    /// Delta-driven scheduling (the default).
     Incremental,
     /// Rebuild-per-call scheduling reference (quadratic blow-up).
     Rebuild,
-    /// Delta-driven scheduling on the partitioned engine.
-    Parallel,
 }
 
 impl Path {
@@ -109,7 +100,6 @@ impl Path {
         match self {
             Path::Incremental => "incremental",
             Path::Rebuild => "rebuild",
-            Path::Parallel => "parallel",
         }
     }
 }
@@ -118,7 +108,6 @@ struct Run {
     jobs: usize,
     backend: String,
     path: &'static str,
-    partitions: usize,
     /// The bounded-staleness horizon this row ran under (0 = exact).
     decision_horizon_secs: f64,
     wall_secs: f64,
@@ -138,53 +127,48 @@ struct Run {
     /// Total scheduler wall clock over run wall clock — the Amdahl
     /// denominator the elision and batching work attacks.
     sched_time_fraction: f64,
-    /// Scheduler barriers the partitioned engine took (0 on sequential
-    /// rows). The conservative-window path's whole job is keeping this
-    /// far below the event count.
-    barriers: u64,
-    /// Conservative lookahead windows taken (0 on sequential rows).
-    windows: u64,
     sched_mean_ms: f64,
     sched_p50_ms: f64,
     sched_p99_ms: f64,
     avg_jct_secs: f64,
-    /// Worker-pool size the run attached (0 = no pool, e.g. 1-thread
-    /// hosts).
-    pool_threads: usize,
-    /// Per-worker busy wall clock (ms) across the run (window stepping).
-    pool_busy_ms: Vec<f64>,
-    /// Per-shard work breakdown (parallel rows only; empty otherwise).
-    shards: Vec<ShardStats>,
 }
 
-fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// `--partitions` override, defaulting to [`PARALLEL_PARTS`].
-fn partitions() -> usize {
-    arg_value("--partitions").map_or(PARALLEL_PARTS, |v| {
-        v.parse().expect("--partitions takes a shard count")
+/// The command line, parsed once on first use (exits with status 2 on a
+/// bad one).
+fn args() -> &'static Args {
+    static ARGS: OnceLock<Args> = OnceLock::new();
+    ARGS.get_or_init(|| {
+        Cli::new(
+            "scale_throughput",
+            &[
+                Flag::switch("--quick"),
+                Flag::value("--runs", "n"),
+                Flag::value("--horizon", "secs"),
+                Flag::value("--floor", "jobs/s"),
+                Flag::switch("--check"),
+                Flag::value("--out", "path"),
+                Flag::optional("--trace", "prefix"),
+                Flag::switch("--timeseries"),
+                Flag::switch("--no-coalescing"),
+                Flag::value("--jobs", "n"),
+            ],
+        )
+        .parse()
     })
 }
 
 /// `--horizon` override, defaulting to [`DECISION_HORIZON_SECS`].
 fn sweep_horizon() -> f64 {
-    arg_value("--horizon").map_or(DECISION_HORIZON_SECS, |v| {
-        v.parse().expect("--horizon takes seconds")
-    })
+    args().get("--horizon").unwrap_or(DECISION_HORIZON_SECS)
 }
 
 /// `--runs` repetition count (median-of-n wall), defaulting to 1.
 fn measure_runs() -> usize {
-    arg_value("--runs").map_or(1, |v| {
-        let n: usize = v.parse().expect("--runs takes a count");
-        assert!(n >= 1, "--runs needs at least one run");
-        n
-    })
+    match args().get("--runs") {
+        None => 1,
+        Some(0) => args().reject("--runs"),
+        Some(n) => n,
+    }
 }
 
 fn scaled_cluster(mode: EngineMode) -> ClusterConfig {
@@ -212,10 +196,7 @@ fn scaled_cluster(mode: EngineMode) -> ClusterConfig {
 
 fn exp_for(n_jobs: usize, mode: EngineMode, path: Path, horizon_secs: f64) -> ExperimentConfig {
     let mut cluster = scaled_cluster(mode);
-    if path == Path::Parallel {
-        cluster.parallelism = Parallelism::Partitioned(partitions());
-    }
-    if std::env::args().any(|a| a == "--no-coalescing") {
+    if args().has("--no-coalescing") {
         cluster.coalescing = false;
     }
     // Bounded-staleness decision batching (DESIGN.md §14). The rebuild
@@ -228,10 +209,9 @@ fn exp_for(n_jobs: usize, mode: EngineMode, path: Path, horizon_secs: f64) -> Ex
         cluster: Some(cluster),
         rebuild: path == Path::Rebuild,
         // Work-conserving mode opts LLMSched into capacity-aware
-        // decision-point elision (on the partitioned path: elided
-        // *barriers*). Off by default in golden runs because it moves
-        // the ε-draw stream; the throughput sweep is where it earns its
-        // keep.
+        // decision-point elision. Off by default in golden runs because
+        // it moves the ε-draw stream; the throughput sweep is where it
+        // earns its keep.
         llmsched: Some(LlmSchedConfig {
             work_conserving: true,
             ..LlmSchedConfig::default()
@@ -255,15 +235,11 @@ fn run_one(art: &TrainedArtifacts, n_jobs: usize, mode: EngineMode, path: Path, 
     timed.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite walls"));
     let (wall, r) = timed.swap_remove(timed.len() / 2);
     assert_eq!(r.incomplete, 0, "scale run stranded jobs");
-    if path == Path::Parallel {
-        assert!(r.par.is_some(), "parallel rows must run partitioned");
-    }
     let p = r.sched_overhead_percentiles();
     Run {
         jobs: n_jobs,
         backend: r.backend.clone(),
         path: path.name(),
-        partitions: r.par.as_ref().map_or(0, |s| s.partitions),
         decision_horizon_secs: eps,
         wall_secs: wall,
         jobs_per_sec: n_jobs as f64 / wall,
@@ -273,17 +249,10 @@ fn run_one(art: &TrainedArtifacts, n_jobs: usize, mode: EngineMode, path: Path, 
         elided_sched_calls: r.sched_elided,
         deferred_sched_calls: r.sched_deferred,
         sched_time_fraction: r.sched_wall.as_secs_f64() / wall,
-        barriers: r.par.as_ref().map_or(0, |s| s.barriers),
-        windows: r.par.as_ref().map_or(0, |s| s.windows),
         sched_mean_ms: r.sched_overhead_ms(),
         sched_p50_ms: p.p50_ms,
         sched_p99_ms: p.p99_ms,
         avg_jct_secs: r.avg_jct_secs(),
-        pool_threads: r.par.as_ref().map_or(0, |s| s.pool_threads),
-        pool_busy_ms: r.par.as_ref().map_or_else(Vec::new, |s| {
-            s.pool_busy.iter().map(|d| d.as_secs_f64() * 1e3).collect()
-        }),
-        shards: r.par.map_or_else(Vec::new, |s| s.per_shard),
     }
 }
 
@@ -291,7 +260,6 @@ fn to_json(
     runs: &[Run],
     quick: bool,
     speedups: &[(usize, String, f64)],
-    par_speedups: &[(usize, f64)],
     drifts: &[(String, f64)],
 ) -> String {
     let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
@@ -310,18 +278,16 @@ fn to_json(
         let _ = write!(
             s,
             "    {{\"jobs\": {}, \"backend\": \"{}\", \"path\": \"{}\", \
-             \"partitions\": {}, \"decision_horizon_secs\": {}, \
+             \"decision_horizon_secs\": {}, \
              \"wall_secs\": {:.3}, \"jobs_per_sec\": {:.1}, \"events\": {}, \
              \"sched_calls\": {}, \"coalesced_sched_calls\": {}, \
              \"elided_sched_calls\": {}, \"deferred_sched_calls\": {}, \
-             \"sched_time_fraction\": {:.4}, \
-             \"barriers\": {}, \"windows\": {}, \"sched_mean_ms\": {:.4}, \
+             \"sched_time_fraction\": {:.4}, \"sched_mean_ms\": {:.4}, \
              \"sched_p50_ms\": {:.4}, \"sched_p99_ms\": {:.4}, \
              \"avg_jct_secs\": {:.3}}}",
             r.jobs,
             r.backend,
             r.path,
-            r.partitions,
             r.decision_horizon_secs,
             r.wall_secs,
             r.jobs_per_sec,
@@ -331,42 +297,11 @@ fn to_json(
             r.elided_sched_calls,
             r.deferred_sched_calls,
             r.sched_time_fraction,
-            r.barriers,
-            r.windows,
             r.sched_mean_ms,
             r.sched_p50_ms,
             r.sched_p99_ms,
             r.avg_jct_secs,
         );
-        if r.pool_threads > 0 {
-            s.truncate(s.len() - 1); // reopen the row object
-            let _ = write!(
-                s,
-                ", \"pool_threads\": {}, \"pool_busy_ms\": [",
-                r.pool_threads
-            );
-            for (j, ms) in r.pool_busy_ms.iter().enumerate() {
-                let _ = write!(s, "{}{ms:.3}", if j > 0 { ", " } else { "" });
-            }
-            s.push_str("]}");
-        }
-        if !r.shards.is_empty() {
-            s.truncate(s.len() - 1); // reopen the row object
-            s.push_str(", \"per_shard\": [");
-            for (j, sh) in r.shards.iter().enumerate() {
-                let _ = write!(
-                    s,
-                    "{}{{\"batches\": {}, \"threaded_batches\": {}, \"events\": {}, \
-                     \"busy_ms\": {:.3}}}",
-                    if j > 0 { ", " } else { "" },
-                    sh.batches,
-                    sh.threaded_batches,
-                    sh.events,
-                    sh.busy.as_secs_f64() * 1e3,
-                );
-            }
-            s.push_str("]}");
-        }
         s.push_str(if i + 1 < runs.len() { ",\n" } else { "\n" });
     }
     s.push_str("  ],\n");
@@ -379,11 +314,6 @@ fn to_json(
         );
     }
     s.push_str("},\n");
-    s.push_str("  \"speedup_parallel_vs_sequential\": {");
-    for (i, (jobs, x)) in par_speedups.iter().enumerate() {
-        let _ = write!(s, "{}\"{jobs}\": {x:.2}", if i > 0 { ", " } else { "" });
-    }
-    s.push_str("},\n");
     s.push_str("  \"jct_drift_vs_exact\": {");
     for (i, (backend, d)) in drifts.iter().enumerate() {
         let _ = write!(s, "{}\"{backend}\": {d:.5}", if i > 0 { ", " } else { "" });
@@ -393,23 +323,23 @@ fn to_json(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let flag = |name: &str| arg_value(name);
-    let floor: Option<f64> = flag("--floor").map(|v| v.parse().expect("--floor takes a number"));
-    let check = args.iter().any(|a| a == "--check");
-    let out = flag("--out").unwrap_or_else(|| "BENCH_scale.json".to_string());
-    let trace: Option<String> = args.iter().position(|a| a == "--trace").map(|i| {
-        args.get(i + 1)
-            .filter(|v| !v.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "results/scale_trace".to_string())
-    });
-    let timeseries = args.iter().any(|a| a == "--timeseries");
+    let args = args();
+    let quick = args.has("--quick");
+    let floor: Option<f64> = args.get("--floor");
+    let check = args.has("--check");
+    let out = args
+        .value("--out")
+        .unwrap_or("BENCH_scale.json")
+        .to_string();
+    let trace: Option<String> = args
+        .value_or("--trace", "results/scale_trace")
+        .map(str::to_string);
+    let timeseries = args.has("--timeseries");
     // Tuning escape hatch: one incremental sweep at a custom job count.
-    let jobs_override: Option<usize> =
-        flag("--jobs").map(|v| v.parse().expect("--jobs takes a count"));
+    let jobs_override: Option<usize> = args.get("--jobs");
     let eps = sweep_horizon();
+    // Reject a bad `--runs` before the training step, not after it.
+    measure_runs();
 
     let art = TrainedArtifacts::train(if quick { 100 } else { 200 }, 1);
     let override_sweep = [jobs_override.unwrap_or(0)];
@@ -418,9 +348,8 @@ fn main() {
         None if quick => &[2_000],
         None => &[10_000, 50_000, 100_000],
     };
-    // Every backend even in quick mode: the parallel-vs-sequential gate
-    // (`--check`) must cover the cluster and disagg lookahead paths in CI,
-    // not just the analytic one.
+    // Every backend even in quick mode: the drift and scheduler-fraction
+    // gates (`--check`) must cover all three in CI.
     let backends: &[EngineMode] = &[
         EngineMode::Analytic,
         EngineMode::Cluster,
@@ -471,42 +400,12 @@ fn main() {
             r.elided_sched_calls,
             r.deferred_sched_calls
         );
-        if r.pool_threads > 0 {
-            let cells: Vec<String> = r
-                .pool_busy_ms
-                .iter()
-                .map(|ms| format!("{ms:.1}ms"))
-                .collect();
-            println!(
-                "{:>8} pool: {} threads, busy [{}]",
-                "",
-                r.pool_threads,
-                cells.join(", ")
-            );
-        }
-        if !r.shards.is_empty() {
-            let cells: Vec<String> = r
-                .shards
-                .iter()
-                .map(|s| {
-                    format!(
-                        "{} batches ({} threaded, {} ev, {:.1}ms busy)",
-                        s.batches,
-                        s.threaded_batches,
-                        s.events,
-                        s.busy.as_secs_f64() * 1e3
-                    )
-                })
-                .collect();
-            println!("{:>8} shards: {}", "", cells.join(" | "));
-        }
         runs.push(r);
     }
     let mut runs: Vec<Run> = Vec::new();
     for &n in sweep {
         for &mode in backends {
             record(&mut runs, run_one(&art, n, mode, Path::Incremental, eps));
-            record(&mut runs, run_one(&art, n, mode, Path::Parallel, eps));
         }
     }
     // ε=0 twins at the smallest sweep size: the exact-schedule reference
@@ -556,31 +455,6 @@ fn main() {
         println!("speedup @ {n} jobs / {backend} (incremental vs rebuild): {x:.2}x");
     }
 
-    // Parallel vs sequential on the analytic backend (honest only
-    // together with hw_threads: with one hardware thread the partitioned
-    // engine pays the merge barrier without any concurrency to win).
-    let par_speedups: Vec<(usize, f64)> = sweep
-        .iter()
-        .filter_map(|&n| {
-            let seq = runs.iter().find(|r| {
-                r.jobs == n
-                    && r.path == "incremental"
-                    && r.backend == "analytic"
-                    && r.decision_horizon_secs == eps
-            })?;
-            let par = runs.iter().find(|r| {
-                r.jobs == n && r.path == "parallel" && r.backend.starts_with("analytic")
-            })?;
-            Some((n, par.jobs_per_sec / seq.jobs_per_sec))
-        })
-        .collect();
-    for (n, x) in &par_speedups {
-        println!(
-            "speedup @ {n} jobs (parallel x{} vs sequential): {x:.2}x",
-            partitions()
-        );
-    }
-
     // Avg-JCT drift of the relaxed rows against their ε=0 twins, per
     // backend at the smallest sweep size (the relaxation's cost in
     // schedule quality — gated under `--check`).
@@ -606,11 +480,8 @@ fn main() {
         );
     }
 
-    std::fs::write(
-        &out,
-        to_json(&runs, quick, &speedups, &par_speedups, &drifts),
-    )
-    .expect("write BENCH_scale.json");
+    std::fs::write(&out, to_json(&runs, quick, &speedups, &drifts))
+        .expect("write BENCH_scale.json");
     println!("wrote {out}");
 
     // Probed run (observation-only; the schedule is bit-identical to the
@@ -660,7 +531,7 @@ fn main() {
 
     if check {
         // Bounded-staleness drift gate: the relaxation buys its deleted
-        // invocations and barriers with decision latency; the avg-JCT it
+        // invocations with decision latency; the avg-JCT it
         // costs must stay bounded. Exact-mode sweeps (ε = 0) have no
         // drift to gate.
         for (backend, d) in &drifts {
@@ -727,57 +598,6 @@ fn main() {
         println!(
             "scaling check passed: disagg {small:.1} jobs/s at 10k -> {large:.1} at 50k \
              ({ratio:.2}x)"
-        );
-
-        // Parallel regression gate: conservative-window stepping +
-        // invocation coalescing must keep the partitioned engine within
-        // 10% of the sequential path on every backend and sweep size —
-        // including single-hardware-thread hosts, where there is no
-        // concurrency to win and the ratio measures pure barrier/window
-        // overhead. Before the window path landed, 1-thread ratios sat
-        // as low as 0.75x. Quick-tier rows run in ~0.5 s, where scheduler
-        // noise alone swings ±10%, so a pair that misses the bar gets one
-        // fresh re-measure of both rows (best-of-two) before failing.
-        let mut gated = 0usize;
-        let pairs: Vec<(usize, EngineMode, f64)> = runs
-            .iter()
-            .filter(|r| r.path == "incremental" && r.decision_horizon_secs == eps)
-            .filter_map(|seq| {
-                let par = runs.iter().find(|r| {
-                    r.jobs == seq.jobs
-                        && r.path == "parallel"
-                        && r.backend.starts_with(&seq.backend)
-                })?;
-                let mode = if seq.backend.starts_with("analytic") {
-                    EngineMode::Analytic
-                } else if seq.backend.starts_with("disagg") {
-                    EngineMode::Disagg
-                } else {
-                    EngineMode::Cluster
-                };
-                Some((seq.jobs, mode, par.jobs_per_sec / seq.jobs_per_sec))
-            })
-            .collect();
-        for (jobs, mode, mut ratio) in pairs {
-            gated += 1;
-            if ratio < 0.9 {
-                let seq = run_one(&art, jobs, mode, Path::Incremental, eps);
-                let par = run_one(&art, jobs, mode, Path::Parallel, eps);
-                ratio = ratio.max(par.jobs_per_sec / seq.jobs_per_sec);
-            }
-            if ratio < 0.9 {
-                eprintln!(
-                    "FAIL: parallel x{} at {jobs} jobs ({mode:?}) runs at \
-                     {ratio:.2}x of sequential (best of two)",
-                    partitions()
-                );
-                std::process::exit(1);
-            }
-            println!("parallel check passed: {jobs} jobs ({mode:?}): {ratio:.2}x of sequential");
-        }
-        assert!(
-            gated > 0,
-            "parallel gate matched no (sequential, parallel) row pairs"
         );
 
         // Scheduler-fraction gate: invocation coalescing + capacity-aware

@@ -12,11 +12,14 @@
 //!
 //! Usage: `cargo run --release -p llmsched-bench --bin table1_overhead [--quick]`
 
+use llmsched_bench::cli::{Cli, Flag};
 use llmsched_bench::{run_policy, write_csv, ExperimentConfig, Policy, Table, TrainedArtifacts};
 use llmsched_workloads::prelude::WorkloadKind;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = Cli::new("table1_overhead", &[Flag::switch("--quick")])
+        .parse()
+        .has("--quick");
     let n_jobs = if quick { 100 } else { 300 };
     let art = TrainedArtifacts::train(
         if quick {

@@ -1,9 +1,15 @@
 //! The indexed discrete-event core.
 //!
-//! Events are ordered by `(time, sequence number)`; the sequence number is
-//! a monotone counter assigned at push time, which makes simultaneous
-//! events pop in insertion order and the whole simulation
-//! bit-deterministic.
+//! The engine owns exactly one [`EventQueue`]. Events are ordered by
+//! `(time, sequence number)`; the sequence number is a monotone counter
+//! assigned at push time, which makes simultaneous events pop in
+//! insertion order and the whole simulation bit-deterministic. The
+//! engine pushes arrivals and regular-task finishes itself; backends
+//! push theirs through
+//! [`ExecCtx::post_finish`](crate::exec::ExecCtx::post_finish) and
+//! [`ExecCtx::post_step`](crate::exec::ExecCtx::post_step) while a hook
+//! runs, so a hook's events take their sequence numbers in emission
+//! order.
 //!
 //! Storage is an index-based arena plus a keyed heap, the layout
 //! dslab-style discrete-event engines use to push millions of events per
@@ -31,7 +37,9 @@ pub enum Event {
         job: usize,
     },
     /// A task finishes. `epoch` invalidates stale finish events after an
-    /// LLM batch-size change re-timed the task.
+    /// LLM batch-size change re-timed the task (every
+    /// [`ExecCtx::post_finish`](crate::exec::ExecCtx::post_finish) bumps
+    /// the task's epoch).
     TaskFinish {
         /// Dense job index.
         job: usize,
@@ -100,17 +108,8 @@ impl EventQueue {
 
     /// Schedules `event` at `time`.
     pub fn push(&mut self, time: SimTime, event: Event) {
-        let seq = self.seq;
+        let key = key_of(time, self.seq);
         self.seq += 1;
-        self.push_with_seq(time, seq, event);
-    }
-
-    /// Schedules `event` at `time` under an externally assigned sequence
-    /// number. The partitioned engine routes events to per-shard queues
-    /// but keeps ONE global monotone counter, so the merged pop order is
-    /// bit-identical to a single queue's `(time, seq)` order.
-    pub(crate) fn push_with_seq(&mut self, time: SimTime, seq: u64, event: Event) {
-        let key = key_of(time, seq);
         let slot = match self.free.pop() {
             Some(s) => {
                 self.arena[s as usize] = event;
@@ -127,14 +126,6 @@ impl EventQueue {
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        self.pop_keyed().map(|(_, time, ev)| (time, ev))
-    }
-
-    /// Removes and returns the earliest event together with its packed
-    /// `(time, seq)` ordering key. The partitioned engine's window replay
-    /// interleaves a pre-popped batch with live queue drains by comparing
-    /// these keys, reproducing the sequential pop order exactly.
-    pub(crate) fn pop_keyed(&mut self) -> Option<(u128, SimTime, Event)> {
         let top = *self.heap.first()?;
         let last = self.heap.pop().expect("non-empty");
         if !self.heap.is_empty() {
@@ -143,18 +134,12 @@ impl EventQueue {
         }
         self.free.push(top.slot);
         let time = SimTime((top.key >> 64) as u64);
-        Some((top.key, time, self.arena[top.slot as usize]))
+        Some((time, self.arena[top.slot as usize]))
     }
 
     /// The timestamp of the earliest event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.first().map(|e| SimTime((e.key >> 64) as u64))
-    }
-
-    /// The packed `(time, seq)` key of the earliest event — the
-    /// partitioned engine's shard merge compares heads by this key.
-    pub(crate) fn peek_key(&self) -> Option<u128> {
-        self.heap.first().map(|e| e.key)
     }
 
     /// Number of pending events (including stale ones awaiting lazy

@@ -22,79 +22,13 @@ struct Running {
 }
 
 /// One LLM executor's batch.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Unit {
     running: Vec<Running>,
     last_settle: SimTime,
-    /// Minimum remaining decode tokens across the batch as of
-    /// `last_settle` (`f64::INFINITY` when idle), refreshed at every
-    /// membership change. Between changes the batch rate is constant and
-    /// every request decrements equally, so [`Unit::lookahead`] can
-    /// evaluate the exact minimum at any later `now` without settling
-    /// (the partitioned engine probes it once per barrier across the
-    /// whole pool).
-    min_remaining: f64,
-    /// Per-token decode seconds at the current batch size, cached with
-    /// `min_remaining` (constant between membership changes).
-    rate: f64,
-}
-
-impl Default for Unit {
-    fn default() -> Self {
-        Unit {
-            running: Vec::new(),
-            last_settle: SimTime::ZERO,
-            min_remaining: f64::INFINITY,
-            rate: 0.0,
-        }
-    }
 }
 
 impl Unit {
-    /// Recaches the minimum remaining token count and the current batch
-    /// rate from the settled state. Both stay exact until the next
-    /// membership change: the rate depends only on the batch size, and
-    /// every co-batched request decrements at that same rate, so the
-    /// minimum request remains the minimum.
-    fn refresh_bound(&mut self, latency: &LatencyProfile) {
-        if self.running.is_empty() {
-            self.min_remaining = f64::INFINITY;
-            self.rate = 0.0;
-        } else {
-            self.min_remaining = self
-                .running
-                .iter()
-                .map(|r| r.remaining_tokens)
-                .fold(f64::INFINITY, f64::min);
-            self.rate = latency.per_token(self.running.len()).as_secs_f64();
-        }
-    }
-
-    /// A lower bound on this unit's earliest possible finish (`u64::MAX`
-    /// when idle), evaluated at `now` from the cached
-    /// `(min_remaining, rate)` pair without settling — see
-    /// [`ReplicaBatch::lookahead`](super::batching) for the full safety
-    /// argument (floor conversion plus a one-tick margin under the
-    /// `.round()`-posted finish events; advances with `now` so
-    /// long-decoding batches keep opening windows).
-    fn lookahead(&self, now: SimTime, latency: &LatencyProfile) -> SimTime {
-        if self.running.is_empty() {
-            return SimTime(u64::MAX);
-        }
-        let elapsed = (now - self.last_settle).as_secs_f64();
-        let min_r = self.min_remaining
-            - if elapsed > 0.0 {
-                elapsed / self.rate
-            } else {
-                0.0
-            };
-        if min_r <= 0.0 {
-            return now;
-        }
-        let b = now + SimDuration((min_r * latency.min_per_token().0 as f64) as u64);
-        SimTime(b.0.saturating_sub(1)).max(now)
-    }
-
     /// Settles decode progress since the last membership change at the
     /// current batch rate.
     fn settle(&mut self, now: SimTime, latency: &LatencyProfile) {
@@ -173,7 +107,6 @@ impl ExecutorBackend for AnalyticExec {
             remaining_tokens: work.folded_tokens() as f64,
         });
         unit.retime(cx);
-        unit.refresh_bound(cx.latency);
         let occupancy = self.units[exec].running.len() as u32;
         cx.emit(llmsched_telemetry::ProbeEvent::BatchAdmit {
             at: cx.now,
@@ -195,24 +128,12 @@ impl ExecutorBackend for AnalyticExec {
         unit.settle(cx.now, cx.latency);
         unit.running.retain(|r| r.task != task);
         unit.retime(cx);
-        unit.refresh_bound(cx.latency);
         let occupancy = self.units[exec].running.len() as u32;
         cx.emit(llmsched_telemetry::ProbeEvent::BatchDrain {
             at: cx.now,
             exec: exec as u32,
             occupancy,
         });
-    }
-
-    /// The pool-wide minimum of the per-unit finish lower bounds, each an
-    /// O(1) evaluation of the cached `(min_remaining, rate)` pair at
-    /// `now` — no per-batch settling (see [`Unit::lookahead`]).
-    fn lookahead(&self, now: SimTime, latency: &LatencyProfile) -> SimTime {
-        self.units
-            .iter()
-            .map(|u| u.lookahead(now, latency))
-            .min()
-            .unwrap_or(SimTime(u64::MAX))
     }
 }
 
@@ -248,27 +169,13 @@ mod tests {
         let mut jobs = [crate::state::test_support::job_with_llm_tasks(4)];
         let mut be = AnalyticExec::new(1, 8);
 
-        let mut posts = Vec::new();
-        let mut cx = ExecCtx {
-            now: SimTime::ZERO,
-            latency: &latency,
-            posts: &mut posts,
-            probe: None,
-        };
+        let mut cx = ExecCtx::for_test(SimTime::ZERO, &latency, &mut queue, &mut jobs);
         be.admit(0, t(0), w(100), &mut cx);
-        crate::exec::flush_posts(&mut posts, &mut jobs, &mut queue);
         assert_eq!(be.occupancy(0), 1);
         assert_eq!(queue.len(), 1, "one finish event for the lone task");
 
-        let mut posts = Vec::new();
-        let mut cx = ExecCtx {
-            now: SimTime::ZERO,
-            latency: &latency,
-            posts: &mut posts,
-            probe: None,
-        };
+        let mut cx = ExecCtx::for_test(SimTime::ZERO, &latency, &mut queue, &mut jobs);
         be.admit(0, t(1), w(100), &mut cx);
-        crate::exec::flush_posts(&mut posts, &mut jobs, &mut queue);
         assert_eq!(be.occupancy(0), 2);
         // Both tasks were re-timed: two new events on top of the stale one.
         assert_eq!(queue.len(), 3);
@@ -281,13 +188,7 @@ mod tests {
         let mut jobs = [crate::state::test_support::job_with_llm_tasks(4)];
         let mut be = AnalyticExec::new(2, 8);
 
-        let mut posts = Vec::new();
-        let mut cx = ExecCtx {
-            now: SimTime::ZERO,
-            latency: &latency,
-            posts: &mut posts,
-            probe: None,
-        };
+        let mut cx = ExecCtx::for_test(SimTime::ZERO, &latency, &mut queue, &mut jobs);
         be.admit(0, t(0), w(100), &mut cx);
         be.admit(0, t(1), w(200), &mut cx);
         be.drain(0, t(0), &mut cx);
@@ -295,7 +196,6 @@ mod tests {
         assert_eq!(be.occupancy(1), 0, "other executors untouched");
         // Draining an already-absent task is a no-op on occupancy.
         be.drain(0, t(0), &mut cx);
-        crate::exec::flush_posts(&mut posts, &mut jobs, &mut queue);
         assert_eq!(be.occupancy(0), 1);
     }
 
@@ -306,22 +206,10 @@ mod tests {
         let mut jobs = [crate::state::test_support::job_with_llm_tasks(1)];
         let mut be = AnalyticExec::new(1, 8);
 
-        let mut posts = Vec::new();
-        let mut cx = ExecCtx {
-            now: SimTime::ZERO,
-            latency: &latency,
-            posts: &mut posts,
-            probe: None,
-        };
+        let mut cx = ExecCtx::for_test(SimTime::ZERO, &latency, &mut queue, &mut jobs);
         be.admit(0, t(0), w(100), &mut cx);
-        crate::exec::flush_posts(&mut posts, &mut jobs, &mut queue);
-        let mut posts = Vec::new();
-        let mut cx = ExecCtx {
-            now: SimTime::from_secs_f64(0.5),
-            latency: &latency,
-            posts: &mut posts,
-            probe: None,
-        };
+        let mut cx =
+            ExecCtx::for_test(SimTime::from_secs_f64(0.5), &latency, &mut queue, &mut jobs);
         // A no-op membership change (drain of an absent task) still
         // re-times: the old event goes stale.
         be.drain(
@@ -333,7 +221,6 @@ mod tests {
             },
             &mut cx,
         );
-        crate::exec::flush_posts(&mut posts, &mut jobs, &mut queue);
         let current_epoch = jobs[0].task_epoch_of(0, 0);
         let mut valid = 0;
         while let Some((_, ev)) = queue.pop() {
@@ -358,24 +245,11 @@ mod tests {
         let mut jobs = [crate::state::test_support::job_with_llm_tasks(2)];
         let mut be = AnalyticExec::new(1, 8);
 
-        let mut posts = Vec::new();
-        let mut cx = ExecCtx {
-            now: SimTime::ZERO,
-            latency: &latency,
-            posts: &mut posts,
-            probe: None,
-        };
+        let mut cx = ExecCtx::for_test(SimTime::ZERO, &latency, &mut queue, &mut jobs);
         be.admit(0, t(0), w(100), &mut cx);
-        crate::exec::flush_posts(&mut posts, &mut jobs, &mut queue);
-        let mut posts = Vec::new();
-        let mut cx = ExecCtx {
-            now: SimTime::from_secs_f64(0.5),
-            latency: &latency,
-            posts: &mut posts,
-            probe: None,
-        };
+        let mut cx =
+            ExecCtx::for_test(SimTime::from_secs_f64(0.5), &latency, &mut queue, &mut jobs);
         be.admit(0, t(1), w(100), &mut cx);
-        crate::exec::flush_posts(&mut posts, &mut jobs, &mut queue);
         let epoch_a = jobs[0].task_epoch_of(0, 0);
         let mut finish_a = None;
         while let Some((time, ev)) = queue.pop() {
@@ -398,15 +272,8 @@ mod tests {
         let mut queue = EventQueue::new();
         let mut jobs = [crate::state::test_support::job_with_llm_tasks(4)];
         let mut be = AnalyticExec::new(2, 8);
-        let mut posts = Vec::new();
-        let mut cx = ExecCtx {
-            now: SimTime::ZERO,
-            latency: &latency,
-            posts: &mut posts,
-            probe: None,
-        };
+        let mut cx = ExecCtx::for_test(SimTime::ZERO, &latency, &mut queue, &mut jobs);
         be.admit(1, t(0), w(10), &mut cx);
-        crate::exec::flush_posts(&mut posts, &mut jobs, &mut queue);
         let views = pool::views(&be);
         assert_eq!(views.len(), 2);
         assert_eq!((views[0].batch_len, views[1].batch_len), (0, 1));

@@ -17,12 +17,10 @@
 //! capacity and queued decode tokens.
 
 use llmsched_cluster::{ClusterSpec, ReplicaView, RouteRequest, Router};
-use llmsched_dag::time::SimTime;
 use llmsched_dag::work::LlmWork;
 
 use super::batching::ReplicaBatch;
 use super::{ExecCtx, ExecutorBackend, LlmTaskRef, StepOutcome};
-use crate::latency::LatencyProfile;
 
 /// The heterogeneous routed multi-replica backend.
 #[derive(Debug)]
@@ -43,25 +41,11 @@ impl ClusterExec {
     /// Panics if the spec fails [`ClusterSpec::validate`].
     pub fn new(spec: &ClusterSpec) -> Self {
         spec.validate().expect("invalid cluster spec");
-        Self::from_units(ReplicaBatch::table(spec), spec.routing.build())
-    }
-
-    /// A backend over an explicit replica-batch table — the partitioned
-    /// engine builds one per shard from a contiguous chunk of the full
-    /// table. The shard-local `router` is only consulted if `place` is
-    /// called on the shard directly; the sharded wrapper routes globally.
-    pub(super) fn from_units(units: Vec<ReplicaBatch>, router: Box<dyn Router>) -> Self {
         ClusterExec {
-            units,
-            router,
+            units: ReplicaBatch::table(spec),
+            router: spec.routing.build(),
             view_scratch: Vec::new(),
         }
-    }
-
-    /// The router view of local replica `local`, labelled with its global
-    /// executor index (the sharded wrapper composes global view tables).
-    pub(crate) fn unit_view(&self, local: usize, global: usize) -> ReplicaView {
-        self.units[local].view(global, 0, 0)
     }
 }
 
@@ -113,7 +97,7 @@ impl ExecutorBackend for ClusterExec {
         unit.join(task, work.folded_tokens());
         unit.retime(cx);
         if cx.probe.is_some() {
-            let view = self.unit_view(exec, exec);
+            let view = self.units[exec].view(exec, 0, 0);
             cx.emit(llmsched_telemetry::ProbeEvent::Routed {
                 at: cx.now,
                 job_index: task.job as u32,
@@ -147,17 +131,6 @@ impl ExecutorBackend for ClusterExec {
             exec: exec as u32,
             occupancy,
         });
-    }
-
-    /// Minimum over replicas of each replica's own-curve lower bound (the
-    /// engine-wide reference curve is irrelevant here: every replica
-    /// decodes against its group curve).
-    fn lookahead(&self, now: SimTime, _latency: &LatencyProfile) -> SimTime {
-        self.units
-            .iter()
-            .map(|u| u.lookahead(now))
-            .min()
-            .unwrap_or(SimTime(u64::MAX))
     }
 }
 
@@ -214,16 +187,9 @@ mod tests {
         let mut queue = EventQueue::new();
         let mut jobs = [crate::state::test_support::job_with_llm_tasks(2)];
         let mut be = ClusterExec::new(&hetero_spec(RoutingPolicy::LeastLoaded));
-        let mut posts = Vec::new();
-        let mut cx = ExecCtx {
-            now: SimTime::ZERO,
-            latency: &reference,
-            posts: &mut posts,
-            probe: None,
-        };
+        let mut cx = ExecCtx::for_test(SimTime::ZERO, &reference, &mut queue, &mut jobs);
         be.admit(0, t(0, 0), w(100), &mut cx);
         be.admit(1, t(0, 1), w(100), &mut cx);
-        crate::exec::flush_posts(&mut posts, &mut jobs, &mut queue);
         let mut finishes = Vec::new();
         while let Some((time, ev)) = queue.pop() {
             if let Event::TaskFinish { task, .. } = ev {
@@ -241,19 +207,12 @@ mod tests {
         let mut jobs = [crate::state::test_support::job_with_llm_tasks(4)];
         let mut be = ClusterExec::new(&hetero_spec(RoutingPolicy::JoinShortestQueue));
         let reference = profile(10);
-        let mut posts = Vec::new();
-        let mut cx = ExecCtx {
-            now: SimTime::ZERO,
-            latency: &reference,
-            posts: &mut posts,
-            probe: None,
-        };
+        let mut cx = ExecCtx::for_test(SimTime::ZERO, &reference, &mut queue, &mut jobs);
         // Load the fast replica with one huge request; JSQ then prefers
         // the token-empty slow replicas even though occupancies tie after
         // the first admit.
         let first = be.place(t(0, 0), w(5000)).unwrap();
         be.admit(first, t(0, 0), w(5000), &mut cx);
-        crate::exec::flush_posts(&mut posts, &mut jobs, &mut queue);
         let second = be.place(t(0, 1), w(10)).unwrap();
         assert_ne!(second, first, "JSQ avoids the replica holding 5k tokens");
     }
@@ -264,13 +223,7 @@ mod tests {
         let mut jobs = [crate::state::test_support::job_with_llm_tasks(4)];
         let mut be = ClusterExec::new(&hetero_spec(RoutingPolicy::LeastLoaded));
         let reference = profile(10);
-        let mut posts = Vec::new();
-        let mut cx = ExecCtx {
-            now: SimTime::ZERO,
-            latency: &reference,
-            posts: &mut posts,
-            probe: None,
-        };
+        let mut cx = ExecCtx::for_test(SimTime::ZERO, &reference, &mut queue, &mut jobs);
         be.admit(0, t(0, 0), w(100), &mut cx);
         assert_eq!(be.occupancy(0), 1);
         assert_eq!(be.units[0].pending_tokens, 100);
@@ -279,7 +232,6 @@ mod tests {
         assert_eq!(be.units[0].pending_tokens, 0);
         // Draining an absent task is a no-op.
         be.drain(0, t(0, 0), &mut cx);
-        crate::exec::flush_posts(&mut posts, &mut jobs, &mut queue);
         assert_eq!(be.units[0].pending_tokens, 0);
     }
 
@@ -293,15 +245,8 @@ mod tests {
         let mut jobs = [crate::state::test_support::job_with_llm_tasks(2)];
         let mut be = ClusterExec::new(&spec);
         let reference = profile(10);
-        let mut posts = Vec::new();
-        let mut cx = ExecCtx {
-            now: SimTime::ZERO,
-            latency: &reference,
-            posts: &mut posts,
-            probe: None,
-        };
+        let mut cx = ExecCtx::for_test(SimTime::ZERO, &reference, &mut queue, &mut jobs);
         be.admit(0, t(0, 0), w(10), &mut cx);
-        crate::exec::flush_posts(&mut posts, &mut jobs, &mut queue);
         assert_eq!(be.place(t(0, 1), w(10)), None);
     }
 }

@@ -38,20 +38,21 @@
 //!   occupancy-view helpers the engine shares across backends.
 //!
 //! Backends interact with the engine through [`ExecCtx`]: they may read
-//! the clock and the reference latency curve, and post [`Event`]s —
-//! either a [`Event::TaskFinish`] for a task whose completion time is now
-//! known (analytic re-timing) or a [`Event::LlmStep`] wake-up for their
-//! own deferred work (the token-level backend's iteration loop, the
-//! disaggregated backend's prefill→decode handoffs). The engine remains
-//! the only place that mutates job/stage/task state; the reveal protocol
-//! of §IV-A never leaks into backends.
+//! the clock and the reference latency curve, and post [`Event`]s into
+//! the engine's queue — either a [`Event::TaskFinish`] for a task whose
+//! completion time is now known (analytic re-timing) or a
+//! [`Event::LlmStep`] wake-up for their own deferred work (the
+//! token-level backend's iteration loop, the disaggregated backend's
+//! prefill→decode handoffs). Apart from the finish epoch a posted
+//! [`Event::TaskFinish`] bumps, the engine remains the only place that
+//! mutates job/stage/task state; the reveal protocol of §IV-A never
+//! leaks into backends.
 
 pub mod analytic;
 mod batching;
 pub mod cluster;
 pub mod disagg;
 pub mod pool;
-pub(crate) mod sharded;
 pub mod token_level;
 
 pub use analytic::AnalyticExec;
@@ -79,42 +80,14 @@ pub struct LlmTaskRef {
     pub task: u32,
 }
 
-/// One event a backend asked the engine to schedule.
-///
-/// Backends never touch the event queue or the job table directly: hooks
-/// buffer their requests here and the *caller* materializes them — the
-/// sequential engine immediately after the hook returns (stamping finish
-/// epochs via [`flush_posts`]), the partitioned engine's shard workers
-/// into an epoch-shadow first and the merge barrier afterwards. Keeping
-/// epoch assignment out of the backend is what lets shard workers run
-/// hooks with only *shared* access to the job table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Post {
-    /// `task` finishes at `at` (superseding any earlier finish event for
-    /// it; the flusher bumps the task's epoch to invalidate those).
-    Finish {
-        /// The finishing task.
-        task: LlmTaskRef,
-        /// Absolute finish time.
-        at: SimTime,
-    },
-    /// A backend wake-up ([`Event::LlmStep`]) for executor `exec` at `at`;
-    /// `epoch` must match the backend's step epoch when the event fires.
-    Step {
-        /// LLM executor index (backend-local; sharded wrappers remap it
-        /// to the global index before the flush).
-        exec: usize,
-        /// Backend step epoch.
-        epoch: u64,
-        /// Wake-up time.
-        at: SimTime,
-    },
-}
-
 /// The slice of engine state a backend may touch while handling a hook.
 ///
 /// Rebuilt per call; borrows the engine's clock, the shared decode-latency
-/// curve and a buffer of [`Post`]s the caller flushes after the hook.
+/// curve, the event queue and the job table. Backends schedule events only
+/// through [`ExecCtx::post_finish`] and [`ExecCtx::post_step`], which push
+/// straight into the engine's queue — so a hook's events take their
+/// sequence numbers in emission order, and the job table is touched only
+/// to bump the re-timed task's epoch.
 #[derive(Debug)]
 pub struct ExecCtx<'a> {
     /// Current simulation time.
@@ -124,14 +97,13 @@ pub struct ExecCtx<'a> {
     /// with it; cluster backends carry per-group curves and use this only
     /// as the normalization reference.
     pub latency: &'a LatencyProfile,
-    /// Events the backend wants scheduled, in emission order. The caller
-    /// drains this after the hook returns (see [`flush_posts`]).
-    pub posts: &'a mut Vec<Post>,
+    /// The engine's event queue.
+    pub(crate) queue: &'a mut EventQueue,
+    /// The engine's job table (for per-task finish epochs).
+    pub(crate) jobs: &'a mut [JobRt],
     /// The run's telemetry probe, present only while one is enabled —
     /// `None` costs backends a single branch per emission (see
-    /// [`ExecCtx::emit`]). Shard workers also get `None`: their hooks run
-    /// concurrently, so the sharded wrapper re-emits occupancy events
-    /// with global executor indices at the merge barrier instead.
+    /// [`ExecCtx::emit`]).
     pub probe: Option<&'a mut dyn Probe>,
 }
 
@@ -147,37 +119,46 @@ impl ExecCtx<'_> {
     /// Schedules `task` to finish at `at`, invalidating any finish event
     /// posted for it earlier (per-task epochs make stale events no-ops).
     pub fn post_finish(&mut self, task: LlmTaskRef, at: SimTime) {
-        self.posts.push(Post::Finish { task, at });
+        debug_assert!(
+            at >= self.now,
+            "backends never post into the past (remaining decode time is \
+             non-negative)"
+        );
+        let epoch = self.jobs[task.job].bump_task_epoch(task.stage, task.task);
+        self.queue.push(
+            at,
+            Event::TaskFinish {
+                job: task.job,
+                stage: task.stage,
+                task: task.task,
+                epoch,
+            },
+        );
     }
 
     /// Schedules a backend wake-up ([`Event::LlmStep`]) for executor
     /// `exec` at `at`; `epoch` must match the backend's current step epoch
     /// when the event fires, or the step is discarded as stale.
     pub fn post_step(&mut self, exec: usize, epoch: u64, at: SimTime) {
-        self.posts.push(Post::Step { exec, epoch, at });
+        self.queue.push(at, Event::LlmStep { exec, epoch });
     }
 }
 
-/// Drains buffered [`Post`]s into the event queue, stamping each finish
-/// with a freshly bumped per-task epoch. Push order equals emission order,
-/// so event sequence numbers are exactly what the pre-buffering engine
-/// assigned inline.
-pub fn flush_posts(posts: &mut Vec<Post>, jobs: &mut [JobRt], queue: &mut EventQueue) {
-    for p in posts.drain(..) {
-        match p {
-            Post::Finish { task, at } => {
-                let epoch = jobs[task.job].bump_task_epoch(task.stage, task.task);
-                queue.push(
-                    at,
-                    Event::TaskFinish {
-                        job: task.job,
-                        stage: task.stage,
-                        task: task.task,
-                        epoch,
-                    },
-                );
-            }
-            Post::Step { exec, epoch, at } => queue.push(at, Event::LlmStep { exec, epoch }),
+#[cfg(test)]
+impl<'a> ExecCtx<'a> {
+    /// A probe-less context over test-owned engine state.
+    pub(crate) fn for_test(
+        now: SimTime,
+        latency: &'a LatencyProfile,
+        queue: &'a mut EventQueue,
+        jobs: &'a mut [JobRt],
+    ) -> Self {
+        ExecCtx {
+            now,
+            latency,
+            queue,
+            jobs,
+            probe: None,
         }
     }
 }
@@ -239,10 +220,7 @@ impl StepOutcome {
 ///    drains on completion, including completions the backend itself
 ///    reported);
 /// 4. `place` only returns executors with `occupancy(e) < capacity(e)`.
-///
-/// Backends must be [`Send`]: the partitioned engine steps disjoint
-/// backend shards on scoped worker threads between scheduler barriers.
-pub trait ExecutorBackend: std::fmt::Debug + Send {
+pub trait ExecutorBackend: std::fmt::Debug {
     /// Short backend family name (e.g. `"analytic"`, `"cluster"`).
     fn name(&self) -> &'static str;
 
@@ -268,10 +246,9 @@ pub trait ExecutorBackend: std::fmt::Debug + Send {
     /// order, to `f`. The engine's per-timestamp utilization integrals
     /// and per-invocation occupancy snapshots go through this instead
     /// of calling [`occupancy`](ExecutorBackend::occupancy) per
-    /// executor, so composite backends (the sharded wrapper) can walk
-    /// their pools directly rather than translating every index. The
-    /// default loops over the per-executor accessors; overrides must
-    /// visit the exact same values in the same order.
+    /// executor, so backends can walk their pools directly. The default
+    /// loops over the per-executor accessors; overrides must visit the
+    /// exact same values in the same order.
     fn for_each_slot(&self, f: &mut dyn FnMut(usize, usize)) {
         for e in 0..self.n_execs() {
             f(self.occupancy(e), self.capacity(e));
@@ -303,22 +280,4 @@ pub trait ExecutorBackend: std::fmt::Debug + Send {
     /// engine for every LLM task completion; must be a no-op if the
     /// backend already removed the task during the step that finished it.
     fn drain(&mut self, exec: usize, task: LlmTaskRef, cx: &mut ExecCtx<'_>);
-
-    /// A conservative lower bound on the earliest future time at which
-    /// this backend could complete a task (i.e. produce a
-    /// scheduler-relevant event). The partitioned engine advances through
-    /// `[now, bound)` without scheduler barriers: every event inside the
-    /// window is guaranteed to be a stale finish, an ineffective step, or
-    /// an internal hand-off that changes nothing a scheduler observes.
-    ///
-    /// Contract: with the backend in its state at `now` and no further
-    /// admissions, no valid [`Event::TaskFinish`] and no
-    /// [`StepOutcome`] with `effective == true` or non-empty `finished`
-    /// may occur strictly before the returned time. An idle backend may
-    /// return [`SimTime`]`(u64::MAX)`; the default returns `now`
-    /// (a vacuous bound — the window never opens), which is always safe.
-    fn lookahead(&self, now: SimTime, latency: &LatencyProfile) -> SimTime {
-        let _ = latency;
-        now
-    }
 }

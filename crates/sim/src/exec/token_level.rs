@@ -10,11 +10,9 @@
 //! posts for itself, versioned by a per-executor epoch so a batch that
 //! drains and restarts invalidates leftover wake-ups.
 
-use llmsched_dag::time::SimTime;
 use llmsched_dag::work::LlmWork;
 
 use super::{ExecCtx, ExecutorBackend, LlmTaskRef, StepOutcome};
-use crate::latency::LatencyProfile;
 
 /// One task waiting on decode iterations.
 #[derive(Debug, Clone)]
@@ -172,38 +170,6 @@ impl ExecutorBackend for TokenExec {
             occupancy,
         });
     }
-
-    /// A task finishes only at an iteration boundary, boundaries are at
-    /// least `min_per_token × chunk` apart, and a running task with `r`
-    /// tokens left needs `ceil(r / chunk)` more boundaries — the first of
-    /// which is the already-posted wake-up whose time this backend does
-    /// not retain, hence the `- 1` (a task finishing at the very next
-    /// boundary yields a vacuous `now` bound). Joiners only start
-    /// decoding *after* that pending boundary, so they keep the full
-    /// iteration count. All integer math: exact.
-    fn lookahead(&self, now: SimTime, latency: &LatencyProfile) -> SimTime {
-        let gap = latency.min_service_time(self.chunk);
-        let mut bound = SimTime(u64::MAX);
-        for unit in &self.units {
-            if unit.occupancy() == 0 {
-                continue;
-            }
-            debug_assert!(unit.iterating, "non-empty unit always iterates");
-            let min_iters = unit
-                .running
-                .iter()
-                .map(|r| r.remaining_tokens.div_ceil(self.chunk).saturating_sub(1))
-                .chain(
-                    unit.joining
-                        .iter()
-                        .map(|r| r.remaining_tokens.div_ceil(self.chunk)),
-                )
-                .min()
-                .unwrap_or(0);
-            bound = bound.min(now + gap * min_iters);
-        }
-        bound
-    }
 }
 
 #[cfg(test)]
@@ -247,15 +213,8 @@ mod tests {
         let mut queue = EventQueue::new();
         let mut jobs = [crate::state::test_support::job_with_llm_tasks(2)];
         let mut be = TokenExec::new(1, 8, 1);
-        let mut posts = Vec::new();
-        let mut cx = ExecCtx {
-            now: SimTime::ZERO,
-            latency: &latency,
-            posts: &mut posts,
-            probe: None,
-        };
+        let mut cx = ExecCtx::for_test(SimTime::ZERO, &latency, &mut queue, &mut jobs);
         be.admit(0, t(0), w(3), &mut cx);
-        crate::exec::flush_posts(&mut posts, &mut jobs, &mut queue);
         assert_eq!(be.occupancy(0), 1);
         let (time, exec, _) = pop_step(&mut queue);
         assert_eq!(exec, 0);
@@ -271,16 +230,9 @@ mod tests {
         let mut queue = EventQueue::new();
         let mut jobs = [crate::state::test_support::job_with_llm_tasks(2)];
         let mut be = TokenExec::new(1, 8, 1);
-        let mut posts = Vec::new();
-        let mut cx = ExecCtx {
-            now: SimTime::ZERO,
-            latency: &latency,
-            posts: &mut posts,
-            probe: None,
-        };
+        let mut cx = ExecCtx::for_test(SimTime::ZERO, &latency, &mut queue, &mut jobs);
         be.admit(0, t(0), w(2), &mut cx);
         be.admit(0, t(1), w(2), &mut cx);
-        crate::exec::flush_posts(&mut posts, &mut jobs, &mut queue);
         // Occupancy counts the joiner immediately (slot accounting)...
         assert_eq!(be.occupancy(0), 2);
         // ...but only one wake-up is in flight: the joiner did not restart
@@ -294,22 +246,10 @@ mod tests {
         let mut queue = EventQueue::new();
         let mut jobs = [crate::state::test_support::job_with_llm_tasks(2)];
         let mut be = TokenExec::new(1, 8, 1);
-        let mut posts = Vec::new();
-        let mut cx = ExecCtx {
-            now: SimTime::ZERO,
-            latency: &latency,
-            posts: &mut posts,
-            probe: None,
-        };
+        let mut cx = ExecCtx::for_test(SimTime::ZERO, &latency, &mut queue, &mut jobs);
         be.admit(0, t(0), w(1), &mut cx);
-        crate::exec::flush_posts(&mut posts, &mut jobs, &mut queue);
         let (_, _, epoch) = pop_step(&mut queue);
-        let mut cx = ExecCtx {
-            now: SimTime::ZERO,
-            latency: &latency,
-            posts: &mut posts,
-            probe: None,
-        };
+        let mut cx = ExecCtx::for_test(SimTime::ZERO, &latency, &mut queue, &mut jobs);
         let out = be.step(0, epoch + 1, &mut cx);
         assert!(!out.effective);
         assert!(out.finished.is_empty());
@@ -326,38 +266,19 @@ mod tests {
         let mut queue = EventQueue::new();
         let mut jobs = [crate::state::test_support::job_with_llm_tasks(3)];
         let mut be = TokenExec::new(1, 8, 1);
-        let mut posts = Vec::new();
-        let mut cx = ExecCtx {
-            now: SimTime::ZERO,
-            latency: &latency,
-            posts: &mut posts,
-            probe: None,
-        };
+        let mut cx = ExecCtx::for_test(SimTime::ZERO, &latency, &mut queue, &mut jobs);
         be.admit(0, t(0), w(1), &mut cx); // finishes after one iteration
         be.admit(0, t(1), w(5), &mut cx); // joins at the boundary
-        crate::exec::flush_posts(&mut posts, &mut jobs, &mut queue);
         let (time, _, epoch) = pop_step(&mut queue);
-        let mut cx = ExecCtx {
-            now: time,
-            latency: &latency,
-            posts: &mut posts,
-            probe: None,
-        };
+        let mut cx = ExecCtx::for_test(time, &latency, &mut queue, &mut jobs);
         let out = be.step(0, epoch, &mut cx);
-        crate::exec::flush_posts(&mut posts, &mut jobs, &mut queue);
         assert_eq!(out.finished, vec![t(0)]);
         assert!(out.effective);
         // The joiner is now running and a new iteration is in flight.
         assert_eq!(be.occupancy(0), 1);
         assert_eq!(queue.len(), 1);
         // Drain of the finished task is a no-op (already removed by step).
-        crate::exec::flush_posts(&mut posts, &mut jobs, &mut queue);
-        let mut cx = ExecCtx {
-            now: time,
-            latency: &latency,
-            posts: &mut posts,
-            probe: None,
-        };
+        let mut cx = ExecCtx::for_test(time, &latency, &mut queue, &mut jobs);
         be.drain(0, t(0), &mut cx);
         assert_eq!(be.occupancy(0), 1);
     }
@@ -369,26 +290,13 @@ mod tests {
             let mut queue = EventQueue::new();
             let mut jobs = [crate::state::test_support::job_with_llm_tasks(1)];
             let mut be = TokenExec::new(1, 8, chunk);
-            let mut posts = Vec::new();
-            let mut cx = ExecCtx {
-                now: SimTime::ZERO,
-                latency: &latency,
-                posts: &mut posts,
-                probe: None,
-            };
+            let mut cx = ExecCtx::for_test(SimTime::ZERO, &latency, &mut queue, &mut jobs);
             be.admit(0, t(0), w(8), &mut cx);
-            crate::exec::flush_posts(&mut posts, &mut jobs, &mut queue);
             let mut steps = 0;
             while !queue.is_empty() {
                 let (time, _, epoch) = pop_step(&mut queue);
-                let mut cx = ExecCtx {
-                    now: time,
-                    latency: &latency,
-                    posts: &mut posts,
-                    probe: None,
-                };
+                let mut cx = ExecCtx::for_test(time, &latency, &mut queue, &mut jobs);
                 be.step(0, epoch, &mut cx);
-                crate::exec::flush_posts(&mut posts, &mut jobs, &mut queue);
                 steps += 1;
             }
             assert_eq!(steps, expected_steps, "chunk {chunk}");
@@ -399,14 +307,10 @@ mod tests {
     #[test]
     fn least_loaded_balances_across_executors() {
         let latency = flat_latency();
+        let mut queue = EventQueue::new();
+        let mut jobs = [crate::state::test_support::job_with_llm_tasks(4)];
         let mut be = TokenExec::new(2, 2, 1);
-        let mut posts = Vec::new();
-        let mut cx = ExecCtx {
-            now: SimTime::ZERO,
-            latency: &latency,
-            posts: &mut posts,
-            probe: None,
-        };
+        let mut cx = ExecCtx::for_test(SimTime::ZERO, &latency, &mut queue, &mut jobs);
         be.admit(0, t(0), w(5), &mut cx);
         assert_eq!(be.place(t(1), w(5)), Some(1));
         be.admit(1, t(1), w(5), &mut cx);

@@ -77,11 +77,7 @@
 //! # }
 //! ```
 
-// `deny`, not `forbid`: the crate is unsafe-free except for the narrowly
-// scoped `#[allow(unsafe_code)]` blocks inside `par`'s persistent worker
-// pool (lifetime-erased job publication + index-exclusive result slots),
-// each of which carries its SAFETY argument inline.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod engine;
@@ -89,7 +85,6 @@ pub mod event;
 pub mod exec;
 pub mod incr;
 pub mod metrics;
-pub mod par;
 pub mod scheduler;
 pub mod state;
 
@@ -114,7 +109,6 @@ pub mod prelude {
     pub use crate::metrics::{
         JctPercentiles, JobOutcome, SchedOverheadPercentiles, SimResult, Utilization,
     };
-    pub use crate::par::{ParStats, Parallelism, ShardStats};
     pub use crate::scheduler::{Preference, SchedContext, SchedDelta, Scheduler, TaskRef};
     pub use crate::state::{Existence, JobRt, LlmExecutorView, StageView};
     pub use crate::telemetry::{

@@ -6,8 +6,6 @@ use llmsched_dag::ids::{AppId, JobId};
 use llmsched_dag::time::{SimDuration, SimTime};
 use llmsched_telemetry::{TimeSeries, WallReservoir};
 
-use crate::par::ParStats;
-
 /// Outcome of one job.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobOutcome {
@@ -124,8 +122,6 @@ pub struct SimResult {
     /// Jobs that never completed (a scheduler that stops scheduling can
     /// starve jobs; healthy runs have 0).
     pub incomplete: usize,
-    /// Partitioned-engine statistics (`None` on the sequential path).
-    pub par: Option<ParStats>,
     /// Windowed time-series over the run (`None` unless the run's
     /// [`Probe`](llmsched_telemetry::Probe) aggregated one — see
     /// [`llmsched_telemetry::TraceConfig::window`]).
@@ -266,7 +262,6 @@ mod tests {
             utilization: Utilization::default(),
             events: 0,
             incomplete: 0,
-            par: None,
             timeseries: None,
         }
     }

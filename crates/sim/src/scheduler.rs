@@ -499,8 +499,7 @@ pub trait Scheduler {
     /// [`SchedContext::could_dispatch`] is false, its [`Scheduler::schedule`]
     /// returns an empty preference without touching any RNG or other
     /// order-dependent state. The engine may then elide such invocations
-    /// entirely (skipping the decision point — and, in the partitioned
-    /// engine, its barrier) when
+    /// entirely (skipping the decision point) when
     /// [`ClusterConfig::elision`](crate::engine::ClusterConfig) is on,
     /// with bit-identical results guaranteed by `tests/elision_equiv.rs`.
     ///

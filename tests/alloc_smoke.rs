@@ -88,29 +88,6 @@ fn thousand_job_sim_stays_under_allocation_budget() {
         "engine hot-path churn regressed: {fcfs:.0} allocs/job under FCFS (budget 100)"
     );
 
-    // Tier 1b — the same hot path under the partitioned engine: shard
-    // workers reuse per-round batch/effect buffers, so partitioning must
-    // not reintroduce per-event churn (thread spawns are per *round*, not
-    // per event, and rounds are rare relative to events).
-    let par_cluster = ClusterConfig {
-        parallelism: Parallelism::Partitioned(2),
-        ..cluster.clone()
-    };
-    let run_par = |sched: &mut dyn llmsched::sim::scheduler::Scheduler| -> f64 {
-        let w = generate_workload(WorkloadKind::Mixed, n_jobs, 4.0, 42);
-        let before = alloc_count();
-        let r = llmsched::sim::engine::simulate(&par_cluster, &w.templates, w.jobs, sched);
-        let during = alloc_count() - before;
-        assert_eq!(r.incomplete, 0, "partitioned smoke sim must complete");
-        assert!(r.par.is_some(), "partitioned path must be active");
-        during as f64 / n_jobs as f64
-    };
-    let fcfs_par = run_par(&mut llmsched::schedulers::basic::Fcfs::new());
-    assert!(
-        fcfs_par < 100.0,
-        "partitioned hot-path churn regressed: {fcfs_par:.0} allocs/job under FCFS (budget 100)"
-    );
-
     // Tier 2 — full LLMSched (incremental): posterior factor tables and
     // per-evidence caches legitimately allocate (≈2.3k allocs/job
     // measured), but the rebuild-per-call reference sits at ≈13k — the

@@ -7,8 +7,7 @@
 //! exact f64 bit pattern of the average JCT — *and* identical telemetry:
 //! the same [`DecisionRecord`] stream (same `seq`, same `at`, same
 //! posterior state) and the same windowed [`TimeSeries`], for every
-//! policy, every workload mix, the analytic/cluster/disagg backends,
-//! and the partitioned engine.
+//! policy, every workload mix and the analytic/cluster/disagg backends.
 //!
 //! The accounting invariant ties the two modes together: every decision
 //! point keeps its sequence number whether it ran, was skipped, or was
@@ -57,13 +56,11 @@ fn run(
     kind: WorkloadKind,
     mode: EngineMode,
     policy: &str,
-    par: Parallelism,
     coalescing: bool,
 ) -> (SimResult, Vec<DecisionRecord>) {
     let w = generate_workload(kind, 10, 0.9, 11);
     let mut cfg = kind.default_cluster();
     cfg.mode = mode;
-    cfg.parallelism = par;
     cfg.coalescing = coalescing;
     let mut sched = build(policy);
     let mut rec = TraceRecorder::new(TraceConfig {
@@ -114,8 +111,8 @@ fn assert_equiv(on: &SimResult, off: &SimResult, label: &str) {
     assert_eq!(on.timeseries, off.timeseries, "{label}: time-series");
 }
 
-/// The full sequential matrix: every policy × mix × backend, coalescing
-/// on vs off, plus identical decision provenance.
+/// The full matrix: every policy × mix × backend, coalescing on vs off,
+/// plus identical decision provenance.
 #[test]
 fn coalesced_runs_are_bit_identical_for_every_policy_mix_and_backend() {
     let modes = [
@@ -127,8 +124,8 @@ fn coalesced_runs_are_bit_identical_for_every_policy_mix_and_backend() {
     for kind in WorkloadKind::ALL {
         for mode in modes {
             for policy in POLICIES {
-                let (on, dec_on) = run(kind, mode, policy, Parallelism::Off, true);
-                let (off, dec_off) = run(kind, mode, policy, Parallelism::Off, false);
+                let (on, dec_on) = run(kind, mode, policy, true);
+                let (off, dec_off) = run(kind, mode, policy, false);
                 let label = format!("{policy} / {} / {:?}", kind.name(), mode);
                 assert_equiv(&on, &off, &label);
                 // The DecisionRecord streams match record-for-record:
@@ -146,29 +143,6 @@ fn coalesced_runs_are_bit_identical_for_every_policy_mix_and_backend() {
     );
 }
 
-/// Coalescing composes with conservative-window partitioned stepping:
-/// all four flag combinations land on the same bits.
-#[test]
-fn coalescing_is_inert_on_the_partitioned_engine() {
-    for kind in [WorkloadKind::Mixed, WorkloadKind::Planning] {
-        for mode in [EngineMode::Analytic, EngineMode::Disagg] {
-            for policy in ["FCFS", "SRTF", "LLMSched"] {
-                let (oracle, dec_oracle) = run(kind, mode, policy, Parallelism::Off, false);
-                for parts in [2usize, 4] {
-                    let par = Parallelism::Partitioned(parts);
-                    let (on, dec_on) = run(kind, mode, policy, par, true);
-                    let (off, dec_off) = run(kind, mode, policy, par, false);
-                    let label = format!("{policy} / {} / {:?} / p{parts}", kind.name(), mode);
-                    assert_equiv(&on, &off, &label);
-                    assert_equiv(&on, &oracle, &format!("{label} vs oracle"));
-                    assert_eq!(dec_on, dec_oracle, "{label}: provenance vs oracle");
-                    assert_eq!(dec_off, dec_oracle, "{label}: provenance (off)");
-                }
-            }
-        }
-    }
-}
-
 /// `sched_calls` still counts real invocations only: the uncoalesced
 /// count is an upper bound the coalesced run approaches from below, and
 /// a busy single-arrival burst (everything dispatchable at once) skips
@@ -177,8 +151,8 @@ fn coalescing_is_inert_on_the_partitioned_engine() {
 #[test]
 fn coalescing_only_skips_empty_decision_points() {
     for kind in WorkloadKind::ALL {
-        let (on, _) = run(kind, EngineMode::Analytic, "FCFS", Parallelism::Off, true);
-        let (off, _) = run(kind, EngineMode::Analytic, "FCFS", Parallelism::Off, false);
+        let (on, _) = run(kind, EngineMode::Analytic, "FCFS", true);
+        let (off, _) = run(kind, EngineMode::Analytic, "FCFS", false);
         assert!(
             on.sched_calls <= off.sched_calls,
             "{}: coalescing added invocations",

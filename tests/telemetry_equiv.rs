@@ -4,8 +4,7 @@
 //! produce the bit-identical schedule of the same run under the default
 //! [`NoopProbe`]: same engine event count, same makespan, same completion
 //! set, the exact f64 bit pattern of the average JCT. For every policy,
-//! every workload mix, the analytic/cluster/disagg backends, and the
-//! partitioned engine.
+//! every workload mix and the analytic/cluster/disagg backends.
 //!
 //! The suite also pins the export schema end-to-end: every JSONL line and
 //! the Chrome `trace_event` document a real simulation produces must pass
@@ -53,25 +52,18 @@ fn window_cfg() -> WindowConfig {
     WindowConfig::new(SimDuration::from_secs(5), SimDuration::from_secs(60))
 }
 
-fn run_off(kind: WorkloadKind, mode: EngineMode, policy: &str, par: Parallelism) -> SimResult {
+fn run_off(kind: WorkloadKind, mode: EngineMode, policy: &str) -> SimResult {
     let w = generate_workload(kind, 10, 0.9, 11);
     let mut cfg = kind.default_cluster();
     cfg.mode = mode;
-    cfg.parallelism = par;
     let mut sched = build(policy);
     simulate(&cfg, &w.templates, w.jobs, &mut sched)
 }
 
-fn run_on(
-    kind: WorkloadKind,
-    mode: EngineMode,
-    policy: &str,
-    par: Parallelism,
-) -> (SimResult, TraceRecorder) {
+fn run_on(kind: WorkloadKind, mode: EngineMode, policy: &str) -> (SimResult, TraceRecorder) {
     let w = generate_workload(kind, 10, 0.9, 11);
     let mut cfg = kind.default_cluster();
     cfg.mode = mode;
-    cfg.parallelism = par;
     let mut sched = build(policy);
     let mut rec = TraceRecorder::new(TraceConfig {
         window: Some(window_cfg()),
@@ -112,8 +104,8 @@ fn probed_runs_are_bit_identical_for_every_policy_mix_and_backend() {
     for kind in WorkloadKind::ALL {
         for mode in modes {
             for policy in POLICIES {
-                let plain = run_off(kind, mode, policy, Parallelism::Off);
-                let (probed, rec) = run_on(kind, mode, policy, Parallelism::Off);
+                let plain = run_off(kind, mode, policy);
+                let (probed, rec) = run_on(kind, mode, policy);
                 let label = format!("{policy} / {} / {:?}", kind.name(), mode);
                 assert_equiv(&probed, &plain, &label);
                 assert!(
@@ -128,43 +120,6 @@ fn probed_runs_are_bit_identical_for_every_policy_mix_and_backend() {
                     plain.timeseries.is_none(),
                     "{label}: unprobed run grew a time-series"
                 );
-            }
-        }
-    }
-}
-
-/// Probes must also be inert on the partitioned engine — including the
-/// globally re-emitted routing/batch events of the sharded wrapper.
-#[test]
-fn probed_partitioned_runs_match_the_unprobed_sequential_oracle() {
-    for kind in [WorkloadKind::Mixed, WorkloadKind::ChainLike] {
-        for mode in [
-            EngineMode::Analytic,
-            EngineMode::Cluster,
-            EngineMode::Disagg,
-        ] {
-            for policy in ["FCFS", "SRTF", "LLMSched"] {
-                let oracle = run_off(kind, mode, policy, Parallelism::Off);
-                let par = Parallelism::Partitioned(2);
-                let plain_par = run_off(kind, mode, policy, par);
-                let (probed_par, rec) = run_on(kind, mode, policy, par);
-                let label = format!("{policy} / {} / {:?} / p2", kind.name(), mode);
-                assert_equiv(&probed_par, &oracle, &label);
-                assert_equiv(&probed_par, &plain_par, &label);
-                // ParStats (incl. the new per-shard breakdown) must exist
-                // on both, with identical logical (non-timing) fields.
-                let (a, b) = (
-                    probed_par.par.as_ref().expect("probed par stats"),
-                    plain_par.par.as_ref().expect("plain par stats"),
-                );
-                assert_eq!(a.partitions, b.partitions, "{label}: partitions");
-                assert_eq!(a.rounds, b.rounds, "{label}: rounds");
-                assert_eq!(a.per_shard.len(), a.partitions, "{label}: shard rows");
-                let logical = |s: &ParStats| -> Vec<(u64, u64)> {
-                    s.per_shard.iter().map(|x| (x.batches, x.events)).collect()
-                };
-                assert_eq!(logical(a), logical(b), "{label}: per-shard work");
-                assert!(!rec.events().is_empty(), "{label}: no probe events");
             }
         }
     }
@@ -185,7 +140,7 @@ fn noop_probe_is_indistinguishable_from_simulate() {
             &mut sched,
             &mut probe,
         );
-        let plain = run_off(kind, EngineMode::Analytic, "LLMSched", Parallelism::Off);
+        let plain = run_off(kind, EngineMode::Analytic, "LLMSched");
         assert_equiv(&r, &plain, &format!("noop / {}", kind.name()));
     }
 }
@@ -194,12 +149,7 @@ fn noop_probe_is_indistinguishable_from_simulate() {
 /// explained by a [`DecisionRecord`] with coherent posterior state.
 #[test]
 fn llmsched_runs_carry_decision_provenance() {
-    let (r, rec) = run_on(
-        WorkloadKind::Mixed,
-        EngineMode::Analytic,
-        "LLMSched",
-        Parallelism::Off,
-    );
+    let (r, rec) = run_on(WorkloadKind::Mixed, EngineMode::Analytic, "LLMSched");
     let decisions: Vec<_> = rec
         .events()
         .iter()
@@ -249,12 +199,7 @@ fn llmsched_runs_carry_decision_provenance() {
         }
     }
     // Baselines keep no posterior state and emit none.
-    let (_, rec_fcfs) = run_on(
-        WorkloadKind::Mixed,
-        EngineMode::Analytic,
-        "FCFS",
-        Parallelism::Off,
-    );
+    let (_, rec_fcfs) = run_on(WorkloadKind::Mixed, EngineMode::Analytic, "FCFS");
     assert!(
         !rec_fcfs
             .events()
@@ -268,12 +213,7 @@ fn llmsched_runs_carry_decision_provenance() {
 /// and carry the fields the observability contract promises.
 #[test]
 fn exports_from_a_real_run_validate_and_carry_required_fields() {
-    let (r, rec) = run_on(
-        WorkloadKind::Mixed,
-        EngineMode::Cluster,
-        "LLMSched",
-        Parallelism::Off,
-    );
+    let (r, rec) = run_on(WorkloadKind::Mixed, EngineMode::Cluster, "LLMSched");
     let series = r.timeseries.as_ref();
     let jsonl = rec.jsonl(series);
     for (i, line) in jsonl.lines().enumerate() {
@@ -324,12 +264,7 @@ fn exports_from_a_real_run_validate_and_carry_required_fields() {
 /// the utilization/depth trajectories stay in range.
 #[test]
 fn timeseries_accounts_for_every_job() {
-    let (r, _rec) = run_on(
-        WorkloadKind::Mixed,
-        EngineMode::Analytic,
-        "LLMSched",
-        Parallelism::Off,
-    );
+    let (r, _rec) = run_on(WorkloadKind::Mixed, EngineMode::Analytic, "LLMSched");
     let ts = r.timeseries.as_ref().expect("series");
     assert_eq!(ts.width, window_cfg().width);
     assert_eq!(ts.slo, window_cfg().slo);
