@@ -30,8 +30,8 @@
 //! and the completion cascades walk the spec's CSR arenas by index — the
 //! per-event `Vec` clones of the old layout are gone. See `DESIGN.md` §9.
 
-use llmsched_cluster::ClusterSpec;
-use llmsched_dag::ids::StageId;
+use llmsched_cluster::{ClusterSpec, ClusterSpecError};
+use llmsched_dag::ids::{AppId, JobId, StageId};
 use llmsched_dag::job::{JobSpec, StageKind};
 use llmsched_dag::template::TemplateSet;
 use llmsched_dag::time::SimTime;
@@ -45,7 +45,7 @@ use crate::exec::{pool, ExecCtx, ExecutorBackend, LlmTaskRef};
 use crate::latency::LatencyProfile;
 use crate::metrics::{JobOutcome, SimResult, Utilization};
 use crate::scheduler::{ActiveJobs, Preference, SchedContext, SchedDelta, Scheduler, TaskRef};
-use crate::state::{JobRt, LlmExecutorView, TaskState, Visibility};
+use crate::state::{JobRt, TaskState, Visibility};
 
 /// Cluster resources and engine options.
 #[derive(Debug, Clone)]
@@ -106,6 +106,111 @@ pub struct ClusterConfig {
     /// ε, bounding the avg-JCT drift (gated at ≤ 0.5 % by
     /// `scale_throughput --check`). See `DESIGN.md` §14.
     pub decision_horizon: Option<f64>,
+}
+
+/// Why a simulation's inputs were rejected before the run started: each
+/// variant names the [`ClusterConfig`] field (or the job) at fault.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ConfigError {
+    /// `regular_executors` is 0, so no regular task could ever run.
+    NoRegularExecutors,
+    /// `max_batch` is 0 in a mode that sizes batches from the scalar
+    /// fields (no explicit [`ClusterConfig::spec`] in use).
+    ZeroMaxBatch,
+    /// The LLM pool has no batch slots: `llm_executors` is 0 in a mode
+    /// that sizes the pool from the scalar fields, or the built backend's
+    /// [`SlotLedger`](crate::exec::SlotLedger) totals zero slots.
+    NoLlmCapacity,
+    /// `decision_horizon` is negative or not finite.
+    InvalidDecisionHorizon(f64),
+    /// The explicit [`ClusterConfig::spec`] fails
+    /// [`ClusterSpec::validate`].
+    InvalidSpec(ClusterSpecError),
+    /// [`EngineMode::Disagg`] with an explicit spec that has no
+    /// disaggregation layout ([`ClusterSpec::disagg`] is `None`).
+    MissingDisaggLayout,
+    /// A job's app has no template in the run's template set.
+    UnregisteredApp {
+        /// The offending job.
+        job: JobId,
+        /// Its unregistered app.
+        app: AppId,
+    },
+    /// Jobs are not submitted in strictly ascending [`JobId`] order.
+    JobsNotAscending {
+        /// The earlier job in submission order.
+        prev: JobId,
+        /// The job that does not follow it.
+        next: JobId,
+    },
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::NoRegularExecutors => {
+                write!(
+                    f,
+                    "regular_executors is 0: need at least one regular executor"
+                )
+            }
+            ConfigError::ZeroMaxBatch => write!(f, "max_batch is 0: LLM batches need a slot"),
+            ConfigError::NoLlmCapacity => {
+                write!(f, "llm_executors is 0: need LLM capacity")
+            }
+            ConfigError::InvalidDecisionHorizon(h) => write!(
+                f,
+                "decision_horizon is {h}: must be finite and non-negative (seconds)"
+            ),
+            ConfigError::InvalidSpec(e) => write!(f, "spec is invalid: {e}"),
+            ConfigError::MissingDisaggLayout => write!(
+                f,
+                "spec has no disagg layout, which EngineMode::Disagg requires"
+            ),
+            ConfigError::UnregisteredApp { job, app } => {
+                write!(f, "job {job} uses unregistered app {app}")
+            }
+            ConfigError::JobsNotAscending { prev, next } => write!(
+                f,
+                "jobs must be submitted in strictly ascending JobId order ({prev} then {next})"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+impl ClusterConfig {
+    /// Checks every field a run depends on, without building anything.
+    ///
+    /// # Errors
+    /// The first [`ConfigError`] found: no regular executors, a bad
+    /// `decision_horizon`, an invalid explicit `spec` (or one without a
+    /// disaggregation layout in [`EngineMode::Disagg`]), or — when the
+    /// scalar fields size the LLM pool — a zero `max_batch` or
+    /// `llm_executors`.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.regular_executors == 0 {
+            return Err(ConfigError::NoRegularExecutors);
+        }
+        if let Some(h) = self.decision_horizon {
+            if !(h.is_finite() && h >= 0.0) {
+                return Err(ConfigError::InvalidDecisionHorizon(h));
+            }
+        }
+        match (&self.spec, self.mode) {
+            (Some(spec), EngineMode::Cluster | EngineMode::Disagg) => {
+                spec.validate().map_err(ConfigError::InvalidSpec)?;
+                if self.mode == EngineMode::Disagg && spec.disagg.is_none() {
+                    return Err(ConfigError::MissingDisaggLayout);
+                }
+            }
+            _ if self.max_batch == 0 => return Err(ConfigError::ZeroMaxBatch),
+            _ if self.llm_executors == 0 => return Err(ConfigError::NoLlmCapacity),
+            _ => {}
+        }
+        Ok(())
+    }
 }
 
 impl Default for ClusterConfig {
@@ -191,8 +296,8 @@ struct Engine<'a> {
     /// Cached [`ExecutorBackend::descriptor`] (e.g. `"cluster/jsq"`),
     /// lent to scheduler contexts and moved into the result.
     backend_desc: String,
-    /// Reused occupancy-view buffer, refreshed per scheduler invocation.
-    llm_views: Vec<LlmExecutorView>,
+    /// Reused buffer [`ExecutorBackend::step`] appends finished tasks to.
+    finished_buf: Vec<LlmTaskRef>,
     /// Deltas accumulated since the last scheduler invocation, delivered
     /// (and cleared) at the next one.
     deltas: Vec<SchedDelta>,
@@ -223,9 +328,8 @@ struct Engine<'a> {
 /// aggregate [`SimResult`].
 ///
 /// # Panics
-/// Panics if a job references a template missing from `templates`, if the
-/// config has zero executors of a class some task requires, or if `jobs`
-/// is not strictly ascending by [`JobId`].
+/// Panics with the [`ConfigError`] text on any input [`try_simulate`]
+/// rejects.
 pub fn simulate(
     cfg: &ClusterConfig,
     templates: &TemplateSet,
@@ -233,6 +337,20 @@ pub fn simulate(
     scheduler: &mut dyn Scheduler,
 ) -> SimResult {
     simulate_probed(cfg, templates, jobs, scheduler, &mut NoopProbe)
+}
+
+/// [`simulate`] that returns bad inputs as errors instead of panicking.
+///
+/// # Errors
+/// Any [`ClusterConfig::validate`] error, a job whose app is missing from
+/// `templates`, or `jobs` not strictly ascending by [`JobId`].
+pub fn try_simulate(
+    cfg: &ClusterConfig,
+    templates: &TemplateSet,
+    jobs: Vec<JobSpec>,
+    scheduler: &mut dyn Scheduler,
+) -> Result<SimResult, ConfigError> {
+    run_checked(cfg, templates, jobs, scheduler, &mut NoopProbe)
 }
 
 /// [`simulate`] with a telemetry [`Probe`] attached.
@@ -255,31 +373,36 @@ pub fn simulate_probed(
     scheduler: &mut dyn Scheduler,
     probe: &mut dyn Probe,
 ) -> SimResult {
-    assert!(
-        cfg.regular_executors > 0,
-        "need at least one regular executor"
-    );
-    let llm = pool::build_backend(cfg);
-    assert!(
-        llm.n_execs() > 0 && pool::total_slots(&*llm) > 0,
-        "need LLM capacity"
-    );
-    for j in &jobs {
-        assert!(
-            templates.get(j.app()).is_some(),
-            "job {} uses unregistered app {}",
-            j.id(),
-            j.app()
-        );
+    run_checked(cfg, templates, jobs, scheduler, probe).unwrap_or_else(|e| panic!("{e}"))
+}
+
+fn run_checked(
+    cfg: &ClusterConfig,
+    templates: &TemplateSet,
+    jobs: Vec<JobSpec>,
+    scheduler: &mut dyn Scheduler,
+    probe: &mut dyn Probe,
+) -> Result<SimResult, ConfigError> {
+    cfg.validate()?;
+    if let Some(j) = jobs.iter().find(|j| templates.get(j.app()).is_none()) {
+        return Err(ConfigError::UnregisteredApp {
+            job: j.id(),
+            app: j.app(),
+        });
     }
     // The slab is documented ascending by `JobId` and every id lookup
-    // binary-searches it; a hard assert (O(n), once per run) beats
+    // binary-searches it; a hard check (O(n), once per run) beats
     // silently mis-resolving jobs in release builds.
-    assert!(
-        jobs.windows(2).all(|w| w[0].id() < w[1].id()),
-        "jobs must be submitted in strictly ascending JobId order"
-    );
-
+    if let Some(w) = jobs.windows(2).find(|w| w[0].id() >= w[1].id()) {
+        return Err(ConfigError::JobsNotAscending {
+            prev: w[0].id(),
+            next: w[1].id(),
+        });
+    }
+    let llm = pool::build_backend(cfg);
+    if llm.ledger().total_slots() == 0 {
+        return Err(ConfigError::NoLlmCapacity);
+    }
     let backend_desc = llm.descriptor();
     let probe_on = probe.enabled();
     let queue = EventQueue::with_capacity(jobs.len() + 64);
@@ -305,7 +428,7 @@ pub fn simulate_probed(
         sched_deferred: 0,
         deferred_fold: 0,
         backend_desc,
-        llm_views: Vec::new(),
+        finished_buf: Vec::new(),
         deltas: Vec::new(),
         outcomes: Vec::new(),
         events: 0,
@@ -320,7 +443,7 @@ pub fn simulate_probed(
         probe_on,
         prov_buf: Vec::new(),
     };
-    engine.run(scheduler)
+    Ok(engine.run(scheduler))
 }
 
 impl Engine<'_> {
@@ -338,7 +461,7 @@ impl Engine<'_> {
             .max()
             .unwrap_or(SimTime::ZERO);
         let horizon = makespan.as_secs_f64().max(f64::MIN_POSITIVE);
-        let slots = pool::total_slots(&*self.llm) as f64;
+        let slots = self.llm.ledger().total_slots() as f64;
         SimResult {
             scheduler: scheduler.name().to_string(),
             backend: std::mem::take(&mut self.backend_desc),
@@ -354,7 +477,8 @@ impl Engine<'_> {
                 regular_busy_frac: self.reg_busy_integral
                     / (self.cfg.regular_executors as f64 * horizon),
                 llm_slot_frac: self.llm_slot_integral / (slots * horizon),
-                llm_active_frac: self.llm_active_integral / (self.llm.n_execs() as f64 * horizon),
+                llm_active_frac: self.llm_active_integral
+                    / (self.llm.ledger().views().len() as f64 * horizon),
             },
             events: self.events,
             incomplete: self.jobs.iter().filter(|j| !j.is_complete()).count(),
@@ -432,6 +556,11 @@ impl Engine<'_> {
             }),
             "per-class dispatchable-work counters drifted from ground truth"
         );
+        debug_assert_eq!(
+            self.llm.ledger().totals(),
+            self.llm.ledger().recount(),
+            "slot-ledger totals drifted from the per-executor views"
+        );
         if self.cfg.coalescing && self.ready_unstarted == 0 {
             self.sched_skipped += 1;
             return;
@@ -463,21 +592,21 @@ impl Engine<'_> {
     /// The capacity-aware elision predicate: true iff at least one ready,
     /// unstarted task could start right now. The engine's dispatch loops
     /// enforce exactly these two gates (`regular_busy` caps the regular
-    /// loop; `pool::has_free_slot` caps the LLM loop), so when both
+    /// loop; the ledger's free-slot check caps the LLM loop), so when both
     /// halves fail, dispatch is provably a no-op regardless of what the
     /// policy prefers. The same value is handed to policies as
     /// [`SchedContext::could_dispatch`], so the policy-side early-return
     /// and the engine-side elision can never disagree.
     fn could_dispatch(&self) -> bool {
         (self.ready_reg > 0 && self.regular_busy < self.cfg.regular_executors)
-            || (self.ready_llm > 0 && pool::has_free_slot(&*self.llm))
+            || (self.ready_llm > 0 && self.llm.ledger().has_free_slot())
     }
 
     fn advance_integrals(&mut self, t: SimTime) {
         let dt = (t - self.last_integral_at).as_secs_f64();
         if dt > 0.0 {
             self.reg_busy_integral += self.regular_busy as f64 * dt;
-            let (slots, busy) = pool::slot_stats(&*self.llm);
+            let (slots, busy, _, _) = self.llm.ledger().totals();
             self.llm_slot_integral += slots as f64 * dt;
             self.llm_active_integral += busy as f64 * dt;
             // The piecewise-constant span just closed; windowed series
@@ -499,7 +628,7 @@ impl Engine<'_> {
     }
 
     fn has_free_capacity(&self) -> bool {
-        self.regular_busy < self.cfg.regular_executors || pool::has_free_slot(&*self.llm)
+        self.regular_busy < self.cfg.regular_executors || self.llm.ledger().has_free_slot()
     }
 
     /// Inserts a dense index into the sorted active vector. Arrivals come
@@ -595,11 +724,15 @@ impl Engine<'_> {
                 true
             }
             Event::LlmStep { exec, epoch } => {
-                let out = self.llm.step(exec, epoch, &mut exec_ctx!(self));
-                for f in &out.finished {
+                let mut finished = std::mem::take(&mut self.finished_buf);
+                let effective = self
+                    .llm
+                    .step(exec, epoch, &mut exec_ctx!(self), &mut finished);
+                for f in finished.drain(..) {
                     self.finish_task(f.job, f.stage, f.task);
                 }
-                out.effective
+                self.finished_buf = finished;
+                effective
             }
         }
     }
@@ -836,14 +969,13 @@ impl Engine<'_> {
     }
 
     fn invoke_scheduler(&mut self, scheduler: &mut dyn Scheduler) {
-        pool::views_into(&*self.llm, &mut self.llm_views);
         let n_deltas = self.deltas.len();
         let (pref, elapsed) = {
             let ctx = SchedContext {
                 now: self.now,
                 jobs: ActiveJobs::projected(&self.jobs, &self.active),
                 deltas: &self.deltas,
-                llm_executors: &self.llm_views,
+                llm_executors: self.llm.ledger().views(),
                 backend: &self.backend_desc,
                 regular_total: self.cfg.regular_executors,
                 regular_busy: self.regular_busy,
@@ -933,7 +1065,7 @@ impl Engine<'_> {
         // LLM tasks are routed by the backend: the default is the paper's
         // least-loaded rule, cluster backends consult their Router policy.
         for tr in &pref.llm {
-            if !pool::has_free_slot(&*self.llm) {
+            if !self.llm.ledger().has_free_slot() {
                 break;
             }
             let Some(j) = self.validate(tr, ExecutorClass::Llm) else {
@@ -1463,6 +1595,163 @@ mod tests {
             },
         ];
         assert_eq!(flat, expect, "causal order of the delta stream");
+    }
+
+    /// `try_simulate` on the one-job pipeline under `cfg`.
+    fn try_pipeline(cfg: &ClusterConfig) -> Result<SimResult, ConfigError> {
+        let (set, spec) = templates_and_job(0.0);
+        try_simulate(cfg, &set, vec![spec], &mut Greedy)
+    }
+
+    #[test]
+    fn config_error_no_regular_executors() {
+        let cfg = ClusterConfig {
+            regular_executors: 0,
+            ..Default::default()
+        };
+        assert_eq!(cfg.validate(), Err(ConfigError::NoRegularExecutors));
+        let err = try_pipeline(&cfg).unwrap_err();
+        assert!(err.to_string().contains("regular_executors"), "{err}");
+    }
+
+    #[test]
+    fn config_error_zero_max_batch_in_scalar_modes() {
+        for mode in [
+            EngineMode::Analytic,
+            EngineMode::TokenLevel,
+            EngineMode::Cluster,
+            EngineMode::Disagg,
+        ] {
+            let cfg = ClusterConfig {
+                max_batch: 0,
+                mode,
+                ..Default::default()
+            };
+            assert_eq!(try_pipeline(&cfg).unwrap_err(), ConfigError::ZeroMaxBatch);
+        }
+        // An explicit spec sizes the pool itself: the scalar field is moot.
+        let cfg = ClusterConfig {
+            max_batch: 0,
+            mode: EngineMode::Cluster,
+            spec: Some(ClusterSpec::homogeneous(1, 4, flat_latency())),
+            latency: flat_latency(),
+            ..Default::default()
+        };
+        assert_eq!(try_pipeline(&cfg).unwrap().incomplete, 0);
+        assert!(ConfigError::ZeroMaxBatch.to_string().contains("max_batch"));
+    }
+
+    #[test]
+    fn config_error_no_llm_capacity() {
+        for mode in [
+            EngineMode::Analytic,
+            EngineMode::TokenLevel,
+            EngineMode::Cluster,
+            EngineMode::Disagg,
+        ] {
+            let cfg = ClusterConfig {
+                llm_executors: 0,
+                mode,
+                ..Default::default()
+            };
+            assert_eq!(try_pipeline(&cfg).unwrap_err(), ConfigError::NoLlmCapacity);
+        }
+        assert!(ConfigError::NoLlmCapacity
+            .to_string()
+            .contains("llm_executors"));
+    }
+
+    #[test]
+    fn config_error_invalid_decision_horizon() {
+        for h in [-0.5, f64::NAN, f64::INFINITY] {
+            let cfg = ClusterConfig {
+                decision_horizon: Some(h),
+                ..Default::default()
+            };
+            let err = try_pipeline(&cfg).unwrap_err();
+            assert!(matches!(err, ConfigError::InvalidDecisionHorizon(_)));
+            assert!(err.to_string().contains("decision_horizon"), "{err}");
+        }
+        // Zero is the exact mode, not an error.
+        let cfg = ClusterConfig {
+            decision_horizon: Some(0.0),
+            ..Default::default()
+        };
+        assert!(cfg.validate().is_ok());
+    }
+
+    #[test]
+    fn config_error_invalid_spec_is_forwarded() {
+        let cfg = ClusterConfig {
+            mode: EngineMode::Cluster,
+            spec: Some(ClusterSpec::homogeneous(0, 4, flat_latency())),
+            ..Default::default()
+        };
+        let err = try_pipeline(&cfg).unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::InvalidSpec(ClusterSpecError::EmptyGroup(0))
+        );
+        assert!(err.to_string().starts_with("spec is invalid"), "{err}");
+    }
+
+    #[test]
+    fn config_error_disagg_without_layout() {
+        let cfg = ClusterConfig {
+            mode: EngineMode::Disagg,
+            spec: Some(ClusterSpec::homogeneous(2, 4, flat_latency())),
+            ..Default::default()
+        };
+        assert_eq!(
+            try_pipeline(&cfg).unwrap_err(),
+            ConfigError::MissingDisaggLayout
+        );
+    }
+
+    #[test]
+    fn config_error_unregistered_app() {
+        let (_, spec) = templates_and_job(0.0);
+        let empty = TemplateSet::default();
+        let err =
+            try_simulate(&ClusterConfig::default(), &empty, vec![spec], &mut Greedy).unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::UnregisteredApp {
+                job: JobId(0),
+                app: AppId(0)
+            }
+        );
+    }
+
+    #[test]
+    fn config_error_jobs_not_ascending() {
+        let (set, spec) = templates_and_job(0.0);
+        let err = try_simulate(
+            &ClusterConfig::default(),
+            &set,
+            vec![spec.clone(), spec],
+            &mut Greedy,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::JobsNotAscending {
+                prev: JobId(0),
+                next: JobId(0)
+            }
+        );
+        assert!(err.to_string().contains("ascending JobId"), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "decision_horizon is -0.5")]
+    fn simulate_panics_with_the_config_error_text() {
+        let (set, spec) = templates_and_job(0.0);
+        let cfg = ClusterConfig {
+            decision_horizon: Some(-0.5),
+            ..Default::default()
+        };
+        simulate(&cfg, &set, vec![spec], &mut Greedy);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use llmsched_dag::time::{SimDuration, SimTime};
 use llmsched_dag::work::LlmWork;
 
-use super::{ExecCtx, ExecutorBackend, LlmTaskRef, StepOutcome};
+use super::{ExecCtx, ExecutorBackend, LlmTaskRef, SlotLedger};
 use crate::latency::LatencyProfile;
 
 /// One running task and its outstanding decode work.
@@ -63,7 +63,7 @@ impl Unit {
 #[derive(Debug)]
 pub struct AnalyticExec {
     units: Vec<Unit>,
-    max_batch: usize,
+    ledger: SlotLedger,
 }
 
 impl AnalyticExec {
@@ -71,7 +71,7 @@ impl AnalyticExec {
     pub fn new(n_execs: usize, max_batch: usize) -> Self {
         AnalyticExec {
             units: (0..n_execs).map(|_| Unit::default()).collect(),
-            max_batch,
+            ledger: SlotLedger::new(vec![max_batch; n_execs]),
         }
     }
 }
@@ -81,22 +81,8 @@ impl ExecutorBackend for AnalyticExec {
         "analytic"
     }
 
-    fn n_execs(&self) -> usize {
-        self.units.len()
-    }
-
-    fn occupancy(&self, exec: usize) -> usize {
-        self.units[exec].running.len()
-    }
-
-    fn capacity(&self, _exec: usize) -> usize {
-        self.max_batch
-    }
-
-    fn for_each_slot(&self, f: &mut dyn FnMut(usize, usize)) {
-        for u in &self.units {
-            f(u.running.len(), self.max_batch);
-        }
+    fn ledger(&self) -> &SlotLedger {
+        &self.ledger
     }
 
     fn admit(&mut self, exec: usize, task: LlmTaskRef, work: LlmWork, cx: &mut ExecCtx<'_>) {
@@ -107,20 +93,26 @@ impl ExecutorBackend for AnalyticExec {
             remaining_tokens: work.folded_tokens() as f64,
         });
         unit.retime(cx);
-        let occupancy = self.units[exec].running.len() as u32;
+        self.ledger.set(exec, unit.running.len());
         cx.emit(llmsched_telemetry::ProbeEvent::BatchAdmit {
             at: cx.now,
             exec: exec as u32,
-            occupancy,
-            capacity: self.max_batch as u32,
+            occupancy: self.ledger.occupancy(exec) as u32,
+            capacity: self.ledger.capacity(exec) as u32,
         });
     }
 
-    fn step(&mut self, _exec: usize, _epoch: u64, _cx: &mut ExecCtx<'_>) -> StepOutcome {
+    fn step(
+        &mut self,
+        _exec: usize,
+        _epoch: u64,
+        _cx: &mut ExecCtx<'_>,
+        _finished: &mut Vec<LlmTaskRef>,
+    ) -> bool {
         // This backend never posts LlmStep events; any that arrive are
         // stale leftovers from a different backend's queue (impossible in
         // practice, as the engine owns one backend per run).
-        StepOutcome::stale()
+        false
     }
 
     fn drain(&mut self, exec: usize, task: LlmTaskRef, cx: &mut ExecCtx<'_>) {
@@ -128,18 +120,17 @@ impl ExecutorBackend for AnalyticExec {
         unit.settle(cx.now, cx.latency);
         unit.running.retain(|r| r.task != task);
         unit.retime(cx);
-        let occupancy = self.units[exec].running.len() as u32;
+        self.ledger.set(exec, unit.running.len());
         cx.emit(llmsched_telemetry::ProbeEvent::BatchDrain {
             at: cx.now,
             exec: exec as u32,
-            occupancy,
+            occupancy: self.ledger.occupancy(exec) as u32,
         });
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::pool;
     use super::*;
     use crate::event::{Event, EventQueue};
 
@@ -171,12 +162,12 @@ mod tests {
 
         let mut cx = ExecCtx::for_test(SimTime::ZERO, &latency, &mut queue, &mut jobs);
         be.admit(0, t(0), w(100), &mut cx);
-        assert_eq!(be.occupancy(0), 1);
+        assert_eq!(be.ledger().occupancy(0), 1);
         assert_eq!(queue.len(), 1, "one finish event for the lone task");
 
         let mut cx = ExecCtx::for_test(SimTime::ZERO, &latency, &mut queue, &mut jobs);
         be.admit(0, t(1), w(100), &mut cx);
-        assert_eq!(be.occupancy(0), 2);
+        assert_eq!(be.ledger().occupancy(0), 2);
         // Both tasks were re-timed: two new events on top of the stale one.
         assert_eq!(queue.len(), 3);
     }
@@ -192,11 +183,11 @@ mod tests {
         be.admit(0, t(0), w(100), &mut cx);
         be.admit(0, t(1), w(200), &mut cx);
         be.drain(0, t(0), &mut cx);
-        assert_eq!(be.occupancy(0), 1);
-        assert_eq!(be.occupancy(1), 0, "other executors untouched");
+        assert_eq!(be.ledger().occupancy(0), 1);
+        assert_eq!(be.ledger().occupancy(1), 0, "other executors untouched");
         // Draining an already-absent task is a no-op on occupancy.
         be.drain(0, t(0), &mut cx);
-        assert_eq!(be.occupancy(0), 1);
+        assert_eq!(be.ledger().occupancy(0), 1);
     }
 
     #[test]
@@ -274,7 +265,7 @@ mod tests {
         let mut be = AnalyticExec::new(2, 8);
         let mut cx = ExecCtx::for_test(SimTime::ZERO, &latency, &mut queue, &mut jobs);
         be.admit(1, t(0), w(10), &mut cx);
-        let views = pool::views(&be);
+        let views = be.ledger().views();
         assert_eq!(views.len(), 2);
         assert_eq!((views[0].batch_len, views[1].batch_len), (0, 1));
         assert_eq!((views[0].max_batch, views[1].max_batch), (8, 8));

@@ -20,12 +20,13 @@ use llmsched_cluster::{ClusterSpec, ReplicaView, RouteRequest, Router};
 use llmsched_dag::work::LlmWork;
 
 use super::batching::ReplicaBatch;
-use super::{ExecCtx, ExecutorBackend, LlmTaskRef, StepOutcome};
+use super::{ExecCtx, ExecutorBackend, LlmTaskRef, SlotLedger};
 
 /// The heterogeneous routed multi-replica backend.
 #[derive(Debug)]
 pub struct ClusterExec {
     units: Vec<ReplicaBatch>,
+    ledger: SlotLedger,
     router: Box<dyn Router>,
     /// Reused router-view buffer: refilled per `place` call instead of
     /// collecting a fresh `Vec` (placement is per-dispatched-task hot).
@@ -41,8 +42,10 @@ impl ClusterExec {
     /// Panics if the spec fails [`ClusterSpec::validate`].
     pub fn new(spec: &ClusterSpec) -> Self {
         spec.validate().expect("invalid cluster spec");
+        let units = ReplicaBatch::table(spec);
         ClusterExec {
-            units: ReplicaBatch::table(spec),
+            ledger: SlotLedger::new(units.iter().map(|u| u.capacity)),
+            units,
             router: spec.routing.build(),
             view_scratch: Vec::new(),
         }
@@ -58,22 +61,8 @@ impl ExecutorBackend for ClusterExec {
         format!("cluster/{}", self.router.name())
     }
 
-    fn n_execs(&self) -> usize {
-        self.units.len()
-    }
-
-    fn occupancy(&self, exec: usize) -> usize {
-        self.units[exec].len()
-    }
-
-    fn capacity(&self, exec: usize) -> usize {
-        self.units[exec].capacity
-    }
-
-    fn for_each_slot(&self, f: &mut dyn FnMut(usize, usize)) {
-        for u in &self.units {
-            f(u.len(), u.capacity);
-        }
+    fn ledger(&self) -> &SlotLedger {
+        &self.ledger
     }
 
     fn place(&mut self, task: LlmTaskRef, work: LlmWork) -> Option<usize> {
@@ -96,6 +85,7 @@ impl ExecutorBackend for ClusterExec {
         unit.settle(cx.now);
         unit.join(task, work.folded_tokens());
         unit.retime(cx);
+        self.ledger.set(exec, unit.len());
         if cx.probe.is_some() {
             let view = self.units[exec].view(exec, 0, 0);
             cx.emit(llmsched_telemetry::ProbeEvent::Routed {
@@ -114,10 +104,16 @@ impl ExecutorBackend for ClusterExec {
         }
     }
 
-    fn step(&mut self, _exec: usize, _epoch: u64, _cx: &mut ExecCtx<'_>) -> StepOutcome {
+    fn step(
+        &mut self,
+        _exec: usize,
+        _epoch: u64,
+        _cx: &mut ExecCtx<'_>,
+        _finished: &mut Vec<LlmTaskRef>,
+    ) -> bool {
         // Fully analytic: completions arrive as re-timed finish events,
         // never via step wake-ups.
-        StepOutcome::stale()
+        false
     }
 
     fn drain(&mut self, exec: usize, task: LlmTaskRef, cx: &mut ExecCtx<'_>) {
@@ -125,11 +121,11 @@ impl ExecutorBackend for ClusterExec {
         unit.settle(cx.now);
         unit.drain(task);
         unit.retime(cx);
-        let occupancy = self.units[exec].len() as u32;
+        self.ledger.set(exec, unit.len());
         cx.emit(llmsched_telemetry::ProbeEvent::BatchDrain {
             at: cx.now,
             exec: exec as u32,
-            occupancy,
+            occupancy: self.ledger.occupancy(exec) as u32,
         });
     }
 }
@@ -173,8 +169,12 @@ mod tests {
     #[test]
     fn flattens_groups_with_per_replica_capacity() {
         let be = ClusterExec::new(&hetero_spec(RoutingPolicy::LeastLoaded));
-        assert_eq!(be.n_execs(), 3);
-        assert_eq!((be.capacity(0), be.capacity(1), be.capacity(2)), (4, 2, 2));
+        let ledger = be.ledger();
+        assert_eq!(ledger.views().len(), 3);
+        assert_eq!(
+            (ledger.capacity(0), ledger.capacity(1), ledger.capacity(2)),
+            (4, 2, 2)
+        );
         assert_eq!(be.descriptor(), "cluster/least-loaded");
         assert_eq!(be.name(), "cluster");
     }
@@ -225,10 +225,10 @@ mod tests {
         let reference = profile(10);
         let mut cx = ExecCtx::for_test(SimTime::ZERO, &reference, &mut queue, &mut jobs);
         be.admit(0, t(0, 0), w(100), &mut cx);
-        assert_eq!(be.occupancy(0), 1);
+        assert_eq!(be.ledger().occupancy(0), 1);
         assert_eq!(be.units[0].pending_tokens, 100);
         be.drain(0, t(0, 0), &mut cx);
-        assert_eq!(be.occupancy(0), 0);
+        assert_eq!(be.ledger().occupancy(0), 0);
         assert_eq!(be.units[0].pending_tokens, 0);
         // Draining an absent task is a no-op.
         be.drain(0, t(0, 0), &mut cx);

@@ -31,7 +31,7 @@ use llmsched_dag::time::{SimDuration, SimTime};
 use llmsched_dag::work::LlmWork;
 
 use super::batching::ReplicaBatch;
-use super::{ExecCtx, ExecutorBackend, LlmTaskRef, StepOutcome};
+use super::{ExecCtx, ExecutorBackend, LlmTaskRef, SlotLedger};
 
 /// One task prefilling / in KV transfer toward a decode replica.
 #[derive(Debug, Clone)]
@@ -51,6 +51,13 @@ struct DecodeUnit {
     transit: Vec<Transit>,
     /// Monotone wake-up counter (one per posted handoff event).
     next_epoch: u64,
+}
+
+impl DecodeUnit {
+    /// Slots held: decoding requests plus transit reservations.
+    fn occupancy(&self) -> usize {
+        self.batch.len() + self.transit.len()
+    }
 }
 
 /// The FIFO prefill pool: earliest-free replica serves next.
@@ -104,6 +111,9 @@ impl PrefillPool {
 #[derive(Debug)]
 pub struct DisaggExec {
     units: Vec<DecodeUnit>,
+    /// Decode-replica slots; a request holds its slot from admission,
+    /// through prefill and KV transit, until its decode drains.
+    ledger: SlotLedger,
     prefill: PrefillPool,
     router: Box<dyn Router>,
     /// Reused router-view buffer (see [`ClusterExec`](super::ClusterExec)).
@@ -118,8 +128,10 @@ impl DisaggExec {
     /// [`DisaggSpec`].
     pub fn new(spec: &ClusterSpec) -> Self {
         spec.validate().expect("invalid cluster spec");
+        let table = ReplicaBatch::table(spec);
         DisaggExec {
-            units: ReplicaBatch::table(spec)
+            ledger: SlotLedger::new(table.iter().map(|b| b.capacity)),
+            units: table
                 .into_iter()
                 .map(|batch| DecodeUnit {
                     batch,
@@ -151,22 +163,8 @@ impl ExecutorBackend for DisaggExec {
         format!("disagg/{}", self.router.name())
     }
 
-    fn n_execs(&self) -> usize {
-        self.units.len()
-    }
-
-    fn occupancy(&self, exec: usize) -> usize {
-        self.units[exec].batch.len() + self.units[exec].transit.len()
-    }
-
-    fn capacity(&self, exec: usize) -> usize {
-        self.units[exec].batch.capacity
-    }
-
-    fn for_each_slot(&self, f: &mut dyn FnMut(usize, usize)) {
-        for u in &self.units {
-            f(u.batch.len() + u.transit.len(), u.batch.capacity);
-        }
+    fn ledger(&self) -> &SlotLedger {
+        &self.ledger
     }
 
     fn place(&mut self, task: LlmTaskRef, work: LlmWork) -> Option<usize> {
@@ -194,6 +192,7 @@ impl ExecutorBackend for DisaggExec {
         });
         unit.next_epoch += 1;
         cx.post_step(exec, unit.next_epoch, ready_at);
+        self.ledger.set(exec, unit.occupancy());
         if cx.probe.is_some() {
             let view = self.unit_view(exec);
             cx.emit(llmsched_telemetry::ProbeEvent::Routed {
@@ -212,12 +211,18 @@ impl ExecutorBackend for DisaggExec {
         }
     }
 
-    fn step(&mut self, exec: usize, epoch: u64, cx: &mut ExecCtx<'_>) -> StepOutcome {
+    fn step(
+        &mut self,
+        exec: usize,
+        epoch: u64,
+        cx: &mut ExecCtx<'_>,
+        _finished: &mut Vec<LlmTaskRef>,
+    ) -> bool {
         let unit = &mut self.units[exec];
         if epoch > unit.next_epoch || !unit.transit.iter().any(|t| t.ready_at <= cx.now) {
             // Leftover wake-up for a handoff an earlier same-timestamp
             // flush already performed (or a foreign epoch): nothing due.
-            return StepOutcome::stale();
+            return false;
         }
         unit.batch.settle(cx.now);
         let mut joined = false;
@@ -235,8 +240,9 @@ impl ExecutorBackend for DisaggExec {
             unit.batch.retime(cx);
         }
         // Joining decode changes no scheduler-visible state (the slot was
-        // reserved at admission), so the step is never "effective".
-        StepOutcome::stale()
+        // reserved at admission, so the ledger does not move either):
+        // the step is never "effective".
+        false
     }
 
     fn drain(&mut self, exec: usize, task: LlmTaskRef, cx: &mut ExecCtx<'_>) {
@@ -248,11 +254,11 @@ impl ExecutorBackend for DisaggExec {
             // Defensive: a task killed before its KV cache arrived.
             unit.transit.remove(i);
         }
-        let occupancy = self.occupancy(exec) as u32;
+        self.ledger.set(exec, unit.occupancy());
         cx.emit(llmsched_telemetry::ProbeEvent::BatchDrain {
             at: cx.now,
             exec: exec as u32,
-            occupancy,
+            occupancy: self.ledger.occupancy(exec) as u32,
         });
     }
 }
@@ -312,7 +318,7 @@ mod tests {
             match ev {
                 Event::LlmStep { exec, epoch } => {
                     let mut cx = ExecCtx::for_test(time, reference, &mut *queue, &mut *jobs);
-                    be.step(exec, epoch, &mut cx);
+                    be.step(exec, epoch, &mut cx, &mut Vec::new());
                 }
                 Event::TaskFinish { task, epoch, .. } => {
                     if jobs[0].task_epoch_of(0, task) == epoch {
@@ -339,7 +345,11 @@ mod tests {
         let mut cx = ExecCtx::for_test(SimTime::ZERO, &reference, &mut queue, &mut jobs);
         let e = be.place(t(0), w(100, 50)).unwrap();
         be.admit(e, t(0), w(100, 50), &mut cx);
-        assert_eq!(be.occupancy(e), 1, "transit counts toward occupancy");
+        assert_eq!(
+            be.ledger().occupancy(e),
+            1,
+            "transit counts toward occupancy"
+        );
         let finishes = run_events(&mut be, &mut queue, &mut jobs, &reference);
         assert_eq!(finishes.len(), 1);
         assert!(
@@ -347,7 +357,7 @@ mod tests {
             "expected 0.61 s, got {}",
             finishes[0].1
         );
-        assert_eq!(be.occupancy(0) + be.occupancy(1), 0);
+        assert_eq!(be.ledger().occupancy(0) + be.ledger().occupancy(1), 0);
     }
 
     #[test]
@@ -397,13 +407,13 @@ mod tests {
         be.admit(0, t(0), w(10, 10), &mut cx);
         let mut cx = ExecCtx::for_test(SimTime::ZERO, &reference, &mut queue, &mut jobs);
         // Before the handoff is due, nothing moves.
-        let out = be.step(0, 1, &mut cx);
-        assert!(!out.effective && out.finished.is_empty());
+        let mut finished = Vec::new();
+        assert!(!be.step(0, 1, &mut cx, &mut finished));
+        assert!(finished.is_empty());
         assert_eq!(be.units[0].batch.len(), 0);
         assert_eq!(be.units[0].transit.len(), 1);
         // A foreign epoch far in the future is equally inert.
-        let out = be.step(0, 99, &mut cx);
-        assert!(!out.effective);
+        assert!(!be.step(0, 99, &mut cx, &mut finished));
     }
 
     #[test]

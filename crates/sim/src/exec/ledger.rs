@@ -1,0 +1,440 @@
+//! The executor pool's slot ledger: per-executor occupancy views plus
+//! integer pool totals, kept current by the backend at every occupancy
+//! change.
+//!
+//! The engine reads pool state on every timestamp (utilization
+//! integrals), every decision point (capacity checks), every LLM
+//! dispatch (free-slot gate, least-loaded placement) and every scheduler
+//! invocation (the occupancy views lent to policies). Walking the pool
+//! through per-executor trait calls made each of those O(executors);
+//! with the ledger they are O(1) reads, and only the executor whose
+//! occupancy moved is touched when it moves.
+
+use crate::state::LlmExecutorView;
+
+/// Occupancy and capacity of every executor in a pool, plus the pool
+/// totals the engine reads per event.
+///
+/// Backends own one ledger and call [`SlotLedger::set`] wherever an
+/// executor's occupancy changes (admit, finishing step, drain); every
+/// other reader — the engine, placement, the scheduler views — goes
+/// through [`ExecutorBackend::ledger`](super::ExecutorBackend::ledger).
+/// The totals are integers, so anything computed from them (the
+/// utilization integrals) is bit-identical to a full recount.
+#[derive(Debug, Clone, Default)]
+pub struct SlotLedger {
+    views: Vec<LlmExecutorView>,
+    /// Σ occupancy.
+    occupied: usize,
+    /// Executors with occupancy > 0.
+    busy: usize,
+    /// Executors with occupancy ≥ capacity (zero-capacity ones included).
+    full: usize,
+    /// Σ capacity.
+    slots: usize,
+}
+
+impl SlotLedger {
+    /// An idle pool with one executor per entry of `capacities`.
+    pub fn new(capacities: impl IntoIterator<Item = usize>) -> Self {
+        let views: Vec<LlmExecutorView> = capacities
+            .into_iter()
+            .enumerate()
+            .map(|(index, max_batch)| LlmExecutorView {
+                index,
+                batch_len: 0,
+                max_batch,
+            })
+            .collect();
+        SlotLedger {
+            occupied: 0,
+            busy: 0,
+            full: views.iter().filter(|v| v.max_batch == 0).count(),
+            slots: views.iter().map(|v| v.max_batch).sum(),
+            views,
+        }
+    }
+
+    /// Records that executor `exec` now holds `occupancy` slots.
+    pub fn set(&mut self, exec: usize, occupancy: usize) {
+        let v = &mut self.views[exec];
+        let old = v.batch_len;
+        self.occupied = self.occupied - old + occupancy;
+        self.busy = self.busy - usize::from(old > 0) + usize::from(occupancy > 0);
+        self.full =
+            self.full - usize::from(old >= v.max_batch) + usize::from(occupancy >= v.max_batch);
+        v.batch_len = occupancy;
+    }
+
+    /// Scheduler-visible occupancy views, in executor-index order.
+    pub fn views(&self) -> &[LlmExecutorView] {
+        &self.views
+    }
+
+    /// Slots held on executor `exec`.
+    pub fn occupancy(&self, exec: usize) -> usize {
+        self.views[exec].batch_len
+    }
+
+    /// Batch capacity of executor `exec`.
+    pub fn capacity(&self, exec: usize) -> usize {
+        self.views[exec].max_batch
+    }
+
+    /// Total batch slots across the pool.
+    pub fn total_slots(&self) -> usize {
+        self.slots
+    }
+
+    /// True if any executor can admit one more task.
+    pub fn has_free_slot(&self) -> bool {
+        self.full < self.views.len()
+    }
+
+    /// The paper's least-loaded placement: the executor with a free slot
+    /// and the fewest occupied slots, ties to the lowest index; `None`
+    /// when the pool is full.
+    pub fn least_loaded(&self) -> Option<usize> {
+        let mut best: Option<&LlmExecutorView> = None;
+        for v in &self.views {
+            if v.batch_len < v.max_batch && best.map_or(true, |b| v.batch_len < b.batch_len) {
+                best = Some(v);
+            }
+        }
+        best.map(|v| v.index)
+    }
+
+    /// [`SlotLedger::totals`] recounted from the views — the ground
+    /// truth the incremental totals must equal.
+    pub fn recount(&self) -> (usize, usize, usize, usize) {
+        self.views.iter().fold((0, 0, 0, 0), |(o, b, f, s), v| {
+            (
+                o + v.batch_len,
+                b + usize::from(v.batch_len > 0),
+                f + usize::from(v.batch_len >= v.max_batch),
+                s + v.max_batch,
+            )
+        })
+    }
+
+    /// The pool totals `(occupied slots, busy executors, full executors,
+    /// total slots)`, kept incrementally by [`SlotLedger::set`].
+    pub fn totals(&self) -> (usize, usize, usize, usize) {
+        (self.occupied, self.busy, self.full, self.slots)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::event::{Event, EventQueue};
+    use crate::exec::{
+        AnalyticExec, ClusterExec, DisaggExec, ExecCtx, ExecutorBackend, LlmTaskRef, TokenExec,
+    };
+    use crate::state::JobRt;
+    use llmsched_cluster::{ClusterSpec, DisaggSpec, LatencyProfile, ReplicaGroup, RoutingPolicy};
+    use llmsched_dag::time::{SimDuration, SimTime};
+    use llmsched_dag::work::LlmWork;
+
+    const TASKS: u32 = 160;
+
+    /// xorshift64*: a seeded operation stream with no dependency.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) % n
+        }
+    }
+
+    fn profile(ms_per_token: u64) -> LatencyProfile {
+        LatencyProfile::new(vec![
+            (1, SimDuration::from_millis(ms_per_token)),
+            (4, SimDuration::from_millis(2 * ms_per_token)),
+        ])
+        .unwrap()
+    }
+
+    fn t(task: u32) -> LlmTaskRef {
+        LlmTaskRef {
+            job: 0,
+            stage: 0,
+            task,
+        }
+    }
+
+    /// The naive pool model: per executor, admitted − finished − drained.
+    struct Model {
+        occ: Vec<usize>,
+        cap: Vec<usize>,
+        /// Executor holding each task's slot, if it holds one.
+        live: Vec<Option<usize>>,
+    }
+
+    impl Model {
+        fn release(&mut self, task: u32) -> usize {
+            let e = self.live[task as usize].take().expect("task holds a slot");
+            self.occ[e] -= 1;
+            e
+        }
+
+        /// The least-loaded rule as the engine applied it before the
+        /// ledger: filter free executors, then the first minimum.
+        fn two_pass_least_loaded(&self) -> Option<usize> {
+            (0..self.cap.len())
+                .filter(|&e| self.occ[e] < self.cap[e])
+                .min_by_key(|&e| self.occ[e])
+        }
+    }
+
+    /// Checks the backend's ledger against the model after one hook.
+    fn check(be: &dyn ExecutorBackend, m: &Model, at: &str) {
+        let l = be.ledger();
+        assert_eq!(l.views().len(), m.cap.len(), "{at}: pool size");
+        for (e, v) in l.views().iter().enumerate() {
+            assert_eq!(
+                (v.index, v.batch_len, v.max_batch),
+                (e, m.occ[e], m.cap[e]),
+                "{at}: view of executor {e}"
+            );
+        }
+        let expect = m
+            .occ
+            .iter()
+            .zip(&m.cap)
+            .fold((0, 0, 0, 0), |acc, (&o, &c)| {
+                (
+                    acc.0 + o,
+                    acc.1 + usize::from(o > 0),
+                    acc.2 + usize::from(o >= c),
+                    acc.3 + c,
+                )
+            });
+        assert_eq!(l.totals(), expect, "{at}: totals");
+        assert_eq!(l.recount(), expect, "{at}: recount");
+        assert_eq!(
+            l.has_free_slot(),
+            m.occ.iter().zip(&m.cap).any(|(o, c)| o < c),
+            "{at}: has_free_slot"
+        );
+        assert_eq!(
+            l.least_loaded(),
+            m.two_pass_least_loaded(),
+            "{at}: least-loaded placement"
+        );
+    }
+
+    /// Drives `be` through a seeded random admit / step / finish / drain
+    /// sequence, checking the ledger against the model after every hook;
+    /// `default_place` backends must also place exactly like the old
+    /// two-pass least-loaded rule.
+    fn run_model(mut be: Box<dyn ExecutorBackend>, default_place: bool, seed: u64) {
+        let name = be.descriptor();
+        let reference = profile(10);
+        let mut queue = EventQueue::new();
+        let mut jobs: [JobRt; 1] = [crate::state::test_support::job_with_llm_tasks(TASKS)];
+        let n = be.ledger().views().len();
+        let mut m = Model {
+            occ: vec![0; n],
+            cap: (0..n).map(|e| be.ledger().capacity(e)).collect(),
+            live: vec![None; TASKS as usize],
+        };
+        let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+        let mut now = SimTime::ZERO;
+        let mut next_task = 0u32;
+        let mut finished = Vec::new();
+        check(&*be, &m, &format!("{name}: initial"));
+        for op in 0..4_000u32 {
+            let at = format!("{name} seed {seed} op {op}");
+            match rng.below(10) {
+                // Admit the next task wherever the backend places it.
+                0..=3 if next_task < TASKS => {
+                    let task = t(next_task);
+                    let work = LlmWork {
+                        prompt_tokens: rng.below(40),
+                        output_tokens: 1 + rng.below(30),
+                    };
+                    let expect = m.two_pass_least_loaded();
+                    let placed = be.place(task, work);
+                    if default_place {
+                        assert_eq!(placed, expect, "{at}: default place");
+                    }
+                    let Some(e) = placed else {
+                        assert!(expect.is_none(), "{at}: refused with a free slot");
+                        continue;
+                    };
+                    assert!(m.occ[e] < m.cap[e], "{at}: placed on a full executor");
+                    let mut cx = ExecCtx::for_test(now, &reference, &mut queue, &mut jobs);
+                    be.admit(e, task, work, &mut cx);
+                    m.occ[e] += 1;
+                    m.live[next_task as usize] = Some(e);
+                    next_task += 1;
+                    check(&*be, &m, &format!("{at}: admit"));
+                }
+                // Deliver the next event, as the engine would.
+                0..=7 => {
+                    let Some((time, ev)) = queue.pop() else {
+                        continue;
+                    };
+                    now = time;
+                    match ev {
+                        Event::LlmStep { exec, epoch } => {
+                            let mut cx = ExecCtx::for_test(now, &reference, &mut queue, &mut jobs);
+                            let effective = be.step(exec, epoch, &mut cx, &mut finished);
+                            assert_eq!(effective, !finished.is_empty(), "{at}: step");
+                            for f in &finished {
+                                assert_eq!(m.release(f.task), exec, "{at}: finish");
+                            }
+                            check(&*be, &m, &format!("{at}: step"));
+                            for f in finished.drain(..) {
+                                // The engine drains every completion; a
+                                // step-reported one is already gone.
+                                be.drain(exec, f, &mut cx);
+                                check(&*be, &m, &format!("{at}: drain after step"));
+                            }
+                        }
+                        Event::TaskFinish { task, epoch, .. } => {
+                            let live = m.live[task as usize];
+                            if jobs[0].task_epoch_of(0, task) != epoch || live.is_none() {
+                                continue;
+                            }
+                            let e = m.release(task);
+                            let mut cx = ExecCtx::for_test(now, &reference, &mut queue, &mut jobs);
+                            be.drain(e, t(task), &mut cx);
+                            check(&*be, &m, &format!("{at}: finish"));
+                        }
+                        Event::Arrival { .. } => unreachable!("no arrivals posted"),
+                    }
+                }
+                // Kill a task holding a slot (running, staged or in
+                // prefill transit).
+                8 => {
+                    let held: Vec<u32> = (0..next_task)
+                        .filter(|&i| m.live[i as usize].is_some())
+                        .collect();
+                    if held.is_empty() {
+                        continue;
+                    }
+                    let task = held[rng.below(held.len() as u64) as usize];
+                    let e = m.release(task);
+                    let mut cx = ExecCtx::for_test(now, &reference, &mut queue, &mut jobs);
+                    be.drain(e, t(task), &mut cx);
+                    check(&*be, &m, &format!("{at}: kill"));
+                }
+                // Drain a task the executor does not hold: a no-op.
+                _ => {
+                    if n == 0 {
+                        continue;
+                    }
+                    let task = rng.below(u64::from(TASKS)) as u32;
+                    if m.live[task as usize].is_some() {
+                        continue;
+                    }
+                    let e = rng.below(n as u64) as usize;
+                    let mut cx = ExecCtx::for_test(now, &reference, &mut queue, &mut jobs);
+                    be.drain(e, t(task), &mut cx);
+                    check(&*be, &m, &format!("{at}: absent drain"));
+                }
+            }
+        }
+    }
+
+    fn hetero(routing: RoutingPolicy) -> ClusterSpec {
+        ClusterSpec::new(
+            vec![
+                ReplicaGroup::new("fast", 1, 4, profile(5)),
+                ReplicaGroup::new("slow", 2, 2, profile(20)),
+            ],
+            routing,
+        )
+    }
+
+    fn disagg(routing: RoutingPolicy) -> ClusterSpec {
+        ClusterSpec {
+            groups: vec![
+                ReplicaGroup::new("decode-a", 2, 3, profile(10)),
+                ReplicaGroup::new("prefill", 1, 1, profile(1)),
+                ReplicaGroup::new("decode-b", 1, 1, profile(15)),
+            ],
+            routing,
+            disagg: Some(DisaggSpec {
+                prefill_group: 1,
+                prefill_per_token: SimDuration::from_millis(2),
+                transfer_delay: SimDuration::from_millis(30),
+            }),
+        }
+    }
+
+    #[test]
+    fn ledger_matches_naive_model_on_every_backend() {
+        for seed in 1..=6 {
+            run_model(Box::new(AnalyticExec::new(3, 2)), true, seed);
+            run_model(Box::new(TokenExec::new(3, 3, 1)), true, seed);
+            run_model(Box::new(TokenExec::new(2, 4, 3)), true, seed);
+            for routing in [
+                RoutingPolicy::LeastLoaded,
+                RoutingPolicy::JoinShortestQueue,
+                RoutingPolicy::SessionAffinity,
+            ] {
+                run_model(Box::new(ClusterExec::new(&hetero(routing))), false, seed);
+                run_model(Box::new(DisaggExec::new(&disagg(routing))), false, seed);
+            }
+        }
+    }
+
+    #[test]
+    fn zero_capacity_executors_count_as_full() {
+        // Whole pools with no slots never place, whatever the sequence.
+        run_model(Box::new(AnalyticExec::new(2, 0)), true, 7);
+        run_model(Box::new(TokenExec::new(1, 0, 1)), true, 7);
+        // A zero-capacity executor inside a pool is full from the start
+        // and never chosen, while its neighbours fill and drain.
+        let mut l = SlotLedger::new([2, 0, 1]);
+        assert_eq!(l.totals(), (0, 0, 1, 3));
+        assert_eq!(l.least_loaded(), Some(0));
+        l.set(0, 1);
+        assert_eq!(l.least_loaded(), Some(2));
+        l.set(2, 1);
+        l.set(0, 2);
+        assert_eq!(l.totals(), (3, 2, 3, 3));
+        assert!(!l.has_free_slot());
+        assert_eq!(l.least_loaded(), None);
+        l.set(0, 0);
+        assert_eq!(l.totals(), (1, 1, 2, 3));
+        assert_eq!(l.least_loaded(), Some(0));
+        assert_eq!(l.recount(), l.totals());
+    }
+
+    #[test]
+    fn disagg_transit_holds_its_slot_until_drained() {
+        // One decode slot: a request in prefill transit fills the pool
+        // before it decodes a token, and a kill during transit frees it.
+        let spec = ClusterSpec {
+            groups: vec![
+                ReplicaGroup::new("prefill", 1, 1, profile(1)),
+                ReplicaGroup::new("decode", 1, 1, profile(10)),
+            ],
+            routing: RoutingPolicy::LeastLoaded,
+            disagg: Some(DisaggSpec::with_defaults(0)),
+        };
+        let reference = profile(10);
+        let mut queue = EventQueue::new();
+        let mut jobs = [crate::state::test_support::job_with_llm_tasks(2)];
+        let mut be = DisaggExec::new(&spec);
+        let work = LlmWork {
+            prompt_tokens: 50,
+            output_tokens: 5,
+        };
+        let e = be.place(t(0), work).expect("a free decode slot");
+        let mut cx = ExecCtx::for_test(SimTime::ZERO, &reference, &mut queue, &mut jobs);
+        be.admit(e, t(0), work, &mut cx);
+        assert_eq!(be.ledger().totals(), (1, 1, 1, 1));
+        assert_eq!(be.place(t(1), work), None, "transit holds the only slot");
+        be.drain(e, t(0), &mut cx);
+        assert_eq!(be.ledger().totals(), (0, 0, 0, 1));
+        assert_eq!(be.place(t(1), work), Some(e));
+    }
+}

@@ -10,8 +10,14 @@
 //! * [`ExecutorBackend`] — what the engine needs from a pool of LLM
 //!   executors: **place** a task on an executor (routing), **admit** it
 //!   into a batch, advance a backend timer (**step**), remove a finished
-//!   task (**drain**), and expose an **occupancy/capacity view** per
-//!   executor.
+//!   task (**drain**), and keep a [`SlotLedger`] of per-executor
+//!   occupancy and capacity.
+//! * [`SlotLedger`] — the pool accounting every backend shares: the
+//!   scheduler-visible per-executor views plus integer pool totals
+//!   (occupied slots, busy executors, full executors, total slots). A
+//!   backend updates it at each occupancy change; the engine's
+//!   utilization integrals, capacity checks, least-loaded placement and
+//!   scheduler views read it without walking the pool.
 //! * [`analytic::AnalyticExec`] — the paper's *simulator*: rate-rescaling
 //!   batching that settles decode progress on every membership change and
 //!   re-posts finish events at the new batch rate.
@@ -33,9 +39,7 @@
 //!   (rate-rescaling), so the backend is event-sparse: one
 //!   [`Event::LlmStep`] per admitted task (the prefill→decode handoff)
 //!   plus re-timed [`Event::TaskFinish`]s.
-//! * [`pool`] — backend-agnostic pool machinery: the
-//!   [`EngineMode`](pool::EngineMode) → backend factory and the
-//!   occupancy-view helpers the engine shares across backends.
+//! * [`pool`] — the [`EngineMode`](pool::EngineMode) → backend factory.
 //!
 //! Backends interact with the engine through [`ExecCtx`]: they may read
 //! the clock and the reference latency curve, and post [`Event`]s into
@@ -52,12 +56,14 @@ pub mod analytic;
 mod batching;
 pub mod cluster;
 pub mod disagg;
+mod ledger;
 pub mod pool;
 pub mod token_level;
 
 pub use analytic::AnalyticExec;
 pub use cluster::ClusterExec;
 pub use disagg::DisaggExec;
+pub use ledger::SlotLedger;
 pub use pool::{build_backend, EngineMode};
 pub use token_level::TokenExec;
 
@@ -163,25 +169,6 @@ impl<'a> ExecCtx<'a> {
     }
 }
 
-/// What one backend timer event changed.
-#[derive(Debug, Default)]
-pub struct StepOutcome {
-    /// Tasks whose decoding completed during this step, in completion
-    /// order. The engine runs its completion cascade for each.
-    pub finished: Vec<LlmTaskRef>,
-    /// Whether the step changed any state a scheduler could observe
-    /// (stale epochs and no-op steps return `false` to suppress a
-    /// scheduler invocation).
-    pub effective: bool,
-}
-
-impl StepOutcome {
-    /// A stale or no-op step: nothing finished, nothing observable moved.
-    pub fn stale() -> Self {
-        StepOutcome::default()
-    }
-}
-
 /// A pool of LLM executors under one batching/serving model.
 ///
 /// The engine owns exactly one backend (chosen from
@@ -198,28 +185,31 @@ impl StepOutcome {
 ///   backend posted comes due,
 /// * [`drain`](ExecutorBackend::drain) when a task's completion is
 ///   processed (the batch slot must be released synchronously),
-/// * [`occupancy`](ExecutorBackend::occupancy) /
-///   [`capacity`](ExecutorBackend::capacity) whenever placement,
-///   utilization accounting or the scheduler-visible
+/// * [`ledger`](ExecutorBackend::ledger) whenever placement, capacity
+///   checks, utilization accounting or the scheduler-visible
 ///   [`LlmExecutorView`](crate::state::LlmExecutorView)s need batch
-///   sizes.
+///   sizes. The engine never walks the pool itself: every pool-wide
+///   figure it needs is an O(1) read of the ledger's totals.
 ///
 /// # Invariants
 ///
 /// Implementations must keep, for every executor index `e`:
 ///
-/// 1. `occupancy(e)` equals admitted − drained tasks for `e` (admission
-///    is synchronous, whatever internal join staging — or prefill
-///    transit — is used);
+/// 1. the ledger's occupancy of `e` equals admitted − finished − drained
+///    tasks for `e`: the backend reports every occupancy change to its
+///    [`SlotLedger`] where it happens — in `admit`, in a `step` that
+///    finishes tasks, and in `drain` (admission is synchronous, whatever
+///    internal join staging — or prefill transit — is used);
 /// 2. a task admitted exactly once is eventually reported finished
-///    exactly once — via a posted [`Event::TaskFinish`] or a
-///    [`StepOutcome::finished`] entry — provided posted events keep
-///    being delivered;
+///    exactly once — via a posted [`Event::TaskFinish`] or an entry
+///    [`step`](ExecutorBackend::step) appends to `finished` — provided
+///    posted events keep being delivered;
 /// 3. `drain` of a task already removed by
 ///    [`step`](ExecutorBackend::step) is a no-op (the engine always
 ///    drains on completion, including completions the backend itself
 ///    reported);
-/// 4. `place` only returns executors with `occupancy(e) < capacity(e)`.
+/// 4. `place` only returns executors whose ledger occupancy is below
+///    their capacity.
 pub trait ExecutorBackend: std::fmt::Debug {
     /// Short backend family name (e.g. `"analytic"`, `"cluster"`).
     fn name(&self) -> &'static str;
@@ -230,40 +220,21 @@ pub trait ExecutorBackend: std::fmt::Debug {
         self.name().to_string()
     }
 
-    /// Number of LLM executors in the pool (for disaggregated backends:
-    /// the decode replicas — prefill replicas are internal).
-    fn n_execs(&self) -> usize;
-
-    /// Number of tasks currently holding a batch slot on executor
-    /// `exec` (running, staged to join at the next boundary, or in
-    /// prefill transit toward it).
-    fn occupancy(&self, exec: usize) -> usize;
-
-    /// Maximum batch slots on executor `exec`.
-    fn capacity(&self, exec: usize) -> usize;
-
-    /// Streams `(occupancy, capacity)` of every executor, in index
-    /// order, to `f`. The engine's per-timestamp utilization integrals
-    /// and per-invocation occupancy snapshots go through this instead
-    /// of calling [`occupancy`](ExecutorBackend::occupancy) per
-    /// executor, so backends can walk their pools directly. The default
-    /// loops over the per-executor accessors; overrides must visit the
-    /// exact same values in the same order.
-    fn for_each_slot(&self, f: &mut dyn FnMut(usize, usize)) {
-        for e in 0..self.n_execs() {
-            f(self.occupancy(e), self.capacity(e));
-        }
-    }
+    /// The pool's slot ledger: one entry per LLM executor (for
+    /// disaggregated backends: the decode replicas — prefill replicas
+    /// are internal), with the slots each holds (running, staged to
+    /// join at the next boundary, or in prefill transit toward it) and
+    /// its batch capacity.
+    fn ledger(&self) -> &SlotLedger;
 
     /// Routes `task` to an executor with a free slot, or `None` when the
     /// pool is full. The default is the paper's least-loaded placement
-    /// (fewest occupied slots, ties by index); cluster backends override
-    /// it with their configured [`Router`](llmsched_cluster::Router).
+    /// ([`SlotLedger::least_loaded`]: fewest occupied slots, ties by
+    /// index); cluster backends override it with their configured
+    /// [`Router`](llmsched_cluster::Router).
     fn place(&mut self, task: LlmTaskRef, work: LlmWork) -> Option<usize> {
         let _ = (task, work);
-        (0..self.n_execs())
-            .filter(|&e| self.occupancy(e) < self.capacity(e))
-            .min_by_key(|&e| self.occupancy(e))
+        self.ledger().least_loaded()
     }
 
     /// Admits `task` (with token counts `work`) into executor `exec`'s
@@ -272,9 +243,19 @@ pub trait ExecutorBackend: std::fmt::Debug {
     fn admit(&mut self, exec: usize, task: LlmTaskRef, work: LlmWork, cx: &mut ExecCtx<'_>);
 
     /// Handles a [`Event::LlmStep`] wake-up this backend posted earlier.
-    /// Returns the tasks that finished and whether anything observable
-    /// changed; a mismatched `epoch` must return [`StepOutcome::stale`].
-    fn step(&mut self, exec: usize, epoch: u64, cx: &mut ExecCtx<'_>) -> StepOutcome;
+    /// Appends the tasks whose decoding completed, in completion order,
+    /// to `finished` (a buffer the engine lends and reuses; it runs its
+    /// completion cascade for each entry) and returns whether the step
+    /// changed any state a scheduler could observe. Stale epochs and
+    /// no-op steps append nothing and return `false`, which suppresses a
+    /// scheduler invocation.
+    fn step(
+        &mut self,
+        exec: usize,
+        epoch: u64,
+        cx: &mut ExecCtx<'_>,
+        finished: &mut Vec<LlmTaskRef>,
+    ) -> bool;
 
     /// Releases `task`'s batch slot on executor `exec`. Called by the
     /// engine for every LLM task completion; must be a no-op if the

@@ -1,11 +1,11 @@
-//! Backend-agnostic pool machinery: fidelity selection and the
-//! occupancy-view helpers the engine uses over any [`ExecutorBackend`].
+//! Fidelity selection: the one place an [`EngineMode`] becomes an
+//! [`ExecutorBackend`]. Pool-wide occupancy figures live in each
+//! backend's [`SlotLedger`](super::SlotLedger).
 
 use llmsched_cluster::ClusterSpec;
 
 use super::{AnalyticExec, ClusterExec, DisaggExec, ExecutorBackend, TokenExec};
 use crate::engine::ClusterConfig;
-use crate::state::LlmExecutorView;
 
 /// LLM execution fidelity: which [`ExecutorBackend`] a simulation runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -31,7 +31,8 @@ pub enum EngineMode {
 ///
 /// # Panics
 /// Panics if [`ClusterConfig::spec`] is present but invalid, or lacks a
-/// disaggregation layout in [`EngineMode::Disagg`].
+/// disaggregation layout in [`EngineMode::Disagg`];
+/// [`ClusterConfig::validate`] reports both as errors instead.
 pub fn build_backend(cfg: &ClusterConfig) -> Box<dyn ExecutorBackend> {
     match cfg.mode {
         EngineMode::Analytic => Box::new(AnalyticExec::new(cfg.llm_executors, cfg.max_batch)),
@@ -53,51 +54,6 @@ pub fn build_backend(cfg: &ClusterConfig) -> Box<dyn ExecutorBackend> {
             Box::new(DisaggExec::new(&spec))
         }
     }
-}
-
-/// True if any executor can admit one more task.
-pub fn has_free_slot(backend: &dyn ExecutorBackend) -> bool {
-    (0..backend.n_execs()).any(|e| backend.occupancy(e) < backend.capacity(e))
-}
-
-/// Total batch slots across the pool.
-pub fn total_slots(backend: &dyn ExecutorBackend) -> usize {
-    (0..backend.n_execs()).map(|e| backend.capacity(e)).sum()
-}
-
-/// Scheduler-visible occupancy snapshot of every executor.
-pub fn views(backend: &dyn ExecutorBackend) -> Vec<LlmExecutorView> {
-    let mut out = Vec::new();
-    views_into(backend, &mut out);
-    out
-}
-
-/// Refreshes a reused occupancy-view buffer in place — the engine calls
-/// this once per scheduler invocation instead of collecting a fresh `Vec`.
-pub fn views_into(backend: &dyn ExecutorBackend, out: &mut Vec<LlmExecutorView>) {
-    out.clear();
-    let mut index = 0usize;
-    backend.for_each_slot(&mut |occ, cap| {
-        out.push(LlmExecutorView {
-            index,
-            batch_len: occ,
-            max_batch: cap,
-        });
-        index += 1;
-    });
-}
-
-/// `(occupied slots, non-idle executors)` across the pool — the inputs to
-/// the engine's utilization integrals, probed at every timestamp advance
-/// (hence the bulk walk rather than per-executor accessor calls).
-pub fn slot_stats(backend: &dyn ExecutorBackend) -> (usize, usize) {
-    let mut slots = 0usize;
-    let mut busy = 0usize;
-    backend.for_each_slot(&mut |occ, _| {
-        slots += occ;
-        busy += usize::from(occ > 0);
-    });
-    (slots, busy)
 }
 
 #[cfg(test)]
@@ -126,10 +82,10 @@ mod tests {
         let a = build_backend(&cfg(EngineMode::Analytic));
         assert_eq!(a.name(), "analytic");
         assert_eq!(a.descriptor(), "analytic");
-        assert_eq!(a.n_execs(), 3);
+        assert_eq!(a.ledger().views().len(), 3);
         let t = build_backend(&cfg(EngineMode::TokenLevel));
         assert_eq!(t.name(), "token-level");
-        assert_eq!(t.n_execs(), 3);
+        assert_eq!(t.ledger().views().len(), 3);
     }
 
     #[test]
@@ -137,14 +93,14 @@ mod tests {
         let c = build_backend(&cfg(EngineMode::Cluster));
         assert_eq!(c.name(), "cluster");
         assert_eq!(c.descriptor(), "cluster/least-loaded");
-        assert_eq!(c.n_execs(), 3);
-        assert_eq!(total_slots(&*c), 12);
+        assert_eq!(c.ledger().views().len(), 3);
+        assert_eq!(c.ledger().total_slots(), 12);
 
         let d = build_backend(&cfg(EngineMode::Disagg));
         assert_eq!(d.name(), "disagg");
         // Decode replicas mirror llm_executors; prefill is internal.
-        assert_eq!(d.n_execs(), 3);
-        assert_eq!(total_slots(&*d), 12);
+        assert_eq!(d.ledger().views().len(), 3);
+        assert_eq!(d.ledger().total_slots(), 12);
     }
 
     #[test]
@@ -160,10 +116,10 @@ mod tests {
             spec: Some(spec),
             ..cfg(EngineMode::Cluster)
         });
-        assert_eq!(c.n_execs(), 3);
+        assert_eq!(c.ledger().views().len(), 3);
         assert_eq!(c.descriptor(), "cluster/jsq");
-        assert_eq!((c.capacity(0), c.capacity(1)), (8, 2));
-        assert_eq!(total_slots(&*c), 12);
+        assert_eq!((c.ledger().capacity(0), c.ledger().capacity(1)), (8, 2));
+        assert_eq!(c.ledger().total_slots(), 12);
     }
 
     #[test]
@@ -173,7 +129,7 @@ mod tests {
             ..cfg(EngineMode::Analytic)
         };
         let mut be = build_backend(&cfg);
-        assert!(!has_free_slot(&*be));
+        assert!(!be.ledger().has_free_slot());
         assert_eq!(
             be.place(
                 super::super::LlmTaskRef {
@@ -188,7 +144,7 @@ mod tests {
             ),
             None
         );
-        assert!(views(&*be).is_empty());
-        assert_eq!(slot_stats(&*be), (0, 0));
+        assert!(be.ledger().views().is_empty());
+        assert_eq!(be.ledger().totals(), (0, 0, 0, 0));
     }
 }

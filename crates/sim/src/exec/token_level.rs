@@ -12,7 +12,7 @@
 
 use llmsched_dag::work::LlmWork;
 
-use super::{ExecCtx, ExecutorBackend, LlmTaskRef, StepOutcome};
+use super::{ExecCtx, ExecutorBackend, LlmTaskRef, SlotLedger};
 
 /// One task waiting on decode iterations.
 #[derive(Debug, Clone)]
@@ -44,7 +44,7 @@ impl Unit {
 #[derive(Debug)]
 pub struct TokenExec {
     units: Vec<Unit>,
-    max_batch: usize,
+    ledger: SlotLedger,
     chunk: u64,
 }
 
@@ -55,7 +55,7 @@ impl TokenExec {
     pub fn new(n_execs: usize, max_batch: usize, chunk: u64) -> Self {
         TokenExec {
             units: (0..n_execs).map(|_| Unit::default()).collect(),
-            max_batch,
+            ledger: SlotLedger::new(vec![max_batch; n_execs]),
             chunk: chunk.max(1),
         }
     }
@@ -85,22 +85,8 @@ impl ExecutorBackend for TokenExec {
         "token-level"
     }
 
-    fn n_execs(&self) -> usize {
-        self.units.len()
-    }
-
-    fn occupancy(&self, exec: usize) -> usize {
-        self.units[exec].occupancy()
-    }
-
-    fn capacity(&self, _exec: usize) -> usize {
-        self.max_batch
-    }
-
-    fn for_each_slot(&self, f: &mut dyn FnMut(usize, usize)) {
-        for u in &self.units {
-            f(u.occupancy(), self.max_batch);
-        }
+    fn ledger(&self) -> &SlotLedger {
+        &self.ledger
     }
 
     fn admit(&mut self, exec: usize, task: LlmTaskRef, work: LlmWork, cx: &mut ExecCtx<'_>) {
@@ -115,24 +101,30 @@ impl ExecutorBackend for TokenExec {
             unit.running.append(&mut joining);
             self.start_iteration(exec, cx);
         }
-        let occupancy = self.units[exec].occupancy() as u32;
+        self.ledger.set(exec, self.units[exec].occupancy());
         cx.emit(llmsched_telemetry::ProbeEvent::BatchAdmit {
             at: cx.now,
             exec: exec as u32,
-            occupancy,
-            capacity: self.max_batch as u32,
+            occupancy: self.ledger.occupancy(exec) as u32,
+            capacity: self.ledger.capacity(exec) as u32,
         });
     }
 
-    fn step(&mut self, exec: usize, epoch: u64, cx: &mut ExecCtx<'_>) -> StepOutcome {
+    fn step(
+        &mut self,
+        exec: usize,
+        epoch: u64,
+        cx: &mut ExecCtx<'_>,
+        finished: &mut Vec<LlmTaskRef>,
+    ) -> bool {
         let unit = &mut self.units[exec];
         if !unit.iterating || unit.epoch != epoch {
-            return StepOutcome::stale();
+            return false;
         }
-        let mut finished: Vec<LlmTaskRef> = Vec::new();
         for r in &mut unit.running {
             r.remaining_tokens = r.remaining_tokens.saturating_sub(self.chunk);
         }
+        let before = finished.len();
         unit.running.retain_mut(|r| {
             if r.remaining_tokens == 0 {
                 finished.push(r.task);
@@ -142,7 +134,8 @@ impl ExecutorBackend for TokenExec {
             }
         });
         unit.running.append(&mut unit.joining);
-        if unit.running.is_empty() {
+        let occupancy = unit.running.len();
+        if occupancy == 0 {
             unit.iterating = false;
         } else {
             self.start_iteration(exec, cx);
@@ -150,10 +143,11 @@ impl ExecutorBackend for TokenExec {
         // An iteration with no finishes only shuffled batch composition;
         // scheduling on it would be harmless but noisy, so effectiveness
         // is reported only when a task completed.
-        StepOutcome {
-            effective: !finished.is_empty(),
-            finished,
+        let effective = finished.len() > before;
+        if effective {
+            self.ledger.set(exec, occupancy);
         }
+        effective
     }
 
     fn drain(&mut self, exec: usize, task: LlmTaskRef, cx: &mut ExecCtx<'_>) {
@@ -163,11 +157,11 @@ impl ExecutorBackend for TokenExec {
         let unit = &mut self.units[exec];
         unit.running.retain(|r| r.task != task);
         unit.joining.retain(|r| r.task != task);
-        let occupancy = self.units[exec].occupancy() as u32;
+        self.ledger.set(exec, unit.occupancy());
         cx.emit(llmsched_telemetry::ProbeEvent::BatchDrain {
             at: cx.now,
             exec: exec as u32,
-            occupancy,
+            occupancy: self.ledger.occupancy(exec) as u32,
         });
     }
 }
@@ -215,7 +209,7 @@ mod tests {
         let mut be = TokenExec::new(1, 8, 1);
         let mut cx = ExecCtx::for_test(SimTime::ZERO, &latency, &mut queue, &mut jobs);
         be.admit(0, t(0), w(3), &mut cx);
-        assert_eq!(be.occupancy(0), 1);
+        assert_eq!(be.ledger().occupancy(0), 1);
         let (time, exec, _) = pop_step(&mut queue);
         assert_eq!(exec, 0);
         assert!(
@@ -234,7 +228,7 @@ mod tests {
         be.admit(0, t(0), w(2), &mut cx);
         be.admit(0, t(1), w(2), &mut cx);
         // Occupancy counts the joiner immediately (slot accounting)...
-        assert_eq!(be.occupancy(0), 2);
+        assert_eq!(be.ledger().occupancy(0), 2);
         // ...but only one wake-up is in flight: the joiner did not restart
         // or reschedule the running iteration.
         assert_eq!(queue.len(), 1);
@@ -250,14 +244,13 @@ mod tests {
         be.admit(0, t(0), w(1), &mut cx);
         let (_, _, epoch) = pop_step(&mut queue);
         let mut cx = ExecCtx::for_test(SimTime::ZERO, &latency, &mut queue, &mut jobs);
-        let out = be.step(0, epoch + 1, &mut cx);
-        assert!(!out.effective);
-        assert!(out.finished.is_empty());
+        let mut finished = Vec::new();
+        assert!(!be.step(0, epoch + 1, &mut cx, &mut finished));
+        assert!(finished.is_empty());
         // The real epoch still works and finishes the 1-token task.
-        let out = be.step(0, epoch, &mut cx);
-        assert!(out.effective);
-        assert_eq!(out.finished, vec![t(0)]);
-        assert_eq!(be.occupancy(0), 0);
+        assert!(be.step(0, epoch, &mut cx, &mut finished));
+        assert_eq!(finished, vec![t(0)]);
+        assert_eq!(be.ledger().occupancy(0), 0);
     }
 
     #[test]
@@ -271,16 +264,16 @@ mod tests {
         be.admit(0, t(1), w(5), &mut cx); // joins at the boundary
         let (time, _, epoch) = pop_step(&mut queue);
         let mut cx = ExecCtx::for_test(time, &latency, &mut queue, &mut jobs);
-        let out = be.step(0, epoch, &mut cx);
-        assert_eq!(out.finished, vec![t(0)]);
-        assert!(out.effective);
+        let mut finished = Vec::new();
+        assert!(be.step(0, epoch, &mut cx, &mut finished));
+        assert_eq!(finished, vec![t(0)]);
         // The joiner is now running and a new iteration is in flight.
-        assert_eq!(be.occupancy(0), 1);
+        assert_eq!(be.ledger().occupancy(0), 1);
         assert_eq!(queue.len(), 1);
         // Drain of the finished task is a no-op (already removed by step).
         let mut cx = ExecCtx::for_test(time, &latency, &mut queue, &mut jobs);
         be.drain(0, t(0), &mut cx);
-        assert_eq!(be.occupancy(0), 1);
+        assert_eq!(be.ledger().occupancy(0), 1);
     }
 
     #[test]
@@ -296,11 +289,11 @@ mod tests {
             while !queue.is_empty() {
                 let (time, _, epoch) = pop_step(&mut queue);
                 let mut cx = ExecCtx::for_test(time, &latency, &mut queue, &mut jobs);
-                be.step(0, epoch, &mut cx);
+                be.step(0, epoch, &mut cx, &mut Vec::new());
                 steps += 1;
             }
             assert_eq!(steps, expected_steps, "chunk {chunk}");
-            assert_eq!(be.occupancy(0), 0);
+            assert_eq!(be.ledger().occupancy(0), 0);
         }
     }
 

@@ -100,9 +100,11 @@ pub use llmsched_telemetry as telemetry;
 
 /// Convenient glob-import of the simulator's public surface.
 pub mod prelude {
-    pub use crate::engine::{simulate, simulate_probed, ClusterConfig, EngineMode};
+    pub use crate::engine::{
+        simulate, simulate_probed, try_simulate, ClusterConfig, ConfigError, EngineMode,
+    };
     pub use crate::exec::{
-        AnalyticExec, ClusterExec, DisaggExec, ExecutorBackend, LlmTaskRef, StepOutcome, TokenExec,
+        AnalyticExec, ClusterExec, DisaggExec, ExecutorBackend, LlmTaskRef, SlotLedger, TokenExec,
     };
     pub use crate::incr::{DeltaIndex, EstimateCache, FiniteF64};
     pub use crate::latency::{LatencyProfile, LatencyProfileError};

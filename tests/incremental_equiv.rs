@@ -225,8 +225,78 @@ fn frozen_profile_update_is_bit_identical_to_pre_store_schedules() {
             138,
         ),
     ];
+    assert_golden(&golden);
+}
+
+/// The same pin for the two backends the pre-store capture did not
+/// cover: token-level continuous batching and disaggregated
+/// prefill/decode. `every_policy_every_mix_every_backend` compares two
+/// scheduler paths over the *same* engine, so an engine-side capacity or
+/// occupancy bug on these backends would move both paths and still pass;
+/// these absolute pins (captured before executor occupancy moved into
+/// the shared slot ledger) catch it.
+#[test]
+fn token_level_and_disagg_schedules_are_pinned() {
+    // (mix, mode, avg_jct f64 bits, engine events).
+    let golden = [
+        (
+            WorkloadKind::Mixed,
+            EngineMode::TokenLevel,
+            0x4035d7e24febd09eu64,
+            4946u64,
+        ),
+        (
+            WorkloadKind::Mixed,
+            EngineMode::Disagg,
+            0x403fa1efd86a8fc2,
+            425,
+        ),
+        (
+            WorkloadKind::Predefined,
+            EngineMode::TokenLevel,
+            0x40402e257a0d0c58,
+            10221,
+        ),
+        (
+            WorkloadKind::Predefined,
+            EngineMode::Disagg,
+            0x404604e90d75338a,
+            712,
+        ),
+        (
+            WorkloadKind::ChainLike,
+            EngineMode::TokenLevel,
+            0x40232f1a99087a23,
+            2007,
+        ),
+        (
+            WorkloadKind::ChainLike,
+            EngineMode::Disagg,
+            0x4023807e78abe348,
+            134,
+        ),
+        (
+            WorkloadKind::Planning,
+            EngineMode::TokenLevel,
+            0x401f63587a149915,
+            894,
+        ),
+        (
+            WorkloadKind::Planning,
+            EngineMode::Disagg,
+            0x401f9abdfed3b015,
+            147,
+        ),
+    ];
+    assert_golden(&golden);
+}
+
+/// Runs stock LLMSched (default and explicitly frozen profile updates)
+/// on each `(mix, mode)` and asserts its engine event count and the bit
+/// pattern of its average JCT.
+fn assert_golden(golden: &[(WorkloadKind, EngineMode, u64, u64)]) {
     let (profiler, _) = artifacts();
-    for (kind, mode, bits, events) in golden {
+    for &(kind, mode, bits, events) in golden {
         for explicit_frozen in [false, true] {
             let w = generate_workload(kind, 10, 0.9, 11);
             let mut cfg = kind.default_cluster();
