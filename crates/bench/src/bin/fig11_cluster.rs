@@ -1,7 +1,7 @@
 //! **Fig. 11** (extension) — cluster-scale serving sweep: replica-pool
 //! shapes × routing policies × arrival processes, on both the aggregated
-//! heterogeneous cluster backend and the disaggregated prefill/decode
-//! backend.
+//! heterogeneous replica table (`EngineMode::Analytic` with an explicit
+//! spec) and the disaggregated prefill/decode backend.
 //!
 //! Every sweep point runs the same FCFS policy on the same seeded
 //! workload, so differences isolate the *serving substrate*: how much
@@ -106,7 +106,7 @@ fn main() {
                     shape: shape.name,
                     routing,
                     arrivals,
-                    mode: EngineMode::Cluster,
+                    mode: EngineMode::Analytic,
                     spec: agg,
                 });
                 let mut groups = vec![ReplicaGroup::new(

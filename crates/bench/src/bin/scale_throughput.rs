@@ -4,11 +4,12 @@
 //! incremental scheduling core buys over the rebuild-per-call reference
 //! path (bit-identical schedules, very different overhead).
 //!
-//! Sweeps 10k/50k/100k-job Mixed workloads under LLMSched across the
-//! analytic, cluster and disaggregated backends (incremental path), plus
-//! rebuild-path reference runs for the speedup ratio (all three backends
-//! in `--quick` mode; analytic-only on the full sweep, where a non-analytic
-//! 50k rebuild would take minutes). Sweep rows run under the documented
+//! Sweeps 10k/50k/100k-job Mixed workloads under LLMSched across the two
+//! decode models — the analytic routed replica table and the
+//! disaggregated prefill/decode backend (incremental path) — plus
+//! rebuild-path reference runs for the speedup ratio (both backends in
+//! `--quick` mode; analytic-only on the full sweep, where a disagg 50k
+//! rebuild would take minutes). Sweep rows run under the documented
 //! bounded-staleness decision horizon ([`DECISION_HORIZON_SECS`]; rebuild
 //! rows stay exact), with one exact (ε = 0) twin per backend at the
 //! smallest sweep size so the avg-JCT drift the relaxation buys its
@@ -349,13 +350,9 @@ fn main() {
         None => &[10_000, 50_000, 100_000],
     };
     // Every backend even in quick mode: the drift and scheduler-fraction
-    // gates (`--check`) must cover all three in CI.
-    let backends: &[EngineMode] = &[
-        EngineMode::Analytic,
-        EngineMode::Cluster,
-        EngineMode::Disagg,
-    ];
-    // Rebuild reference runs: all three backends in quick mode (the
+    // gates (`--check`) must cover both decode models in CI.
+    let backends: &[EngineMode] = &[EngineMode::Analytic, EngineMode::Disagg];
+    // Rebuild reference runs: both backends in quick mode (the
     // speedup-vs-rebuild column is per backend); analytic-only on the
     // full sweep, where the quadratic reference already takes ~2 minutes
     // at 50k — the 100k rebuild is omitted entirely, it's the blow-up

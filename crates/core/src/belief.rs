@@ -361,7 +361,7 @@ mod tests {
                 batch_len: 0,
                 max_batch: 8,
             }],
-            backend: "analytic",
+            backend: "cluster/least-loaded",
             regular_total: 2,
             regular_busy: 0,
             dispatchable: jobs.iter().map(|j| j.ready_unstarted_tasks()).sum(),

@@ -3,17 +3,16 @@
 //!
 //! LLM serving itself lives behind the [`ExecutorBackend`] trait in
 //! [`crate::exec`]; the engine owns exactly one backend — chosen by
-//! [`ClusterConfig::mode`] — and is otherwise fidelity-agnostic. Four
-//! backends ship today (see [`EngineMode`]):
+//! [`ClusterConfig::mode`] — and is otherwise fidelity-agnostic. Three
+//! modes ship today (see [`EngineMode`]):
 //!
 //! * [`EngineMode::Analytic`] — the paper's *simulator*
-//!   ([`crate::exec::AnalyticExec`]): rate-rescaling batching, events
-//!   only at batch-membership changes.
+//!   ([`crate::exec::ClusterExec`]): rate-rescaling batching, events
+//!   only at batch-membership changes, on a routed replica table — the
+//!   homogeneous least-loaded pool of the scalar fields, or the
+//!   (possibly heterogeneous) topology of [`ClusterConfig::spec`].
 //! * [`EngineMode::TokenLevel`] — the paper's *testbed* stand-in
 //!   ([`crate::exec::TokenExec`]): per-iteration continuous batching.
-//! * [`EngineMode::Cluster`] — heterogeneous multi-group cluster with
-//!   routed placement ([`crate::exec::ClusterExec`]), topology from
-//!   [`ClusterConfig::spec`].
 //! * [`EngineMode::Disagg`] — disaggregated prefill/decode serving
 //!   ([`crate::exec::DisaggExec`]).
 //!
@@ -53,23 +52,26 @@ pub struct ClusterConfig {
     /// Number of regular executors (each runs one regular task at a time).
     pub regular_executors: usize,
     /// Number of LLM executors (each batches up to `max_batch` LLM tasks).
-    /// Cluster modes with an explicit [`ClusterConfig::spec`] ignore this.
+    /// Ignored when an explicit [`ClusterConfig::spec`] sizes the pool.
     pub llm_executors: usize,
-    /// Maximum batch size per LLM executor. Cluster modes with an explicit
-    /// [`ClusterConfig::spec`] ignore this.
+    /// Maximum batch size per LLM executor. Ignored when an explicit
+    /// [`ClusterConfig::spec`] sizes the pool.
     pub max_batch: usize,
-    /// Reference decode-latency curve: homogeneous backends decode with
-    /// it; cluster backends carry per-group curves and use this only for
-    /// batch-1 duration normalization (Eq. 2 evidence).
+    /// Reference decode-latency curve: the derived specs and the
+    /// token-level pool decode with it; an explicit
+    /// [`ClusterConfig::spec`] carries per-group curves and uses this
+    /// only for batch-1 duration normalization (Eq. 2 evidence).
     pub latency: LatencyProfile,
     /// Execution fidelity (selects the [`ExecutorBackend`]).
     pub mode: EngineMode,
     /// Token-level mode only: tokens decoded per iteration event (1 =
     /// faithful per-token stepping; larger values trade fidelity for speed).
     pub iteration_chunk: u64,
-    /// Serving-cluster topology for [`EngineMode::Cluster`] /
+    /// Serving-cluster topology for [`EngineMode::Analytic`] /
     /// [`EngineMode::Disagg`]: replica groups, routing policy, optional
-    /// disaggregation. `None` derives a spec from the scalar fields above.
+    /// disaggregation. `None` derives a spec from the scalar fields above
+    /// (a homogeneous least-loaded pool; under `Disagg`, plus one
+    /// prefill replica). [`EngineMode::TokenLevel`] rejects a spec.
     pub spec: Option<ClusterSpec>,
     /// Scheduler invocation coalescing: skip decision points at which no
     /// job has a ready, unstarted task (nothing could dispatch), carrying
@@ -129,6 +131,9 @@ pub enum ConfigError {
     /// [`EngineMode::Disagg`] with an explicit spec that has no
     /// disaggregation layout ([`ClusterSpec::disagg`] is `None`).
     MissingDisaggLayout,
+    /// An explicit [`ClusterConfig::spec`] in a mode that sizes its pool
+    /// from the scalar fields only and would ignore it.
+    SpecUnsupported(EngineMode),
     /// A job's app has no template in the run's template set.
     UnregisteredApp {
         /// The offending job.
@@ -167,6 +172,11 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "spec has no disagg layout, which EngineMode::Disagg requires"
             ),
+            ConfigError::SpecUnsupported(mode) => write!(
+                f,
+                "spec is set, but EngineMode::{mode:?} sizes its pool from \
+                 llm_executors and max_batch only"
+            ),
             ConfigError::UnregisteredApp { job, app } => {
                 write!(f, "job {job} uses unregistered app {app}")
             }
@@ -186,7 +196,8 @@ impl ClusterConfig {
     /// # Errors
     /// The first [`ConfigError`] found: no regular executors, a bad
     /// `decision_horizon`, an invalid explicit `spec` (or one without a
-    /// disaggregation layout in [`EngineMode::Disagg`]), or — when the
+    /// disaggregation layout in [`EngineMode::Disagg`], or any spec in
+    /// [`EngineMode::TokenLevel`]), or — when the
     /// scalar fields size the LLM pool — a zero `max_batch` or
     /// `llm_executors`.
     pub fn validate(&self) -> Result<(), ConfigError> {
@@ -199,7 +210,10 @@ impl ClusterConfig {
             }
         }
         match (&self.spec, self.mode) {
-            (Some(spec), EngineMode::Cluster | EngineMode::Disagg) => {
+            (Some(_), EngineMode::TokenLevel) => {
+                return Err(ConfigError::SpecUnsupported(self.mode));
+            }
+            (Some(spec), EngineMode::Analytic | EngineMode::Disagg) => {
                 spec.validate().map_err(ConfigError::InvalidSpec)?;
                 if self.mode == EngineMode::Disagg && spec.disagg.is_none() {
                     return Err(ConfigError::MissingDisaggLayout);
@@ -1229,7 +1243,7 @@ mod tests {
         let res = simulate(&cfg, &set, vec![spec], &mut Greedy);
         assert_eq!(res.jobs.len(), 1);
         assert_eq!(res.incomplete, 0);
-        assert_eq!(res.backend, "analytic");
+        assert_eq!(res.backend, "cluster/least-loaded");
         // 100 tokens * 10ms = 1s decode, then 2s regular => JCT 3s.
         assert!((res.jobs[0].jct().as_secs_f64() - 3.0).abs() < 1e-6);
         assert_eq!(res.makespan, SimTime::from_secs_f64(3.0));
@@ -1310,16 +1324,19 @@ mod tests {
     #[test]
     fn cluster_and_disagg_modes_run_end_to_end() {
         let (set, spec) = templates_and_job(0.0);
-        // Homogeneous cluster mode is the analytic model behind routed
-        // placement: identical hand-computed JCT.
+        // An explicit spec replaces the scalar pool: the lone task lands
+        // on the JSQ-routed replica and decodes on its group's curve.
         let cfg = ClusterConfig {
             latency: flat_latency(),
-            mode: EngineMode::Cluster,
+            spec: Some(
+                ClusterSpec::homogeneous(2, 4, flat_latency())
+                    .with_routing(llmsched_cluster::RoutingPolicy::JoinShortestQueue),
+            ),
             ..Default::default()
         };
         let res = simulate(&cfg, &set, vec![spec.clone()], &mut Greedy);
         assert_eq!(res.incomplete, 0);
-        assert_eq!(res.backend, "cluster/least-loaded");
+        assert_eq!(res.backend, "cluster/jsq");
         assert!((res.jobs[0].jct().as_secs_f64() - 3.0).abs() < 1e-6);
 
         // Disagg adds the KV transfer delay (default 25 ms; the job has
@@ -1619,7 +1636,6 @@ mod tests {
         for mode in [
             EngineMode::Analytic,
             EngineMode::TokenLevel,
-            EngineMode::Cluster,
             EngineMode::Disagg,
         ] {
             let cfg = ClusterConfig {
@@ -1632,7 +1648,6 @@ mod tests {
         // An explicit spec sizes the pool itself: the scalar field is moot.
         let cfg = ClusterConfig {
             max_batch: 0,
-            mode: EngineMode::Cluster,
             spec: Some(ClusterSpec::homogeneous(1, 4, flat_latency())),
             latency: flat_latency(),
             ..Default::default()
@@ -1646,7 +1661,6 @@ mod tests {
         for mode in [
             EngineMode::Analytic,
             EngineMode::TokenLevel,
-            EngineMode::Cluster,
             EngineMode::Disagg,
         ] {
             let cfg = ClusterConfig {
@@ -1683,7 +1697,6 @@ mod tests {
     #[test]
     fn config_error_invalid_spec_is_forwarded() {
         let cfg = ClusterConfig {
-            mode: EngineMode::Cluster,
             spec: Some(ClusterSpec::homogeneous(0, 4, flat_latency())),
             ..Default::default()
         };
@@ -1693,6 +1706,24 @@ mod tests {
             ConfigError::InvalidSpec(ClusterSpecError::EmptyGroup(0))
         );
         assert!(err.to_string().starts_with("spec is invalid"), "{err}");
+    }
+
+    #[test]
+    fn config_error_spec_in_token_level() {
+        // The token-level pool is sized by the scalar fields only; a spec
+        // there is an error, not a silently ignored topology.
+        let cfg = ClusterConfig {
+            mode: EngineMode::TokenLevel,
+            spec: Some(ClusterSpec::homogeneous(2, 4, flat_latency())),
+            ..Default::default()
+        };
+        let err = try_pipeline(&cfg).unwrap_err();
+        assert_eq!(err, ConfigError::SpecUnsupported(EngineMode::TokenLevel));
+        let text = err.to_string();
+        assert!(
+            text.contains("spec") && text.contains("TokenLevel"),
+            "{text}"
+        );
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! Shared per-replica batch state for the cluster-shaped backends.
+//! Shared per-replica batch state for the replica-table backends.
 //!
-//! [`ClusterExec`](super::ClusterExec) and [`DisaggExec`](super::DisaggExec)
-//! both decode under the analytic rate-rescaling model, each replica
-//! against its *own* group's latency curve. That subtle settle/retime
-//! logic lives here exactly once; the backends differ only in how
-//! requests reach the batch (directly vs. via prefill transit).
+//! [`ClusterExec`](super::ClusterExec) (the paper's simulator) and
+//! [`DisaggExec`](super::DisaggExec) both decode under the analytic
+//! rate-rescaling model, each replica against its *own* group's latency
+//! curve. That subtle settle/retime logic lives here exactly once; the
+//! backends differ only in how requests reach the batch (directly vs.
+//! via prefill transit).
 
 use llmsched_cluster::{ClusterSpec, LatencyProfile, ReplicaView};
 use llmsched_dag::time::{SimDuration, SimTime};

@@ -1,20 +1,23 @@
-//! The heterogeneous multi-group cluster backend.
+//! The routed replica-table backend — the paper's *simulator*.
 //!
 //! A [`ClusterExec`] serves from the flat replica table of a
 //! [`ClusterSpec`]: each replica inherits its group's decode-latency
 //! curve and batch capacity, so a cluster can mix, say, a small pool of
 //! fast high-capacity replicas with a larger pool of slow ones. Within a
-//! replica, decoding follows the same rate-rescaling analytics as
-//! [`AnalyticExec`](super::AnalyticExec) — settle progress on every batch
-//! membership change, re-post finish events at the new rate — but against
-//! the *replica's own* latency curve rather than the engine-wide
-//! reference curve.
+//! replica, decoding is rate-rescaling batching (the shared
+//! `ReplicaBatch`): progress since the last batch membership change
+//! is settled at the old per-token rate and a fresh finish event is
+//! posted for every survivor at the new rate; per-task epochs invalidate
+//! the superseded events. Between membership changes the backend is
+//! idle — no per-iteration events — which is what makes this fidelity
+//! fast.
 //!
-//! Placement is what makes this backend cluster-shaped: instead of the
-//! paper's fixed least-loaded rule, [`ExecutorBackend::place`] delegates
-//! to the [`Router`] the spec configured (least-loaded,
-//! join-shortest-queue, or session affinity), fed per-replica occupancy,
-//! capacity and queued decode tokens.
+//! Placement delegates to the [`Router`] the spec configured
+//! (least-loaded, join-shortest-queue, or session affinity), fed
+//! per-replica occupancy, capacity and queued decode tokens. The
+//! homogeneous least-loaded spec
+//! ([`ClusterSpec::homogeneous`]) is the paper's pool: there the
+//! router's choice equals [`SlotLedger::least_loaded`].
 
 use llmsched_cluster::{ClusterSpec, ReplicaView, RouteRequest, Router};
 use llmsched_dag::work::LlmWork;
@@ -164,6 +167,127 @@ mod tests {
             prompt_tokens: 0,
             output_tokens: tokens,
         }
+    }
+
+    /// The paper's pool: `n` identical least-loaded replicas batching up
+    /// to 8, decoding on `latency`.
+    fn homogeneous(n: usize, latency: &LatencyProfile) -> ClusterExec {
+        ClusterExec::new(&ClusterSpec::homogeneous(n, 8, latency.clone()))
+    }
+
+    #[test]
+    fn admit_posts_one_finish_event_per_running_task() {
+        let latency = profile(10);
+        let mut queue = EventQueue::new();
+        let mut jobs = [crate::state::test_support::job_with_llm_tasks(4)];
+        let mut be = homogeneous(1, &latency);
+
+        let mut cx = ExecCtx::for_test(SimTime::ZERO, &latency, &mut queue, &mut jobs);
+        be.admit(0, t(0, 0), w(100), &mut cx);
+        assert_eq!(be.ledger().occupancy(0), 1);
+        assert_eq!(queue.len(), 1, "one finish event for the lone task");
+
+        let mut cx = ExecCtx::for_test(SimTime::ZERO, &latency, &mut queue, &mut jobs);
+        be.admit(0, t(0, 1), w(100), &mut cx);
+        assert_eq!(be.ledger().occupancy(0), 2);
+        // Both tasks were re-timed: two new events on top of the stale one.
+        assert_eq!(queue.len(), 3);
+    }
+
+    #[test]
+    fn drain_releases_slot_and_retimes_survivors() {
+        let latency = profile(10);
+        let mut queue = EventQueue::new();
+        let mut jobs = [crate::state::test_support::job_with_llm_tasks(4)];
+        let mut be = homogeneous(2, &latency);
+
+        let mut cx = ExecCtx::for_test(SimTime::ZERO, &latency, &mut queue, &mut jobs);
+        be.admit(0, t(0, 0), w(100), &mut cx);
+        be.admit(0, t(0, 1), w(200), &mut cx);
+        be.drain(0, t(0, 0), &mut cx);
+        assert_eq!(be.ledger().occupancy(0), 1);
+        assert_eq!(be.ledger().occupancy(1), 0, "other executors untouched");
+        let before = queue.len();
+        // Draining an already-absent task leaves occupancy alone but
+        // re-times the survivor (one more finish event).
+        let mut cx = ExecCtx::for_test(SimTime::ZERO, &latency, &mut queue, &mut jobs);
+        be.drain(0, t(0, 0), &mut cx);
+        assert_eq!(be.ledger().occupancy(0), 1);
+        assert_eq!(queue.len(), before + 1);
+    }
+
+    #[test]
+    fn only_latest_epoch_finish_event_is_valid() {
+        let latency = profile(10);
+        let mut queue = EventQueue::new();
+        let mut jobs = [crate::state::test_support::job_with_llm_tasks(1)];
+        let mut be = homogeneous(1, &latency);
+
+        let mut cx = ExecCtx::for_test(SimTime::ZERO, &latency, &mut queue, &mut jobs);
+        be.admit(0, t(0, 0), w(100), &mut cx);
+        let mut cx =
+            ExecCtx::for_test(SimTime::from_secs_f64(0.5), &latency, &mut queue, &mut jobs);
+        // A no-op membership change (drain of an absent task) still
+        // re-times: the old event goes stale.
+        be.drain(0, t(0, 99), &mut cx);
+        let current_epoch = jobs[0].task_epoch_of(0, 0);
+        let mut valid = 0;
+        while let Some((_, ev)) = queue.pop() {
+            if let Event::TaskFinish { epoch, .. } = ev {
+                valid += u32::from(epoch == current_epoch);
+            }
+        }
+        assert_eq!(valid, 1, "exactly one live finish event per running task");
+    }
+
+    #[test]
+    fn settles_progress_before_rescaling() {
+        // l(1)=10ms, l(2)=20ms. Task A (100 tokens) runs alone for 0.5s
+        // (50 tokens done), then B joins: A's remaining 50 tokens at
+        // 20ms/token => finish at 0.5 + 1.0 = 1.5s.
+        let latency = LatencyProfile::new(vec![
+            (1, SimDuration::from_millis(10)),
+            (2, SimDuration::from_millis(20)),
+        ])
+        .unwrap();
+        let mut queue = EventQueue::new();
+        let mut jobs = [crate::state::test_support::job_with_llm_tasks(2)];
+        let mut be = homogeneous(1, &latency);
+
+        let mut cx = ExecCtx::for_test(SimTime::ZERO, &latency, &mut queue, &mut jobs);
+        be.admit(0, t(0, 0), w(100), &mut cx);
+        let mut cx =
+            ExecCtx::for_test(SimTime::from_secs_f64(0.5), &latency, &mut queue, &mut jobs);
+        be.admit(0, t(0, 1), w(100), &mut cx);
+        let epoch_a = jobs[0].task_epoch_of(0, 0);
+        let mut finish_a = None;
+        while let Some((time, ev)) = queue.pop() {
+            if let Event::TaskFinish { task: 0, epoch, .. } = ev {
+                if epoch == epoch_a {
+                    finish_a = Some(time);
+                }
+            }
+        }
+        let finish_a = finish_a.expect("task 0 has a live finish event");
+        assert!(
+            (finish_a.as_secs_f64() - 1.5).abs() < 1e-9,
+            "expected 1.5s, got {finish_a}"
+        );
+    }
+
+    #[test]
+    fn pool_views_report_occupancy() {
+        let latency = profile(10);
+        let mut queue = EventQueue::new();
+        let mut jobs = [crate::state::test_support::job_with_llm_tasks(4)];
+        let mut be = homogeneous(2, &latency);
+        let mut cx = ExecCtx::for_test(SimTime::ZERO, &latency, &mut queue, &mut jobs);
+        be.admit(1, t(0, 0), w(10), &mut cx);
+        let views = be.ledger().views();
+        assert_eq!(views.len(), 2);
+        assert_eq!((views[0].batch_len, views[1].batch_len), (0, 1));
+        assert_eq!((views[0].max_batch, views[1].max_batch), (8, 8));
+        assert_eq!(be.place(t(0, 1), w(10)), Some(0));
     }
 
     #[test]

@@ -128,9 +128,7 @@ impl SlotLedger {
 mod tests {
     use super::*;
     use crate::event::{Event, EventQueue};
-    use crate::exec::{
-        AnalyticExec, ClusterExec, DisaggExec, ExecCtx, ExecutorBackend, LlmTaskRef, TokenExec,
-    };
+    use crate::exec::{ClusterExec, DisaggExec, ExecCtx, ExecutorBackend, LlmTaskRef, TokenExec};
     use crate::state::JobRt;
     use llmsched_cluster::{ClusterSpec, DisaggSpec, LatencyProfile, ReplicaGroup, RoutingPolicy};
     use llmsched_dag::time::{SimDuration, SimTime};
@@ -229,7 +227,8 @@ mod tests {
 
     /// Drives `be` through a seeded random admit / step / finish / drain
     /// sequence, checking the ledger against the model after every hook;
-    /// `default_place` backends must also place exactly like the old
+    /// `default_place` backends — the scalar pools and the homogeneous
+    /// least-loaded replica table — must also place exactly like the old
     /// two-pass least-loaded rule.
     fn run_model(mut be: Box<dyn ExecutorBackend>, default_place: bool, seed: u64) {
         let name = be.descriptor();
@@ -371,7 +370,9 @@ mod tests {
     #[test]
     fn ledger_matches_naive_model_on_every_backend() {
         for seed in 1..=6 {
-            run_model(Box::new(AnalyticExec::new(3, 2)), true, seed);
+            // The paper's pool: routed placement equals least-loaded.
+            let paper = ClusterSpec::homogeneous(3, 2, profile(10));
+            run_model(Box::new(ClusterExec::new(&paper)), true, seed);
             run_model(Box::new(TokenExec::new(3, 3, 1)), true, seed);
             run_model(Box::new(TokenExec::new(2, 4, 3)), true, seed);
             for routing in [
@@ -388,7 +389,6 @@ mod tests {
     #[test]
     fn zero_capacity_executors_count_as_full() {
         // Whole pools with no slots never place, whatever the sequence.
-        run_model(Box::new(AnalyticExec::new(2, 0)), true, 7);
         run_model(Box::new(TokenExec::new(1, 0, 1)), true, 7);
         // A zero-capacity executor inside a pool is full from the start
         // and never chosen, while its neighbours fill and drain.

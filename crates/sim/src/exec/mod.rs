@@ -18,25 +18,25 @@
 //!   backend updates it at each occupancy change; the engine's
 //!   utilization integrals, capacity checks, least-loaded placement and
 //!   scheduler views read it without walking the pool.
-//! * [`analytic::AnalyticExec`] — the paper's *simulator*: rate-rescaling
+//! * [`cluster::ClusterExec`] — the paper's *simulator*: rate-rescaling
 //!   batching that settles decode progress on every membership change and
-//!   re-posts finish events at the new batch rate.
+//!   re-posts finish events at the new batch rate, over the flat replica
+//!   table of a [`ClusterSpec`](llmsched_cluster::ClusterSpec). Each
+//!   replica carries its group's latency curve and batch capacity, and
+//!   placement goes through the spec's
+//!   [`Router`](llmsched_cluster::Router). The default spec is the
+//!   paper's homogeneous least-loaded pool.
 //! * [`token_level::TokenExec`] — the paper's *testbed* stand-in:
 //!   per-iteration continuous batching (requests join at iteration
 //!   boundaries, every iteration costs `l(batch)` and emits `chunk`
 //!   tokens per request).
-//! * [`cluster::ClusterExec`] — a heterogeneous multi-group cluster:
-//!   replicas carry per-group latency curves and batch capacities
-//!   (from a [`ClusterSpec`](llmsched_cluster::ClusterSpec)), and
-//!   placement is delegated to a pluggable
-//!   [`Router`](llmsched_cluster::Router) policy instead of the paper's
-//!   fixed least-loaded rule.
 //! * [`disagg::DisaggExec`] — disaggregated prefill/decode serving: a
 //!   request first occupies a dedicated prefill replica for
 //!   `prompt_tokens × prefill_per_token`, pays a KV-cache
 //!   `transfer_delay`, and only then joins a decode batch on the replica
 //!   the router chose at admission. Decode proceeds analytically
-//!   (rate-rescaling), so the backend is event-sparse: one
+//!   (rate-rescaling, the same per-replica batch model as
+//!   [`cluster::ClusterExec`]), so the backend is event-sparse: one
 //!   [`Event::LlmStep`] per admitted task (the prefill→decode handoff)
 //!   plus re-timed [`Event::TaskFinish`]s.
 //! * [`pool`] — the [`EngineMode`](pool::EngineMode) → backend factory.
@@ -52,7 +52,6 @@
 //! mutates job/stage/task state; the reveal protocol of §IV-A never
 //! leaks into backends.
 
-pub mod analytic;
 mod batching;
 pub mod cluster;
 pub mod disagg;
@@ -60,7 +59,6 @@ mod ledger;
 pub mod pool;
 pub mod token_level;
 
-pub use analytic::AnalyticExec;
 pub use cluster::ClusterExec;
 pub use disagg::DisaggExec;
 pub use ledger::SlotLedger;
@@ -98,10 +96,10 @@ pub struct LlmTaskRef {
 pub struct ExecCtx<'a> {
     /// Current simulation time.
     pub now: SimTime,
-    /// The reference decode-latency curve ([`ClusterConfig::latency`]
-    /// (crate::engine::ClusterConfig::latency)). Homogeneous backends decode
-    /// with it; cluster backends carry per-group curves and use this only
-    /// as the normalization reference.
+    /// The reference decode-latency curve
+    /// ([`ClusterConfig::latency`](crate::engine::ClusterConfig::latency)).
+    /// Only [`TokenExec`] decodes with it; the replica-table backends
+    /// carry per-group curves.
     pub latency: &'a LatencyProfile,
     /// The engine's event queue.
     pub(crate) queue: &'a mut EventQueue,
@@ -177,7 +175,7 @@ impl<'a> ExecCtx<'a> {
 ///
 /// * [`place`](ExecutorBackend::place) when the dispatcher routes a
 ///   ready LLM task (the default is the paper's least-loaded rule;
-///   cluster backends delegate to their
+///   replica-table backends delegate to their
 ///   [`Router`](llmsched_cluster::Router)),
 /// * [`admit`](ExecutorBackend::admit) when the dispatcher places a task
 ///   on the chosen executor,
@@ -211,7 +209,7 @@ impl<'a> ExecCtx<'a> {
 /// 4. `place` only returns executors whose ledger occupancy is below
 ///    their capacity.
 pub trait ExecutorBackend: std::fmt::Debug {
-    /// Short backend family name (e.g. `"analytic"`, `"cluster"`).
+    /// Short backend family name (e.g. `"cluster"`, `"token-level"`).
     fn name(&self) -> &'static str;
 
     /// Full self-description for results and reports; backends with a

@@ -4,21 +4,21 @@
 
 use llmsched_cluster::ClusterSpec;
 
-use super::{AnalyticExec, ClusterExec, DisaggExec, ExecutorBackend, TokenExec};
+use super::{ClusterExec, DisaggExec, ExecutorBackend, TokenExec};
 use crate::engine::ClusterConfig;
 
 /// LLM execution fidelity: which [`ExecutorBackend`] a simulation runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
-    /// Rate-rescaling analytic batching (fast; the paper's simulator).
+    /// Rate-rescaling analytic batching (fast; the paper's simulator) on
+    /// a routed replica table ([`ClusterExec`]): [`ClusterConfig::spec`]
+    /// if given, else a homogeneous least-loaded pool from the scalar
+    /// fields.
     #[default]
     Analytic,
-    /// Per-iteration continuous batching (the paper's testbed stand-in).
+    /// Per-iteration continuous batching (the paper's testbed stand-in);
+    /// sized by the scalar fields only.
     TokenLevel,
-    /// Heterogeneous multi-group cluster with routed placement
-    /// ([`ClusterExec`]); uses [`ClusterConfig::spec`], or a homogeneous
-    /// spec derived from the scalar fields when none is given.
-    Cluster,
     /// Disaggregated prefill/decode serving ([`DisaggExec`]); uses
     /// [`ClusterConfig::spec`], or a derived layout with one dedicated
     /// prefill replica when none is given.
@@ -30,23 +30,23 @@ pub enum EngineMode {
 /// of here is trait-object code.
 ///
 /// # Panics
-/// Panics if [`ClusterConfig::spec`] is present but invalid, or lacks a
-/// disaggregation layout in [`EngineMode::Disagg`];
-/// [`ClusterConfig::validate`] reports both as errors instead.
+/// Panics if the spec in use (explicit, or derived from zero scalar
+/// fields) is invalid, or lacks a disaggregation layout in
+/// [`EngineMode::Disagg`]; [`ClusterConfig::validate`] reports these as
+/// errors instead.
 pub fn build_backend(cfg: &ClusterConfig) -> Box<dyn ExecutorBackend> {
     match cfg.mode {
-        EngineMode::Analytic => Box::new(AnalyticExec::new(cfg.llm_executors, cfg.max_batch)),
-        EngineMode::TokenLevel => Box::new(TokenExec::new(
-            cfg.llm_executors,
-            cfg.max_batch,
-            cfg.iteration_chunk,
-        )),
-        EngineMode::Cluster => {
+        EngineMode::Analytic => {
             let spec = cfg.spec.clone().unwrap_or_else(|| {
                 ClusterSpec::homogeneous(cfg.llm_executors, cfg.max_batch, cfg.latency.clone())
             });
             Box::new(ClusterExec::new(&spec))
         }
+        EngineMode::TokenLevel => Box::new(TokenExec::new(
+            cfg.llm_executors,
+            cfg.max_batch,
+            cfg.iteration_chunk,
+        )),
         EngineMode::Disagg => {
             let spec = cfg.spec.clone().unwrap_or_else(|| {
                 ClusterSpec::disaggregated(cfg.llm_executors, cfg.max_batch, cfg.latency.clone())
@@ -80,8 +80,8 @@ mod tests {
     #[test]
     fn factory_builds_the_requested_backend() {
         let a = build_backend(&cfg(EngineMode::Analytic));
-        assert_eq!(a.name(), "analytic");
-        assert_eq!(a.descriptor(), "analytic");
+        assert_eq!(a.name(), "cluster");
+        assert_eq!(a.descriptor(), "cluster/least-loaded");
         assert_eq!(a.ledger().views().len(), 3);
         let t = build_backend(&cfg(EngineMode::TokenLevel));
         assert_eq!(t.name(), "token-level");
@@ -90,11 +90,9 @@ mod tests {
 
     #[test]
     fn cluster_modes_derive_specs_from_scalar_fields() {
-        let c = build_backend(&cfg(EngineMode::Cluster));
-        assert_eq!(c.name(), "cluster");
-        assert_eq!(c.descriptor(), "cluster/least-loaded");
-        assert_eq!(c.ledger().views().len(), 3);
+        let c = build_backend(&cfg(EngineMode::Analytic));
         assert_eq!(c.ledger().total_slots(), 12);
+        assert!((0..3).all(|e| c.ledger().capacity(e) == 4));
 
         let d = build_backend(&cfg(EngineMode::Disagg));
         assert_eq!(d.name(), "disagg");
@@ -105,6 +103,8 @@ mod tests {
 
     #[test]
     fn explicit_spec_overrides_scalar_fields() {
+        // Analytic mode with a heterogeneous spec builds the routed
+        // replica table the spec describes, not the scalar-field pool.
         let spec = ClusterSpec::new(
             vec![
                 ReplicaGroup::new("fast", 1, 8, LatencyProfile::default()),
@@ -114,19 +114,24 @@ mod tests {
         );
         let c = build_backend(&ClusterConfig {
             spec: Some(spec),
-            ..cfg(EngineMode::Cluster)
+            ..cfg(EngineMode::Analytic)
         });
         assert_eq!(c.ledger().views().len(), 3);
         assert_eq!(c.descriptor(), "cluster/jsq");
-        assert_eq!((c.ledger().capacity(0), c.ledger().capacity(1)), (8, 2));
+        assert_eq!(
+            (0..3).map(|e| c.ledger().capacity(e)).collect::<Vec<_>>(),
+            [8, 2, 2]
+        );
         assert_eq!(c.ledger().total_slots(), 12);
     }
 
     #[test]
     fn empty_pool_has_no_placement() {
+        // Analytic mode rejects an empty pool at the spec; the scalar
+        // token-level pool builds one.
         let cfg = ClusterConfig {
             llm_executors: 0,
-            ..cfg(EngineMode::Analytic)
+            ..cfg(EngineMode::TokenLevel)
         };
         let mut be = build_backend(&cfg);
         assert!(!be.ledger().has_free_slot());

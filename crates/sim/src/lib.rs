@@ -22,13 +22,13 @@
 //! delta-driven dirtiness); `DESIGN.md` §7 specifies the contract.
 //!
 //! LLM serving is pluggable: the engine drives an
-//! [`exec::ExecutorBackend`] trait object, and four backends ship
-//! (selected by [`engine::EngineMode`]): the analytic rate-rescaling
-//! backend [`exec::AnalyticExec`] — the paper's *simulator* — the
-//! token-level continuous-batching backend [`exec::TokenExec`] standing
-//! in for the paper's GPU *testbed*, the heterogeneous routed
-//! multi-replica backend [`exec::ClusterExec`], and the disaggregated
-//! prefill/decode backend [`exec::DisaggExec`]. Cluster topologies
+//! [`exec::ExecutorBackend`] trait object, and three backends ship
+//! (selected by [`engine::EngineMode`]): the routed replica table
+//! [`exec::ClusterExec`] with analytic rate-rescaling batching — the
+//! paper's *simulator*, a homogeneous least-loaded pool unless a spec
+//! says otherwise — the token-level continuous-batching backend
+//! [`exec::TokenExec`] standing in for the paper's GPU *testbed*, and
+//! the disaggregated prefill/decode backend [`exec::DisaggExec`]. Cluster topologies
 //! (replica groups, routing policies, disaggregation layouts) are
 //! described by `llmsched-cluster`'s
 //! [`ClusterSpec`](llmsched_cluster::ClusterSpec), threaded through
@@ -104,7 +104,7 @@ pub mod prelude {
         simulate, simulate_probed, try_simulate, ClusterConfig, ConfigError, EngineMode,
     };
     pub use crate::exec::{
-        AnalyticExec, ClusterExec, DisaggExec, ExecutorBackend, LlmTaskRef, SlotLedger, TokenExec,
+        ClusterExec, DisaggExec, ExecutorBackend, LlmTaskRef, SlotLedger, TokenExec,
     };
     pub use crate::incr::{DeltaIndex, EstimateCache, FiniteF64};
     pub use crate::latency::{LatencyProfile, LatencyProfileError};

@@ -65,8 +65,8 @@ pub struct JctPercentiles {
 pub struct SimResult {
     /// Scheduling policy name.
     pub scheduler: String,
-    /// Executor backend descriptor the run used (e.g. `"analytic"`,
-    /// `"token-level"`, `"cluster/jsq"`) — keeps cross-fidelity and
+    /// Executor backend descriptor the run used (e.g.
+    /// `"cluster/least-loaded"`, `"token-level"`, `"disagg/jsq"`) — keeps cross-fidelity and
     /// cross-routing comparisons honest. A `String` so dynamically
     /// configured cluster backends can self-describe.
     pub backend: String,
@@ -248,7 +248,7 @@ mod tests {
     fn result(jobs: Vec<JobOutcome>) -> SimResult {
         SimResult {
             scheduler: "test".into(),
-            backend: "analytic".into(),
+            backend: "cluster/least-loaded".into(),
             jobs,
             makespan: SimTime::from_secs_f64(10.0),
             sched_calls: 4,

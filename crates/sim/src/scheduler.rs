@@ -372,7 +372,7 @@ pub struct SchedContext<'a> {
     /// [`ExecutorBackend`](crate::exec::ExecutorBackend) (the engine
     /// refreshes one reused buffer per invocation).
     pub llm_executors: &'a [LlmExecutorView],
-    /// Descriptor of the active executor backend (e.g. `"analytic"`,
+    /// Descriptor of the active executor backend (e.g. `"token-level"`,
     /// `"cluster/jsq"`): lets fidelity-aware policies and the Eq. 2
     /// calibration know which serving model — and routing policy —
     /// produced the occupancy view.
@@ -636,7 +636,7 @@ mod tests {
             jobs: ActiveJobs::dense(&jobs),
             deltas: &[],
             llm_executors: &[],
-            backend: "analytic",
+            backend: "cluster/least-loaded",
             regular_total: 1,
             regular_busy: 0,
             dispatchable: jobs.iter().map(|j| j.ready_unstarted_tasks()).sum(),

@@ -160,9 +160,10 @@ pub enum ProbeEvent {
         occupancy: u32,
     },
     /// A routed backend's placement decision, as admitted: which replica
-    /// the routing policy chose for a task. (Emitted by cluster/disagg
-    /// backends; homogeneous pools use the paper's fixed least-loaded
-    /// rule, fully reconstructible from [`ProbeEvent::TaskDispatched`].)
+    /// the routing policy chose for a task. Emitted by the replica-table
+    /// backends (analytic — homogeneous pools included — and disagg);
+    /// the token-level pool places by the fixed least-loaded rule and
+    /// emits none.
     Routed {
         /// Admission time.
         at: SimTime,

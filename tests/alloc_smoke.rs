@@ -9,10 +9,8 @@
 //! here means someone put a per-event `Vec`/`HashMap` back on the hot
 //! path.
 //!
-//! The bench bin `alloc_probe` (crates/bench/src/bin/alloc_probe.rs)
-//! mirrors this harness (same allocator shim, corpus, cluster shape and
-//! workload seed) to print per-scheduler numbers for diagnosis — keep
-//! the two in sync when changing the measurement methodology.
+//! Per-layer allocation numbers for diagnosis come from the repository
+//! benchmark's `alloc.*` rows (`perfbench/`), not from this test.
 //!
 //! The budget is deliberately loose (≈3× the measured value at the time
 //! of writing) so it only trips on structural regressions, not on

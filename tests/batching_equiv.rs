@@ -9,7 +9,7 @@
 //!    completion set, the exact f64 bit pattern of the average JCT,
 //!    the same [`DecisionRecord`] provenance stream and windowed
 //!    time-series — for every policy, every workload mix and the
-//!    analytic/cluster/disagg backends. No decision point may be
+//!    analytic and disagg backends. No decision point may be
 //!    deferred at ε = 0.
 //!
 //! 2. **ε > 0 is a deterministic relaxation.** The relaxed schedule is
@@ -134,11 +134,7 @@ fn assert_equiv(a: &SimResult, b: &SimResult, label: &str) {
 /// single decision point.
 #[test]
 fn horizon_zero_is_bit_identical_for_every_policy_mix_backend_and_engine() {
-    let modes = [
-        EngineMode::Analytic,
-        EngineMode::Cluster,
-        EngineMode::Disagg,
-    ];
+    let modes = [EngineMode::Analytic, EngineMode::Disagg];
     for kind in WorkloadKind::ALL {
         for mode in modes {
             for policy in POLICIES {
@@ -223,7 +219,7 @@ fn folded_provenance_accounts_for_every_deferred_decision_point() {
     for (policy, mode) in [
         ("LLMSched", EngineMode::Analytic),
         ("SRTF", EngineMode::Disagg),
-        ("FCFS", EngineMode::Cluster),
+        ("FCFS", EngineMode::Analytic),
     ] {
         let (r, _, folded) = run(WorkloadKind::Mixed, mode, policy, Some(0.2), true);
         assert!(

@@ -7,7 +7,7 @@
 //! exact f64 bit pattern of the average JCT — *and* identical telemetry:
 //! the same [`DecisionRecord`] stream (same `seq`, same `at`, same
 //! posterior state) and the same windowed [`TimeSeries`], for every
-//! policy, every workload mix and the analytic/cluster/disagg backends.
+//! policy, every workload mix and the analytic and disagg backends.
 //!
 //! The accounting invariant ties the two modes together: every decision
 //! point keeps its sequence number whether it ran, was skipped, or was
@@ -115,11 +115,7 @@ fn assert_equiv(on: &SimResult, off: &SimResult, label: &str) {
 /// plus identical decision provenance.
 #[test]
 fn coalesced_runs_are_bit_identical_for_every_policy_mix_and_backend() {
-    let modes = [
-        EngineMode::Analytic,
-        EngineMode::Cluster,
-        EngineMode::Disagg,
-    ];
+    let modes = [EngineMode::Analytic, EngineMode::Disagg];
     let mut total_skipped = 0u64;
     for kind in WorkloadKind::ALL {
         for mode in modes {

@@ -1,6 +1,6 @@
 //! Cross-fidelity properties of the executor-backend layer: on the same
-//! fixed-seed workload, the analytic, token-level, cluster and
-//! disaggregated backends must agree on everything *structural* — which
+//! fixed-seed workload, the analytic, token-level and disaggregated
+//! backends must agree on everything *structural* — which
 //! jobs complete and the order in which each job's hidden stages are
 //! revealed — even though their timing models differ.
 //!
@@ -74,22 +74,21 @@ fn run_recorded(
     (r, sched.seen)
 }
 
-/// All four backends — including the cluster and disaggregated
-/// prefill/decode serving models — complete the same job set with
+/// All three backends — including the disaggregated prefill/decode
+/// serving model — complete the same job set with
 /// identical per-job reveal order, across every workload mix, on fixed
 /// seeds.
 #[test]
 fn backends_agree_on_completion_set_and_reveal_order() {
     let modes = [
-        (EngineMode::Analytic, "analytic"),
+        (EngineMode::Analytic, "cluster/least-loaded"),
         (EngineMode::TokenLevel, "token-level"),
-        (EngineMode::Cluster, "cluster/least-loaded"),
         (EngineMode::Disagg, "disagg/least-loaded"),
     ];
     for kind in WorkloadKind::ALL {
         for seed in [7u64, 42, 1234] {
             let (ra, reveals_a) = run_recorded(kind, EngineMode::Analytic, 18, seed);
-            assert_eq!(ra.backend, "analytic");
+            assert_eq!(ra.backend, "cluster/least-loaded");
             let mut ids_a: Vec<u64> = ra.jobs.iter().map(|j| j.id.0).collect();
             ids_a.sort_unstable();
 
@@ -142,26 +141,6 @@ fn backends_agree_on_completion_set_and_reveal_order() {
                 }
             }
         }
-    }
-}
-
-/// The cluster backend with a homogeneous derived spec and least-loaded
-/// routing is the analytic model under a different placement code path:
-/// per-job completion times must agree to the microsecond.
-#[test]
-fn homogeneous_cluster_backend_matches_analytic_timing() {
-    let (ra, _) = run_recorded(WorkloadKind::Predefined, EngineMode::Analytic, 18, 21);
-    let (rc, _) = run_recorded(WorkloadKind::Predefined, EngineMode::Cluster, 18, 21);
-    let by_id = |r: &SimResult| -> HashMap<u64, SimTime> {
-        r.jobs.iter().map(|j| (j.id.0, j.completion)).collect()
-    };
-    let (ca, cc) = (by_id(&ra), by_id(&rc));
-    assert_eq!(ca.len(), cc.len());
-    for (id, at) in &ca {
-        assert_eq!(
-            at, &cc[id],
-            "job {id}: homogeneous cluster completion diverged from analytic"
-        );
     }
 }
 

@@ -7,7 +7,7 @@
 //! set, the exact f64 bit pattern of the average JCT — *and* identical
 //! telemetry: the same [`DecisionRecord`] stream and the same windowed
 //! time-series, for every policy, every workload mix and the
-//! analytic/cluster/disagg backends.
+//! analytic and disagg backends.
 //!
 //! The accounting invariant ties the two modes together: every decision
 //! point keeps its sequence number whether it ran, was coalesced, or was
@@ -121,11 +121,7 @@ fn assert_equiv(on: &SimResult, off: &SimResult, label: &str) {
 /// decision provenance.
 #[test]
 fn elided_runs_are_bit_identical_for_every_policy_mix_and_backend() {
-    let modes = [
-        EngineMode::Analytic,
-        EngineMode::Cluster,
-        EngineMode::Disagg,
-    ];
+    let modes = [EngineMode::Analytic, EngineMode::Disagg];
     let mut total_elided = 0u64;
     for kind in WorkloadKind::ALL {
         for mode in modes {

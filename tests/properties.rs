@@ -143,7 +143,7 @@ fn llmsched_preferences_are_valid() {
                 batch_len: 0,
                 max_batch: 8,
             }],
-            backend: "analytic",
+            backend: "cluster/least-loaded",
             regular_total: 2,
             regular_busy: 0,
             dispatchable: jobs.iter().map(|j| j.ready_unstarted_tasks()).sum(),

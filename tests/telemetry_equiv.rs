@@ -4,7 +4,7 @@
 //! produce the bit-identical schedule of the same run under the default
 //! [`NoopProbe`]: same engine event count, same makespan, same completion
 //! set, the exact f64 bit pattern of the average JCT. For every policy,
-//! every workload mix and the analytic/cluster/disagg backends.
+//! every workload mix and the analytic and disagg backends.
 //!
 //! The suite also pins the export schema end-to-end: every JSONL line and
 //! the Chrome `trace_event` document a real simulation produces must pass
@@ -96,11 +96,7 @@ fn assert_equiv(probed: &SimResult, plain: &SimResult, label: &str) {
 /// The full matrix: attaching a recording probe never changes a schedule.
 #[test]
 fn probed_runs_are_bit_identical_for_every_policy_mix_and_backend() {
-    let modes = [
-        EngineMode::Analytic,
-        EngineMode::Cluster,
-        EngineMode::Disagg,
-    ];
+    let modes = [EngineMode::Analytic, EngineMode::Disagg];
     for kind in WorkloadKind::ALL {
         for mode in modes {
             for policy in POLICIES {
@@ -213,7 +209,7 @@ fn llmsched_runs_carry_decision_provenance() {
 /// and carry the fields the observability contract promises.
 #[test]
 fn exports_from_a_real_run_validate_and_carry_required_fields() {
-    let (r, rec) = run_on(WorkloadKind::Mixed, EngineMode::Cluster, "LLMSched");
+    let (r, rec) = run_on(WorkloadKind::Mixed, EngineMode::Analytic, "LLMSched");
     let series = r.timeseries.as_ref();
     let jsonl = rec.jsonl(series);
     for (i, line) in jsonl.lines().enumerate() {
