@@ -21,8 +21,9 @@
 //!     [--quick]            # one small sweep (CI)
 //!     [--runs <n>]         # repeat every row n times, report the
 //!                          # median-of-n wall clock (default 1)
-//!     [--horizon <secs>]   # bounded-staleness horizon ε for the sweep
-//!                          # rows (default DECISION_HORIZON_SECS; 0 = exact)
+//!     [--horizon <secs>]   # bounded-staleness horizon ε ≥ 0 for the
+//!                          # sweep rows (default DECISION_HORIZON_SECS;
+//!                          # 0 = exact)
 //!     [--floor <jobs/s>]   # exit non-zero if any incremental run
 //!                          # simulates fewer jobs/sec than this
 //!     [--check]            # exit non-zero if disagg throughput decays
@@ -38,10 +39,13 @@
 //!     [--timeseries]       # print the probed run's windowed time-series
 //!     [--no-coalescing]    # A/B switch: disable scheduler invocation
 //!                          # coalescing (schedules stay bit-identical)
-//!     [--jobs <n>]         # one incremental sweep at a custom job count
+//!     [--jobs <n>]         # one incremental sweep at a custom job
+//!                          # count (n ≥ 1)
 //!
-//! An unknown flag, a flag missing its value or an unparsable value exits
-//! with status 2 and a usage line.
+//! An unknown flag, a flag missing its value, an unparsable value or an
+//! out-of-range one (`--runs 0`, `--jobs 0`, a negative or non-finite
+//! `--horizon`) exits with status 2 and a usage line, before any output
+//! is written.
 
 use std::fmt::Write as _;
 use std::sync::OnceLock;
@@ -158,9 +162,15 @@ fn args() -> &'static Args {
     })
 }
 
-/// `--horizon` override, defaulting to [`DECISION_HORIZON_SECS`].
+/// `--horizon` override, defaulting to [`DECISION_HORIZON_SECS`]. A
+/// negative or non-finite horizon exits 2 (`ClusterConfig::validate`
+/// would reject it only after training).
 fn sweep_horizon() -> f64 {
-    args().get("--horizon").unwrap_or(DECISION_HORIZON_SECS)
+    match args().get::<f64>("--horizon") {
+        None => DECISION_HORIZON_SECS,
+        Some(h) if h.is_finite() && h >= 0.0 => h,
+        Some(_) => args().reject("--horizon"),
+    }
 }
 
 /// `--runs` repetition count (median-of-n wall), defaulting to 1.
@@ -202,7 +212,7 @@ fn exp_for(n_jobs: usize, mode: EngineMode, path: Path, horizon_secs: f64) -> Ex
     }
     // Bounded-staleness decision batching (DESIGN.md §14). The rebuild
     // reference and the ε=0 drift twins pass 0.0: exact mode.
-    cluster.decision_horizon = (horizon_secs > 0.0).then_some(horizon_secs);
+    cluster.decision_horizon = horizon_secs;
     ExperimentConfig {
         n_jobs,
         mode,
@@ -336,10 +346,15 @@ fn main() {
         .value_or("--trace", "results/scale_trace")
         .map(str::to_string);
     let timeseries = args.has("--timeseries");
-    // Tuning escape hatch: one incremental sweep at a custom job count.
-    let jobs_override: Option<usize> = args.get("--jobs");
+    // Tuning escape hatch: one incremental sweep at a custom job count
+    // (zero jobs has no throughput and no JCT to report).
+    let jobs_override: Option<usize> = match args.get("--jobs") {
+        Some(0) => args.reject("--jobs"),
+        n => n,
+    };
     let eps = sweep_horizon();
-    // Reject a bad `--runs` before the training step, not after it.
+    // Reject a bad `--runs` before the training step, not after it (as
+    // `--horizon` and `--jobs` above).
     measure_runs();
 
     let art = TrainedArtifacts::train(if quick { 100 } else { 200 }, 1);

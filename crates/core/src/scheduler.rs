@@ -1198,8 +1198,8 @@ impl Scheduler for LlmSched {
             // drain) — making this call an exact no-op that the engine's
             // capacity-aware elision can skip wholesale. The predicate is
             // engine-computed (same bit the elision branch tests), so the
-            // two sides can never disagree; pinned by the elision
-            // equivalence suite.
+            // two sides can never disagree; pinned by the elision-off leg
+            // of the equivalence matrix.
             return Preference::new();
         }
         if self.cfg.incremental {

@@ -82,32 +82,20 @@ pub struct ClusterConfig {
     /// `DESIGN.md` §12). On by default; the A/B equivalence suite runs
     /// both settings.
     pub coalescing: bool,
-    /// Capacity-aware decision-point elision: additionally skip decision
-    /// points at which work is ready but *no executor of the matching
-    /// class has a free slot* — provided the active policy declares
-    /// itself work-conserving
-    /// ([`Scheduler::is_work_conserving`](crate::scheduler::Scheduler)),
-    /// i.e. guarantees an empty no-side-effect decision whenever
-    /// [`SchedContext::could_dispatch`](crate::scheduler::SchedContext)
-    /// is false. Deltas carry over exactly as under coalescing, and
-    /// elided opportunities keep their sequence numbers. On by default; a
-    /// no-op for policies that don't opt in (every policy defaults to
-    /// not-work-conserving). See `DESIGN.md` §13.
-    pub elision: bool,
-    /// Bounded-staleness decision batching: with `Some(ε)` (simulated
-    /// seconds, ε > 0), a decision point falling within ε of the previous
+    /// Bounded-staleness decision batching: with ε > 0 (simulated
+    /// seconds), a decision point falling within ε of the previous
     /// policy invocation is *deferred* — its deltas keep accumulating on
     /// the existing [`SchedDelta`](crate::scheduler::SchedDelta) stream —
     /// and all deferred points fold into one batched invocation at the
     /// horizon edge (the clock advances to exactly
-    /// `previous invocation + ε` when no earlier event exists). `None`
-    /// (the default) and `Some(0.0)` are the exact mode: every decision
-    /// point is evaluated at its own timestamp, bit-identical to an
-    /// engine without this field (pinned by `tests/batching_equiv.rs`).
-    /// ε > 0 is a *relaxation*: dispatch can lag a ready task by at most
-    /// ε, bounding the avg-JCT drift (gated at ≤ 0.5 % by
-    /// `scale_throughput --check`). See `DESIGN.md` §14.
-    pub decision_horizon: Option<f64>,
+    /// `previous invocation + ε` when no earlier event exists). `0.0`
+    /// (the default) is the exact mode: every decision point is
+    /// evaluated at its own timestamp, bit-identical to an engine without
+    /// this field (pinned by `tests/equivalence.rs`). ε > 0 is a
+    /// *relaxation*: dispatch can lag a ready task by at most ε, bounding
+    /// the avg-JCT drift (gated at ≤ 0.5 % by `scale_throughput --check`).
+    /// See `DESIGN.md` §14.
+    pub decision_horizon: f64,
 }
 
 /// Why a simulation's inputs were rejected before the run started: each
@@ -204,10 +192,9 @@ impl ClusterConfig {
         if self.regular_executors == 0 {
             return Err(ConfigError::NoRegularExecutors);
         }
-        if let Some(h) = self.decision_horizon {
-            if !(h.is_finite() && h >= 0.0) {
-                return Err(ConfigError::InvalidDecisionHorizon(h));
-            }
+        let h = self.decision_horizon;
+        if !(h.is_finite() && h >= 0.0) {
+            return Err(ConfigError::InvalidDecisionHorizon(h));
         }
         match (&self.spec, self.mode) {
             (Some(_), EngineMode::TokenLevel) => {
@@ -238,8 +225,7 @@ impl Default for ClusterConfig {
             iteration_chunk: 1,
             spec: None,
             coalescing: true,
-            elision: true,
-            decision_horizon: None,
+            decision_horizon: 0.0,
         }
     }
 }
@@ -372,7 +358,7 @@ pub fn try_simulate(
 /// The probe is observation-only: engine state flows *into* it and never
 /// back, so a run with any probe produces the bit-identical schedule,
 /// event count, and metrics of the same run under [`NoopProbe`] (pinned
-/// by the `telemetry_equiv` suite). `Probe::enabled` is cached once at
+/// by `tests/equivalence.rs`). `Probe::enabled` is cached once at
 /// entry; when it returns `false` the run is indistinguishable from
 /// [`simulate`]. When enabled, the engine also flips the scheduler's
 /// provenance collection on ([`Scheduler::set_telemetry`]) and drains
@@ -434,9 +420,7 @@ fn run_checked(
         ready_llm: 0,
         sched_skipped: 0,
         sched_elided: 0,
-        horizon: cfg
-            .decision_horizon
-            .map_or(0, |s| llmsched_dag::time::SimDuration::from_secs_f64(s).0),
+        horizon: llmsched_dag::time::SimDuration::from_secs_f64(cfg.decision_horizon).0,
         last_sched_at: None,
         flush_at: None,
         sched_deferred: 0,
@@ -548,11 +532,12 @@ impl Engine<'_> {
     /// opportunity still consumes
     /// a sequence number so provenance streams align bit-for-bit with an
     /// uncoalesced run (whose policies short-circuit on
-    /// `dispatchable == 0` and decide nothing). With elision on and a
-    /// work-conserving policy, decision points whose ready work has no
-    /// free executor of the matching class are skipped the same way: the
-    /// policy's `!could_dispatch` early-return guarantees the elided
-    /// invocation would have decided nothing and touched no state.
+    /// `dispatchable == 0` and decide nothing). Under a policy that
+    /// declares itself work-conserving ([`Scheduler::is_work_conserving`]),
+    /// decision points whose ready work has no free executor of the
+    /// matching class are elided the same way: the policy's
+    /// `!could_dispatch` early-return guarantees the elided invocation
+    /// would have decided nothing and touched no state.
     fn scheduler_opportunity(&mut self, scheduler: &mut dyn Scheduler) {
         debug_assert_eq!(
             self.ready_unstarted,
@@ -579,7 +564,7 @@ impl Engine<'_> {
             self.sched_skipped += 1;
             return;
         }
-        if self.cfg.elision && !self.could_dispatch() && scheduler.is_work_conserving() {
+        if !self.could_dispatch() && scheduler.is_work_conserving() {
             self.sched_elided += 1;
             return;
         }
@@ -1014,7 +999,7 @@ impl Engine<'_> {
         self.sched_samples.push(elapsed);
         // Opportunity sequence: skipped, elided and deferred opportunities
         // consume numbers too, so records carry the same seq whether or
-        // not coalescing / elision is on (deferral shifts timing by
+        // not coalescing / elision applies (deferral shifts timing by
         // design, so its seqs align only within one configuration).
         let seq = self.sched_calls + self.sched_skipped + self.sched_elided + self.sched_deferred;
         self.sched_calls += 1;
@@ -1679,7 +1664,7 @@ mod tests {
     fn config_error_invalid_decision_horizon() {
         for h in [-0.5, f64::NAN, f64::INFINITY] {
             let cfg = ClusterConfig {
-                decision_horizon: Some(h),
+                decision_horizon: h,
                 ..Default::default()
             };
             let err = try_pipeline(&cfg).unwrap_err();
@@ -1688,7 +1673,7 @@ mod tests {
         }
         // Zero is the exact mode, not an error.
         let cfg = ClusterConfig {
-            decision_horizon: Some(0.0),
+            decision_horizon: 0.0,
             ..Default::default()
         };
         assert!(cfg.validate().is_ok());
@@ -1779,7 +1764,7 @@ mod tests {
     fn simulate_panics_with_the_config_error_text() {
         let (set, spec) = templates_and_job(0.0);
         let cfg = ClusterConfig {
-            decision_horizon: Some(-0.5),
+            decision_horizon: -0.5,
             ..Default::default()
         };
         simulate(&cfg, &set, vec![spec], &mut Greedy);

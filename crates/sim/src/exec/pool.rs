@@ -72,8 +72,7 @@ mod tests {
             iteration_chunk: 2,
             spec: None,
             coalescing: true,
-            elision: true,
-            decision_horizon: None,
+            decision_horizon: 0.0,
         }
     }
 

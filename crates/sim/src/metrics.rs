@@ -89,7 +89,7 @@ pub struct SimResult {
     /// policy declared itself work-conserving
     /// ([`Scheduler::is_work_conserving`](crate::scheduler::Scheduler)),
     /// so the invocation was provably a no-op and was skipped. Always 0
-    /// with elision off or under a non-work-conserving policy.
+    /// under a policy that is not work-conserving.
     /// Opportunity sequence numbers count all three outcomes, so
     /// `sched_calls + sched_skipped + sched_elided` is the total number
     /// of decision points the run evaluated.
@@ -99,7 +99,7 @@ pub struct SimResult {
     /// (crate::engine::ClusterConfig)): the decision point fell within ε
     /// of the previous invocation, so it was folded — deltas and all —
     /// into the batched invocation at the horizon edge. Always 0 in
-    /// exact mode (`None` / `Some(0.0)`). Deferred opportunities consume
+    /// exact mode (`decision_horizon` 0). Deferred opportunities consume
     /// sequence numbers alongside the other three outcomes, so
     /// `sched_calls + sched_skipped + sched_elided + sched_deferred` is
     /// the total number of decision points the run evaluated.

@@ -398,11 +398,11 @@ pub struct SchedContext<'a> {
     /// unstarted task could start *right now* — a free regular executor
     /// with ready regular work, or a free LLM batch slot with ready LLM
     /// work. This is exactly the predicate the engine's capacity-aware
-    /// elision uses (see [`ClusterConfig::elision`](crate::engine::ClusterConfig)):
-    /// a policy that early-returns an empty preference whenever
-    /// `!could_dispatch` — before touching any RNG or order-dependent
-    /// state — may declare [`Scheduler::is_work_conserving`] and have
-    /// such invocations elided entirely, bit-identically. The field is
+    /// elision uses: a policy that early-returns an empty preference
+    /// whenever `!could_dispatch` — before touching any RNG or
+    /// order-dependent state — may declare
+    /// [`Scheduler::is_work_conserving`] and have such invocations elided
+    /// entirely, bit-identically. The field is
     /// engine-computed (not derived from the views) so the policy-side
     /// early-return and the engine-side elision can never disagree.
     pub could_dispatch: bool,
@@ -499,9 +499,9 @@ pub trait Scheduler {
     /// [`SchedContext::could_dispatch`] is false, its [`Scheduler::schedule`]
     /// returns an empty preference without touching any RNG or other
     /// order-dependent state. The engine may then elide such invocations
-    /// entirely (skipping the decision point) when
-    /// [`ClusterConfig::elision`](crate::engine::ClusterConfig) is on,
-    /// with bit-identical results guaranteed by `tests/elision_equiv.rs`.
+    /// entirely (skipping the decision point), with bit-identical results
+    /// guaranteed by `tests/equivalence.rs`. This opt-in is the one switch
+    /// for elision: the engine elides iff it returns `true`.
     ///
     /// The default is `false` (never elide), so policies that don't opt
     /// in see identical behavior. Wrapper schedulers MUST forward this

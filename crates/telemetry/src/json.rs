@@ -46,8 +46,8 @@ pub fn num(v: f64) -> String {
 /// but whitespace after it. Returns a byte offset + message on failure.
 ///
 /// This is a syntax checker, not a schema checker: the bench bins pair
-/// it with field-presence greps, and the `telemetry_equiv` golden test
-/// pins the actual schema.
+/// it with field-presence greps, and the root `tests/equivalence.rs`
+/// export test pins the actual schema.
 pub fn validate(s: &str) -> Result<(), String> {
     let b = s.as_bytes();
     let mut pos = 0usize;

@@ -11,52 +11,12 @@
 //! reveal their generated stages in one batch), so the per-job sequences
 //! must be backend-invariant.
 
+mod common;
+
 use std::collections::HashMap;
 
+use common::RevealRecorder;
 use llmsched::prelude::*;
-
-/// Wraps a scheduler and records, per job, every stage id in the order it
-/// first became visible to the policy.
-struct RevealRecorder<S> {
-    inner: S,
-    seen: HashMap<JobId, Vec<StageId>>,
-}
-
-impl<S: Scheduler> RevealRecorder<S> {
-    fn new(inner: S) -> Self {
-        RevealRecorder {
-            inner,
-            seen: HashMap::new(),
-        }
-    }
-}
-
-impl<S: Scheduler> Scheduler for RevealRecorder<S> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn schedule(&mut self, ctx: &SchedContext<'_>) -> Preference {
-        for job in &ctx.jobs {
-            let rec = self.seen.entry(job.id()).or_default();
-            for &s in job.visible_stage_ids() {
-                if !rec.contains(&s) {
-                    rec.push(s);
-                }
-            }
-        }
-        self.inner.schedule(ctx)
-    }
-
-    // Wrappers must keep the inner policy on the delta stream.
-    fn on_delta(&mut self, d: &SchedDelta) {
-        self.inner.on_delta(d);
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-    }
-}
 
 /// Runs `kind` under FCFS on one backend, returning the result and the
 /// recorded per-job reveal sequences.
