@@ -91,7 +91,7 @@ pub struct ClusterConfig {
     /// `previous invocation + ε` when no earlier event exists). `0.0`
     /// (the default) is the exact mode: every decision point is
     /// evaluated at its own timestamp, bit-identical to an engine without
-    /// this field (pinned by `tests/equivalence.rs`). ε > 0 is a
+    /// this field (pinned by `tests/batching_equiv.rs`). ε > 0 is a
     /// *relaxation*: dispatch can lag a ready task by at most ε, bounding
     /// the avg-JCT drift (gated at ≤ 0.5 % by `scale_throughput --check`).
     /// See `DESIGN.md` §14.
@@ -358,7 +358,7 @@ pub fn try_simulate(
 /// The probe is observation-only: engine state flows *into* it and never
 /// back, so a run with any probe produces the bit-identical schedule,
 /// event count, and metrics of the same run under [`NoopProbe`] (pinned
-/// by `tests/equivalence.rs`). `Probe::enabled` is cached once at
+/// by `tests/telemetry_equiv.rs`). `Probe::enabled` is cached once at
 /// entry; when it returns `false` the run is indistinguishable from
 /// [`simulate`]. When enabled, the engine also flips the scheduler's
 /// provenance collection on ([`Scheduler::set_telemetry`]) and drains

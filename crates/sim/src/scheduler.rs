@@ -500,7 +500,7 @@ pub trait Scheduler {
     /// returns an empty preference without touching any RNG or other
     /// order-dependent state. The engine may then elide such invocations
     /// entirely (skipping the decision point), with bit-identical results
-    /// guaranteed by `tests/equivalence.rs`. This opt-in is the one switch
+    /// guaranteed by `tests/elision_equiv.rs`. This opt-in is the one switch
     /// for elision: the engine elides iff it returns `true`.
     ///
     /// The default is `false` (never elide), so policies that don't opt

@@ -9,7 +9,8 @@
 //! pays one branch per site and allocates nothing. With a recording probe
 //! ([`trace::TraceRecorder`]) the *schedule is still bit-identical* —
 //! probes receive copies of engine state and can influence nothing, which
-//! the root `tests/equivalence.rs` matrix pins against the golden oracles.
+//! the probe-off leg of the root equivalence matrix
+//! (`tests/telemetry_equiv.rs`) pins.
 //!
 //! Layout:
 //!

@@ -1,167 +1,65 @@
-//! Coalescing equivalence: scheduler invocation coalescing (DESIGN.md
-//! §12) skips decision points at which no job has a ready, unstarted
-//! task, carrying the accumulated deltas to the next real invocation.
-//! The skip must be **invisible**: a coalesced run and an uncoalesced
-//! run of the same workload must produce the bit-identical schedule —
-//! same engine event count, same makespan, same completion set, the
-//! exact f64 bit pattern of the average JCT — *and* identical telemetry:
-//! the same [`DecisionRecord`] stream (same `seq`, same `at`, same
-//! posterior state) and the same windowed [`TimeSeries`], for every
-//! policy, every workload mix and the analytic and disagg backends.
-//!
-//! The accounting invariant ties the two modes together: every decision
-//! point keeps its sequence number whether it ran, was skipped, or was
-//! elided (capacity-aware elision stays at its default here, so both
-//! sides may elide), so `sched_calls + sched_skipped + sched_elided` is
-//! the same total either way, and provenance `seq` values match exactly.
+//! Decision-point coalescing (DESIGN.md §12): a decision point with
+//! nothing dispatchable is skipped instead of invoking the policy, and
+//! the schedule must not notice.
 
-use std::sync::OnceLock;
+mod common;
 
 use llmsched::prelude::*;
-use llmsched::telemetry::DecisionRecord;
-use llmsched_sim::engine::simulate_probed;
+use llmsched_bench::Policy;
 
-fn artifacts() -> &'static (Profiler, AppPriors) {
-    static ART: OnceLock<(Profiler, AppPriors)> = OnceLock::new();
-    ART.get_or_init(|| {
-        let templates = all_templates();
-        let corpus = training_jobs(&AppKind::ALL, 60, 1);
-        let cfg = ProfilerConfig::default();
-        let profiler = Profiler::train(&templates, &corpus, &cfg);
-        let priors = AppPriors::from_training(&corpus, cfg.per_token_b1);
-        (profiler, priors)
-    })
-}
+use common::{assert_same, build, cluster, fingerprint, matrix, small, MODES};
 
-const POLICIES: [&str; 8] = [
-    "FCFS", "SJF", "Fair", "Argus", "Decima", "Carbyne", "SRTF", "LLMSched",
-];
-
-fn build(policy: &str) -> Box<dyn Scheduler> {
-    let (profiler, priors) = artifacts();
-    match policy {
-        "FCFS" => Box::new(Fcfs::new()),
-        "SJF" => Box::new(Sjf::new(priors.clone())),
-        "Fair" => Box::new(Fair::new()),
-        "Argus" => Box::new(Argus::new()),
-        "Decima" => Box::new(DecimaLike::new(priors.clone())),
-        "Carbyne" => Box::new(CarbyneLike::new(priors.clone())),
-        "SRTF" => Box::new(Srtf::new(priors.clone())),
-        "LLMSched" => Box::new(LlmSched::new(profiler.clone(), LlmSchedConfig::default())),
-        _ => unreachable!("unknown policy {policy}"),
-    }
-}
-
-fn run(
-    kind: WorkloadKind,
-    mode: EngineMode,
-    policy: &str,
-    coalescing: bool,
-) -> (SimResult, Vec<DecisionRecord>) {
-    let w = generate_workload(kind, 10, 0.9, 11);
-    let mut cfg = kind.default_cluster();
-    cfg.mode = mode;
-    cfg.coalescing = coalescing;
-    let mut sched = build(policy);
-    let mut rec = TraceRecorder::new(TraceConfig {
-        window: Some(WindowConfig::new(
-            SimDuration::from_secs(5),
-            SimDuration::from_secs(60),
-        )),
-    });
-    let r = simulate_probed(&cfg, &w.templates, w.jobs, &mut sched, &mut rec);
-    let decisions = rec
-        .events()
-        .iter()
-        .filter_map(|e| match e {
-            ProbeEvent::Decision(d) => Some(*d),
-            _ => None,
-        })
-        .collect();
-    (r, decisions)
-}
-
-fn assert_equiv(on: &SimResult, off: &SimResult, label: &str) {
-    assert_eq!(on.events, off.events, "{label}: engine event counts");
-    assert_eq!(on.makespan, off.makespan, "{label}: makespans");
-    assert_eq!(on.incomplete, off.incomplete, "{label}: stranded jobs");
-    let completions = |r: &SimResult| {
-        let mut v: Vec<_> = r.jobs.iter().map(|j| (j.id, j.completion)).collect();
-        v.sort();
-        v
-    };
-    assert_eq!(completions(on), completions(off), "{label}: completions");
-    assert_eq!(
-        on.avg_jct_secs().to_bits(),
-        off.avg_jct_secs().to_bits(),
-        "{label}: avg JCT bit pattern"
-    );
-    // The accounting invariant: neither skipping nor eliding loses a
-    // decision point. (A point coalesced on one side may instead be
-    // elided on the other — `ready_unstarted == 0` implies
-    // `!could_dispatch` — so only the three-way total is comparable.)
-    assert_eq!(off.sched_skipped, 0, "{label}: uncoalesced run skipped");
-    assert_eq!(
-        on.sched_calls + on.sched_skipped + on.sched_elided,
-        off.sched_calls + off.sched_elided,
-        "{label}: decision-point count"
-    );
-    // Identical windowed trajectories (WindowRow is PartialEq over every
-    // field, including the f64 utilization/goodput values).
-    assert_eq!(on.timeseries, off.timeseries, "{label}: time-series");
-}
-
-/// The full matrix: every policy × mix × backend, coalescing on vs off,
-/// plus identical decision provenance.
+/// The coalescing-off leg: every policy × mix × backend with coalescing
+/// off reproduces the coalesced reference's schedule, decision
+/// provenance and time-series, skipping nothing and never invoking the
+/// policy less often.
 #[test]
 fn coalesced_runs_are_bit_identical_for_every_policy_mix_and_backend() {
-    let modes = [EngineMode::Analytic, EngineMode::Disagg];
-    let mut total_skipped = 0u64;
-    for kind in WorkloadKind::ALL {
-        for mode in modes {
-            for policy in POLICIES {
-                let (on, dec_on) = run(kind, mode, policy, true);
-                let (off, dec_off) = run(kind, mode, policy, false);
-                let label = format!("{policy} / {} / {:?}", kind.name(), mode);
-                assert_equiv(&on, &off, &label);
-                // The DecisionRecord streams match record-for-record:
-                // same seq, same at, same posterior state. Skipped
-                // opportunities had nothing dispatchable, so neither mode
-                // emits provenance there.
-                assert_eq!(dec_on, dec_off, "{label}: decision provenance");
-                total_skipped += on.sched_skipped;
-            }
-        }
-    }
-    assert!(
-        total_skipped > 0,
-        "coalescing never engaged across the whole matrix"
-    );
+    let mut skipped = 0;
+    matrix(|cell, r, reference| {
+        let label = &cell.label;
+        let uncoalesced = ClusterConfig {
+            coalescing: false,
+            ..cell.cfg.clone()
+        };
+        let (off, fp) = fingerprint(&uncoalesced, cell.w, &mut *cell.build(false), true);
+        assert_same(&fp, reference, &format!("{label}: coalescing off"));
+        assert_eq!(off.sched_skipped, 0, "{label}: uncoalesced run skipped");
+        assert!(
+            r.sched_calls <= off.sched_calls,
+            "{label}: coalescing added invocations"
+        );
+        skipped += r.sched_skipped;
+    });
+    assert!(skipped > 0, "coalescing never engaged across the matrix");
 }
 
-/// `sched_calls` still counts real invocations only: the uncoalesced
-/// count is an upper bound the coalesced run approaches from below, and
-/// a busy single-arrival burst (everything dispatchable at once) skips
-/// nothing it shouldn't — decisions are never deferred past a point at
-/// which work could have started.
+/// `sched_calls` counts real invocations only: the uncoalesced count is
+/// an upper bound the coalesced run approaches from below, and the
+/// dispatch moments, which define the schedule, survive verbatim.
 #[test]
 fn coalescing_only_skips_empty_decision_points() {
     for kind in WorkloadKind::ALL {
-        let (on, _) = run(kind, EngineMode::Analytic, "FCFS", true);
-        let (off, _) = run(kind, EngineMode::Analytic, "FCFS", false);
-        assert!(
-            on.sched_calls <= off.sched_calls,
-            "{}: coalescing added invocations",
-            kind.name()
-        );
-        // Dispatch moments are schedule-defining; they survive verbatim
-        // (already pinned bit-identically above, restated as the metric
-        // the contract is about).
-        assert_eq!(
-            on.avg_jct_secs().to_bits(),
-            off.avg_jct_secs().to_bits(),
-            "{}: schedule moved",
-            kind.name()
-        );
+        let w = small(kind);
+        for mode in MODES {
+            let label = format!("FCFS / {} / {mode:?}", kind.name());
+            let cfg = cluster(kind, mode);
+            let uncoalesced = ClusterConfig {
+                coalescing: false,
+                ..cfg.clone()
+            };
+            let (on, fp_on) = fingerprint(&cfg, &w, &mut *build(Policy::Fcfs, false, false), false);
+            let (off, fp_off) = fingerprint(
+                &uncoalesced,
+                &w,
+                &mut *build(Policy::Fcfs, false, false),
+                false,
+            );
+            assert!(
+                on.sched_calls <= off.sched_calls,
+                "{label}: coalescing added invocations"
+            );
+            assert_eq!(fp_on.schedule, fp_off.schedule, "{label}: schedule moved");
+        }
     }
 }

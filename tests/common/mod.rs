@@ -1,6 +1,7 @@
 //! Shared fixtures for the root integration tests: one set of training
 //! artifacts, the policy roster, the run [`Fingerprint`] every
-//! bit-identity contract compares, and a reveal-order recorder.
+//! bit-identity contract compares, the equivalence [`matrix`] each
+//! contract runs its toggle over, and a reveal-order recorder.
 
 // Each test binary compiles this module and uses a subset of it.
 #![allow(dead_code)]
@@ -50,6 +51,77 @@ pub fn cluster(kind: WorkloadKind, mode: EngineMode) -> ClusterConfig {
     ClusterConfig {
         mode,
         ..kind.default_cluster()
+    }
+}
+
+/// Every executor backend the matrix sweeps.
+pub const MODES: [EngineMode; 3] = [
+    EngineMode::Analytic,
+    EngineMode::TokenLevel,
+    EngineMode::Disagg,
+];
+
+/// The matrix workload of mix `kind`: 10 jobs at λ = 0.9, seed 11.
+pub fn small(kind: WorkloadKind) -> Workload {
+    generate_workload(kind, 10, 0.9, 11)
+}
+
+/// One cell of the equivalence [`matrix`]: a roster policy on a mix's
+/// matrix workload and default cluster, on one backend.
+pub struct Cell<'a> {
+    pub label: String,
+    pub cfg: &'a ClusterConfig,
+    pub w: &'a Workload,
+    pub policy: Policy,
+    pub work_conserving: bool,
+}
+
+impl Cell<'_> {
+    /// A fresh copy of the cell's policy, on the rebuild path if
+    /// `rebuild`.
+    pub fn build(&self, rebuild: bool) -> Box<dyn Scheduler> {
+        build(self.policy, self.work_conserving, rebuild)
+    }
+}
+
+/// The equivalence matrix: every [`ROSTER`] policy on every mix and every
+/// backend. Each cell runs the default configuration once, probed, as the
+/// reference and checks what holds of every reference: a zero decision
+/// horizon (the default) defers nothing, and a policy that does not opt
+/// into `is_work_conserving` is never elided. `toggle` then gets the cell,
+/// the reference run and its fingerprint, runs the cell with one
+/// exactness-preserving toggle and compares.
+pub fn matrix(mut toggle: impl FnMut(&Cell<'_>, &SimResult, &Fingerprint)) {
+    for kind in WorkloadKind::ALL {
+        let w = small(kind);
+        for mode in MODES {
+            let cfg = cluster(kind, mode);
+            for (policy, work_conserving) in ROSTER {
+                let wc_mark = if work_conserving {
+                    " (work-conserving)"
+                } else {
+                    ""
+                };
+                let cell = Cell {
+                    label: format!("{}{wc_mark} / {} / {mode:?}", policy.name(), kind.name()),
+                    cfg: &cfg,
+                    w: &w,
+                    policy,
+                    work_conserving,
+                };
+                let mut sched = cell.build(false);
+                let (r, reference) = fingerprint(&cfg, &w, &mut *sched, true);
+                let label = &cell.label;
+                assert_eq!(r.sched_deferred, 0, "{label}: exact mode deferred");
+                if !sched.is_work_conserving() {
+                    assert_eq!(
+                        r.sched_elided, 0,
+                        "{label}: elided a policy that did not opt in"
+                    );
+                }
+                toggle(&cell, &r, &reference);
+            }
+        }
     }
 }
 

@@ -1,257 +1,27 @@
-//! The equivalence harness: every bit-identity contract the simulator's
-//! JCTs rest on, checked against one run [`Fingerprint`].
-//!
-//! The matrix runs each policy of the roster on every workload mix and
-//! every executor backend. Each cell runs the default configuration once,
-//! probed, as the reference, and requires every exactness-preserving
-//! toggle to reproduce it:
-//!
-//! - **coalescing off** (DESIGN.md §12): the same schedule, decision
-//!   provenance and time-series, and never fewer invocations;
-//! - **elision off** (DESIGN.md §13): the same, through a wrapper that
-//!   declines `is_work_conserving`, the one switch for elision;
-//! - **probe off** (DESIGN.md §11): the same schedule and no time-series;
-//! - **the rebuild path**: the rebuild-per-call reference schedulers
-//!   against the delta-driven ones, on the schedule and the time-series.
-//!
-//! The reference itself must defer nothing (a zero decision horizon is
-//! exact, DESIGN.md §14), must not elide a policy that is not
-//! work-conserving, and, for stock LLMSched, must hit the golden
-//! avg-JCT bits and event counts. Every decision point is one of
-//! {invoked, coalesced, elided, deferred}, so the fingerprint's
-//! four-way decision-point total is conserved across toggles and
-//! provenance `seq` values match exactly.
-//!
-//! The rest of the file holds what a single small cell cannot: ε > 0
+//! The equivalence checks a single small matrix cell cannot make: ε > 0
 //! batching, incremental ≡ rebuild at the benchmark's concurrency and
 //! under online profiling, reveal order, provenance coherence and the
 //! telemetry export schema.
+//!
+//! The matrix itself (every policy × mix × backend, one probed reference
+//! per cell) lives in `tests/common`, and each exactness-preserving
+//! toggle checks its leg against it in its own file:
+//! `coalescing_equiv.rs` (coalescing off, DESIGN.md §12),
+//! `elision_equiv.rs` (elision off, §13), `batching_equiv.rs` (ε = 0,
+//! §14), `telemetry_equiv.rs` (probe off, §11) and `incremental_equiv.rs`
+//! (the rebuild path, plus the golden avg-JCT/event pins).
 
 mod common;
 
 use llmsched::prelude::*;
 use llmsched::telemetry::json::validate;
-use llmsched::telemetry::{DecisionList, DecisionRecord};
+use llmsched::telemetry::DecisionList;
 use llmsched_bench::Policy;
 
 use common::{
-    artifacts, assert_same, build, cluster, fingerprint, run_probed, window, Fingerprint,
-    RevealRecorder, ROSTER,
+    artifacts, assert_same, build, cluster, fingerprint, run_probed, small, window, Fingerprint,
+    RevealRecorder, MODES,
 };
-
-const MODES: [EngineMode; 3] = [
-    EngineMode::Analytic,
-    EngineMode::TokenLevel,
-    EngineMode::Disagg,
-];
-
-/// The matrix workload of mix `kind`: 10 jobs at λ = 0.9, seed 11.
-fn small(kind: WorkloadKind) -> Workload {
-    generate_workload(kind, 10, 0.9, 11)
-}
-
-/// Stock LLMSched's golden schedules on the matrix workloads:
-/// `(mix, mode, avg-JCT f64 bits, engine events)`. The Analytic rows were
-/// captured before the versioned profile store existed (frozen profile
-/// updates must reproduce them), the TokenLevel and Disagg rows before
-/// executor occupancy moved into the shared slot ledger. The toggles
-/// compare two runs over the same engine, so an engine-side bug that
-/// moves both still passes them; these absolute pins catch it. Analytic
-/// runs the homogeneous least-loaded replica table, so they also hold
-/// its routed placement and batch timing exact.
-const GOLDEN: [(WorkloadKind, EngineMode, u64, u64); 12] = [
-    (
-        WorkloadKind::Mixed,
-        EngineMode::Analytic,
-        0x4035d5b500276d2b,
-        476,
-    ),
-    (
-        WorkloadKind::Predefined,
-        EngineMode::Analytic,
-        0x40402f78eacd68d4,
-        651,
-    ),
-    (
-        WorkloadKind::ChainLike,
-        EngineMode::Analytic,
-        0x402321c952c4c8f2,
-        116,
-    ),
-    (
-        WorkloadKind::Planning,
-        EngineMode::Analytic,
-        0x401f56f39085f4a2,
-        138,
-    ),
-    (
-        WorkloadKind::Mixed,
-        EngineMode::TokenLevel,
-        0x4035d7e24febd09e,
-        4946,
-    ),
-    (
-        WorkloadKind::Mixed,
-        EngineMode::Disagg,
-        0x403fa1efd86a8fc2,
-        425,
-    ),
-    (
-        WorkloadKind::Predefined,
-        EngineMode::TokenLevel,
-        0x40402e257a0d0c58,
-        10221,
-    ),
-    (
-        WorkloadKind::Predefined,
-        EngineMode::Disagg,
-        0x404604e90d75338a,
-        712,
-    ),
-    (
-        WorkloadKind::ChainLike,
-        EngineMode::TokenLevel,
-        0x40232f1a99087a23,
-        2007,
-    ),
-    (
-        WorkloadKind::ChainLike,
-        EngineMode::Disagg,
-        0x4023807e78abe348,
-        134,
-    ),
-    (
-        WorkloadKind::Planning,
-        EngineMode::TokenLevel,
-        0x401f63587a149915,
-        894,
-    ),
-    (
-        WorkloadKind::Planning,
-        EngineMode::Disagg,
-        0x401f9abdfed3b015,
-        147,
-    ),
-];
-
-/// Elision off: forwards every hook to the wrapped policy but declines
-/// `is_work_conserving`, so the engine invokes it at every
-/// capacity-starved decision point it would otherwise elide.
-struct NoElision(Box<dyn Scheduler>);
-
-impl Scheduler for NoElision {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-
-    fn schedule(&mut self, ctx: &SchedContext<'_>) -> Preference {
-        self.0.schedule(ctx)
-    }
-
-    fn on_delta(&mut self, d: &SchedDelta) {
-        self.0.on_delta(d);
-    }
-
-    fn reset(&mut self) {
-        self.0.reset();
-    }
-
-    fn set_telemetry(&mut self, enabled: bool) {
-        self.0.set_telemetry(enabled);
-    }
-
-    fn drain_provenance(&mut self, out: &mut Vec<DecisionRecord>) {
-        self.0.drain_provenance(out);
-    }
-}
-
-/// The matrix: roster × mix × backend, each cell's reference against
-/// every toggle, plus the golden pins.
-#[test]
-fn every_toggle_is_bit_identical_for_every_policy_mix_and_backend() {
-    // The pins were captured under frozen profiles; that is the default.
-    assert_eq!(
-        LlmSchedConfig::default().profile_update,
-        ProfileUpdate::Frozen
-    );
-    let (mut skipped, mut elided, mut pinned) = (0, 0, 0);
-    for kind in WorkloadKind::ALL {
-        let w = small(kind);
-        for mode in MODES {
-            let cfg = cluster(kind, mode);
-            for (policy, wc) in ROSTER {
-                let wc_mark = if wc { " (work-conserving)" } else { "" };
-                let label = format!("{}{wc_mark} / {} / {mode:?}", policy.name(), kind.name());
-                let mut sched = build(policy, wc, false);
-                let (r, reference) = fingerprint(&cfg, &w, &mut *sched, true);
-                assert_eq!(r.sched_deferred, 0, "{label}: exact mode deferred");
-                if !sched.is_work_conserving() {
-                    assert_eq!(
-                        r.sched_elided, 0,
-                        "{label}: elided a policy that did not opt in"
-                    );
-                }
-                skipped += r.sched_skipped;
-                elided += r.sched_elided;
-                if (policy, wc) == (Policy::LlmSched, false) {
-                    let &(.., bits, events) = GOLDEN
-                        .iter()
-                        .find(|g| (g.0, g.1) == (kind, mode))
-                        .expect("every stock LLMSched cell is pinned");
-                    assert_eq!(reference.schedule.events, events, "{label}: events moved");
-                    assert_eq!(
-                        reference.schedule.avg_jct_bits,
-                        bits,
-                        "{label}: avg JCT bits moved ({} vs golden {})",
-                        r.avg_jct_secs(),
-                        f64::from_bits(bits)
-                    );
-                    pinned += 1;
-                }
-
-                let uncoalesced = ClusterConfig {
-                    coalescing: false,
-                    ..cfg.clone()
-                };
-                let (off, fp) = fingerprint(&uncoalesced, &w, &mut *build(policy, wc, false), true);
-                assert_same(&fp, &reference, &format!("{label}: coalescing off"));
-                assert_eq!(off.sched_skipped, 0, "{label}: uncoalesced run skipped");
-                assert!(
-                    r.sched_calls <= off.sched_calls,
-                    "{label}: coalescing added invocations"
-                );
-
-                let mut unelided = NoElision(build(policy, wc, false));
-                let (off, fp) = fingerprint(&cfg, &w, &mut unelided, true);
-                assert_same(&fp, &reference, &format!("{label}: elision off"));
-                assert_eq!(off.sched_elided, 0, "{label}: unelided run elided");
-
-                let (_, fp) = fingerprint(&cfg, &w, &mut *build(policy, wc, false), false);
-                assert_eq!(fp.schedule, reference.schedule, "{label}: probe off");
-                assert!(
-                    fp.timeseries.is_none(),
-                    "{label}: unprobed run grew a series"
-                );
-                assert!(
-                    reference.timeseries.is_some(),
-                    "{label}: probed run lost its series"
-                );
-
-                // The rebuild path promises the schedule, not the
-                // provenance of the preferences it proposes.
-                let (_, fp) = fingerprint(&cfg, &w, &mut *build(policy, wc, true), true);
-                assert_eq!(fp.schedule, reference.schedule, "{label}: rebuild path");
-                assert_eq!(
-                    fp.timeseries, reference.timeseries,
-                    "{label}: rebuild series"
-                );
-            }
-        }
-    }
-    assert!(skipped > 0, "coalescing never engaged across the matrix");
-    assert!(elided > 0, "elision never engaged across the matrix");
-    assert_eq!(pinned, GOLDEN.len(), "a golden pin went unchecked");
-}
 
 /// Runs `policy` incrementally and by rebuild, unprobed, asserts the two
 /// schedules are bit-identical and returns the incremental run.
