@@ -1,13 +1,14 @@
-//! Discrete factors and variable elimination — the exact-inference engine
-//! under the Bayesian profiler.
+//! Discrete factors: the table algebra under the Bayesian profiler.
 //!
 //! A [`Factor`] is a non-negative table over a sorted set of discrete
 //! variables. Values are stored row-major with the **last** variable varying
 //! fastest. Networks in this project are tiny (≤ ~12 variables of
-//! cardinality ≤ 7), so exact variable elimination is cheap and fully
-//! deterministic.
+//! cardinality ≤ 7). Variable elimination itself is compiled once per
+//! observed-variable set ([`crate::plan`]); [`eliminate_to_joint`] is its
+//! one-shot entry point over a factor list.
 
-use std::borrow::Cow;
+use crate::network::Evidence;
+use crate::plan::{EliminationPlan, PlanScratch};
 
 /// A table over a sorted list of discrete variables.
 #[derive(Debug, Clone, PartialEq)]
@@ -256,20 +257,35 @@ impl Factor {
 
     /// Normalizes in place to sum 1; an all-zero factor becomes uniform.
     pub fn normalize(&mut self) {
-        let sum: f64 = self.values.iter().sum();
-        if sum > 0.0 {
-            for v in &mut self.values {
-                *v /= sum;
-            }
-        } else {
-            let u = 1.0 / self.values.len() as f64;
-            self.values.fill(u);
-        }
+        normalize_table(&mut self.values);
     }
 
     /// Total mass.
     pub fn sum(&self) -> f64 {
         self.values.iter().sum()
+    }
+}
+
+/// [`Factor::normalize`] on a raw table: to sum 1, or uniform when the
+/// mass is zero.
+pub(crate) fn normalize_table(values: &mut [f64]) {
+    let sum: f64 = values.iter().sum();
+    if sum > 0.0 {
+        for v in values.iter_mut() {
+            *v /= sum;
+        }
+    } else {
+        let u = 1.0 / values.len() as f64;
+        values.fill(u);
+    }
+}
+
+/// Turns a row-major table's cardinalities into its strides, in place
+/// (last variable stride 1).
+pub(crate) fn card_to_row_major(card: &mut [usize]) {
+    let mut stride = 1;
+    for c in card.iter_mut().rev() {
+        (*c, stride) = (stride, stride * *c);
     }
 }
 
@@ -304,156 +320,17 @@ fn operand_strides(union: &[usize], vars: &[usize], card: &[usize], out: &mut [u
     }
 }
 
-/// Working set of a variable elimination: input factors are only ever
-/// *read* (products take references), so the pool borrows them and owns
-/// nothing but intermediate results.
-type Pool<'a> = Vec<Cow<'a, Factor>>;
-
-/// Ascending list of every variable mentioned by `pool`.
-fn scope_of(pool: &[Cow<'_, Factor>]) -> Vec<usize> {
-    let mut all_vars: Vec<usize> = Vec::new();
-    for f in pool {
-        for &v in f.vars() {
-            if !all_vars.contains(&v) {
-                all_vars.push(v);
-            }
-        }
-    }
-    all_vars.sort_unstable();
-    all_vars
-}
-
-/// One elimination step: multiplies every factor mentioning `v` in pool
-/// order, sums `v` out and appends the result after the untouched
-/// factors, which keep their order. `spare` is an empty buffer the pool
-/// swaps with, so a step allocates only the new tables.
-///
-/// A merge starts from its first factor as-is: the unit-factor product it
-/// replaces computes `1.0 * x`, which is `x` exactly.
-fn eliminate_var<'a>(pool: &mut Pool<'a>, spare: &mut Pool<'a>, v: usize) {
-    let mut merged: Option<Cow<'a, Factor>> = None;
-    for f in pool.drain(..) {
-        if f.vars().contains(&v) {
-            merged = Some(match merged {
-                None => f,
-                Some(m) => Cow::Owned(times(m, &f)),
-            });
-        } else {
-            spare.push(f);
-        }
-    }
-    std::mem::swap(pool, spare);
-    if let Some(m) = merged {
-        pool.push(Cow::Owned(m.sum_out(v)));
-    }
-}
-
-/// The normalized product of an eliminated pool, in pool order. Every
-/// non-target variable is gone, so the product's scope is exactly the
-/// targets: no further marginalization is needed.
-fn normalized_product(pool: Pool<'_>) -> Factor {
-    let mut factors = pool.into_iter();
-    let mut joint = factors.next().unwrap_or(Cow::Owned(Factor::unit()));
-    for f in factors {
-        joint = Cow::Owned(times(joint, &f));
-    }
-    let mut joint = joint.into_owned();
-    joint.normalize();
-    joint
-}
-
-/// `acc.product(f)`, computed in `acc`'s own table when `acc` is owned
-/// and `f`'s scope is a subset of its scope. The output layout is then
-/// `acc`'s, and every entry is the same `acc[i] * f[ri]` product, so the
-/// result is bit-identical to [`Factor::product`] without allocating.
-/// (Eliminations multiply many summed-out scalars into one table; this
-/// is what keeps those steps allocation-free.)
-fn times(acc: Cow<'_, Factor>, f: &Factor) -> Factor {
-    let mut acc = match acc {
-        Cow::Owned(acc) if f.vars.iter().all(|v| acc.vars.binary_search(v).is_ok()) => acc,
-        acc => return acc.product(f),
-    };
-    if let [c] = f.values[..] {
-        for value in acc.values.iter_mut() {
-            *value *= c;
-        }
-        return acc;
-    }
-    let n = acc.vars.len();
-    with_index_scratch(2 * n, |scratch| {
-        let (fstr, assign) = scratch.split_at_mut(n);
-        operand_strides(&acc.vars, &f.vars, &f.card, fstr);
-        let mut fi = 0usize;
-        for value in acc.values.iter_mut() {
-            *value *= f.values[fi];
-            for k in (0..n).rev() {
-                assign[k] += 1;
-                fi += fstr[k];
-                if assign[k] < acc.card[k] {
-                    break;
-                }
-                assign[k] = 0;
-                fi -= fstr[k] * acc.card[k];
-            }
-        }
-    });
-    acc
-}
-
-/// Exact variable elimination.
-///
-/// Multiplies `factors` (each already reduced by evidence), eliminates every
-/// variable not in `targets` (ascending order — networks here are tiny), and
-/// returns the normalized joint over `targets` (ascending).
+/// Exact variable elimination over a list of factors: the normalized
+/// joint over `targets` (its scope is the sorted targets) of the
+/// product of `factors`, every other variable eliminated in ascending
+/// order. A one-shot [`EliminationPlan::joint`] compile and run.
 ///
 /// # Panics
 /// Panics if a target variable does not appear in any factor.
 pub fn eliminate_to_joint(factors: &[Factor], targets: &[usize]) -> Factor {
-    let mut pool: Pool<'_> = factors.iter().map(Cow::Borrowed).collect();
-    let all_vars = scope_of(&pool);
-    for t in targets {
-        assert!(
-            all_vars.contains(t),
-            "target variable {t} not in any factor"
-        );
-    }
-    let mut spare = Vec::with_capacity(pool.len());
-    for v in all_vars {
-        if !targets.contains(&v) {
-            eliminate_var(&mut pool, &mut spare, v);
-        }
-    }
-    normalized_product(pool)
-}
-
-/// Every single-variable posterior of `factors`: one normalized marginal
-/// per mentioned variable, ascending, each bit-identical to
-/// `eliminate_to_joint(factors, &[v])`.
-///
-/// The single-target elimination for `t = all_vars[k]` eliminates
-/// `all_vars[..k]` and then `all_vars[k + 1..]`, and its first `k` steps
-/// never touch `t`. So those steps are run once, as a shared prefix pool
-/// that advances by one variable per target, and each target only
-/// finishes the suffix from a borrowed copy of it. Pool order and every
-/// floating-point operation are the same as the per-target runs; only the
-/// repeated prefix work is gone (about half the elimination steps).
-pub fn eliminate_to_marginals(factors: &[Factor]) -> Vec<(usize, Factor)> {
-    let mut prefix: Pool<'_> = factors.iter().map(Cow::Borrowed).collect();
-    let all_vars = scope_of(&prefix);
-    let mut spare = Vec::with_capacity(prefix.len());
-    let mut out = Vec::with_capacity(all_vars.len());
-    for (k, &t) in all_vars.iter().enumerate() {
-        let mut pool: Pool<'_> = prefix.iter().map(|f| Cow::Borrowed(&**f)).collect();
-        let mut pool_spare = Vec::with_capacity(pool.len());
-        for &v in &all_vars[k + 1..] {
-            eliminate_var(&mut pool, &mut pool_spare, v);
-        }
-        out.push((t, normalized_product(pool)));
-        if k + 1 < all_vars.len() {
-            eliminate_var(&mut prefix, &mut spare, t);
-        }
-    }
-    out
+    let plan = EliminationPlan::joint(factors, &[], targets);
+    plan.run(factors, &Evidence::new(), &mut PlanScratch::default())
+        .factor(0)
 }
 
 #[cfg(test)]

@@ -58,11 +58,25 @@ pub fn mutual_information(joint: &Factor, x: usize, ys: &[usize]) -> f64 {
     keep.sort_unstable();
     keep.dedup();
     let joint_xy = joint.marginalize_to(&keep);
-    let hx = entropy(joint_xy.marginalize_to(&[x]).values());
     let mut ys_sorted = ys.to_vec();
     ys_sorted.sort_unstable();
-    let hy = entropy(joint_xy.marginalize_to(&ys_sorted).values());
-    let hxy = entropy(joint_xy.values());
+    mutual_information_of(
+        joint_xy.marginalize_to(&[x]).values(),
+        joint_xy.marginalize_to(&ys_sorted).values(),
+        joint_xy.values(),
+    )
+}
+
+/// `I = H(X) + H(Ys) − H(X, Ys)` from the three tables
+/// [`mutual_information`] reads off its joint: the marginal of X, the
+/// marginal of Ys, and the joint over both, each row-major as a
+/// [`Factor`] lays it out. Lets a caller that computed those tables
+/// elsewhere (a compiled [`EliminationPlan`](crate::plan::EliminationPlan)
+/// with marginal outputs) skip building factors.
+pub fn mutual_information_of(px: &[f64], pys: &[f64], pxy: &[f64]) -> f64 {
+    let hx = entropy(px);
+    let hy = entropy(pys);
+    let hxy = entropy(pxy);
     (hx + hy - hxy).max(0.0)
 }
 

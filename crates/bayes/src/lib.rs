@@ -9,7 +9,9 @@
 //! * [`structure`] — deterministic structure learning (order-constrained
 //!   BIC hill-climbing and Chow-Liu);
 //! * [`network`] — CPT fitting with Laplace smoothing, exact
-//!   variable-elimination inference, ancestral sampling;
+//!   posterior inference, ancestral sampling;
+//! * [`plan`] — compiled variable elimination: one plan per observed
+//!   variable set, run allocation-free under any evidence values;
 //! * [`online`] — streaming parameter learning: per-family
 //!   sufficient-statistic counters, O(1) CPT updates per observation, and
 //!   the drift trigger that schedules structure re-learns;
@@ -58,6 +60,7 @@ pub mod factor;
 pub mod info;
 pub mod network;
 pub mod online;
+pub mod plan;
 pub mod stats;
 pub mod structure;
 
@@ -66,9 +69,10 @@ pub mod prelude {
     pub use crate::dataset::{DiscreteData, DiscreteDataError};
     pub use crate::discretize::Discretizer;
     pub use crate::factor::{eliminate_to_joint, Factor};
-    pub use crate::info::{binary_entropy, entropy, mutual_information};
+    pub use crate::info::{binary_entropy, entropy, mutual_information, mutual_information_of};
     pub use crate::network::{BayesNet, BayesNetError, Evidence};
     pub use crate::online::{OnlineNet, OnlineNetConfig, SuffStats};
+    pub use crate::plan::{EliminationPlan, PlanOutputs, PlanScratch};
     pub use crate::stats::{mean, pearson, pearson_matrix, range, std_dev, variance, Histogram};
     pub use crate::structure::{empirical_mi, family_bic, learn_chow_liu, learn_order_hill_climb};
 }

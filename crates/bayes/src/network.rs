@@ -4,12 +4,14 @@
 //! This is the from-scratch replacement for the PyAgrum toolbox the paper
 //! uses (§V, *Implementation*): networks are small (one node per template
 //! stage), so maximum-likelihood CPTs with Laplace smoothing plus exact
-//! variable elimination cover everything the profiler needs.
+//! variable elimination ([`crate::plan`]) cover everything the profiler
+//! needs.
 
 use std::collections::BTreeMap;
 
 use crate::dataset::DiscreteData;
-use crate::factor::{eliminate_to_joint, eliminate_to_marginals, Factor};
+use crate::factor::{card_to_row_major, Factor};
+use crate::plan::{EliminationPlan, PlanScratch};
 
 /// Evidence: observed values for a subset of variables.
 pub type Evidence = BTreeMap<usize, usize>;
@@ -22,6 +24,9 @@ pub struct BayesNet {
     /// CPT for variable `i`: a factor over `parents(i) ∪ {i}` whose entries
     /// are `P(i = v | parents = u)`.
     cpts: Vec<Factor>,
+    /// Every variable's descendants, ascending (the structure is fixed
+    /// once fitted, and Eq. 6 scoring asks for them on every score).
+    descendants: Vec<Vec<usize>>,
 }
 
 /// Errors from [`BayesNet::fit`].
@@ -87,10 +92,12 @@ impl BayesNet {
             let values = fam.normalize(&counts, alpha);
             cpts.push(Factor::new(fam.scope, fam.scard, values));
         }
+        let descendants = (0..n).map(|v| descendants_of(&parents, v)).collect();
         Ok(BayesNet {
             card,
             parents,
             cpts,
+            descendants,
         })
     }
 
@@ -122,26 +129,9 @@ impl BayesNet {
     }
 
     /// Variables reachable from `var` by directed paths (the paper's
-    /// Eq. (1) correlation set).
-    pub fn descendants(&self, var: usize) -> Vec<usize> {
-        let n = self.n_vars();
-        let mut children = vec![Vec::new(); n];
-        for (v, ps) in self.parents.iter().enumerate() {
-            for &p in ps {
-                children[p].push(v);
-            }
-        }
-        let mut seen = vec![false; n];
-        let mut stack = vec![var];
-        while let Some(x) = stack.pop() {
-            for &c in &children[x] {
-                if !seen[c] {
-                    seen[c] = true;
-                    stack.push(c);
-                }
-            }
-        }
-        (0..n).filter(|&v| seen[v]).collect()
+    /// Eq. (1) correlation set), ascending.
+    pub fn descendants(&self, var: usize) -> &[usize] {
+        &self.descendants[var]
     }
 
     /// A topological order of the network.
@@ -149,52 +139,49 @@ impl BayesNet {
         topo_order(&self.parents).expect("fitted networks are acyclic")
     }
 
-    /// All CPTs reduced by `evidence` (dropping observed variables).
-    ///
-    /// Public so posterior consumers that query many marginals/joints
-    /// under *one* evidence state (the scheduler's per-evidence caches)
-    /// can build this factor pool once and reuse it via
-    /// [`BayesNet::posterior_joint_with`] /
-    /// [`BayesNet::posterior_marginal_with`] — the single-query entry
-    /// points delegate to the same code, so cached and uncached paths
-    /// produce bit-identical values.
-    pub fn reduced_cpts(&self, evidence: &Evidence) -> Vec<Factor> {
-        self.cpts
-            .iter()
-            .map(|cpt| {
-                let mut f = std::borrow::Cow::Borrowed(cpt);
-                for (&var, &val) in evidence {
-                    if f.vars().contains(&var) {
-                        f = std::borrow::Cow::Owned(f.reduce(var, val));
-                    }
-                }
-                f.into_owned()
-            })
-            .collect()
+    /// Every CPT, indexed by variable: a factor over `parents(v) ∪ {v}`.
+    /// These are the leaves the network's [`EliminationPlan`]s run on:
+    /// [`EliminationPlan::marginals`] over them gives every unobserved
+    /// variable's [`BayesNet::posterior_marginal`], bit for bit.
+    pub fn cpts(&self) -> &[Factor] {
+        &self.cpts
     }
 
-    /// Normalized joint posterior over `targets` given `evidence`.
+    /// Compiles the joint posterior over `targets` under the `observed`
+    /// variables (ascending); run it on [`BayesNet::cpts`]. Its first
+    /// result is bit-identical to [`BayesNet::posterior_joint`]; one more
+    /// follows per `keeps` entry, the joint's marginal onto it
+    /// ([`EliminationPlan::joint_with_marginals`]).
+    ///
+    /// # Panics
+    /// Panics if a target is observed or out of range, or a `keeps` entry
+    /// is not a subset of `targets`.
+    pub fn joint_plan(
+        &self,
+        observed: &[usize],
+        targets: &[usize],
+        keeps: &[&[usize]],
+    ) -> EliminationPlan {
+        for t in targets {
+            assert!(*t < self.n_vars(), "target {t} out of range");
+            assert!(
+                observed.binary_search(t).is_err(),
+                "target {t} is already observed"
+            );
+        }
+        EliminationPlan::joint_with_marginals(&self.cpts, observed, targets, keeps)
+    }
+
+    /// Normalized joint posterior over `targets` given `evidence`: a
+    /// one-shot [`BayesNet::joint_plan`] compile and run.
     ///
     /// # Panics
     /// Panics if a target is observed in `evidence` or out of range.
     pub fn posterior_joint(&self, targets: &[usize], evidence: &Evidence) -> Factor {
-        self.posterior_joint_with(&self.reduced_cpts(evidence), targets, evidence)
-    }
-
-    /// [`BayesNet::posterior_joint`] over a prebuilt
-    /// [`BayesNet::reduced_cpts`] pool — `reduced` must have been built
-    /// from the same `evidence`.
-    pub fn posterior_joint_with(
-        &self,
-        reduced: &[Factor],
-        targets: &[usize],
-        evidence: &Evidence,
-    ) -> Factor {
-        for t in targets {
-            assert!(*t < self.n_vars(), "target {t} out of range");
-            assert!(!evidence.contains_key(t), "target {t} is already observed");
-        }
-        eliminate_to_joint(reduced, targets)
+        let observed: Vec<usize> = evidence.keys().copied().collect();
+        self.joint_plan(&observed, targets, &[])
+            .run(&self.cpts, evidence, &mut PlanScratch::default())
+            .factor(0)
     }
 
     /// Posterior marginal `P(var | evidence)` as a probability vector.
@@ -202,57 +189,12 @@ impl BayesNet {
     /// If `var` is itself observed, returns a point mass on the observed
     /// value (convenient for "remaining duration" scans over all stages).
     pub fn posterior_marginal(&self, var: usize, evidence: &Evidence) -> Vec<f64> {
-        if evidence.contains_key(&var) {
-            return self.posterior_marginal_with(&[], var, evidence);
-        }
-        self.posterior_marginal_with(&self.reduced_cpts(evidence), var, evidence)
-    }
-
-    /// [`BayesNet::posterior_marginal`] over a prebuilt
-    /// [`BayesNet::reduced_cpts`] pool (ignored for observed variables).
-    pub fn posterior_marginal_with(
-        &self,
-        reduced: &[Factor],
-        var: usize,
-        evidence: &Evidence,
-    ) -> Vec<f64> {
         if let Some(&val) = evidence.get(&var) {
             let mut p = vec![0.0; self.card[var]];
             p[val] = 1.0;
             return p;
         }
-        self.posterior_joint_with(reduced, &[var], evidence)
-            .into_values()
-    }
-
-    /// Every variable's [`BayesNet::posterior_marginal_with`] in one pass,
-    /// indexed by variable: observed variables get their point mass, the
-    /// rest come from one shared-prefix elimination over `reduced`
-    /// ([`eliminate_to_marginals`]). Bit-identical to querying each
-    /// variable separately, at about half the elimination work.
-    pub fn posterior_marginals_with(
-        &self,
-        reduced: &[Factor],
-        evidence: &Evidence,
-    ) -> Vec<Vec<f64>> {
-        let mut out: Vec<Vec<f64>> = (0..self.n_vars())
-            .map(|v| match evidence.get(&v) {
-                Some(&val) => {
-                    let mut p = vec![0.0; self.card[v]];
-                    p[val] = 1.0;
-                    p
-                }
-                None => Vec::new(),
-            })
-            .collect();
-        for (v, f) in eliminate_to_marginals(reduced) {
-            out[v] = f.into_values();
-        }
-        assert!(
-            out.iter().all(|p| !p.is_empty()),
-            "an unobserved variable is in no factor of the reduced pool"
-        );
-        out
+        self.posterior_joint(&[var], evidence).into_values()
     }
 
     /// Ancestral sample of all variables.
@@ -349,7 +291,8 @@ impl FamilyLayout {
         scope.sort_unstable();
         scope.dedup();
         let scard: Vec<usize> = scope.iter().map(|&s| card[s]).collect();
-        let strides = strides_of(&scard);
+        let mut strides = scard.clone();
+        card_to_row_major(&mut strides);
         let vpos = scope.iter().position(|&s| s == var).expect("var in scope");
         FamilyLayout {
             scope,
@@ -427,12 +370,26 @@ impl FamilyLayout {
     }
 }
 
-fn strides_of(card: &[usize]) -> Vec<usize> {
-    let mut s = vec![1usize; card.len()];
-    for i in (0..card.len().saturating_sub(1)).rev() {
-        s[i] = s[i + 1] * card[i + 1];
+/// Variables reachable from `var` by directed paths, ascending.
+fn descendants_of(parents: &[Vec<usize>], var: usize) -> Vec<usize> {
+    let n = parents.len();
+    let mut children = vec![Vec::new(); n];
+    for (v, ps) in parents.iter().enumerate() {
+        for &p in ps {
+            children[p].push(v);
+        }
     }
-    s
+    let mut seen = vec![false; n];
+    let mut stack = vec![var];
+    while let Some(x) = stack.pop() {
+        for &c in &children[x] {
+            if !seen[c] {
+                seen[c] = true;
+                stack.push(c);
+            }
+        }
+    }
+    (0..n).filter(|&v| seen[v]).collect()
 }
 
 /// Kahn topological order over a parent-list structure; `None` if cyclic.

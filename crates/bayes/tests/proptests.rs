@@ -322,10 +322,11 @@ fn random_net(rng: &mut StdRng, max_vars: usize, max_parents: usize) -> (BayesNe
     (net, card)
 }
 
-/// The shared-prefix all-marginals routine returns, for every variable,
-/// the exact bits of the per-variable `posterior_marginal_with` query —
-/// on random structures and cardinalities, under no evidence, random
-/// masks, and all-but-one-observed masks.
+/// The shared-prefix all-marginals plan returns, for every unobserved
+/// variable, the exact bits of the per-variable `posterior_marginal`
+/// query (a one-shot single-target plan) — on random structures and
+/// cardinalities, under no evidence, random masks, and
+/// all-but-one-observed masks.
 #[test]
 fn shared_prefix_marginals_match_per_variable_queries_bitwise() {
     for seed in 0..CASES {
@@ -349,12 +350,24 @@ fn shared_prefix_marginals_match_per_variable_queries_bitwise() {
                 .map(|v| (v, rng.gen_range(0..card[v])))
                 .collect(),
         );
+        let mut scratch = PlanScratch::default();
         for ev in masks {
-            let pool = net.reduced_cpts(&ev);
-            let all = net.posterior_marginals_with(&pool, &ev);
-            assert_eq!(all.len(), n, "seed {seed}: one marginal per variable");
-            for (var, got) in all.iter().enumerate() {
-                let want = net.posterior_marginal_with(&pool, var, &ev);
+            let observed: Vec<usize> = ev.keys().copied().collect();
+            let plan = EliminationPlan::marginals(net.cpts(), &observed);
+            let out = plan.run(net.cpts(), &ev, &mut scratch);
+            let unobserved: Vec<usize> = (0..n).filter(|v| !ev.contains_key(v)).collect();
+            assert_eq!(
+                out.len(),
+                unobserved.len(),
+                "seed {seed}: one marginal per free variable"
+            );
+            for ((vars, got), &var) in out.iter().zip(&unobserved) {
+                assert_eq!(
+                    vars,
+                    &[var],
+                    "seed {seed}: marginals come in variable order"
+                );
+                let want = net.posterior_marginal(var, &ev);
                 let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(
                     bits(got),
@@ -488,6 +501,23 @@ mod reference {
     }
 }
 
+/// The network's CPTs reduced by `ev` with the reference `reduce`: the
+/// factor pool the reference elimination runs on.
+fn reference_pool(net: &BayesNet, ev: &Evidence) -> Vec<Factor> {
+    net.cpts()
+        .iter()
+        .map(|cpt| {
+            let mut f = cpt.clone();
+            for (&var, &val) in ev {
+                if f.vars().contains(&var) {
+                    f = reference::reduce(&f, var, val);
+                }
+            }
+            f
+        })
+        .collect()
+}
+
 fn bits_of(f: &Factor) -> (Vec<usize>, Vec<usize>, Vec<u64>) {
     (
         f.vars().to_vec(),
@@ -511,10 +541,10 @@ fn factor_kernels_match_decoded_reference_bitwise() {
                 ev.insert(v, rng.gen_range(0..c));
             }
         }
-        let pool = net.reduced_cpts(&Evidence::new());
+        let pool = net.cpts();
         // Kernel by kernel over pairs of CPT tables.
-        for a in &pool {
-            for b in &pool {
+        for a in pool {
+            for b in pool {
                 assert_eq!(
                     bits_of(&a.product(b)),
                     bits_of(&reference::product(a, b)),
@@ -536,7 +566,7 @@ fn factor_kernels_match_decoded_reference_bitwise() {
             }
         }
         // Whole eliminations under evidence.
-        let reduced = net.reduced_cpts(&ev);
+        let reduced = reference_pool(&net, &ev);
         let free: Vec<usize> = (0..n).filter(|v| !ev.contains_key(v)).collect();
         if free.is_empty() {
             continue;
@@ -552,5 +582,104 @@ fn factor_kernels_match_decoded_reference_bitwise() {
             bits_of(&reference::eliminate_to_joint(&reduced, &targets)),
             "seed {seed}: joint over {targets:?} given {ev:?}"
         );
+    }
+}
+
+/// Random evidence values for the observed variables `observed`.
+fn assignment(rng: &mut StdRng, observed: &[usize], card: &[usize]) -> Evidence {
+    observed
+        .iter()
+        .map(|&v| (v, rng.gen_range(0..card[v])))
+        .collect()
+}
+
+/// Compiled plans are bit-identical to the decoded reference: on random
+/// networks and cardinalities, one marginals plan and one joint plan
+/// (over random targets) are compiled per observed set — none, random,
+/// and all-but-one — and each is run under several evidence-value
+/// assignments. Every marginal and every joint must match
+/// `reference::eliminate_to_joint` over the reference-reduced CPTs in
+/// `to_bits`, and so must the one-shot `posterior_joint`; the joint
+/// plan's marginal outputs must match `marginalize_to` on that joint, and
+/// the mutual information read off them `mutual_information`.
+#[test]
+fn compiled_plans_match_reference_elimination_bitwise() {
+    const ASSIGNMENTS: usize = 3;
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (net, card) = random_net(&mut rng, 7, 3);
+        let n = card.len();
+        let free = rng.gen_range(0..n);
+        let observed_sets: [Vec<usize>; 3] = [
+            Vec::new(),
+            (0..n).filter(|_| rng.gen_bool(0.5)).collect(),
+            (0..n).filter(|&v| v != free).collect(),
+        ];
+        let mut scratch = PlanScratch::default();
+        for observed in observed_sets {
+            let unobserved: Vec<usize> = (0..n).filter(|v| !observed.contains(v)).collect();
+            let marginals = EliminationPlan::marginals(net.cpts(), &observed);
+            let targets: Vec<usize> = match unobserved.as_slice() {
+                [] => Vec::new(),
+                [only] => vec![*only],
+                free => {
+                    let picked: Vec<usize> =
+                        free.iter().copied().filter(|_| rng.gen_bool(0.5)).collect();
+                    if picked.is_empty() {
+                        vec![free[0], free[free.len() - 1]]
+                    } else {
+                        picked
+                    }
+                }
+            };
+            // The joint plan also marginalizes its joint onto the first
+            // target and onto the rest, as the Eq. 6 scorer does.
+            let (head, rest) = targets.split_at(targets.len().min(1));
+            let joint =
+                (!targets.is_empty()).then(|| net.joint_plan(&observed, &targets, &[head, rest]));
+            for _ in 0..ASSIGNMENTS {
+                let ev = assignment(&mut rng, &observed, &card);
+                let pool = reference_pool(&net, &ev);
+                let out = marginals.run(net.cpts(), &ev, &mut scratch);
+                assert_eq!(out.len(), unobserved.len(), "seed {seed}: marginal count");
+                for (k, &var) in unobserved.iter().enumerate() {
+                    let want = reference::eliminate_to_joint(&pool, &[var]);
+                    assert_eq!(
+                        bits_of(&out.factor(k)),
+                        bits_of(&want),
+                        "seed {seed}: marginal of {var} given {ev:?}"
+                    );
+                }
+                if let Some(plan) = &joint {
+                    let out = plan.run(net.cpts(), &ev, &mut scratch);
+                    let want = reference::eliminate_to_joint(&pool, &targets);
+                    assert_eq!(
+                        bits_of(&out.factor(0)),
+                        bits_of(&want),
+                        "seed {seed}: joint over {targets:?} given {ev:?}"
+                    );
+                    for (k, keep) in [head, rest].into_iter().enumerate() {
+                        assert_eq!(
+                            bits_of(&out.factor(k + 1)),
+                            bits_of(&want.marginalize_to(keep)),
+                            "seed {seed}: marginal onto {keep:?} of the joint over {targets:?}"
+                        );
+                    }
+                    if !rest.is_empty() {
+                        let got = mutual_information_of(out.get(1).1, out.get(2).1, out.get(0).1);
+                        assert_eq!(
+                            got.to_bits(),
+                            mutual_information(&want, head[0], rest).to_bits(),
+                            "seed {seed}: mutual information over {targets:?}"
+                        );
+                    }
+                    assert_eq!(
+                        bits_of(&net.posterior_joint(&targets, &ev)),
+                        bits_of(&want),
+                        "seed {seed}: one-shot joint over {targets:?} given {ev:?}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -3,7 +3,10 @@
 //! * `schedule/...` — end-to-end simulation of a small workload per policy
 //!   (the per-decision overhead behind Table I, in miniature);
 //! * `bn/...` — Bayesian-network inference primitives (posterior marginal
-//!   and joint, the inner loops of the profiler);
+//!   and joint, the inner loops of the profiler), and the scheduler's
+//!   per-evidence posterior build with its elimination plan compiled
+//!   fresh (`posterior_build_cold`) or cached (`posterior_build_warm`),
+//!   each timed over [`BUILDS`] builds per iteration;
 //! * `uncertainty/...` — the Eq. 6 computation under both MI estimators;
 //! * `engine/...` — raw event throughput of the two executor backends.
 //!
@@ -17,6 +20,7 @@ use std::time::Instant;
 
 use llmsched_bayes::network::Evidence;
 use llmsched_bench::{run_policy, ExperimentConfig, Policy, TrainedArtifacts};
+use llmsched_core::estimator::{EvidencePosteriors, PosteriorPlans};
 use llmsched_core::prelude::*;
 use llmsched_sim::engine::EngineMode;
 use llmsched_sim::state::JobRt;
@@ -42,6 +46,10 @@ fn bench(group: &str, name: &str, iters: usize, mut f: impl FnMut()) {
         max * 1e3
     );
 }
+
+/// Posterior builds per `bn/posterior_build_*` iteration: one build takes
+/// microseconds, below the harness's resolution.
+const BUILDS: usize = 1_000;
 
 fn artifacts() -> TrainedArtifacts {
     TrainedArtifacts::train(60, 1)
@@ -74,6 +82,32 @@ fn bench_bn() {
     });
     bench("bn", "posterior_joint3", 20, || {
         black_box(p.net().posterior_joint(&[3, 7, 9], &ev));
+    });
+    // One evidence state's posterior build: compile the observed set's
+    // plan and run it, or run the plan already cached.
+    bench("bn", "posterior_build_cold", 20, || {
+        for _ in 0..BUILDS {
+            let mut plans = PosteriorPlans::default();
+            black_box(EvidencePosteriors::build(
+                p,
+                &ev,
+                true,
+                INTERVAL_TAIL_MASS,
+                &mut plans,
+            ));
+        }
+    });
+    let mut plans = PosteriorPlans::default();
+    bench("bn", "posterior_build_warm", 20, || {
+        for _ in 0..BUILDS {
+            black_box(EvidencePosteriors::build(
+                p,
+                &ev,
+                true,
+                INTERVAL_TAIL_MASS,
+                &mut plans,
+            ));
+        }
     });
     bench("bn", "train_profile_sorting_300", 20, || {
         black_box(Profiler::train(&templates, &corpus, &ProfilerConfig::default()).len());

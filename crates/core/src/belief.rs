@@ -33,7 +33,7 @@ use llmsched_sim::state::JobRt;
 
 use std::sync::Arc;
 
-use crate::estimator::{EvidencePosteriors, WorkEstimate};
+use crate::estimator::{EvidencePosteriors, PosteriorPlans, WorkEstimate};
 use crate::store::ProfileStore;
 use crate::uncertainty::{uncertainty_reduction, MiEstimator};
 
@@ -42,12 +42,15 @@ use crate::uncertainty::{uncertainty_reduction, MiEstimator};
 /// bounds memory).
 const BANDS_MEMO_CAP: usize = 1 << 16;
 
-/// One application's posterior-band memo, valid for exactly one profile
-/// snapshot version.
+/// One application's posterior-band memo and compiled elimination plans,
+/// valid for exactly one profile snapshot version.
 #[derive(Debug, Clone, Default)]
 struct AppBands {
     version: u64,
     by_evidence: HashMap<Vec<(usize, usize)>, Arc<EvidencePosteriors>>,
+    /// The snapshot's plans by observed-stage set: every evidence state
+    /// over the same completed stages runs one compiled elimination.
+    plans: PosteriorPlans,
 }
 
 /// Everything LLMSched believes about one active job under its current
@@ -72,8 +75,8 @@ pub struct JobBelief {
     /// changes.
     reductions: HashMap<u32, f64>,
     /// The shared per-evidence posterior state this belief was derived
-    /// from (bands + reduced-CPT pool + marginals) — Eq. 6 scoring reuses
-    /// it instead of re-running the inference.
+    /// from (bands + marginals) — Eq. 6 scoring reuses it instead of
+    /// re-running the inference.
     shared: Option<Arc<EvidencePosteriors>>,
 }
 
@@ -89,8 +92,9 @@ pub struct BeliefStore {
     /// estimate depends only on (application, snapshot version, evidence),
     /// so every job of an app under the same evidence reuses one
     /// computation — at scale, thousands of fresh arrivals share the
-    /// single no-evidence entry. A snapshot bump drops exactly that app's
-    /// entries.
+    /// single no-evidence entry. Next to them sit the app's compiled
+    /// elimination plans. A snapshot bump drops exactly that app's
+    /// entries and plans; [`BeliefStore::clear`] drops all of them.
     bands: HashMap<AppId, AppBands>,
 }
 
@@ -233,14 +237,19 @@ impl BeliefStore {
         }
         let evidence = profile.evidence_of(job);
         let app_bands = self.bands.entry(job.app()).or_default();
-        if app_bands.version != version || app_bands.by_evidence.len() >= BANDS_MEMO_CAP {
-            app_bands.version = version;
+        if app_bands.version != version {
+            *app_bands = AppBands {
+                version,
+                ..AppBands::default()
+            };
+        } else if app_bands.by_evidence.len() >= BANDS_MEMO_CAP {
             app_bands.by_evidence.clear();
         }
         let key: Vec<(usize, usize)> = evidence.iter().map(|(&s, &b)| (s, b)).collect();
+        let plans = &mut app_bands.plans;
         let entry = app_bands.by_evidence.entry(key).or_insert_with(|| {
             Arc::new(EvidencePosteriors::build(
-                profile, &evidence, use_bn, tail_mass,
+                profile, &evidence, use_bn, tail_mass, plans,
             ))
         });
         let shared = Arc::clone(entry);
@@ -288,7 +297,7 @@ impl BeliefStore {
         {
             return *r;
         }
-        let r = self.score(store, mi, job, stage);
+        let r = Self::score(&self.beliefs, &mut self.bands, store, mi, job, stage);
         // Belief-less scores (context outside the delta stream, not yet
         // refreshed) are not memoized.
         if let Some(b) = self.beliefs.get_mut(&job.id()) {
@@ -297,21 +306,35 @@ impl BeliefStore {
         r
     }
 
-    /// Computes a ready stage's Eq. 6 score against the held belief.
-    fn score(&self, store: &ProfileStore, mi: MiEstimator, job: &JobRt, stage: StageId) -> f64 {
+    /// Computes a ready stage's Eq. 6 score against the held belief, with
+    /// joints from the app's cached plans while they belong to the
+    /// published snapshot.
+    fn score(
+        beliefs: &HashMap<JobId, JobBelief>,
+        bands: &mut HashMap<AppId, AppBands>,
+        store: &ProfileStore,
+        mi: MiEstimator,
+        job: &JobRt,
+        stage: StageId,
+    ) -> f64 {
         let Some(profile) = store.profile(job.app()) else {
             return 0.0;
         };
         if stage.index() >= profile.n_stages() {
             return 0.0; // generated stages carry no BN variable of their own
         }
-        match self.beliefs.get(&job.id()) {
-            Some(b) => match &b.shared {
+        let version = store.version(job.app()).0;
+        let plans = bands
+            .get_mut(&job.app())
+            .filter(|ab| ab.version == version)
+            .map(|ab| &mut ab.plans);
+        match beliefs.get(&job.id()) {
+            Some(b) => match (&b.shared, plans) {
                 // Cached path: the MI term is shared across jobs under
                 // this evidence; only the dynamic-expansion bonus is
                 // job-specific. Composition and guards mirror
                 // `uncertainty_reduction` exactly.
-                Some(ep) if ep.has_bn_cache() => {
+                (Some(ep), Some(plans)) if ep.has_bn_cache() => {
                     if b.evidence.contains_key(&stage.index()) {
                         0.0
                     } else {
@@ -322,6 +345,7 @@ impl BeliefStore {
                                 stage,
                                 &b.evidence,
                                 ep,
+                                plans,
                                 mi,
                             )
                         });
@@ -439,8 +463,17 @@ mod tests {
         beliefs.refresh(&store, &ctx, true, 0.35, &mut changed);
         assert!(changed.is_empty());
 
-        // Publish a new snapshot for exactly one app.
+        // Fresh jobs share the no-evidence plan; compile one more for a
+        // completed-stage set no job has, which only the old snapshot saw.
         let app = jobs[0].app();
+        let profile = store.profile(app).unwrap();
+        let plans = &mut beliefs.bands.get_mut(&app).unwrap().plans;
+        assert_eq!(plans.len(), 1, "fresh jobs run one marginals plan");
+        let one_done: Evidence = [(0, 0)].into_iter().collect();
+        plans.marginals_into(profile.net(), &one_done, &mut Vec::new());
+        assert_eq!(plans.len(), 2);
+
+        // Publish a new snapshot for exactly one app.
         let kind = AppKind::from_app_id(app).unwrap();
         let extra = training_jobs(&[kind], 1, 77);
         assert!(store.observe_job_spec(w.templates.expect(app), &extra[0]));
@@ -462,5 +495,10 @@ mod tests {
         for id in &changed {
             assert_eq!(beliefs.get(*id).unwrap().version, v);
         }
+        // The bump dropped the old snapshot's plans with its bands, and a
+        // reset drops every plan.
+        assert_eq!(beliefs.bands[&app].plans.len(), 1);
+        beliefs.clear();
+        assert!(beliefs.bands.is_empty(), "no plan survives a reset");
     }
 }

@@ -7,7 +7,11 @@
 //! factor `l(b_t)/l(b_r)`. The same machinery produces the support
 //! *interval* used to group jobs into non-overlapping sets (line 5).
 
-use llmsched_bayes::network::Evidence;
+use std::collections::HashMap;
+
+use llmsched_bayes::info::mutual_information_of;
+use llmsched_bayes::network::{BayesNet, Evidence};
+use llmsched_bayes::plan::{EliminationPlan, PlanScratch};
 use llmsched_dag::ids::StageId;
 use llmsched_dag::job::StageKind;
 use llmsched_sim::scheduler::SchedContext;
@@ -79,65 +83,134 @@ pub struct StageBand {
     pub hi: f64,
 }
 
-/// Per-stage posterior bands given `evidence` — the *job-independent*
-/// part of the remaining-work estimate. Pure in its arguments: every job
-/// of the same application under the same evidence shares this result,
-/// which is what lets [`BeliefStore`](crate::belief::BeliefStore) memoize
-/// the BN inference across jobs.
+/// No evidence: what the w/o-BN ablation conditions its bands on.
+static NO_EVIDENCE: Evidence = Evidence::new();
+
+/// Compiled elimination plans of one profile snapshot, keyed by observed
+/// stage set (as a bit mask over stages), plus the scratch they run in.
 ///
-/// Stages present in `evidence` are completed (their bin is observed) and
-/// contribute nothing to *remaining* work: their slot holds a default
-/// band that [`remaining_work_from_bands`] never reads, as long as the
-/// evidence was extracted from the job being estimated
-/// ([`AppProfile::evidence_of`]).
-pub fn stage_bands(
-    profile: &AppProfile,
-    evidence: &Evidence,
-    use_bn: bool,
-    tail_mass: f64,
-) -> Vec<StageBand> {
-    let empty = Evidence::new();
-    let cond: &Evidence = if use_bn { evidence } else { &empty };
-    (0..profile.n_stages())
-        .map(|s| {
-            if evidence.contains_key(&s) {
-                return StageBand::default();
+/// A plan depends only on the network's structure and on *which* stages
+/// are observed, so every evidence state over the same completed-stage set
+/// runs the same plan: one marginals plan per observed set, and one
+/// mutual-information plan per (observed set, Eq. 6 target set, scored
+/// stage). Plans are compiled on first use. The holder drops the whole
+/// cache whenever the snapshot changes
+/// (the [`BeliefStore`](crate::belief::BeliefStore) keeps one per app
+/// next to its band memo and drops both together).
+#[derive(Debug, Clone, Default)]
+pub struct PosteriorPlans {
+    marginals: HashMap<u64, EliminationPlan>,
+    joints: HashMap<(u64, u64, usize), EliminationPlan>,
+    scratch: PlanScratch,
+}
+
+/// The bit mask of `vars`, or `None` if one does not fit in 64 bits (such
+/// a plan is compiled for one run and not cached).
+fn var_mask(vars: impl IntoIterator<Item = usize>) -> Option<u64> {
+    vars.into_iter()
+        .try_fold(0u64, |m, v| (v < 64).then(|| m | 1 << v))
+}
+
+impl PosteriorPlans {
+    /// Number of compiled plans held.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.marginals.len() + self.joints.len()
+    }
+
+    /// Every variable's posterior marginal under `evidence`, written into
+    /// `out` back to back in variable order (variable `v` starts at
+    /// `Σ card[..v]`): observed variables get their point mass, the rest
+    /// come from the observed set's cached marginals plan.
+    pub fn marginals_into(&mut self, net: &BayesNet, evidence: &Evidence, out: &mut Vec<f64>) {
+        let compiled;
+        let plan = match var_mask(evidence.keys().copied()) {
+            Some(key) => self.marginals.entry(key).or_insert_with(|| {
+                EliminationPlan::marginals(net.cpts(), &observed_vars(evidence))
+            }),
+            None => {
+                compiled = EliminationPlan::marginals(net.cpts(), &observed_vars(evidence));
+                &compiled
             }
-            let disc = &profile.discretizers()[s];
-            // With the BN: condition on evidence. Without it (w/o-BN
-            // ablation): `cond` is empty, so the marginal is the training
-            // prior and the mean falls back to the historical average.
-            let p = profile.net().posterior_marginal(s, cond);
-            let (lo, hi) = disc.quantile_interval(&p, tail_mass);
-            let mean = if use_bn {
-                disc.expectation(&p)
-            } else {
-                profile.static_mean(StageId(s as u32))
-            };
-            StageBand { mean, lo, hi }
-        })
-        .collect()
+        };
+        let results = plan.run(net.cpts(), evidence, &mut self.scratch);
+        let mut free = results.iter();
+        out.clear();
+        for (v, &c) in net.cardinalities().iter().enumerate() {
+            match evidence.get(&v) {
+                Some(&val) => {
+                    let at = out.len();
+                    out.resize(at + c, 0.0);
+                    out[at + val] = 1.0;
+                }
+                None => {
+                    let (vars, p) = free.next().expect("one marginal per unobserved variable");
+                    debug_assert_eq!(vars, [v]);
+                    out.extend_from_slice(p);
+                }
+            }
+        }
+    }
+
+    /// The Eq. 6 mutual information `I(X; Ys | evidence)` of stage `x`
+    /// with the other `targets` (ascending, `x` among them, none
+    /// observed), from the cached plan of that (observed set, target set,
+    /// `x`) triple: the joint and its two marginals come out of one run,
+    /// without building a factor. Bit-identical to
+    /// [`mutual_information`](llmsched_bayes::info::mutual_information)
+    /// on [`BayesNet::posterior_joint`].
+    pub fn mutual_information(
+        &mut self,
+        net: &BayesNet,
+        evidence: &Evidence,
+        targets: &[usize],
+        x: usize,
+    ) -> f64 {
+        let compiled;
+        let key = var_mask(evidence.keys().copied()).zip(var_mask(targets.iter().copied()));
+        let compile = || {
+            let ys: Vec<usize> = targets.iter().copied().filter(|&t| t != x).collect();
+            net.joint_plan(&observed_vars(evidence), targets, &[&[x], &ys])
+        };
+        let plan = match key {
+            Some((observed_key, targets_key)) => self
+                .joints
+                .entry((observed_key, targets_key, x))
+                .or_insert_with(compile),
+            None => {
+                compiled = compile();
+                &compiled
+            }
+        };
+        let out = plan.run(net.cpts(), evidence, &mut self.scratch);
+        let (pxy, px, pys) = (out.get(0).1, out.get(1).1, out.get(2).1);
+        mutual_information_of(px, pys, pxy)
+    }
+}
+
+fn observed_vars(evidence: &Evidence) -> Vec<usize> {
+    evidence.keys().copied().collect()
 }
 
 /// Reusable posterior state of one `(application, evidence)` pair: the
-/// per-stage [`StageBand`]s plus — under the BN — the reduced-CPT factor
-/// pool and every stage's posterior marginal.
+/// per-stage [`StageBand`]s plus — under the BN — every stage's posterior
+/// marginal.
 ///
 /// Built once per evidence state and shared across jobs by the
-/// [`BeliefStore`](crate::belief::BeliefStore): Eq. 6 scoring re-queries
-/// the same marginals `stage_bands` already computed and re-reduces the
-/// same CPTs for every joint, so caching both here removes the dominant
-/// per-evidence inference cost. All cached values are produced by the
-/// exact computations the uncached entry points run
-/// ([`BayesNet::posterior_marginal_with`](llmsched_bayes::network::BayesNet::posterior_marginal_with)
-/// delegation), so cached and uncached paths are bit-identical.
+/// [`BeliefStore`](crate::belief::BeliefStore): Eq. 6 scoring re-reads
+/// the marginals the bands came from instead of re-running the
+/// inference. Every value comes from the same compiled plans the
+/// one-shot entry points
+/// ([`BayesNet::posterior_marginal`](llmsched_bayes::network::BayesNet::posterior_marginal))
+/// compile and run, so cached and uncached paths are bit-identical.
 #[derive(Debug)]
 pub struct EvidencePosteriors {
-    /// Per-stage posterior bands (what [`stage_bands`] returns).
+    /// Per-stage posterior bands.
     pub bands: Vec<StageBand>,
-    /// BN-path cache; `None` for the w/o-BN ablation (whose bands come
-    /// from the evidence-free prior and whose cost profile is untouched).
-    pub(crate) cache: Option<PosteriorCache>,
+    /// Every stage's posterior marginal under this evidence, flat in
+    /// stage order ([`PosteriorPlans::marginals_into`]); `None` for the
+    /// w/o-BN ablation, whose Eq. 6 scores take the uncached path.
+    marginals: Option<Vec<f64>>,
     /// Shared memo of Eq. 6 MI terms, one slot per stage: the term is a
     /// pure function of `(application, evidence)` (see
     /// [`crate::uncertainty`]), so every job under this evidence reuses
@@ -145,20 +218,21 @@ pub struct EvidencePosteriors {
     mi: Vec<std::sync::OnceLock<f64>>,
 }
 
-/// The shareable inference state behind one evidence map.
-#[derive(Debug)]
-pub(crate) struct PosteriorCache {
-    /// [`BayesNet::reduced_cpts`](llmsched_bayes::network::BayesNet::reduced_cpts)
-    /// under this evidence.
-    pub(crate) pool: Vec<llmsched_bayes::factor::Factor>,
-    /// Posterior marginal of every template stage under this evidence.
-    pub(crate) marginals: Vec<Vec<f64>>,
-}
-
 impl EvidencePosteriors {
-    /// True when the BN cache (pool + marginals) is present.
+    /// True when the BN marginals are present.
     pub(crate) fn has_bn_cache(&self) -> bool {
-        self.cache.is_some()
+        self.marginals.is_some()
+    }
+
+    /// Stage `stage`'s cached posterior marginal.
+    ///
+    /// # Panics
+    /// Panics without the BN cache.
+    pub(crate) fn marginal(&self, profile: &AppProfile, stage: usize) -> &[f64] {
+        let card = profile.net().cardinalities();
+        let at: usize = card[..stage].iter().sum();
+        let all = self.marginals.as_deref().expect("BN cache present");
+        &all[at..at + card[stage]]
     }
 
     /// The shared MI term of template stage `stage`, computed by
@@ -167,45 +241,60 @@ impl EvidencePosteriors {
         *self.mi[stage].get_or_init(compute)
     }
 
-    /// Builds the posterior state for one evidence map.
-    pub fn build(profile: &AppProfile, evidence: &Evidence, use_bn: bool, tail_mass: f64) -> Self {
-        if !use_bn {
-            return EvidencePosteriors {
-                bands: stage_bands(profile, evidence, false, tail_mass),
-                cache: None,
-                mi: Vec::new(),
-            };
-        }
+    /// Builds the posterior state for one evidence map, running the
+    /// observed set's marginals plan from `plans` (compiled on first use).
+    ///
+    /// Stages present in `evidence` are completed (their bin is observed)
+    /// and contribute nothing to *remaining* work: their slot holds a
+    /// default band that [`remaining_work_from_bands`] never reads, as
+    /// long as the evidence was extracted from the job being estimated
+    /// ([`AppProfile::evidence_of`]). With `use_bn = false` (the w/o-BN
+    /// ablation) the bands come from the evidence-free prior and the mean
+    /// falls back to the historical average.
+    pub fn build(
+        profile: &AppProfile,
+        evidence: &Evidence,
+        use_bn: bool,
+        tail_mass: f64,
+        plans: &mut PosteriorPlans,
+    ) -> Self {
         let net = profile.net();
-        let pool = net.reduced_cpts(evidence);
+        let cond = if use_bn { evidence } else { &NO_EVIDENCE };
+        let mut marginals = Vec::with_capacity(net.cardinalities().iter().sum());
+        plans.marginals_into(net, cond, &mut marginals);
         let n = profile.n_stages();
-        // One shared-prefix elimination for every stage's marginal,
-        // bit-identical to per-stage `posterior_marginal_with` queries.
-        let marginals = net.posterior_marginals_with(&pool, evidence);
+        let card = net.cardinalities();
+        let mut at = 0;
         let bands = (0..n)
             .map(|s| {
+                let p = &marginals[at..at + card[s]];
+                at += card[s];
                 if evidence.contains_key(&s) {
                     return StageBand::default();
                 }
                 let disc = &profile.discretizers()[s];
-                let p = &marginals[s];
                 let (lo, hi) = disc.quantile_interval(p, tail_mass);
-                StageBand {
-                    mean: disc.expectation(p),
-                    lo,
-                    hi,
-                }
+                let mean = if use_bn {
+                    disc.expectation(p)
+                } else {
+                    profile.static_mean(StageId(s as u32))
+                };
+                StageBand { mean, lo, hi }
             })
             .collect();
         EvidencePosteriors {
             bands,
-            cache: Some(PosteriorCache { pool, marginals }),
-            mi: (0..n).map(|_| std::sync::OnceLock::new()).collect(),
+            mi: if use_bn {
+                (0..n).map(|_| std::sync::OnceLock::new()).collect()
+            } else {
+                Vec::new()
+            },
+            marginals: use_bn.then_some(marginals),
         }
     }
 }
 
-/// Folds precomputed [`stage_bands`] into one job's remaining-work
+/// Folds precomputed [`EvidencePosteriors::bands`] into one job's remaining-work
 /// estimate: skips completed stages and credits observable progress
 /// inside expanded-but-unfinished placeholders (the job-specific part).
 pub fn remaining_work_from_bands(
@@ -262,24 +351,30 @@ pub fn remaining_work_with(
     use_bn: bool,
     tail_mass: f64,
 ) -> WorkEstimate {
-    // Inline original (not via `stage_bands`, which skips evidence-keyed
+    // Not via `EvidencePosteriors::build` (which skips evidence-keyed
     // stages): this entry point accepts arbitrary evidence that need not
-    // match the job's completed set — and it is the rebuild reference
-    // path, whose cost profile must stay untouched. The per-stage
-    // arithmetic is identical to `stage_bands` + `remaining_work_from_bands`.
+    // match the job's completed set, and it is the rebuild reference
+    // path, which caches nothing. One marginals plan is compiled and run
+    // for the call; each stage's marginal is bit-identical to its
+    // one-shot `posterior_marginal` (a point mass when observed), so the
+    // per-stage arithmetic is that of `build` + `remaining_work_from_bands`.
     let mut est = WorkEstimate::default();
-    let empty = Evidence::new();
-    let cond: &Evidence = if use_bn { evidence } else { &empty };
+    let cond = if use_bn { evidence } else { &NO_EVIDENCE };
+    let mut marginals = Vec::new();
+    PosteriorPlans::default().marginals_into(profile.net(), cond, &mut marginals);
+    let card = profile.net().cardinalities();
+    let mut at = 0;
     for s in 0..profile.n_stages() {
         let sid = StageId(s as u32);
+        let p = &marginals[at..at + card[s]];
+        at += card[s];
         if job.completed_nominal_secs(sid).is_some() {
             continue; // stage done: contributes nothing to *remaining* work
         }
         let disc = &profile.discretizers()[s];
-        let p = profile.net().posterior_marginal(s, cond);
-        let (mut lo, mut hi) = disc.quantile_interval(&p, tail_mass);
+        let (mut lo, mut hi) = disc.quantile_interval(p, tail_mass);
         let mut mean = if use_bn {
-            disc.expectation(&p)
+            disc.expectation(p)
         } else {
             profile.static_mean(sid)
         };

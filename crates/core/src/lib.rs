@@ -66,7 +66,7 @@ pub mod prelude {
     pub use crate::profiler::{
         AppProfile, DynamicStats, Profiler, ProfilerConfig, StructureLearner,
     };
-    pub use crate::scheduler::{LlmSched, LlmSchedConfig};
+    pub use crate::scheduler::{LlmSched, LlmSchedConfig, LlmSchedConfigError};
     pub use crate::store::{
         ProfileSnapshot, ProfileStore, ProfileStoreConfig, ProfileUpdate, ProfileVersion,
     };

@@ -210,8 +210,8 @@ impl AppProfile {
     pub fn correlated_unfinished(&self, job: &JobRt, stage: StageId) -> Vec<StageId> {
         self.net
             .descendants(stage.index())
-            .into_iter()
-            .map(|v| StageId(v as u32))
+            .iter()
+            .map(|&v| StageId(v as u32))
             .filter(|&s| job.completed_nominal_secs(s).is_none())
             .collect()
     }

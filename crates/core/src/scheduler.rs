@@ -111,6 +111,60 @@ impl Default for LlmSchedConfig {
     }
 }
 
+/// Why an [`LlmSchedConfig`] was rejected: each variant names the field
+/// at fault and carries its value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum LlmSchedConfigError {
+    /// `epsilon` is NaN or outside [0, 1].
+    Epsilon(f64),
+    /// `sampling_ratio` is NaN or outside (0, 1].
+    SamplingRatio(f64),
+    /// `interval_tail_mass` is NaN or outside [0, 0.5).
+    IntervalTailMass(f64),
+}
+
+impl std::fmt::Display for LlmSchedConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LlmSchedConfigError::Epsilon(v) => {
+                write!(f, "epsilon is {v}: must be a probability in [0, 1]")
+            }
+            LlmSchedConfigError::SamplingRatio(v) => {
+                write!(f, "sampling_ratio is {v}: must be in (0, 1]")
+            }
+            LlmSchedConfigError::IntervalTailMass(v) => write!(
+                f,
+                "interval_tail_mass is {v}: must be in [0, 0.5) so each side keeps some mass"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for LlmSchedConfigError {}
+
+impl LlmSchedConfig {
+    /// Checks the numeric fields Algorithm 1 relies on.
+    ///
+    /// # Errors
+    /// The first [`LlmSchedConfigError`] found: an `epsilon` outside
+    /// [0, 1], a `sampling_ratio` outside (0, 1], or an
+    /// `interval_tail_mass` outside [0, 0.5). NaN fails every range.
+    pub fn validate(&self) -> Result<(), LlmSchedConfigError> {
+        if !(0.0..=1.0).contains(&self.epsilon) {
+            return Err(LlmSchedConfigError::Epsilon(self.epsilon));
+        }
+        if !(self.sampling_ratio > 0.0 && self.sampling_ratio <= 1.0) {
+            return Err(LlmSchedConfigError::SamplingRatio(self.sampling_ratio));
+        }
+        if !(0.0..0.5).contains(&self.interval_tail_mass) {
+            return Err(LlmSchedConfigError::IntervalTailMass(
+                self.interval_tail_mass,
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// Cached per-(job, evidence) analysis (rebuild path only; the incremental
 /// path holds [`JobBelief`]s instead).
 #[derive(Debug, Clone)]
@@ -217,6 +271,14 @@ impl ReadyProfile {
     }
 }
 
+/// Panics at construction on a config [`LlmSchedConfig::validate`]
+/// rejects, before any decision can trip over it.
+fn check(cfg: &LlmSchedConfig) {
+    if let Err(e) = cfg.validate() {
+        panic!("invalid LlmSchedConfig: {e}");
+    }
+}
+
 /// One scored exploration candidate in the lazy Su heap: max-heap order is
 /// highest Eq. 6 score first, ties broken by smallest (job id, stage id) —
 /// exactly the rebuild path's `sort_scored` order.
@@ -244,7 +306,12 @@ impl LlmSched {
     /// Builds LLMSched from a trained profiler, wrapped in a
     /// [`ProfileStore`] at the [`LlmSchedConfig::profile_update`] cadence
     /// (the default, frozen, is bit-identical to the classic profiler).
+    ///
+    /// # Panics
+    /// Panics with the field's [`LlmSchedConfigError`] if
+    /// [`LlmSchedConfig::validate`] rejects `cfg`.
     pub fn new(profiler: Profiler, cfg: LlmSchedConfig) -> Self {
+        check(&cfg);
         let store = ProfileStore::from_profiler(
             &profiler,
             ProfileStoreConfig {
@@ -261,7 +328,12 @@ impl LlmSched {
     /// [`ProfileStore::empty`] cold-starts every app). The store's own
     /// update cadence applies; [`LlmSchedConfig::profile_update`] is
     /// ignored.
+    ///
+    /// # Panics
+    /// Panics with the field's [`LlmSchedConfigError`] if
+    /// [`LlmSchedConfig::validate`] rejects `cfg`.
     pub fn with_store(store: ProfileStore, cfg: LlmSchedConfig) -> Self {
+        check(&cfg);
         let name = match (cfg.use_bn, cfg.use_uncertainty) {
             (true, true) => "LLMSched",
             (false, true) => "LLMSched w/o BN",
@@ -1374,5 +1446,72 @@ mod tests {
             ..Default::default()
         });
         assert!((eps0.avg_jct_secs() - wo.avg_jct_secs()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn validate_accepts_the_defaults_and_the_range_ends() {
+        assert_eq!(LlmSchedConfig::default().validate(), Ok(()));
+        let ends = LlmSchedConfig {
+            epsilon: 1.0,
+            sampling_ratio: 1.0,
+            interval_tail_mass: 0.0,
+            ..Default::default()
+        };
+        assert_eq!(ends.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_epsilon_outside_unit_interval_or_nan() {
+        for eps in [-0.1, 1.5, f64::NAN] {
+            let cfg = LlmSchedConfig {
+                epsilon: eps,
+                ..Default::default()
+            };
+            let err = cfg.validate().unwrap_err();
+            assert!(matches!(err, LlmSchedConfigError::Epsilon(_)));
+            assert!(err.to_string().starts_with("epsilon is"), "{err}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_sampling_ratio_outside_half_open_unit_interval() {
+        for r in [0.0, -1.0, 1.01, f64::NAN] {
+            let cfg = LlmSchedConfig {
+                sampling_ratio: r,
+                ..Default::default()
+            };
+            let err = cfg.validate().unwrap_err();
+            assert!(matches!(err, LlmSchedConfigError::SamplingRatio(_)));
+            assert!(err.to_string().starts_with("sampling_ratio is"), "{err}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_interval_tail_mass_of_half_or_more() {
+        for q in [0.5, 0.7, -0.01, f64::NAN] {
+            let cfg = LlmSchedConfig {
+                interval_tail_mass: q,
+                ..Default::default()
+            };
+            let err = cfg.validate().unwrap_err();
+            assert!(matches!(err, LlmSchedConfigError::IntervalTailMass(_)));
+            assert!(
+                err.to_string().starts_with("interval_tail_mass is"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "interval_tail_mass is 0.5")]
+    fn construction_panics_on_an_invalid_config() {
+        let profiler = trained_profiler(&[AppKind::WebSearch]);
+        let _ = LlmSched::new(
+            profiler,
+            LlmSchedConfig {
+                interval_tail_mass: 0.5,
+                ..Default::default()
+            },
+        );
     }
 }

@@ -63,7 +63,10 @@ pub fn uncertainty_reduction(
         stage,
         estimator,
         |y| Cow::Owned(profile.net().posterior_marginal(y, evidence)),
-        |t| profile.net().posterior_joint(t, evidence),
+        |t, x| {
+            let ys: Vec<usize> = t.iter().copied().filter(|&y| y != x).collect();
+            mutual_information(&profile.net().posterior_joint(t, evidence), x, &ys)
+        },
         |x| evidence.contains_key(&x),
     )
 }
@@ -78,19 +81,29 @@ fn reduction_impl<'a>(
     stage: StageId,
     estimator: MiEstimator,
     marginal: impl Fn(usize) -> Cow<'a, [f64]>,
-    joint: impl Fn(&[usize]) -> llmsched_bayes::factor::Factor,
+    mutual_info: impl FnMut(&[usize], usize) -> f64,
     observed: impl Fn(usize) -> bool,
 ) -> f64 {
     let x = stage.index();
     if x >= profile.n_stages() || observed(x) {
         return 0.0;
     }
-    let mi = mi_part_impl(profile, job, stage, estimator, marginal, joint, observed);
+    let mi = mi_part_impl(
+        profile,
+        job,
+        stage,
+        estimator,
+        marginal,
+        mutual_info,
+        observed,
+    );
     add_dynamic_bonus(profile, job, stage, mi)
 }
 
-/// Cached-pool variant of the MI term (see [`reduction_impl`]); `ep`
-/// must carry a BN cache built from `evidence`.
+/// Cached variant of the MI term (see [`reduction_impl`]): marginals
+/// come from `ep`, which must carry a BN cache built from `evidence`, and
+/// each mutual information from the observed set's cached plans in
+/// `plans`.
 ///
 /// # Panics
 /// Panics if `ep` has no BN cache (the caller routes the w/o-BN ablation
@@ -101,16 +114,16 @@ pub(crate) fn mi_part_cached(
     stage: StageId,
     evidence: &Evidence,
     ep: &crate::estimator::EvidencePosteriors,
+    plans: &mut crate::estimator::PosteriorPlans,
     estimator: MiEstimator,
 ) -> f64 {
-    let cache = ep.cache.as_ref().expect("BN cache present");
     mi_part_impl(
         profile,
         job,
         stage,
         estimator,
-        |y| Cow::Borrowed(cache.marginals[y].as_slice()),
-        |t| profile.net().posterior_joint_with(&cache.pool, t, evidence),
+        |y| Cow::Borrowed(ep.marginal(profile, y)),
+        |t, x| plans.mutual_information(profile.net(), evidence, t, x),
         |x| evidence.contains_key(&x),
     )
 }
@@ -127,7 +140,7 @@ fn mi_part_impl<'a>(
     stage: StageId,
     estimator: MiEstimator,
     marginal: impl Fn(usize) -> Cow<'a, [f64]>,
-    joint: impl Fn(&[usize]) -> llmsched_bayes::factor::Factor,
+    mut mutual_info: impl FnMut(&[usize], usize) -> f64,
     observed: impl Fn(usize) -> bool,
 ) -> f64 {
     let x = stage.index();
@@ -163,18 +176,11 @@ fn mi_part_impl<'a>(
                 targets.push(x);
                 targets.sort_unstable();
                 targets.dedup();
-                let joint = joint(&targets);
-                let ys: Vec<usize> = targets.iter().copied().filter(|&t| t != x).collect();
-                mutual_information(&joint, x, &ys)
+                mutual_info(&targets, x)
             }
             MiEstimator::PairwiseSum => correlated
                 .iter()
-                .map(|&(y, _)| {
-                    let mut t = vec![x, y];
-                    t.sort_unstable();
-                    let joint = joint(&t);
-                    mutual_information(&joint, x, &[y])
-                })
+                .map(|&(y, _)| mutual_info(&[x.min(y), x.max(y)], x))
                 .sum(),
         };
         reduction += mi * range_sum;

@@ -61,7 +61,7 @@ pub use llmsched_core::belief::{BeliefStore, JobBelief};
 pub use llmsched_core::profiler::{
     AppProfile, DynamicStats, Profiler, ProfilerConfig, StructureLearner,
 };
-pub use llmsched_core::scheduler::{LlmSched, LlmSchedConfig};
+pub use llmsched_core::scheduler::{LlmSched, LlmSchedConfig, LlmSchedConfigError};
 pub use llmsched_core::store::{
     ProfileSnapshot, ProfileStore, ProfileStoreConfig, ProfileUpdate, ProfileVersion,
 };

@@ -1,4 +1,5 @@
-//! Allocation-count smoke test for the hot-path memory layout.
+//! Allocation-count smoke test for the hot-path memory layout and the
+//! compiled posterior builds.
 //!
 //! The arena/SoA refactor's whole point is that steady-state simulation
 //! does not churn the allocator: scheduler context projection, ready/
@@ -86,14 +87,40 @@ fn thousand_job_sim_stays_under_allocation_budget() {
         "engine hot-path churn regressed: {fcfs:.0} allocs/job under FCFS (budget 100)"
     );
 
-    // Tier 2 — full LLMSched (incremental): posterior factor tables and
-    // per-evidence caches legitimately allocate (≈2.3k allocs/job
-    // measured), but the rebuild-per-call reference sits at ≈13k — the
-    // budget catches a silent fallback to rebuild-scale recomputation.
-    let full = run(&mut LlmSched::new(profiler, LlmSchedConfig::default()));
+    // Tier 2 — full LLMSched (incremental): per-evidence caches and
+    // compiled elimination plans legitimately allocate (≈57 allocs/job
+    // measured; ≈317 before posterior builds and Eq. 6 joints ran
+    // compiled plans), but the rebuild-per-call reference sits at ≈13k —
+    // the budget catches a silent fallback to rebuild-scale recomputation.
+    let full = run(&mut LlmSched::new(
+        profiler.clone(),
+        LlmSchedConfig::default(),
+    ));
     assert!(
         full < 5_000.0,
         "LLMSched allocation churn regressed: {full:.0} allocs/job (budget 5000); \
          did the belief/evidence caches stop being shared?"
+    );
+
+    // Tier 3 — one posterior build whose elimination plan is already
+    // cached: the plan runs in its reused arena, so the build allocates
+    // only the three tables it returns (marginals, bands, Eq. 6 memo
+    // slots). Measured 3; the budget of 8 trips if the build goes back
+    // to reducing CPTs or allocating per elimination step.
+    use llmsched::core::estimator::{EvidencePosteriors, PosteriorPlans};
+    let profile = profiler
+        .profile(AppKind::SequenceSorting.app_id())
+        .expect("trained");
+    let evidence: Evidence = [(0, 1)].into_iter().collect();
+    let tail = llmsched::core::estimator::INTERVAL_TAIL_MASS;
+    let mut plans = PosteriorPlans::default();
+    EvidencePosteriors::build(profile, &evidence, true, tail, &mut plans);
+    let before = alloc_count();
+    let built = EvidencePosteriors::build(profile, &evidence, true, tail, &mut plans);
+    let warm = alloc_count() - before;
+    drop(built);
+    assert!(
+        warm <= 8,
+        "a cached-plan posterior build made {warm} allocations (budget 8)"
     );
 }
