@@ -1,29 +1,37 @@
-//! Persistent per-job scheduling beliefs: the incremental replacement for
-//! recomputing Bayesian evidence, posterior work estimates, and Eq. 6
-//! uncertainty reductions from scratch at every decision point.
+//! Persistent per-job scheduling state: the incremental replacement for
+//! recomputing Bayesian evidence, posterior work estimates, ready-stage
+//! counts and Eq. 6 uncertainty reductions from scratch at every decision
+//! point.
 //!
-//! A [`JobBelief`] is everything LLMSched knows about one active job under
-//! its current evidence: the completed-stage fingerprint (`mask`), the
-//! extracted [`Evidence`], the posterior [`WorkEstimate`], and the
-//! memoized per-stage Eq. 6 reductions. Beliefs change **only when the
-//! job's evidence changes or its app's profile snapshot moves**. Evidence
-//! can only change when a stage of that job completes — so the
-//! [`BeliefStore`] listens to the engine's [`SchedDelta`] stream, marks
-//! jobs dirty on [`SchedDelta::StageCompleted`], and recomputes a belief
-//! iff the dirty job's evidence mask actually moved. Profile snapshots
-//! can only move when the [`ProfileStore`] publishes — the caller routes
-//! the store's bumped-app list through
-//! [`BeliefStore::mark_app_dirty`], which invalidates exactly the
-//! affected application's jobs (and its shared posterior bands) and
-//! nothing else. Completed jobs are evicted deterministically on
-//! [`SchedDelta::JobCompleted`] (replacing the old size-triggered
-//! `prune_cache` heuristic).
+//! The [`BeliefStore`] holds **one record per active job**:
+//!
+//! * its [`JobBelief`] — everything LLMSched knows about the job under its
+//!   current evidence: the completed-stage fingerprint (`mask`), the
+//!   extracted [`Evidence`], the posterior [`WorkEstimate`], and the
+//!   memoized per-stage Eq. 6 reductions;
+//! * its ready-stage count, with a running total over all records — the
+//!   exact lengths of LLMSched's lazy St/Su lists;
+//! * its scored frontier: the ready stages with their Eq. 6 scores, in
+//!   `ready_stage_ids` order, or `None` once a delta touched the job.
+//!
+//! One dirty set feeds the records. The four deltas that can move a job's
+//! ready-stage set ([`SchedDelta::JobArrived`],
+//! [`SchedDelta::StageCompleted`], [`SchedDelta::StageRevealed`],
+//! [`SchedDelta::TasksDispatched`]) mark the job, and so does
+//! [`BeliefStore::mark_app_dirty`], which the caller drives with the
+//! [`ProfileStore`]'s bumped-app list after a snapshot publish. A refresh
+//! re-counts each marked job's ready stages, drops its frontier, and
+//! recomputes its belief iff its evidence mask (or its app's snapshot
+//! version) actually moved — evidence changes only when a stage
+//! completes. Completed jobs are evicted deterministically on
+//! [`SchedDelta::JobCompleted`].
 //!
 //! The per-invocation cost drops from O(jobs · (stage scan + posterior
-//! clone)) to O(changed jobs · posterior), while producing bit-identical
+//! clone)) to O(touched jobs · posterior), while producing bit-identical
 //! values to the rebuild path: the same estimator functions run on the
 //! same inputs, just not redundantly.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 use llmsched_bayes::network::Evidence;
@@ -80,11 +88,31 @@ pub struct JobBelief {
     shared: Option<Arc<EvidencePosteriors>>,
 }
 
-/// Delta-maintained [`JobBelief`] records for every active job.
+/// The store's record of one active job.
+#[derive(Debug, Clone, Default)]
+struct JobRecord {
+    belief: JobBelief,
+    /// Number of ready stages (the job's share of the St/Su lengths).
+    ready_stages: usize,
+    /// Ready stages with their Eq. 6 scores, in `ready_stage_ids` order;
+    /// `None` until scored and again after any delta touches the job.
+    frontier: Option<Vec<(StageId, f64)>>,
+}
+
+/// One job a [`BeliefStore::refresh`] touched: `(job, moved, was_ready,
+/// ready)` — whether its belief (and so its sort keys) was replaced, and
+/// whether it had ready stages before and after.
+pub type Touched = (JobId, bool, bool, bool);
+
+/// Delta-maintained per-job records for every active job.
 #[derive(Debug, Clone, Default)]
 pub struct BeliefStore {
-    beliefs: HashMap<JobId, JobBelief>,
+    records: HashMap<JobId, JobRecord>,
     dirty: HashSet<JobId>,
+    /// Sum of every record's ready-stage count.
+    ready_stages: usize,
+    /// The last refresh's touched jobs (reused across calls).
+    touched: Vec<Touched>,
     /// Active jobs per application — the inverse index behind
     /// [`BeliefStore::mark_app_dirty`].
     by_app: HashMap<AppId, HashSet<JobId>>,
@@ -104,40 +132,52 @@ impl BeliefStore {
         Self::default()
     }
 
-    /// Number of held beliefs.
+    /// Number of held records.
     pub fn len(&self) -> usize {
-        self.beliefs.len()
+        self.records.len()
     }
 
-    /// True if no beliefs are held.
+    /// True if no records are held.
     pub fn is_empty(&self) -> bool {
-        self.beliefs.is_empty()
+        self.records.is_empty()
+    }
+
+    /// Total ready stages across every record (refresh first).
+    pub fn ready_stages(&self) -> usize {
+        self.ready_stages
+    }
+
+    /// Whether `job` has at least one ready stage (refresh first).
+    pub fn is_ready(&self, job: JobId) -> bool {
+        self.records.get(&job).is_some_and(|r| r.ready_stages > 0)
     }
 
     /// Drops everything (scheduler reset).
     pub fn clear(&mut self) {
-        self.beliefs.clear();
+        self.records.clear();
         self.dirty.clear();
+        self.ready_stages = 0;
+        self.touched.clear();
         self.by_app.clear();
         self.bands.clear();
     }
 
-    /// Routes one delta: arrivals and stage completions mark the job's
-    /// belief stale; job completion evicts it. Observation deltas are
-    /// ignored — profile movement reaches beliefs only through
+    /// Routes one delta: every delta that can move a job's ready-stage set
+    /// marks the job; job completion evicts its record. Observation deltas
+    /// are ignored — profile movement reaches beliefs only through
     /// [`BeliefStore::mark_app_dirty`], after the store has actually
-    /// published.
+    /// published. (Task finishes keep running + done constant and never
+    /// change the ready set.)
     pub fn on_delta(&mut self, d: &SchedDelta) {
         match d {
-            SchedDelta::JobArrived { job, .. } | SchedDelta::StageCompleted { job, .. } => {
+            SchedDelta::JobArrived { job, .. }
+            | SchedDelta::StageCompleted { job, .. }
+            | SchedDelta::StageRevealed { job, .. }
+            | SchedDelta::TasksDispatched { job, .. } => {
                 self.dirty.insert(*job);
             }
             SchedDelta::JobCompleted { job } => {
-                if let Some(b) = self.beliefs.remove(job) {
-                    if let Some(set) = self.by_app.get_mut(&b.app) {
-                        set.remove(job);
-                    }
-                }
+                self.evict(*job);
                 self.dirty.remove(job);
             }
             _ => {}
@@ -153,131 +193,180 @@ impl BeliefStore {
         }
     }
 
-    /// Brings the store in sync with `ctx` and replaces the contents of
-    /// `changed` with the ids whose [`JobBelief::work`] actually changed
-    /// (callers reposition those in their ordered indices; passing the
-    /// same buffer every call keeps this allocation-free).
+    /// Brings the records in sync with `ctx` and lists the jobs it touched
+    /// in [`BeliefStore::touched`].
     ///
-    /// Dirty jobs re-derive their evidence mask — an O(template stages)
-    /// scan — and only a *moved* mask (or snapshot version) triggers the
-    /// BN posterior. The count-mismatch safety net rebuilds every belief
-    /// when the context was produced outside the engine's delta stream.
+    /// Each marked job re-counts its ready stages, drops its frontier and
+    /// re-derives its evidence mask — an O(template stages) scan — and
+    /// only a *moved* mask (or snapshot version) triggers the BN
+    /// posterior. Returns `true` when the count-mismatch safety net
+    /// rebuilt every record because `ctx` was produced outside the
+    /// engine's delta stream; [`BeliefStore::touched`] is then empty and
+    /// callers rebuild whatever they derive from the records.
     pub fn refresh(
         &mut self,
         store: &ProfileStore,
         ctx: &SchedContext<'_>,
         use_bn: bool,
         tail_mass: f64,
-        changed: &mut Vec<JobId>,
-    ) {
-        changed.clear();
+    ) -> bool {
+        self.touched.clear();
         // Drained in place so the set keeps its capacity across calls.
         let mut dirty = std::mem::take(&mut self.dirty);
         for id in dirty.drain() {
             match ctx.job(id) {
                 Some(job) => {
-                    if self.update(store, job, use_bn, tail_mass) {
-                        changed.push(id);
-                    }
+                    let moved = self.update(store, job, use_bn, tail_mass);
+                    let (was_ready, ready) = self.recount(job);
+                    self.touched.push((id, moved, was_ready, ready));
                 }
-                None => {
-                    self.evict(id);
-                }
+                None => self.evict(id),
             }
         }
         self.dirty = dirty;
-        if self.beliefs.len() != ctx.jobs.len() {
-            self.beliefs.clear();
-            self.by_app.clear();
-            changed.clear();
-            for job in &ctx.jobs {
-                self.update(store, job, use_bn, tail_mass);
-                changed.push(job.id());
-            }
+        if self.records.len() == ctx.jobs.len() {
+            return false;
         }
+        self.records.clear();
+        self.by_app.clear();
+        self.ready_stages = 0;
+        self.touched.clear();
+        for job in &ctx.jobs {
+            self.update(store, job, use_bn, tail_mass);
+            self.recount(job);
+        }
+        true
+    }
+
+    /// The jobs the last [`BeliefStore::refresh`] touched, as
+    /// `(job, moved, was_ready, ready)`.
+    pub fn touched(&self) -> &[Touched] {
+        &self.touched
+    }
+
+    /// Re-counts a held job's ready stages into its record and the running
+    /// total and drops its frontier; returns `(was_ready, ready)`.
+    fn recount(&mut self, job: &JobRt) -> (bool, bool) {
+        let rec = self
+            .records
+            .get_mut(&job.id())
+            .expect("update keeps a record");
+        let (old, new) = (rec.ready_stages, job.ready_stage_ids().len());
+        rec.ready_stages = new;
+        rec.frontier = None;
+        self.ready_stages = self.ready_stages - old + new;
+        (old > 0, new > 0)
     }
 
     fn evict(&mut self, id: JobId) {
-        if let Some(b) = self.beliefs.remove(&id) {
-            if let Some(set) = self.by_app.get_mut(&b.app) {
+        if let Some(r) = self.records.remove(&id) {
+            self.ready_stages -= r.ready_stages;
+            if let Some(set) = self.by_app.get_mut(&r.belief.app) {
                 set.remove(&id);
             }
         }
     }
 
     /// Recomputes one job's belief if its evidence mask or profile
-    /// version moved; returns whether anything changed.
+    /// version moved (creating its record if new); returns whether the
+    /// belief was replaced.
     fn update(&mut self, store: &ProfileStore, job: &JobRt, use_bn: bool, tail_mass: f64) -> bool {
         let version = store.version(job.app()).0;
-        let Some(profile) = store.profile(job.app()) else {
+        let held = self.records.get(&job.id()).map(|r| &r.belief);
+        let belief = match store.profile(job.app()) {
             // Unprofiled application: a zero-work belief, version-stamped
             // so a later cold-start bootstrap (version bump) re-estimates.
-            let stale = self
-                .beliefs
-                .get(&job.id())
-                .map_or(true, |b| b.version != version);
-            if stale {
-                self.beliefs.insert(
-                    job.id(),
-                    JobBelief {
-                        app: job.app(),
+            None => {
+                if held.is_some_and(|b| b.version == version) {
+                    return false;
+                }
+                JobBelief {
+                    app: job.app(),
+                    version,
+                    ..JobBelief::default()
+                }
+            }
+            Some(profile) => {
+                let mask = profile.evidence_mask(job);
+                if held.is_some_and(|b| b.mask == mask && b.version == version) {
+                    return false;
+                }
+                let evidence = profile.evidence_of(job);
+                let app_bands = self.bands.entry(job.app()).or_default();
+                if app_bands.version != version {
+                    *app_bands = AppBands {
                         version,
-                        ..JobBelief::default()
-                    },
-                );
-                self.by_app.entry(job.app()).or_default().insert(job.id());
+                        ..AppBands::default()
+                    };
+                } else if app_bands.by_evidence.len() >= BANDS_MEMO_CAP {
+                    app_bands.by_evidence.clear();
+                }
+                let key: Vec<(usize, usize)> = evidence.iter().map(|(&s, &b)| (s, b)).collect();
+                let plans = &mut app_bands.plans;
+                let entry = app_bands.by_evidence.entry(key).or_insert_with(|| {
+                    Arc::new(EvidencePosteriors::build(
+                        profile, &evidence, use_bn, tail_mass, plans,
+                    ))
+                });
+                let shared = Arc::clone(entry);
+                let work = crate::estimator::remaining_work_from_bands(profile, job, &shared.bands);
+                JobBelief {
+                    app: job.app(),
+                    version,
+                    mask,
+                    evidence,
+                    work,
+                    reductions: HashMap::new(),
+                    shared: Some(shared),
+                }
             }
-            return stale;
         };
-        let mask = profile.evidence_mask(job);
-        if let Some(b) = self.beliefs.get(&job.id()) {
-            if b.mask == mask && b.version == version {
-                return false;
-            }
-        }
-        let evidence = profile.evidence_of(job);
-        let app_bands = self.bands.entry(job.app()).or_default();
-        if app_bands.version != version {
-            *app_bands = AppBands {
-                version,
-                ..AppBands::default()
-            };
-        } else if app_bands.by_evidence.len() >= BANDS_MEMO_CAP {
-            app_bands.by_evidence.clear();
-        }
-        let key: Vec<(usize, usize)> = evidence.iter().map(|(&s, &b)| (s, b)).collect();
-        let plans = &mut app_bands.plans;
-        let entry = app_bands.by_evidence.entry(key).or_insert_with(|| {
-            Arc::new(EvidencePosteriors::build(
-                profile, &evidence, use_bn, tail_mass, plans,
-            ))
-        });
-        let shared = Arc::clone(entry);
-        let work = crate::estimator::remaining_work_from_bands(profile, job, &shared.bands);
-        self.beliefs.insert(
-            job.id(),
-            JobBelief {
-                app: job.app(),
-                version,
-                mask,
-                evidence,
-                work,
-                reductions: HashMap::new(),
-                shared: Some(shared),
-            },
-        );
         self.by_app.entry(job.app()).or_default().insert(job.id());
+        self.records.entry(job.id()).or_default().belief = belief;
         true
     }
 
     /// The belief of `job`, if held (refresh first).
     pub fn get(&self, job: JobId) -> Option<&JobBelief> {
-        self.beliefs.get(&job)
+        self.records.get(&job).map(|r| &r.belief)
     }
 
     /// The remaining-work estimate of `job` (zero if unknown).
     pub fn work(&self, job: JobId) -> WorkEstimate {
-        self.beliefs.get(&job).map(|b| b.work).unwrap_or_default()
+        self.get(job).map(|b| b.work).unwrap_or_default()
+    }
+
+    /// `job`'s ready stages with their Eq. 6 scores, in `ready_stage_ids`
+    /// order. A job no delta touched since its last scoring replays its
+    /// cached frontier without a single memo probe; otherwise the stages
+    /// are scored now (through the belief's memo) and cached. A job
+    /// without a record (context outside the delta stream, not yet
+    /// refreshed) is scored uncached.
+    pub fn frontier(
+        &mut self,
+        store: &ProfileStore,
+        mi: MiEstimator,
+        job: &JobRt,
+    ) -> Cow<'_, [(StageId, f64)]> {
+        let id = job.id();
+        let cached = self.records.get(&id).map(|r| r.frontier.is_some());
+        if cached != Some(true) {
+            let scored: Vec<(StageId, f64)> = job
+                .ready_stage_ids()
+                .iter()
+                .map(|&s| (s, self.reduction(store, mi, job, s)))
+                .collect();
+            match self.records.get_mut(&id) {
+                Some(r) => r.frontier = Some(scored),
+                None => return Cow::Owned(scored),
+            }
+        }
+        Cow::Borrowed(
+            self.records[&id]
+                .frontier
+                .as_deref()
+                .expect("frontier just cached"),
+        )
     }
 
     /// Eq. 6 uncertainty-reduction score for a ready stage, memoized in
@@ -290,18 +379,14 @@ impl BeliefStore {
         job: &JobRt,
         stage: StageId,
     ) -> f64 {
-        if let Some(r) = self
-            .beliefs
-            .get(&job.id())
-            .and_then(|b| b.reductions.get(&stage.0))
-        {
+        if let Some(r) = self.get(job.id()).and_then(|b| b.reductions.get(&stage.0)) {
             return *r;
         }
-        let r = Self::score(&self.beliefs, &mut self.bands, store, mi, job, stage);
+        let r = Self::score(&self.records, &mut self.bands, store, mi, job, stage);
         // Belief-less scores (context outside the delta stream, not yet
         // refreshed) are not memoized.
-        if let Some(b) = self.beliefs.get_mut(&job.id()) {
-            b.reductions.insert(stage.0, r);
+        if let Some(rec) = self.records.get_mut(&job.id()) {
+            rec.belief.reductions.insert(stage.0, r);
         }
         r
     }
@@ -310,7 +395,7 @@ impl BeliefStore {
     /// joints from the app's cached plans while they belong to the
     /// published snapshot.
     fn score(
-        beliefs: &HashMap<JobId, JobBelief>,
+        records: &HashMap<JobId, JobRecord>,
         bands: &mut HashMap<AppId, AppBands>,
         store: &ProfileStore,
         mi: MiEstimator,
@@ -328,7 +413,7 @@ impl BeliefStore {
             .get_mut(&job.app())
             .filter(|ab| ab.version == version)
             .map(|ab| &mut ab.plans);
-        match beliefs.get(&job.id()) {
+        match records.get(&job.id()).map(|r| &r.belief) {
             Some(b) => match (&b.shared, plans) {
                 // Cached path: the MI term is shared across jobs under
                 // this evidence; only the dynamic-expansion bonus is
@@ -367,6 +452,8 @@ mod tests {
     use crate::profiler::{Profiler, ProfilerConfig};
     use crate::store::{ProfileStoreConfig, ProfileUpdate};
     use llmsched_dag::time::SimTime;
+    use llmsched_sim::engine::simulate;
+    use llmsched_sim::scheduler::{Preference, Scheduler};
     use llmsched_sim::state::LlmExecutorView;
     use llmsched_workloads::prelude::*;
 
@@ -374,12 +461,10 @@ mod tests {
         jobs: &'a [JobRt],
         templates: &'a llmsched_dag::template::TemplateSet,
         latency: &'a llmsched_sim::latency::LatencyProfile,
-        deltas: &'a [SchedDelta],
     ) -> SchedContext<'a> {
         SchedContext {
             now: SimTime::ZERO,
             jobs: llmsched_sim::scheduler::ActiveJobs::dense(jobs),
-            deltas,
             llm_executors: &[LlmExecutorView {
                 index: 0,
                 batch_len: 0,
@@ -410,26 +495,35 @@ mod tests {
         let w = generate_workload(WorkloadKind::Mixed, 5, 0.9, 4);
         let jobs: Vec<JobRt> = w.jobs.into_iter().map(JobRt::new).collect();
         let latency = llmsched_sim::latency::LatencyProfile::default();
-        let ctx = ctx_of(&jobs, &w.templates, &latency, &[]);
+        let ctx = ctx_of(&jobs, &w.templates, &latency);
 
         let mut beliefs = BeliefStore::new();
-        let mut changed = Vec::new();
-        beliefs.refresh(&store, &ctx, true, 0.35, &mut changed);
-        assert_eq!(changed.len(), 5, "safety net computes every belief");
+        assert!(
+            beliefs.refresh(&store, &ctx, true, 0.35),
+            "safety net computes every record"
+        );
         assert_eq!(beliefs.len(), 5);
+        let ready: usize = jobs.iter().map(|j| j.ready_stage_ids().len()).sum();
+        assert_eq!(beliefs.ready_stages(), ready);
 
         // A second refresh with no deltas changes nothing.
-        beliefs.refresh(&store, &ctx, true, 0.35, &mut changed);
-        assert!(changed.is_empty(), "clean store must not recompute");
+        assert!(!beliefs.refresh(&store, &ctx, true, 0.35));
+        assert!(
+            beliefs.touched().is_empty(),
+            "clean store must not recompute"
+        );
 
-        // Dirty without an actual evidence change: still nothing.
+        // Dirty without an actual evidence change: touched, not moved.
+        let id = jobs[0].id();
         beliefs.on_delta(&SchedDelta::StageCompleted {
-            job: jobs[0].id(),
+            job: id,
             stage: StageId(0),
         });
-        beliefs.refresh(&store, &ctx, true, 0.35, &mut changed);
-        assert!(
-            changed.is_empty(),
+        assert!(!beliefs.refresh(&store, &ctx, true, 0.35));
+        let r = !jobs[0].ready_stage_ids().is_empty();
+        assert_eq!(
+            beliefs.touched(),
+            &[(id, false, r, r)],
             "unchanged evidence mask must not invalidate the belief"
         );
     }
@@ -437,10 +531,112 @@ mod tests {
     #[test]
     fn job_completion_evicts_deterministically() {
         let mut store = BeliefStore::new();
-        store.beliefs.insert(JobId(7), JobBelief::default());
+        for (id, ready_stages) in [(7, 2), (8, 1)] {
+            let rec = JobRecord {
+                ready_stages,
+                ..JobRecord::default()
+            };
+            store.records.insert(JobId(id), rec);
+        }
+        store.ready_stages = 3;
         store.on_delta(&SchedDelta::JobCompleted { job: JobId(7) });
-        assert!(store.is_empty());
+        assert_eq!(store.len(), 1, "the record is evicted");
+        assert_eq!(store.ready_stages(), 1, "its ready stages leave the total");
+        assert!(!store.is_ready(JobId(7)));
         assert_eq!(store.work(JobId(7)), WorkEstimate::default());
+    }
+
+    /// Dispatches every ready task and, at each decision point the engine
+    /// reaches, refreshes a [`BeliefStore`] fed by the same delta batch,
+    /// checking every touched record against the jobs and the deltas.
+    struct Checker {
+        store: ProfileStore,
+        beliefs: BeliefStore,
+        /// Jobs of the pending batch with a delta other than a dispatch.
+        other: HashSet<JobId>,
+        /// `(ready stages, evidence mask)` per job at the last refresh.
+        seen: HashMap<JobId, (usize, u64)>,
+        /// Dispatch-only refreshes that exhausted a job's only ready stage.
+        exhausted: usize,
+        /// Refreshes whose stage completion moved the evidence mask.
+        mask_moves: usize,
+    }
+
+    impl Scheduler for Checker {
+        fn name(&self) -> &str {
+            "checker"
+        }
+
+        fn on_delta(&mut self, d: &SchedDelta) {
+            self.beliefs.on_delta(d);
+            match *d {
+                SchedDelta::JobCompleted { job } => {
+                    assert!(self.beliefs.get(job).is_none(), "completion evicts");
+                    self.seen.remove(&job);
+                }
+                SchedDelta::TasksDispatched { .. } => {}
+                ref d if !d.is_observation() => {
+                    self.other.insert(d.job());
+                }
+                _ => {}
+            }
+        }
+
+        fn schedule(&mut self, ctx: &SchedContext<'_>) -> Preference {
+            let before = self.beliefs.ready_stages();
+            assert!(
+                !self.beliefs.refresh(&self.store, ctx, true, 0.35),
+                "a delta-fed store never needs its safety net"
+            );
+            assert_eq!(self.beliefs.len(), ctx.jobs.len());
+            let mut want = before;
+            for &(id, moved, was_ready, ready) in self.beliefs.touched() {
+                let job = ctx.job(id).expect("touched jobs are active");
+                let (old, old_mask) = self.seen.get(&id).copied().unwrap_or_default();
+                let new = job.ready_stage_ids().len();
+                let mask = self.beliefs.get(id).expect("refreshed").mask;
+                assert_eq!((was_ready, ready), (old > 0, new > 0), "{id:?}");
+                assert!(self.beliefs.is_ready(id) == ready);
+                want = want - old + new;
+                if !self.other.contains(&id) {
+                    assert!(!moved, "a dispatch never moves the belief");
+                    if old == 1 && new == 0 {
+                        self.exhausted += 1;
+                    }
+                } else if self.seen.contains_key(&id) && mask != old_mask {
+                    assert!(moved, "a moved evidence mask replaces the belief");
+                    self.mask_moves += 1;
+                }
+                self.seen.insert(id, (new, mask));
+            }
+            assert_eq!(self.beliefs.ready_stages(), want);
+            self.other.clear();
+            let mut p = Preference::new();
+            for job in &ctx.jobs {
+                for &s in job.ready_stage_ids() {
+                    p.push_stage_tasks(job, s);
+                }
+            }
+            p
+        }
+    }
+
+    #[test]
+    fn refresh_reports_dispatches_completions_and_evictions() {
+        let w = generate_workload(WorkloadKind::Mixed, 40, 0.9, 5);
+        let mut checker = Checker {
+            store: frozen_store(&AppKind::ALL),
+            beliefs: BeliefStore::new(),
+            other: HashSet::new(),
+            seen: HashMap::new(),
+            exhausted: 0,
+            mask_moves: 0,
+        };
+        let cluster = WorkloadKind::Mixed.default_cluster();
+        let r = simulate(&cluster, &w.templates, w.jobs, &mut checker);
+        assert_eq!(r.incomplete, 0);
+        assert!(checker.exhausted > 0, "no dispatch exhausted a lone stage");
+        assert!(checker.mask_moves > 0, "no completion moved a mask");
     }
 
     #[test]
@@ -455,13 +651,12 @@ mod tests {
         let w = generate_workload(WorkloadKind::Mixed, 8, 0.9, 4);
         let jobs: Vec<JobRt> = w.jobs.into_iter().map(JobRt::new).collect();
         let latency = llmsched_sim::latency::LatencyProfile::default();
-        let ctx = ctx_of(&jobs, &w.templates, &latency, &[]);
+        let ctx = ctx_of(&jobs, &w.templates, &latency);
 
         let mut beliefs = BeliefStore::new();
-        let mut changed = Vec::new();
-        beliefs.refresh(&store, &ctx, true, 0.35, &mut changed);
-        beliefs.refresh(&store, &ctx, true, 0.35, &mut changed);
-        assert!(changed.is_empty());
+        beliefs.refresh(&store, &ctx, true, 0.35);
+        beliefs.refresh(&store, &ctx, true, 0.35);
+        assert!(beliefs.touched().is_empty());
 
         // Fresh jobs share the no-evidence plan; compile one more for a
         // completed-stage set no job has, which only the old snapshot saw.
@@ -479,11 +674,17 @@ mod tests {
         assert!(store.observe_job_spec(w.templates.expect(app), &extra[0]));
         beliefs.mark_app_dirty(app);
 
-        beliefs.refresh(&store, &ctx, true, 0.35, &mut changed);
+        assert!(!beliefs.refresh(&store, &ctx, true, 0.35));
         let expected: Vec<JobId> = jobs
             .iter()
             .filter(|j| j.app() == app)
             .map(|j| j.id())
+            .collect();
+        let mut changed: Vec<JobId> = beliefs
+            .touched()
+            .iter()
+            .filter(|t| t.1)
+            .map(|t| t.0)
             .collect();
         changed.sort();
         assert_eq!(

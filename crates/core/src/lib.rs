@@ -68,7 +68,8 @@ pub mod prelude {
     };
     pub use crate::scheduler::{LlmSched, LlmSchedConfig, LlmSchedConfigError};
     pub use crate::store::{
-        ProfileSnapshot, ProfileStore, ProfileStoreConfig, ProfileUpdate, ProfileVersion,
+        ProfileSnapshot, ProfileStore, ProfileStoreConfig, ProfileStoreConfigError, ProfileUpdate,
+        ProfileVersion,
     };
     pub use crate::uncertainty::{uncertainty_reduction, MiEstimator};
 }

@@ -22,7 +22,7 @@ use llmsched_bayes::network::{BayesNet, Evidence};
 use llmsched_bayes::structure::{learn_chow_liu, learn_order_hill_climb};
 use llmsched_dag::ids::{AppId, StageId};
 use llmsched_dag::job::JobSpec;
-use llmsched_dag::template::{TemplateSet, TemplateStageKind};
+use llmsched_dag::template::{Template, TemplateSet, TemplateStageKind};
 use llmsched_dag::time::SimDuration;
 use llmsched_sim::state::JobRt;
 
@@ -323,11 +323,14 @@ impl DynCounts {
     }
 }
 
-fn train_one(
-    template: &llmsched_dag::template::Template,
-    jobs: &[&JobSpec],
-    cfg: &ProfilerConfig,
-) -> AppProfile {
+/// The template's stages in smallest-index-first topological order: the
+/// order that constrains BN edge direction in batch and online training.
+pub(crate) fn stage_order(template: &Template) -> Vec<usize> {
+    let order = template.dag().topo_order().expect("templates are DAGs");
+    order.into_iter().map(|v| v as usize).collect()
+}
+
+fn train_one(template: &Template, jobs: &[&JobSpec], cfg: &ProfilerConfig) -> AppProfile {
     let n = template.len();
     // Duration matrix: one row per job, one column per template stage
     // (placeholders aggregate generated work; unexecuted stages are 0 s).
@@ -338,7 +341,7 @@ fn train_one(
     let (discretizers, data) = DiscreteData::discretize(&samples, cfg.max_bins);
 
     // Stage topological order constrains edge direction (§3.4 of DESIGN.md).
-    let order: Vec<usize> = template.dag().topo_order().expect("templates are DAGs");
+    let order: Vec<usize> = stage_order(template);
     let parents = match cfg.learner {
         StructureLearner::HillClimb => learn_order_hill_climb(&data, &order, cfg.max_parents),
         StructureLearner::ChowLiu => learn_chow_liu(&data, &order, 0.02),

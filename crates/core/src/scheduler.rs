@@ -183,45 +183,28 @@ pub struct LlmSched {
     rng: StdRng,
     /// Rebuild-path cache keyed by (job, profile version, evidence mask).
     cache: HashMap<(JobId, u64, u64), JobAnalysis>,
-    /// Incremental path: persistent per-job beliefs…
+    /// Incremental path: one record per active job — belief, ready-stage
+    /// count (with the running total that sizes the lazy St/Su sources)
+    /// and scored frontier…
     beliefs: BeliefStore,
     /// …the SRTF exploitation order, keyed by (calibrated estimate,
     /// arrival)…
     exploit: ReadyIndex<(FiniteF64, SimTime), ()>,
     /// …and the interval index behind the non-overlapping grouping
     /// (ordered by calibrated lower bound; upper bounds ride inline).
-    /// Both carry each job's ready flag (`ready_counts[job].stages > 0`)
-    /// inline, so the lazy sources skip non-ready jobs without a lookup.
+    /// Both carry each job's ready flag (the record's ready-stage count
+    /// is positive) inline, so the lazy sources skip non-ready jobs
+    /// without a lookup.
     intervals: ReadyIndex<FiniteF64, f64>,
     /// The Eq. 2 calibration the persistent keys were computed under; a
     /// moved calibration re-keys everything.
     last_calib: Option<f64>,
-    /// Per-job ready-work profiles and their running totals — the exact
-    /// lengths of the lazy St/Su sources and the per-class task
-    /// availability, maintained by deltas so the merge's RNG stream never
-    /// needs a full job scan.
-    ready_counts: HashMap<JobId, ReadyProfile>,
-    ready_dirty: std::collections::HashSet<JobId>,
-    total_ready: ReadyProfile,
-    /// Reused buffer for [`BeliefStore::refresh`]'s changed-job list.
-    changed_buf: Vec<JobId>,
     /// Reused per-invocation merge scratch (cleared at the top of every
     /// incremental schedule; persisting the capacity keeps the merge
     /// allocation-free at steady state).
     merge_emitted: HashMap<(usize, StageId), usize>,
     st_mat_buf: Vec<StageRef>,
     su_heap_buf: std::collections::BinaryHeap<SuEntry>,
-    /// Dirty-set scored frontier: each job's ready-stage list with its
-    /// Eq. 6 scores, in `ready_stage_ids` order, persisted across
-    /// invocations. A job is re-scored only when a delta actually touched
-    /// it — its ready-stage set moved (arrival / stage completion /
-    /// reveal / dispatch) or its belief was replaced (evidence mask or
-    /// profile version moved, reported by [`BeliefStore::refresh`]);
-    /// untouched jobs replay their cached entries straight into the Su
-    /// heap without a single memo probe or job scan. Values are the
-    /// belief memos' (pure, bit-stable), so the merge — and the schedule
-    /// — is bit-identical to scoring from scratch every time.
-    frontier: HashMap<JobId, Vec<(StageId, f64)>>,
     /// Decision-provenance collection, flipped by the engine via
     /// [`Scheduler::set_telemetry`]. Observation-only: records are built
     /// from values both paths already computed, so the ε-greedy RNG
@@ -230,45 +213,6 @@ pub struct LlmSched {
     /// Records accumulated since the last [`Scheduler::drain_provenance`].
     decisions: Vec<DecisionRecord>,
     name: String,
-}
-
-/// Ready-work profile of one job (or the whole active set): how many
-/// stages are schedulable and how many unstarted tasks they hold per
-/// executor class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct ReadyProfile {
-    stages: usize,
-    reg_tasks: usize,
-    llm_tasks: usize,
-}
-
-impl ReadyProfile {
-    fn of(job: &JobRt) -> ReadyProfile {
-        let mut p = ReadyProfile::default();
-        for &s in job.ready_stage_ids() {
-            let view = job.stage_view(s).expect("ready stage is visible");
-            p.stages += 1;
-            let unstarted = view.tasks_unstarted().unwrap_or(0);
-            match view.kind {
-                llmsched_dag::job::StageKind::Regular => p.reg_tasks += unstarted,
-                llmsched_dag::job::StageKind::Llm => p.llm_tasks += unstarted,
-                llmsched_dag::job::StageKind::DynamicPlaceholder => {}
-            }
-        }
-        p
-    }
-
-    fn add(&mut self, o: ReadyProfile) {
-        self.stages += o.stages;
-        self.reg_tasks += o.reg_tasks;
-        self.llm_tasks += o.llm_tasks;
-    }
-
-    fn sub(&mut self, o: ReadyProfile) {
-        self.stages -= o.stages;
-        self.reg_tasks -= o.reg_tasks;
-        self.llm_tasks -= o.llm_tasks;
-    }
 }
 
 /// Panics at construction on a config [`LlmSchedConfig::validate`]
@@ -351,14 +295,9 @@ impl LlmSched {
             exploit: ReadyIndex::default(),
             intervals: ReadyIndex::default(),
             last_calib: None,
-            ready_counts: HashMap::new(),
-            ready_dirty: std::collections::HashSet::new(),
-            total_ready: ReadyProfile::default(),
-            changed_buf: Vec::new(),
             merge_emitted: HashMap::new(),
             st_mat_buf: Vec::new(),
             su_heap_buf: std::collections::BinaryHeap::new(),
-            frontier: HashMap::new(),
             telemetry: false,
             decisions: Vec::new(),
             name,
@@ -535,29 +474,8 @@ impl LlmSched {
     // Incremental path
     // ------------------------------------------------------------------
 
-    /// (Re)derives one job's persistent sort keys from its belief; a
-    /// newly indexed job takes its ready flag from `ready_counts`.
-    fn index_job(&mut self, job: &JobRt, calib: f64) {
-        let (srtf, interval) = index_entries(&self.beliefs, &self.ready_counts, job, calib);
-        self.exploit.upsert(srtf);
-        if self.cfg.use_uncertainty {
-            self.intervals.upsert(interval);
-        }
-    }
-
-    /// Records one job's ready-work profile, flipping its index flags
-    /// when its ready/non-ready status moves.
-    fn set_ready_profile(&mut self, id: JobId, old: ReadyProfile, new: ReadyProfile) {
-        if (old.stages > 0) != (new.stages > 0) {
-            self.exploit.set_ready(id, new.stages > 0);
-            self.intervals.set_ready(id, new.stages > 0);
-        }
-        self.total_ready.sub(old);
-        self.total_ready.add(new);
-    }
-
-    /// Brings the profile store, beliefs, ready-stage counts and both
-    /// ordered indices in sync with the context.
+    /// Brings the profile store, the job records and both ordered
+    /// indices in sync with the context.
     fn sync(&mut self, ctx: &SchedContext<'_>) {
         // Publish any pending observation rows first: bumped apps
         // invalidate exactly their jobs' beliefs (and shared bands).
@@ -565,90 +483,61 @@ impl LlmSched {
             self.beliefs.mark_app_dirty(app);
         }
         let calib = crate::estimator::batching_calibration(ctx);
-        let mut changed = std::mem::take(&mut self.changed_buf);
-        self.beliefs.refresh(
+        let rebuilt = self.beliefs.refresh(
             &self.store,
             ctx,
             self.cfg.use_bn,
             self.cfg.interval_tail_mass,
-            &mut changed,
         );
-        // A replaced belief cleared its Eq. 6 memos: the job's cached
-        // scored frontier is stale with it. (Calibration moves, by
-        // contrast, leave the frontier valid — Eq. 6 reductions are
-        // calibration-free; only the expected-work keys re-derive below.)
-        for id in &changed {
-            self.frontier.remove(id);
-        }
-        if self.last_calib == Some(calib) {
-            // Calibration stable: reposition only the jobs whose belief
-            // moved (arrivals included — their upsert is the insert).
-            for &id in &changed {
-                if let Some(job) = ctx.job(id) {
-                    self.index_job(job, calib);
+        let mut rebuild = rebuilt || self.last_calib != Some(calib);
+        if !rebuild {
+            // Calibration stable: re-key only the jobs whose belief moved
+            // (arrivals included — their upsert is the insert, flagged
+            // from the record), and flip the flags whose ready status
+            // moved (an upsert keeps an existing entry's flag).
+            for &(id, moved, was_ready, ready) in self.beliefs.touched() {
+                if moved {
+                    if let Some(job) = ctx.job(id) {
+                        let (srtf, interval) = index_entries(&self.beliefs, job, calib);
+                        self.exploit.upsert(srtf);
+                        if self.cfg.use_uncertainty {
+                            self.intervals.upsert(interval);
+                        }
+                    }
+                }
+                if was_ready != ready {
+                    self.exploit.set_ready(id, ready);
+                    self.intervals.set_ready(id, ready);
                 }
             }
+            rebuild = self.exploit.len() != ctx.jobs.len();
         }
-        self.changed_buf = changed;
-        if self.last_calib != Some(calib) || self.exploit.len() != ctx.jobs.len() {
+        if rebuild {
             // Calibration moved (every persistent key is stale), or the
             // context bypassed the delta stream: rebuild the indices.
-            let (beliefs, ready_counts) = (&self.beliefs, &self.ready_counts);
-            let entries = |job| index_entries(beliefs, ready_counts, job, calib);
-            self.exploit
-                .rebuild(ctx.jobs.iter().map(|job| entries(job).0));
+            let beliefs = &self.beliefs;
+            self.exploit.rebuild(
+                ctx.jobs
+                    .iter()
+                    .map(|job| index_entries(beliefs, job, calib).0),
+            );
             if self.cfg.use_uncertainty {
-                self.intervals
-                    .rebuild(ctx.jobs.iter().map(|job| entries(job).1));
+                self.intervals.rebuild(
+                    ctx.jobs
+                        .iter()
+                        .map(|job| index_entries(beliefs, job, calib).1),
+                );
             } else {
                 self.intervals.clear();
             }
             self.last_calib = Some(calib);
         }
-        // Ready-work profiles: the exact lengths of the lazy St/Su sources,
-        // the per-class availability behind the emission budgets, and the
-        // indices' ready flags.
-        let mut dirty = std::mem::take(&mut self.ready_dirty);
-        for id in dirty.drain() {
-            let old = self.ready_counts.get(&id).copied().unwrap_or_default();
-            let new = match ctx.job(id) {
-                Some(job) => {
-                    let p = ReadyProfile::of(job);
-                    self.ready_counts.insert(id, p);
-                    p
-                }
-                None => {
-                    self.ready_counts.remove(&id);
-                    ReadyProfile::default()
-                }
-            };
-            self.set_ready_profile(id, old, new);
-        }
-        self.ready_dirty = dirty;
-        if self.ready_counts.len() != ctx.jobs.len() {
-            // Same bypassed-delta-stream safety net for the frontier: the
-            // ready-stage sets can no longer be trusted, so drop every
-            // cached scoring wholesale.
-            self.frontier.clear();
-            let stale = std::mem::take(&mut self.ready_counts);
-            self.total_ready = ReadyProfile::default();
-            for job in &ctx.jobs {
-                let p = ReadyProfile::of(job);
-                self.ready_counts.insert(job.id(), p);
-                let was_ready = stale.get(&job.id()).is_some_and(|o| o.stages > 0);
-                if was_ready != (p.stages > 0) {
-                    self.exploit.set_ready(job.id(), p.stages > 0);
-                    self.intervals.set_ready(job.id(), p.stages > 0);
-                }
-                self.total_ready.add(p);
-            }
-        }
         debug_assert!(
             self.exploit
                 .entries()
                 .iter()
-                .all(|e| e.ready == self.ready_counts.get(&e.job).is_some_and(|p| p.stages > 0)),
-            "SRTF index ready flags out of sync with the ready-work profiles"
+                .all(|e| e.ready == self.beliefs.is_ready(e.job)),
+            "SRTF index ready flags out of sync with the job records"
         );
     }
 
@@ -659,8 +548,10 @@ impl LlmSched {
     /// so only the consumed prefixes of St and Su need real identities.
     /// The rest of the merge must still *run* (the ε-draw RNG stream
     /// length depends on both list lengths), but it only needs counts,
-    /// which the delta-maintained `total_ready` provides without touching
-    /// any job. St materializes per-job on demand in the persistent SRTF
+    /// which the records' running ready-stage total and the engine's
+    /// per-class [`SchedContext::dispatchable_regular`] /
+    /// [`SchedContext::dispatchable_llm`] provide without touching any
+    /// job. St materializes per-job on demand in the persistent SRTF
     /// order, skipping non-ready entries by their inline flag; Su
     /// materializes per *group* on demand (groups scanned off the
     /// persistent interval index) into a max-heap, so the
@@ -678,14 +569,10 @@ impl LlmSched {
         // A class is *closed* once its list covers what could possibly
         // start: the free capacity, or everything available when the
         // class has fewer unstarted tasks than capacity.
-        let rb = ctx.regular_free().min(self.total_ready.reg_tasks);
-        let lb = ctx.llm_free_slots().min(self.total_ready.llm_tasks);
-        let st_len = self.total_ready.stages;
-        let su_len = if self.cfg.use_uncertainty {
-            self.total_ready.stages
-        } else {
-            0
-        };
+        let rb = ctx.regular_free().min(ctx.dispatchable_regular);
+        let lb = ctx.llm_free_slots().min(ctx.dispatchable_llm);
+        let st_len = self.beliefs.ready_stages();
+        let su_len = if self.cfg.use_uncertainty { st_len } else { 0 };
 
         // Split field borrows: the lazy sources iterate the persistent
         // indices directly (no per-invocation id snapshots) while scoring
@@ -700,7 +587,6 @@ impl LlmSched {
             ref mut merge_emitted,
             ref mut st_mat_buf,
             ref mut su_heap_buf,
-            ref mut frontier,
             ref mut decisions,
             ..
         } = *self;
@@ -771,22 +657,14 @@ impl LlmSched {
                         let Some(idx) = ctx.job_index(id) else {
                             continue;
                         };
-                        // Dirty-set partial rescoring: a job no delta
-                        // touched since its last scoring replays its
-                        // persistent (stage, score) frontier straight
-                        // into the heap — no job scan, no memo probes.
-                        // A miss is scored now and cached. The heap's
-                        // order is total (ties break on unique (job,
-                        // stage)), so the pops — and with them the ε-draw
-                        // consumption — never observe the push order or
-                        // which jobs came out of the persistent frontier.
-                        let fr = frontier.entry(id).or_insert_with(|| {
-                            ctx.jobs[idx]
-                                .ready_stage_ids()
-                                .iter()
-                                .map(|&s| (s, beliefs.reduction(store, cfg.mi, &ctx.jobs[idx], s)))
-                                .collect()
-                        });
+                        // A job no delta touched since its last scoring
+                        // replays its record's (stage, score) frontier
+                        // straight into the heap — no job scan, no memo
+                        // probes. The heap's order is total (ties break
+                        // on unique (job, stage)), so the pops — and with
+                        // them the ε-draw consumption — never observe the
+                        // push order or which frontiers were cached.
+                        let fr = beliefs.frontier(store, cfg.mi, &ctx.jobs[idx]);
                         for &(s, r) in fr.iter() {
                             heap.push(SuEntry {
                                 score: FiniteF64(r),
@@ -1089,10 +967,9 @@ struct StageRef {
 }
 
 /// One job's SRTF (`St`) and interval (`Su`) index entries under the Eq. 2
-/// calibration `calib`, flagged ready from `ready_counts`.
+/// calibration `calib`, flagged ready from its record.
 fn index_entries(
     beliefs: &BeliefStore,
-    ready_counts: &HashMap<JobId, ReadyProfile>,
     job: &JobRt,
     calib: f64,
 ) -> (
@@ -1100,7 +977,7 @@ fn index_entries(
     IndexEntry<FiniteF64, f64>,
 ) {
     let w = beliefs.work(job.id());
-    let ready = ready_counts.get(&job.id()).is_some_and(|p| p.stages > 0);
+    let ready = beliefs.is_ready(job.id());
     let (lo, hi) = w.interval(calib);
     (
         IndexEntry {
@@ -1203,36 +1080,9 @@ impl Scheduler for LlmSched {
             return;
         }
         self.beliefs.on_delta(d);
-        match d {
-            SchedDelta::JobCompleted { job } => {
-                self.exploit.remove(*job);
-                self.intervals.remove(*job);
-                if let Some(c) = self.ready_counts.remove(job) {
-                    self.total_ready.sub(c);
-                }
-                self.ready_dirty.remove(job);
-                self.frontier.remove(job);
-            }
-            // Every event that can change a job's ready-stage set: arrival,
-            // stage completion (done flags / predecessor counts), reveals
-            // (visibility), and task dispatch (stage exhaustion). Task
-            // *finishes* keep running+done constant and never change
-            // membership.
-            SchedDelta::JobArrived { job, .. }
-            | SchedDelta::StageCompleted { job, .. }
-            | SchedDelta::StageRevealed { job, .. }
-            | SchedDelta::TasksDispatched { job, .. } => {
-                self.ready_dirty.insert(*job);
-                // The ready-stage set may have moved: the cached scored
-                // frontier no longer lists the right candidates.
-                self.frontier.remove(job);
-            }
-            // Pure observations: consumed by the store above, no
-            // ready-set or belief change until a snapshot publishes.
-            SchedDelta::TasksFinished { .. }
-            | SchedDelta::StageObserved { .. }
-            | SchedDelta::DynCandidateObserved { .. }
-            | SchedDelta::DynEdgeObserved { .. } => {}
+        if let SchedDelta::JobCompleted { job } = d {
+            self.exploit.remove(*job);
+            self.intervals.remove(*job);
         }
     }
 
@@ -1243,10 +1093,6 @@ impl Scheduler for LlmSched {
         self.exploit.clear();
         self.intervals.clear();
         self.last_calib = None;
-        self.ready_counts.clear();
-        self.ready_dirty.clear();
-        self.total_ready = ReadyProfile::default();
-        self.frontier.clear();
         self.rng = StdRng::seed_from_u64(self.cfg.seed);
         self.decisions.clear();
     }

@@ -54,19 +54,6 @@ pub enum ProfileUpdate {
     Frozen,
     /// Publish after every completed-job observation.
     PerCompletion,
-    /// Publish after every `n` completed-job observations (per app).
-    EveryN(u32),
-}
-
-impl ProfileUpdate {
-    /// Observations between publishes (`None` = frozen).
-    fn period(self) -> Option<u32> {
-        match self {
-            ProfileUpdate::Frozen => None,
-            ProfileUpdate::PerCompletion => Some(1),
-            ProfileUpdate::EveryN(n) => Some(n.max(1)),
-        }
-    }
 }
 
 /// Store configuration.
@@ -95,6 +82,63 @@ pub struct ProfileStoreConfig {
     pub drift_threshold_bits: f64,
     /// Minimum observations between drift-triggered re-fits.
     pub relearn_backoff: usize,
+}
+
+/// Why a [`ProfileStoreConfig`] was rejected: each variant names the
+/// field at fault and carries its value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ProfileStoreConfigError {
+    /// `window_cap` is 0: the window could hold no row to learn from.
+    WindowCap(usize),
+    /// `drift_threshold_bits` is NaN or negative.
+    DriftThresholdBits(f64),
+}
+
+impl std::fmt::Display for ProfileStoreConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ProfileStoreConfigError::WindowCap(v) => {
+                write!(
+                    f,
+                    "window_cap is {v}: the window must retain at least one row"
+                )
+            }
+            ProfileStoreConfigError::DriftThresholdBits(v) => write!(
+                f,
+                "drift_threshold_bits is {v}: must be >= 0 (infinity disables drift re-learns)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ProfileStoreConfigError {}
+
+impl ProfileStoreConfig {
+    /// Checks the fields the online learner relies on.
+    ///
+    /// # Errors
+    /// The first [`ProfileStoreConfigError`] found: a zero `window_cap`,
+    /// or a `drift_threshold_bits` that is NaN (which would silently
+    /// disable drift re-learns) or negative.
+    pub fn validate(&self) -> Result<(), ProfileStoreConfigError> {
+        if self.window_cap == 0 {
+            return Err(ProfileStoreConfigError::WindowCap(self.window_cap));
+        }
+        if self.drift_threshold_bits.is_nan() || self.drift_threshold_bits < 0.0 {
+            return Err(ProfileStoreConfigError::DriftThresholdBits(
+                self.drift_threshold_bits,
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// Panics at construction on a config [`ProfileStoreConfig::validate`]
+/// rejects, before any observation can trip over it.
+fn check(cfg: &ProfileStoreConfig) {
+    if let Err(e) = cfg.validate() {
+        panic!("invalid ProfileStoreConfig: {e}");
+    }
 }
 
 impl Default for ProfileStoreConfig {
@@ -145,7 +189,6 @@ struct AppEntry {
     /// Jobs observed per placeholder (the `n` behind the frequencies).
     dyn_jobs: HashMap<StageId, u64>,
     n_obs: u64,
-    obs_since_publish: u32,
     obs_since_refit: usize,
     /// Next observation-count milestone forcing a re-fit (doubling
     /// schedule: bins and structure refine as history grows).
@@ -164,7 +207,6 @@ impl AppEntry {
             dyn_counts: HashMap::new(),
             dyn_jobs: HashMap::new(),
             n_obs: 0,
-            obs_since_publish: 0,
             obs_since_refit: 0,
             next_milestone: u64::MAX,
         }
@@ -205,7 +247,12 @@ pub struct ProfileStore {
 impl ProfileStore {
     /// An empty store: every application cold-starts from zero history
     /// and a Laplace prior once observations arrive.
+    ///
+    /// # Panics
+    /// Panics with the field's [`ProfileStoreConfigError`] if
+    /// [`ProfileStoreConfig::validate`] rejects `cfg`.
     pub fn empty(cfg: ProfileStoreConfig) -> Self {
+        check(&cfg);
         ProfileStore {
             cfg,
             apps: HashMap::new(),
@@ -221,7 +268,12 @@ impl ProfileStore {
     /// online profiles replace the seed (the training rows themselves are
     /// not retained by a `Profiler`); prefer [`ProfileStore::train`] when
     /// the corpus is at hand.
+    ///
+    /// # Panics
+    /// Panics with the field's [`ProfileStoreConfigError`] if
+    /// [`ProfileStoreConfig::validate`] rejects `cfg`.
     pub fn from_profiler(profiler: &Profiler, cfg: ProfileStoreConfig) -> Self {
+        check(&cfg);
         let apps: HashMap<AppId, AppEntry> = profiler
             .iter()
             .map(|(app, p)| (app, AppEntry::seeded(p.clone())))
@@ -253,6 +305,10 @@ impl ProfileStore {
     /// produces the same discretizers, structure and CPTs as
     /// [`Profiler::train`] — pinned by tests — while leaving the store
     /// ready to keep learning online.
+    ///
+    /// # Panics
+    /// Panics with the field's [`ProfileStoreConfigError`] if
+    /// [`ProfileStoreConfig::validate`] rejects `cfg`.
     pub fn train(templates: &TemplateSet, corpus: &[JobSpec], cfg: ProfileStoreConfig) -> Self {
         let mut store = ProfileStore::empty(cfg);
         for job in corpus {
@@ -520,14 +576,7 @@ impl ProfileStore {
             refit(entry, template, &cfg);
         }
 
-        let Some(period) = cfg.update.period() else {
-            return false;
-        };
-        entry.obs_since_publish += 1;
-        if entry.obs_since_publish >= period {
-            return publish(entry, template);
-        }
-        false
+        cfg.update == ProfileUpdate::PerCompletion && publish(entry, template)
     }
 }
 
@@ -545,7 +594,7 @@ fn refit(entry: &mut AppEntry, template: &Template, cfg: &ProfileStoreConfig) {
     }
     let rows: Vec<Vec<f64>> = entry.rows.iter().cloned().collect();
     let (disc, data) = DiscreteData::discretize(&rows, cfg.profiler.max_bins);
-    let order: Vec<usize> = template.dag().topo_order().expect("templates are DAGs");
+    let order = crate::profiler::stage_order(template);
     let ocfg = OnlineNetConfig {
         alpha: cfg.profiler.alpha,
         max_parents: cfg.profiler.max_parents,
@@ -604,7 +653,6 @@ fn publish(entry: &mut AppEntry, template: &Template) -> bool {
     );
     entry.profile = Some(Arc::new(profile));
     entry.version += 1;
-    entry.obs_since_publish = 0;
     true
 }
 
@@ -743,18 +791,56 @@ mod tests {
     }
 
     #[test]
-    fn every_n_cadence_publishes_sparsely() {
-        let templates = all_templates();
+    fn validate_accepts_the_defaults_and_an_infinite_drift_threshold() {
+        assert_eq!(ProfileStoreConfig::default().validate(), Ok(()));
         let cfg = ProfileStoreConfig {
-            update: ProfileUpdate::EveryN(10),
+            window_cap: 1,
+            drift_threshold_bits: f64::INFINITY,
             ..ProfileStoreConfig::default()
         };
-        let mut store = ProfileStore::empty(cfg);
-        let app = AppKind::WebSearch.app_id();
-        let t = templates.expect(app);
-        let jobs = training_jobs(&[AppKind::WebSearch], 40, 7);
-        let bumps = jobs.iter().filter(|j| store.observe_job_spec(t, j)).count();
-        assert_eq!(bumps, 4, "40 observations at EveryN(10) publish 4 times");
+        assert_eq!(cfg.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_a_zero_window_cap() {
+        let cfg = ProfileStoreConfig {
+            window_cap: 0,
+            ..online_cfg()
+        };
+        let err = cfg.validate().unwrap_err();
+        assert_eq!(err, ProfileStoreConfigError::WindowCap(0));
+        assert!(err.to_string().starts_with("window_cap is 0"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_a_nan_or_negative_drift_threshold() {
+        for bits in [f64::NAN, -0.5] {
+            let cfg = ProfileStoreConfig {
+                drift_threshold_bits: bits,
+                ..online_cfg()
+            };
+            let err = cfg.validate().unwrap_err();
+            assert!(matches!(
+                err,
+                ProfileStoreConfigError::DriftThresholdBits(_)
+            ));
+            assert!(
+                err.to_string().starts_with("drift_threshold_bits is"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "window_cap is 0")]
+    fn train_panics_on_a_zero_window_cap() {
+        let templates = all_templates();
+        let corpus = training_jobs(&[AppKind::WebSearch], 5, 3);
+        let cfg = ProfileStoreConfig {
+            window_cap: 0,
+            ..online_cfg()
+        };
+        let _ = ProfileStore::train(&templates, &corpus, cfg);
     }
 
     #[test]

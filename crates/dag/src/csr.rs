@@ -7,12 +7,11 @@
 //! loads and a slice borrow: no per-row allocation, no pointer chasing,
 //! and rows of one structure share a single cache-friendly arena.
 //!
-//! [`CsrDag`] is the read-only directed-graph view built on two such
-//! arenas (forward and reverse adjacency). It replaces the builder-style
-//! [`Dag`](crate::graph::Dag)'s `Vec<Vec<usize>>` storage everywhere a
-//! graph is constructed once and then only queried — most importantly
-//! inside [`JobSpec`](crate::job::JobSpec), whose adjacency is on the
-//! simulator's per-event path.
+//! [`CsrDag`] is the crate's one directed-graph type, built on two such
+//! arenas (forward and reverse adjacency). Every graph here is constructed
+//! once and then only queried: a [`Template`](crate::template::Template)'s
+//! static structure and a [`JobSpec`](crate::job::JobSpec)'s adjacency,
+//! which is on the simulator's per-event path.
 
 use std::ops::Range;
 
@@ -112,10 +111,8 @@ impl<T, I: IntoIterator<Item = T>> FromIterator<I> for Csr<T> {
 /// A read-only DAG over nodes `0..n` stored as two CSR arenas (forward and
 /// reverse adjacency).
 ///
-/// Construction dedupes edges with the same first-insertion-wins order as
-/// [`Dag::add_edge`](crate::graph::Dag::add_edge), so query results are
-/// bit-identical to the builder graph's; the proptest suite pins this
-/// against a naive `Vec<Vec<_>>` reference model.
+/// Construction dedupes edges, first insertion winning; the model tests
+/// pin every query against a naive `Vec<Vec<_>>` reference model.
 #[derive(Debug, Clone, Default)]
 pub struct CsrDag {
     succ: Csr<u32>,
@@ -124,7 +121,7 @@ pub struct CsrDag {
 
 impl CsrDag {
     /// Builds the graph from an edge list; duplicate edges are ignored
-    /// (first insertion wins, like [`Dag::add_edge`](crate::graph::Dag::add_edge)).
+    /// (first insertion wins).
     ///
     /// # Panics
     /// Panics if an edge references a node `>= n`.
@@ -264,8 +261,9 @@ impl CsrDag {
             .collect()
     }
 
-    /// Weighted critical-path length (max over paths of summed node
-    /// weights), identical to [`Dag::critical_path`](crate::graph::Dag::critical_path).
+    /// Weighted critical-path length: the maximum over all paths of the
+    /// sum of node weights (zero-weight nodes, e.g. void stages,
+    /// contribute nothing).
     ///
     /// # Panics
     /// Panics if the graph is cyclic or `weight.len() != self.len()`.
@@ -354,6 +352,8 @@ mod tests {
     fn reachability_and_critical_path() {
         let g = diamond();
         assert_eq!(g.descendants(0), vec![1, 2, 3]);
+        assert_eq!(g.descendants(1), vec![3]);
+        assert_eq!(g.descendants(3), Vec::<u32>::new());
         assert_eq!(g.ancestors(3), vec![0, 1, 2]);
         assert_eq!(g.ancestors(0), Vec::<u32>::new());
         assert_eq!(g.critical_path(&[1.0, 2.0, 5.0, 1.0]), 7.0);

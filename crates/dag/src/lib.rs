@@ -51,7 +51,6 @@
 #![warn(missing_docs)]
 
 pub mod csr;
-pub mod graph;
 pub mod ids;
 pub mod job;
 pub mod template;
@@ -61,7 +60,6 @@ pub mod work;
 /// Convenient glob-import of the common model types.
 pub mod prelude {
     pub use crate::csr::{Csr, CsrDag};
-    pub use crate::graph::Dag;
     pub use crate::ids::{AppId, JobId, StageId, TaskId};
     pub use crate::job::{JobSpec, JobSpecError, StageKind, StageSpec};
     pub use crate::template::{

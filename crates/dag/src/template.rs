@@ -11,7 +11,7 @@
 
 use std::fmt;
 
-use crate::graph::Dag;
+use crate::csr::CsrDag;
 use crate::ids::{AppId, StageId};
 use crate::work::ExecutorClass;
 
@@ -86,7 +86,7 @@ pub struct Template {
     name: String,
     stages: Vec<TemplateStage>,
     edges: Vec<(StageId, StageId)>,
-    dag: Dag,
+    dag: CsrDag,
 }
 
 impl Template {
@@ -130,7 +130,7 @@ impl Template {
     }
 
     /// The template DAG (node `i` = stage `i`).
-    pub fn dag(&self) -> &Dag {
+    pub fn dag(&self) -> &CsrDag {
         &self.dag
     }
 
@@ -400,12 +400,12 @@ impl TemplateBuilder {
             check(u)?;
             check(v)?;
         }
-        let dag = Dag::from_edges(
+        let dag = CsrDag::from_edges(
             n,
             &self
                 .edges
                 .iter()
-                .map(|&(u, v)| (u.index(), v.index()))
+                .map(|&(u, v)| (u.0, v.0))
                 .collect::<Vec<_>>(),
         );
         if !dag.is_acyclic() {
@@ -415,7 +415,7 @@ impl TemplateBuilder {
             let sid = StageId(i as u32);
             if let Some(r) = stage.revealed_by {
                 check(r)?;
-                if !dag.ancestors(i).contains(&r.index()) {
+                if !dag.ancestors(i).contains(&r.0) {
                     return Err(TemplateError::RevealNotAncestor {
                         stage: sid,
                         revealed_by: r,
@@ -438,7 +438,7 @@ impl TemplateBuilder {
                         preceding: *preceding_llm,
                     });
                 }
-                if !dag.ancestors(i).contains(&preceding_llm.index()) {
+                if !dag.ancestors(i).contains(&preceding_llm.0) {
                     return Err(TemplateError::PrecedingNotAncestor {
                         dynamic: sid,
                         preceding: *preceding_llm,

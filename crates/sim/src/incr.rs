@@ -299,18 +299,10 @@ fn entry<K>(job: &JobRt, key: K) -> IndexEntry<K, ()> {
 /// A delta-maintained per-job `f64` estimate cache (no ordering) — for
 /// policies that fold over the context's job list but want the
 /// per-job estimate recomputed only when that job actually changed.
-///
-/// Entries are implicitly keyed by a *generation* counter: estimate
-/// sources that can change wholesale (an online-updated profile snapshot,
-/// a re-trained predictor) call [`EstimateCache::bump_generation`] when
-/// they publish, which invalidates every cached value at once without the
-/// policy having to enumerate jobs. Static sources (historical priors)
-/// never bump and pay nothing.
 #[derive(Debug, Clone, Default)]
 pub struct EstimateCache {
     est: HashMap<JobId, f64>,
     dirty: HashSet<JobId>,
-    generation: u64,
 }
 
 impl EstimateCache {
@@ -323,21 +315,6 @@ impl EstimateCache {
     pub fn clear(&mut self) {
         self.est.clear();
         self.dirty.clear();
-    }
-
-    /// The generation the cached estimates belong to.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Declares every cached estimate stale (the estimate source itself
-    /// changed — e.g. a new profile snapshot was published) and advances
-    /// the generation. The next [`EstimateCache::refresh`] recomputes all
-    /// entries; per-job delta tracking resumes from there.
-    pub fn bump_generation(&mut self) {
-        self.est.clear();
-        self.dirty.clear();
-        self.generation += 1;
     }
 
     /// Standard delta routing: arrivals and stage completions dirty the
@@ -401,18 +378,6 @@ mod tests {
     #[should_panic(expected = "finite scheduling key")]
     fn nan_key_panics() {
         let _ = FiniteF64(f64::NAN).cmp(&FiniteF64(0.0));
-    }
-
-    #[test]
-    fn estimate_cache_generation_invalidates_everything() {
-        let mut c = EstimateCache::new();
-        assert_eq!(c.generation(), 0);
-        c.est.insert(JobId(1), 5.0);
-        c.est.insert(JobId(2), 7.0);
-        c.bump_generation();
-        assert_eq!(c.generation(), 1);
-        assert_eq!(c.get(JobId(1)), 0.0, "bumped generation drops estimates");
-        assert_eq!(c.get(JobId(2)), 0.0);
     }
 
     /// The index equals a naive model — a map of job → (key, payload,

@@ -18,9 +18,8 @@ use crate::state::{JobRt, LlmExecutorView};
 /// point. The engine accumulates deltas while it applies events and
 /// delivers the whole batch — in emission order — through
 /// [`Scheduler::on_delta`] immediately before the next
-/// [`Scheduler::schedule`] call; the same batch is visible as
-/// [`SchedContext::deltas`]. See `DESIGN.md` §7 for the full ordering and
-/// coalescing guarantees.
+/// [`Scheduler::schedule`] call. See `DESIGN.md` §7 for the full ordering
+/// and coalescing guarantees.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedDelta {
     /// A job arrived and is now schedulable.
@@ -358,16 +357,13 @@ impl Preference {
 /// engine's persistent sorted job index (an ordered set of active jobs,
 /// kept incrementally across events) — constructing a context allocates
 /// nothing; policies that maintain their own state via
-/// [`SchedContext::deltas`] / [`Scheduler::on_delta`] need not rescan it.
+/// [`Scheduler::on_delta`] need not rescan it.
 #[derive(Debug)]
 pub struct SchedContext<'a> {
     /// Current simulation time.
     pub now: SimTime,
     /// Active (arrived, incomplete) jobs, ascending by `JobId`.
     pub jobs: ActiveJobs<'a>,
-    /// State changes since the previous scheduler invocation, in emission
-    /// order (the same batch delivered through [`Scheduler::on_delta`]).
-    pub deltas: &'a [SchedDelta],
     /// LLM executor occupancy, as reported by the active
     /// [`ExecutorBackend`](crate::exec::ExecutorBackend) (the engine
     /// refreshes one reused buffer per invocation).
@@ -389,10 +385,12 @@ pub struct SchedContext<'a> {
     /// so policy state evolves identically either way.
     pub dispatchable: usize,
     /// [`SchedContext::dispatchable`] restricted to regular-executor
-    /// stages. Informational split for policies that want per-class
-    /// frontier sizes without rescanning.
+    /// stages: the engine's running per-class count, so a policy learns
+    /// how much regular work could start without rescanning (LLMSched
+    /// caps its regular emission budget with it).
     pub dispatchable_regular: usize,
-    /// [`SchedContext::dispatchable`] restricted to LLM-executor stages.
+    /// [`SchedContext::dispatchable`] restricted to LLM-executor stages
+    /// (LLMSched caps its LLM emission budget with it).
     pub dispatchable_llm: usize,
     /// Engine-computed capacity verdict: true iff at least one ready,
     /// unstarted task could start *right now* — a free regular executor
@@ -634,7 +632,6 @@ mod tests {
         let ctx = SchedContext {
             now: SimTime::ZERO,
             jobs: ActiveJobs::dense(&jobs),
-            deltas: &[],
             llm_executors: &[],
             backend: "cluster/least-loaded",
             regular_total: 1,

@@ -63,7 +63,8 @@ pub use llmsched_core::profiler::{
 };
 pub use llmsched_core::scheduler::{LlmSched, LlmSchedConfig, LlmSchedConfigError};
 pub use llmsched_core::store::{
-    ProfileSnapshot, ProfileStore, ProfileStoreConfig, ProfileUpdate, ProfileVersion,
+    ProfileSnapshot, ProfileStore, ProfileStoreConfig, ProfileStoreConfigError, ProfileUpdate,
+    ProfileVersion,
 };
 
 /// One import for the whole public API.

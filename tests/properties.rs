@@ -137,7 +137,6 @@ fn llmsched_preferences_are_valid() {
         let ctx = SchedContext {
             now: SimTime::ZERO,
             jobs: llmsched_sim::scheduler::ActiveJobs::dense(&jobs),
-            deltas: &[],
             llm_executors: &[LlmExecutorView {
                 index: 0,
                 batch_len: 0,
