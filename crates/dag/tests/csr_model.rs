@@ -137,6 +137,44 @@ fn csr_adjacency_matches_naive_model_on_random_dags() {
     }
 }
 
+#[test]
+fn csr_matches_builder_dag_on_random_graphs() {
+    // The stage graph `TemplateBuilder::build` stores must be the CSR of
+    // the builder's edge list, duplicates and insertion order included.
+    for case in 0..100u64 {
+        let mut rng = StdRng::seed_from_u64(0xD1A6 + case);
+        let n = rng.gen_range(1..16usize);
+        let edges = random_edges(&mut rng, n);
+        let mut b = TemplateBuilder::new(AppId(0), "random");
+        for i in 0..n {
+            b.regular(format!("s{i}"));
+        }
+        for &(u, v) in &edges {
+            b.edge(StageId(u), StageId(v));
+        }
+        let template = b.build().expect("forward edge lists are acyclic");
+        let builder = template.dag();
+        let csr = CsrDag::from_edges(n, &edges);
+        let naive = NaiveDag::from_edges(n, &edges);
+        assert_eq!(builder.len(), n);
+        for u in 0..n {
+            assert_eq!(builder.successors(u), csr.successors(u), "case {case}");
+            assert_eq!(
+                builder.predecessors(u),
+                naive.pred[u].as_slice(),
+                "case {case}"
+            );
+        }
+        assert_eq!(builder.topo_order(), csr.topo_order(), "case {case}");
+        let weights: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..10.0)).collect();
+        assert_eq!(
+            builder.critical_path(&weights).to_bits(),
+            naive.critical_path(&weights).to_bits(),
+            "case {case}: weighted critical paths diverged"
+        );
+    }
+}
+
 /// Builds a padded-chain job spec with `iters` revealed iterations, then
 /// checks the reveal / task arenas against naive scans over the stages.
 #[test]
