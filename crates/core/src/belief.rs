@@ -10,7 +10,8 @@
 //!   extracted [`Evidence`], the posterior [`WorkEstimate`], and the
 //!   memoized per-stage Eq. 6 reductions;
 //! * its ready-stage count, with a running total over all records — the
-//!   exact lengths of LLMSched's lazy St/Su lists;
+//!   exact lengths of LLMSched's lazy St/Su lists — and a running count
+//!   of records with ready stages, the size of LLMSched's SRTF index;
 //! * its scored frontier: the ready stages with their Eq. 6 scores, in
 //!   `ready_stage_ids` order, or `None` once a delta touched the job.
 //!
@@ -22,9 +23,12 @@
 //! [`ProfileStore`]'s bumped-app list after a snapshot publish. A refresh
 //! re-counts each marked job's ready stages, drops its frontier, and
 //! recomputes its belief iff its evidence mask (or its app's snapshot
-//! version) actually moved — evidence changes only when a stage
-//! completes. Completed jobs are evicted deterministically on
-//! [`SchedDelta::JobCompleted`].
+//! version) actually moved. Evidence changes only when a stage completes
+//! and versions only on a publish, so the mark carries an "evidence may
+//! have moved" bit, set by arrivals, stage completions and
+//! `mark_app_dirty` only: a job marked by reveals or dispatches alone
+//! skips the O(template stages) mask scan. Completed jobs are evicted
+//! deterministically on [`SchedDelta::JobCompleted`].
 //!
 //! The per-invocation cost drops from O(jobs · (stage scan + posterior
 //! clone)) to O(touched jobs · posterior), while producing bit-identical
@@ -108,9 +112,13 @@ pub type Touched = (JobId, bool, bool, bool);
 #[derive(Debug, Clone, Default)]
 pub struct BeliefStore {
     records: HashMap<JobId, JobRecord>,
-    dirty: HashSet<JobId>,
+    /// Jobs marked since the last refresh, each with whether its evidence
+    /// (mask or snapshot version) may have moved.
+    dirty: HashMap<JobId, bool>,
     /// Sum of every record's ready-stage count.
     ready_stages: usize,
+    /// Number of records with at least one ready stage.
+    ready_jobs: usize,
     /// The last refresh's touched jobs (reused across calls).
     touched: Vec<Touched>,
     /// Active jobs per application — the inverse index behind
@@ -147,6 +155,11 @@ impl BeliefStore {
         self.ready_stages
     }
 
+    /// Number of records with at least one ready stage (refresh first).
+    pub fn ready_jobs(&self) -> usize {
+        self.ready_jobs
+    }
+
     /// Whether `job` has at least one ready stage (refresh first).
     pub fn is_ready(&self, job: JobId) -> bool {
         self.records.get(&job).is_some_and(|r| r.ready_stages > 0)
@@ -157,24 +170,26 @@ impl BeliefStore {
         self.records.clear();
         self.dirty.clear();
         self.ready_stages = 0;
+        self.ready_jobs = 0;
         self.touched.clear();
         self.by_app.clear();
         self.bands.clear();
     }
 
     /// Routes one delta: every delta that can move a job's ready-stage set
-    /// marks the job; job completion evicts its record. Observation deltas
+    /// marks the job, and arrivals and stage completions also flag its
+    /// evidence; job completion evicts its record. Observation deltas
     /// are ignored — profile movement reaches beliefs only through
     /// [`BeliefStore::mark_app_dirty`], after the store has actually
     /// published. (Task finishes keep running + done constant and never
     /// change the ready set.)
     pub fn on_delta(&mut self, d: &SchedDelta) {
         match d {
-            SchedDelta::JobArrived { job, .. }
-            | SchedDelta::StageCompleted { job, .. }
-            | SchedDelta::StageRevealed { job, .. }
-            | SchedDelta::TasksDispatched { job, .. } => {
-                self.dirty.insert(*job);
+            SchedDelta::JobArrived { job, .. } | SchedDelta::StageCompleted { job, .. } => {
+                self.dirty.insert(*job, true);
+            }
+            SchedDelta::StageRevealed { job, .. } | SchedDelta::TasksDispatched { job, .. } => {
+                self.dirty.entry(*job).or_insert(false);
             }
             SchedDelta::JobCompleted { job } => {
                 self.evict(*job);
@@ -189,16 +204,17 @@ impl BeliefStore {
     /// version bump invalidates exactly the affected app's posteriors.
     pub fn mark_app_dirty(&mut self, app: AppId) {
         if let Some(jobs) = self.by_app.get(&app) {
-            self.dirty.extend(jobs.iter().copied());
+            self.dirty.extend(jobs.iter().map(|&id| (id, true)));
         }
     }
 
     /// Brings the records in sync with `ctx` and lists the jobs it touched
     /// in [`BeliefStore::touched`].
     ///
-    /// Each marked job re-counts its ready stages, drops its frontier and
-    /// re-derives its evidence mask — an O(template stages) scan — and
-    /// only a *moved* mask (or snapshot version) triggers the BN
+    /// Each marked job re-counts its ready stages and drops its frontier.
+    /// A job whose evidence may have moved (or that has no record yet)
+    /// also re-derives its evidence mask — an O(template stages) scan —
+    /// and only a *moved* mask (or snapshot version) triggers the BN
     /// posterior. Returns `true` when the count-mismatch safety net
     /// rebuilt every record because `ctx` was produced outside the
     /// engine's delta stream; [`BeliefStore::touched`] is then empty and
@@ -211,12 +227,20 @@ impl BeliefStore {
         tail_mass: f64,
     ) -> bool {
         self.touched.clear();
-        // Drained in place so the set keeps its capacity across calls.
+        // Drained in place so the map keeps its capacity across calls.
         let mut dirty = std::mem::take(&mut self.dirty);
-        for id in dirty.drain() {
+        for (id, evidence) in dirty.drain() {
             match ctx.job(id) {
                 Some(job) => {
-                    let moved = self.update(store, job, use_bn, tail_mass);
+                    let moved = if evidence || !self.records.contains_key(&id) {
+                        self.update(store, job, use_bn, tail_mass)
+                    } else {
+                        debug_assert!(
+                            self.is_current(store, job),
+                            "a reveal or dispatch moved {id:?}'s evidence"
+                        );
+                        false
+                    };
                     let (was_ready, ready) = self.recount(job);
                     self.touched.push((id, moved, was_ready, ready));
                 }
@@ -230,6 +254,7 @@ impl BeliefStore {
         self.records.clear();
         self.by_app.clear();
         self.ready_stages = 0;
+        self.ready_jobs = 0;
         self.touched.clear();
         for job in &ctx.jobs {
             self.update(store, job, use_bn, tail_mass);
@@ -245,7 +270,7 @@ impl BeliefStore {
     }
 
     /// Re-counts a held job's ready stages into its record and the running
-    /// total and drops its frontier; returns `(was_ready, ready)`.
+    /// totals and drops its frontier; returns `(was_ready, ready)`.
     fn recount(&mut self, job: &JobRt) -> (bool, bool) {
         let rec = self
             .records
@@ -255,16 +280,31 @@ impl BeliefStore {
         rec.ready_stages = new;
         rec.frontier = None;
         self.ready_stages = self.ready_stages - old + new;
+        self.ready_jobs = self.ready_jobs - usize::from(old > 0) + usize::from(new > 0);
         (old > 0, new > 0)
     }
 
     fn evict(&mut self, id: JobId) {
         if let Some(r) = self.records.remove(&id) {
             self.ready_stages -= r.ready_stages;
+            self.ready_jobs -= usize::from(r.ready_stages > 0);
             if let Some(set) = self.by_app.get_mut(&r.belief.app) {
                 set.remove(&id);
             }
         }
+    }
+
+    /// Whether `job`'s held belief matches its current evidence mask and
+    /// its app's snapshot version — the condition under which
+    /// [`BeliefStore::update`] keeps it.
+    fn is_current(&self, store: &ProfileStore, job: &JobRt) -> bool {
+        let version = store.version(job.app()).0;
+        self.get(job.id()).is_some_and(|b| {
+            b.version == version
+                && store
+                    .profile(job.app())
+                    .map_or(true, |p| p.evidence_mask(job) == b.mask)
+        })
     }
 
     /// Recomputes one job's belief if its evidence mask or profile
@@ -531,7 +571,7 @@ mod tests {
     #[test]
     fn job_completion_evicts_deterministically() {
         let mut store = BeliefStore::new();
-        for (id, ready_stages) in [(7, 2), (8, 1)] {
+        for (id, ready_stages) in [(7, 2), (8, 1), (9, 0)] {
             let rec = JobRecord {
                 ready_stages,
                 ..JobRecord::default()
@@ -539,9 +579,13 @@ mod tests {
             store.records.insert(JobId(id), rec);
         }
         store.ready_stages = 3;
+        store.ready_jobs = 2;
         store.on_delta(&SchedDelta::JobCompleted { job: JobId(7) });
-        assert_eq!(store.len(), 1, "the record is evicted");
+        assert_eq!(store.len(), 2, "the record is evicted");
         assert_eq!(store.ready_stages(), 1, "its ready stages leave the total");
+        assert_eq!(store.ready_jobs(), 1, "a ready record leaves the count");
+        store.on_delta(&SchedDelta::JobCompleted { job: JobId(9) });
+        assert_eq!(store.ready_jobs(), 1, "a non-ready record never counted");
         assert!(!store.is_ready(JobId(7)));
         assert_eq!(store.work(JobId(7)), WorkEstimate::default());
     }
@@ -610,6 +654,12 @@ mod tests {
                 self.seen.insert(id, (new, mask));
             }
             assert_eq!(self.beliefs.ready_stages(), want);
+            let ready_jobs = ctx
+                .jobs
+                .iter()
+                .filter(|j| !j.ready_stage_ids().is_empty())
+                .count();
+            assert_eq!(self.beliefs.ready_jobs(), ready_jobs);
             self.other.clear();
             let mut p = Preference::new();
             for job in &ctx.jobs {

@@ -13,12 +13,13 @@
 //!
 //! * **incremental** (default) — persistent per-job
 //!   [`JobBelief`](crate::belief::JobBelief)s (see [`crate::belief`])
-//!   plus two delta-maintained, ready-flagged dense indices: the
-//!   SRTF exploitation order and the interval index behind the
-//!   non-overlapping grouping. Only jobs whose evidence changed are
-//!   re-estimated and repositioned; a full re-key happens only when the
-//!   Eq. 2 calibration factor itself moves (rare at saturation, where the
-//!   average busy batch pins to the max batch size).
+//!   plus two delta-maintained dense indices: the SRTF exploitation
+//!   order over the ready jobs only, and the ready-flagged interval
+//!   index over every job behind the non-overlapping grouping. Only jobs
+//!   whose evidence changed are re-estimated and repositioned; both
+//!   indices are rebuilt only when the Eq. 2 calibration factor itself
+//!   moves (rare at saturation, where the average busy batch pins to the
+//!   max batch size).
 //! * **rebuild** (`incremental = false`) — the original
 //!   recompute-everything-per-call reference that equivalence tests and
 //!   `scale_throughput` compare against.
@@ -29,7 +30,7 @@
 //! BN estimates).
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{BinaryHeap, HashMap};
 
 use llmsched_bayes::network::Evidence;
 use llmsched_dag::ids::{JobId, StageId};
@@ -187,14 +188,16 @@ pub struct LlmSched {
     /// count (with the running total that sizes the lazy St/Su sources)
     /// and scored frontier…
     beliefs: BeliefStore,
-    /// …the SRTF exploitation order, keyed by (calibrated estimate,
-    /// arrival)…
+    /// …the SRTF exploitation order over exactly the jobs with ready
+    /// stages, keyed by (calibrated estimate, arrival) — Algorithm 1
+    /// emits nothing for the others, so St never walks them…
     exploit: ReadyIndex<(FiniteF64, SimTime), ()>,
-    /// …and the interval index behind the non-overlapping grouping
-    /// (ordered by calibrated lower bound; upper bounds ride inline).
-    /// Both carry each job's ready flag (the record's ready-stage count
-    /// is positive) inline, so the lazy sources skip non-ready jobs
-    /// without a lookup.
+    /// …and the interval index behind the non-overlapping grouping over
+    /// every job (ordered by calibrated lower bound; upper bounds ride
+    /// inline), since a non-ready job's interval can still bridge two
+    /// groups. Each entry carries the job's ready flag (the record's
+    /// ready-stage count is positive), so the Su scan skips non-ready
+    /// jobs without a lookup.
     intervals: ReadyIndex<FiniteF64, f64>,
     /// The Eq. 2 calibration the persistent keys were computed under; a
     /// moved calibration re-keys everything.
@@ -204,7 +207,7 @@ pub struct LlmSched {
     /// allocation-free at steady state).
     merge_emitted: HashMap<(usize, StageId), usize>,
     st_mat_buf: Vec<StageRef>,
-    su_heap_buf: std::collections::BinaryHeap<SuEntry>,
+    su_heap_buf: BinaryHeap<SuEntry>,
     /// Decision-provenance collection, flipped by the engine via
     /// [`Scheduler::set_telemetry`]. Observation-only: records are built
     /// from values both paths already computed, so the ε-greedy RNG
@@ -297,7 +300,7 @@ impl LlmSched {
             last_calib: None,
             merge_emitted: HashMap::new(),
             st_mat_buf: Vec::new(),
-            su_heap_buf: std::collections::BinaryHeap::new(),
+            su_heap_buf: BinaryHeap::new(),
             telemetry: false,
             decisions: Vec::new(),
             name,
@@ -489,55 +492,77 @@ impl LlmSched {
             self.cfg.use_bn,
             self.cfg.interval_tail_mass,
         );
+        let use_uncertainty = self.cfg.use_uncertainty;
+        let beliefs = &self.beliefs;
         let mut rebuild = rebuilt || self.last_calib != Some(calib);
         if !rebuild {
-            // Calibration stable: re-key only the jobs whose belief moved
-            // (arrivals included — their upsert is the insert, flagged
-            // from the record), and flip the flags whose ready status
-            // moved (an upsert keeps an existing entry's flag).
-            for &(id, moved, was_ready, ready) in self.beliefs.touched() {
-                if moved {
-                    if let Some(job) = ctx.job(id) {
-                        let (srtf, interval) = index_entries(&self.beliefs, job, calib);
-                        self.exploit.upsert(srtf);
-                        if self.cfg.use_uncertainty {
-                            self.intervals.upsert(interval);
-                        }
+            // Calibration stable. The SRTF index follows the ready set: a
+            // job that turned ready enters, one whose belief moved while
+            // ready is re-keyed, one that stopped being ready leaves. The
+            // interval index re-keys every moved belief (arrivals included
+            // — their upsert is the insert, flagged from the record) and
+            // flips the flags whose ready status moved (an upsert keeps an
+            // existing entry's flag).
+            for &(id, moved, was_ready, ready) in beliefs.touched() {
+                let Some(job) = ctx.job(id) else { continue };
+                if ready && (moved || !was_ready) {
+                    self.exploit.upsert(srtf_entry(beliefs, job, calib));
+                } else if was_ready && !ready {
+                    self.exploit.remove(id);
+                }
+                if use_uncertainty {
+                    if moved {
+                        self.intervals.upsert(interval_entry(beliefs, job, calib));
+                    }
+                    if was_ready != ready {
+                        self.intervals.set_ready(id, ready);
                     }
                 }
-                if was_ready != ready {
-                    self.exploit.set_ready(id, ready);
-                    self.intervals.set_ready(id, ready);
-                }
             }
-            rebuild = self.exploit.len() != ctx.jobs.len();
+            rebuild = self.exploit.len() != beliefs.ready_jobs()
+                || (use_uncertainty && self.intervals.len() != ctx.jobs.len());
+            debug_assert!(!rebuild, "delta-fed indices needed the safety net");
         }
         if rebuild {
             // Calibration moved (every persistent key is stale), or the
-            // context bypassed the delta stream: rebuild the indices.
-            let beliefs = &self.beliefs;
+            // context bypassed the delta stream: rebuild the indices, the
+            // SRTF one from the ready jobs alone.
             self.exploit.rebuild(
                 ctx.jobs
                     .iter()
-                    .map(|job| index_entries(beliefs, job, calib).0),
+                    .filter(|job| beliefs.is_ready(job.id()))
+                    .map(|job| srtf_entry(beliefs, job, calib)),
             );
-            if self.cfg.use_uncertainty {
+            if use_uncertainty {
                 self.intervals.rebuild(
                     ctx.jobs
                         .iter()
-                        .map(|job| index_entries(beliefs, job, calib).1),
+                        .map(|job| interval_entry(beliefs, job, calib)),
                 );
             } else {
                 self.intervals.clear();
             }
-            self.last_calib = Some(calib);
         }
+        self.last_calib = Some(calib);
         debug_assert!(
-            self.exploit
-                .entries()
-                .iter()
-                .all(|e| e.ready == self.beliefs.is_ready(e.job)),
-            "SRTF index ready flags out of sync with the job records"
+            self.exploit.len() == beliefs.ready_jobs()
+                && self
+                    .exploit
+                    .entries()
+                    .iter()
+                    .all(|e| beliefs.is_ready(e.job)),
+            "SRTF index does not hold exactly the ready jobs"
+        );
+        debug_assert!(
+            !use_uncertainty
+                || self.intervals.entries().iter().filter(|e| e.ready).count()
+                    == beliefs.ready_jobs()
+                    && self
+                        .intervals
+                        .entries()
+                        .iter()
+                        .all(|e| e.ready == beliefs.is_ready(e.job)),
+            "interval index ready flags out of sync with the job records"
         );
     }
 
@@ -552,15 +577,17 @@ impl LlmSched {
     /// per-class [`SchedContext::dispatchable_regular`] /
     /// [`SchedContext::dispatchable_llm`] provide without touching any
     /// job. St materializes per-job on demand in the persistent SRTF
-    /// order, skipping non-ready entries by their inline flag; Su
-    /// materializes per *group* on demand (groups scanned off the
-    /// persistent interval index) into a max-heap, so the
-    /// most-uncertainty-reduction-first order costs O(pops · log g)
-    /// instead of a full per-invocation sort. The group scan still walks
-    /// non-ready entries — their intervals can bridge two groups — but
-    /// reads nothing beyond the entry itself for them. Everything emitted is
-    /// bit-identical to the rebuild path's schedule; the equivalence suite
-    /// pins it.
+    /// order, which holds only ready jobs; Su materializes per *group* on
+    /// demand (groups scanned off the persistent interval index) into a
+    /// max-heap, so the most-uncertainty-reduction-first order costs
+    /// O(pops · log g) instead of a full per-invocation sort. While two or
+    /// more ready jobs are still off the heap, the group scan walks
+    /// non-ready entries too — their intervals can bridge two groups — but
+    /// reads nothing beyond the entry itself for them. It stops once every
+    /// ready job's frontier is on the heap, and the last one is pushed
+    /// alone: no other ready job can share its group, so no bridging can
+    /// change the order. Everything emitted is bit-identical to the
+    /// rebuild path's schedule; the equivalence suite pins it.
     fn schedule_incremental(&mut self, ctx: &SchedContext<'_>) -> Preference {
         self.sync(ctx);
         let telemetry = self.telemetry;
@@ -599,10 +626,11 @@ impl LlmSched {
         // Lazy St state: materialized prefix + cursor into the SRTF order.
         let st_mat = st_mat_buf;
         st_mat.clear();
-        let mut st_src = exploit.entries().iter().filter(|e| e.ready).map(|e| e.job);
-        // Lazy Su state: cursor into the interval order + current group's
-        // scored heap.
+        let mut st_src = exploit.entries().iter().map(|e| e.job);
+        // Lazy Su state: cursor into the interval order, the ready jobs
+        // not yet on the heap, and the current group's scored heap.
         let mut iv_src = intervals.entries().iter().peekable();
+        let mut su_ready = beliefs.ready_jobs();
         let heap = su_heap_buf;
         heap.clear();
 
@@ -633,7 +661,16 @@ impl LlmSched {
             }
             let (sref, sample, score) = if explore {
                 su_i += 1;
-                while heap.is_empty() && iv_src.peek().is_some() {
+                while heap.is_empty() && su_ready > 0 && iv_src.peek().is_some() {
+                    if su_ready == 1 {
+                        // The last ready job forms its group's whole
+                        // frontier: push it without tracking bounds.
+                        if let Some(e) = iv_src.find(|e| e.ready) {
+                            push_frontier(heap, beliefs, store, cfg.mi, ctx, e.job);
+                        }
+                        su_ready = 0;
+                        break;
+                    }
                     // Materialize the next non-overlapping group: scan the
                     // interval order, merging while lower bounds stay
                     // within the group's running upper bound (exactly
@@ -649,29 +686,14 @@ impl LlmSched {
                         cur_hi = cur_hi.max(e.val);
                         iv_src.next();
                         // Jobs with no ready stages contribute nothing
-                        // but their interval: skip them on the flag.
-                        if !e.ready {
-                            continue;
-                        }
-                        let id = e.job;
-                        let Some(idx) = ctx.job_index(id) else {
-                            continue;
-                        };
-                        // A job no delta touched since its last scoring
-                        // replays its record's (stage, score) frontier
-                        // straight into the heap — no job scan, no memo
-                        // probes. The heap's order is total (ties break
-                        // on unique (job, stage)), so the pops — and with
-                        // them the ε-draw consumption — never observe the
-                        // push order or which frontiers were cached.
-                        let fr = beliefs.frontier(store, cfg.mi, &ctx.jobs[idx]);
-                        for &(s, r) in fr.iter() {
-                            heap.push(SuEntry {
-                                score: FiniteF64(r),
-                                tie: std::cmp::Reverse((id, s)),
-                                job_idx: idx,
-                                stage: s,
-                            });
+                        // but their interval: skip them on the flag. Past
+                        // the last ready job the group adds nothing more.
+                        if e.ready {
+                            push_frontier(heap, beliefs, store, cfg.mi, ctx, e.job);
+                            su_ready -= 1;
+                            if su_ready == 0 {
+                                break;
+                            }
                         }
                     }
                 }
@@ -966,33 +988,61 @@ struct StageRef {
     stage: StageId,
 }
 
-/// One job's SRTF (`St`) and interval (`Su`) index entries under the Eq. 2
-/// calibration `calib`, flagged ready from its record.
-fn index_entries(
+/// A ready job's SRTF (`St`) index entry under the Eq. 2 calibration
+/// `calib`, keyed by (calibrated estimate, arrival).
+fn srtf_entry(
     beliefs: &BeliefStore,
     job: &JobRt,
     calib: f64,
-) -> (
-    IndexEntry<(FiniteF64, SimTime), ()>,
-    IndexEntry<FiniteF64, f64>,
+) -> IndexEntry<(FiniteF64, SimTime), ()> {
+    IndexEntry {
+        key: (
+            FiniteF64(beliefs.work(job.id()).expected(calib)),
+            job.arrival(),
+        ),
+        job: job.id(),
+        ready: true,
+        val: (),
+    }
+}
+
+/// A job's interval (`Su`) index entry under the Eq. 2 calibration
+/// `calib`, flagged ready from its record.
+fn interval_entry(beliefs: &BeliefStore, job: &JobRt, calib: f64) -> IndexEntry<FiniteF64, f64> {
+    let (lo, hi) = beliefs.work(job.id()).interval(calib);
+    IndexEntry {
+        key: FiniteF64(lo),
+        job: job.id(),
+        ready: beliefs.is_ready(job.id()),
+        val: hi,
+    }
+}
+
+/// Pushes a ready job's scored frontier onto the Su heap. A job no delta
+/// touched since its last scoring replays its record's (stage, score)
+/// frontier straight into the heap — no job scan, no memo probes. The
+/// heap's order is total (ties break on unique (job, stage)), so the pops
+/// — and with them the ε-draw consumption — never observe the push order
+/// or which frontiers were cached.
+fn push_frontier(
+    heap: &mut BinaryHeap<SuEntry>,
+    beliefs: &mut BeliefStore,
+    store: &ProfileStore,
+    mi: MiEstimator,
+    ctx: &SchedContext<'_>,
+    id: JobId,
 ) {
-    let w = beliefs.work(job.id());
-    let ready = beliefs.is_ready(job.id());
-    let (lo, hi) = w.interval(calib);
-    (
-        IndexEntry {
-            key: (FiniteF64(w.expected(calib)), job.arrival()),
-            job: job.id(),
-            ready,
-            val: (),
-        },
-        IndexEntry {
-            key: FiniteF64(lo),
-            job: job.id(),
-            ready,
-            val: hi,
-        },
-    )
+    let Some(idx) = ctx.job_index(id) else {
+        return;
+    };
+    for &(s, r) in beliefs.frontier(store, mi, &ctx.jobs[idx]).iter() {
+        heap.push(SuEntry {
+            score: FiniteF64(r),
+            tie: std::cmp::Reverse((id, s)),
+            job_idx: idx,
+            stage: s,
+        });
+    }
 }
 
 /// Builds one incremental-path provenance record from the job's persistent

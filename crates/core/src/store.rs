@@ -319,9 +319,8 @@ impl ProfileStore {
         let apps: Vec<AppId> = store.apps.keys().copied().collect();
         for app in apps {
             if let Some(t) = templates.get(app) {
-                let cfg = store.cfg.clone();
                 let entry = store.apps.get_mut(&app).expect("just listed");
-                refit(entry, t, &cfg);
+                refit(entry, t, &store.cfg);
                 publish(entry, t);
             }
         }
@@ -533,7 +532,7 @@ impl ProfileStore {
     /// Window + learner update for one prepared row, then the cadence
     /// decision. Returns whether a snapshot was published.
     fn ingest_prepared(&mut self, template: &Template, row: Vec<f64>) -> bool {
-        let cfg = self.cfg.clone();
+        let cfg = &self.cfg;
         let entry = self
             .apps
             .get_mut(&template.app())
@@ -547,33 +546,36 @@ impl ProfileStore {
         for (s, &x) in row.iter().enumerate() {
             entry.sums[s] += x;
         }
-        entry.rows.push_back(row.clone());
         entry.n_obs += 1;
         entry.obs_since_refit += 1;
-
-        let mut want_refit = false;
-        if let Some(l) = &mut entry.learner {
+        // Bin the row for the learner before it moves into the window.
+        let drift = entry.learner.as_mut().map(|l| {
             let binned: Vec<usize> = row
                 .iter()
                 .enumerate()
                 .map(|(s, &x)| l.disc[s].bin(x))
                 .collect();
-            let drift = l.net.observe(&binned);
-            want_refit = (drift && entry.obs_since_refit >= cfg.relearn_backoff)
-                || entry.n_obs == entry.next_milestone;
-        } else if !entry.seeded && entry.rows.len() >= cfg.min_jobs {
+            l.net.observe(&binned)
+        });
+        entry.rows.push_back(row);
+
+        let mut want_refit = match drift {
+            Some(drift) => {
+                (drift && entry.obs_since_refit >= cfg.relearn_backoff)
+                    || entry.n_obs == entry.next_milestone
+            }
             // Cold-start bootstrap: first profile learned from the
             // Laplace-smoothed window. Seeded apps are excluded — their
             // batch-trained profile outranks a tiny live window.
-            want_refit = true;
-        }
+            None => !entry.seeded && entry.rows.len() >= cfg.min_jobs,
+        };
         if entry.seeded && entry.rows.len() >= cfg.seeded_takeover {
             // A profiler-seeded app keeps its batch profile until the
             // live window alone is worth learning from.
             want_refit = true;
         }
         if want_refit {
-            refit(entry, template, &cfg);
+            refit(entry, template, cfg);
         }
 
         cfg.update == ProfileUpdate::PerCompletion && publish(entry, template)
@@ -592,8 +594,8 @@ fn refit(entry: &mut AppEntry, template: &Template, cfg: &ProfileStoreConfig) {
     if entry.rows.is_empty() {
         return;
     }
-    let rows: Vec<Vec<f64>> = entry.rows.iter().cloned().collect();
-    let (disc, data) = DiscreteData::discretize(&rows, cfg.profiler.max_bins);
+    let (disc, data) =
+        DiscreteData::discretize(entry.rows.make_contiguous(), cfg.profiler.max_bins);
     let order = crate::profiler::stage_order(template);
     let ocfg = OnlineNetConfig {
         alpha: cfg.profiler.alpha,
