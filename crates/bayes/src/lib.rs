@@ -71,7 +71,7 @@ pub mod prelude {
     pub use crate::factor::{eliminate_to_joint, Factor};
     pub use crate::info::{binary_entropy, entropy, mutual_information, mutual_information_of};
     pub use crate::network::{BayesNet, BayesNetError, Evidence};
-    pub use crate::online::{OnlineNet, OnlineNetConfig, SuffStats};
+    pub use crate::online::{OnlineNet, SuffStats};
     pub use crate::plan::{EliminationPlan, PlanOutputs, PlanScratch};
     pub use crate::stats::{mean, pearson, pearson_matrix, range, std_dev, variance, Histogram};
     pub use crate::structure::{empirical_mi, family_bic, learn_chow_liu, learn_order_hill_climb};

@@ -12,19 +12,16 @@
 //! **bit-identical** to one fitted on the same rows in batch (pinned by
 //! tests).
 //!
-//! [`OnlineNet`] packages the counters with a live [`BayesNet`], a bounded
-//! row window for structure re-learning, and a BIC-flavored drift
-//! detector: it tracks an EWMA of per-row log₂-likelihood against the
-//! baseline recorded at the last (re)fit. A sustained drop means the
-//! current structure+parameters explain incoming data measurably worse —
-//! the "BIC delta" of keeping the stale model — and only then is the
-//! expensive hill-climb re-learn recommended.
-
-use std::collections::VecDeque;
+//! [`OnlineNet`] packages the counters with a live [`BayesNet`] and a
+//! BIC-flavored drift detector: it tracks an EWMA of per-row
+//! log₂-likelihood against the baseline recorded at the fit. A sustained
+//! drop means the current structure+parameters explain incoming data
+//! measurably worse — the "BIC delta" of keeping the stale model — and
+//! only then is the expensive re-fit recommended. The network keeps no
+//! rows: whoever owns the observation window re-fits from it.
 
 use crate::dataset::DiscreteData;
 use crate::network::{BayesNet, BayesNetError, FamilyLayout};
-use crate::structure::learn_order_hill_climb;
 
 /// Per-family sufficient statistics for a fixed structure: the same count
 /// tables [`BayesNet::fit`] builds, kept alive for streaming updates.
@@ -165,105 +162,51 @@ impl SuffStats {
     }
 }
 
-/// Configuration for [`OnlineNet`].
-#[derive(Debug, Clone)]
-pub struct OnlineNetConfig {
-    /// Laplace smoothing for CPTs.
-    pub alpha: f64,
-    /// Maximum parents per node for structure re-learning.
-    pub max_parents: usize,
-    /// Rows retained for structure re-learning (the adaptation window:
-    /// re-learns forget data older than this).
-    pub window_cap: usize,
-    /// EWMA smoothing factor for the per-row log-likelihood drift signal.
-    pub ewma_alpha: f64,
-    /// Re-learn is recommended when the EWMA log₂-likelihood drops this
-    /// many bits below the baseline recorded at the last (re)fit.
-    pub drift_threshold_bits: f64,
-    /// Minimum observations between re-learn recommendations (also the
-    /// EWMA warm-up length).
-    pub min_obs_between_relearns: usize,
-}
+/// EWMA smoothing factor of the per-row log₂-likelihood drift signal.
+const EWMA_ALPHA: f64 = 0.08;
 
-impl Default for OnlineNetConfig {
-    fn default() -> Self {
-        OnlineNetConfig {
-            alpha: 1.0,
-            max_parents: 2,
-            window_cap: 2048,
-            ewma_alpha: 0.08,
-            drift_threshold_bits: 1.0,
-            min_obs_between_relearns: 24,
-        }
-    }
-}
+/// A re-fit is recommended when the EWMA log₂-likelihood sits this many
+/// bits below the baseline recorded at the fit.
+const DRIFT_THRESHOLD_BITS: f64 = 1.0;
 
-/// A Bayesian network learned and maintained online: live CPTs backed by
-/// [`SuffStats`], a bounded observation window, and the drift trigger
-/// that schedules structure re-learning.
+/// Observations a network must absorb before it recommends a re-fit: the
+/// backoff between drift re-fits, and the EWMA's warm-up length.
+const RELEARN_BACKOFF: usize = 24;
+
+/// A Bayesian network maintained online: live CPTs backed by
+/// [`SuffStats`], plus the drift trigger that recommends a re-fit. The
+/// re-fit itself (fresh bins, structure and counters) is the owner's job:
+/// it builds a new network with [`OnlineNet::from_data`].
 #[derive(Debug, Clone)]
 pub struct OnlineNet {
-    cfg: OnlineNetConfig,
-    order: Vec<usize>,
+    alpha: f64,
     stats: SuffStats,
     net: BayesNet,
-    window: VecDeque<Vec<usize>>,
-    /// Mean per-row log₂-likelihood at the last (re)fit.
+    /// Mean per-row log₂-likelihood at the fit.
     baseline_ll: f64,
     ewma_ll: Option<f64>,
-    obs_since_relearn: usize,
+    obs_since_fit: usize,
 }
 
 impl OnlineNet {
-    /// A cold-start network: no data, no edges, uniform Laplace-prior
-    /// CPTs. `order` is the variable order structure re-learns respect
-    /// (the application DAG's stage topological order).
+    /// A network fitted on `data` under the structure `parents` with
+    /// Laplace smoothing `alpha`; the drift baseline is the data's mean
+    /// row log₂-likelihood under the fitted network.
     ///
     /// # Panics
-    /// Panics if `order` is not a permutation of `0..card.len()` or a
-    /// cardinality is zero.
-    pub fn cold(card: Vec<usize>, order: Vec<usize>, cfg: OnlineNetConfig) -> Self {
-        let n = card.len();
-        // Under the uniform prior every row scores exactly −Σ log₂|Xᵥ|;
-        // that is the drift baseline (0.0 would read as permanent drift,
-        // since row likelihoods are always negative).
-        let baseline_ll: f64 = card.iter().map(|&c| -(c as f64).log2()).sum();
-        let stats = SuffStats::new(card, vec![Vec::new(); n]).expect("empty structure is valid");
-        let net = stats.fit(cfg.alpha);
-        OnlineNet {
-            cfg,
-            order,
-            stats,
-            net,
-            window: VecDeque::new(),
-            baseline_ll,
-            ewma_ll: None,
-            obs_since_relearn: 0,
-        }
-    }
-
-    /// A network bootstrapped from an initial dataset: structure learned
-    /// by order-constrained BIC hill-climbing, counters and window seeded
-    /// with the data (most recent `window_cap` rows retained).
-    ///
-    /// # Panics
-    /// Panics if `order` is not a permutation of `0..data.n_vars()`.
-    pub fn from_data(data: &DiscreteData, order: Vec<usize>, cfg: OnlineNetConfig) -> Self {
-        let parents = learn_order_hill_climb(data, &order, cfg.max_parents);
+    /// Panics if `parents` is not a valid structure over `data`'s
+    /// variables.
+    pub fn from_data(data: &DiscreteData, parents: Vec<Vec<usize>>, alpha: f64) -> Self {
         let stats = SuffStats::from_data(data, parents).expect("learned structure is valid");
-        let net = stats.fit(cfg.alpha);
-        let skip = data.n_rows().saturating_sub(cfg.window_cap);
-        let window: VecDeque<Vec<usize>> = data.rows().iter().skip(skip).cloned().collect();
+        let net = stats.fit(alpha);
         let baseline_ll = net.mean_log2_likelihood(data);
         OnlineNet {
-            cfg,
-            order,
+            alpha,
             stats,
             net,
-            window,
             baseline_ll,
             ewma_ll: None,
-            obs_since_relearn: 0,
+            obs_since_fit: 0,
         }
     }
 
@@ -272,25 +215,21 @@ impl OnlineNet {
         &self.net
     }
 
-    /// Observations absorbed (including any bootstrap data).
+    /// Observations absorbed (including the fitting data).
     pub fn n_obs(&self) -> u64 {
         self.stats.n_obs()
     }
 
-    /// Rows currently retained for re-learning.
-    pub fn window_len(&self) -> usize {
-        self.window.len()
-    }
-
     /// Current drift signal: baseline minus EWMA log₂-likelihood, in bits
-    /// (positive = incoming data fits worse than at the last refit).
+    /// (positive = incoming data fits worse than at the fit).
     pub fn drift_bits(&self) -> f64 {
         self.ewma_ll.map_or(0.0, |e| self.baseline_ll - e)
     }
 
     /// Absorbs one observation: O(1) counter + CPT-column update per
-    /// family. Returns `true` when the drift trigger recommends a
-    /// structure re-learn ([`OnlineNet::relearn`]).
+    /// family. Returns `true` when the drift trigger recommends a re-fit:
+    /// at least 24 rows since the fit (`RELEARN_BACKOFF`), and a drift
+    /// signal above 1 bit (`DRIFT_THRESHOLD_BITS`).
     ///
     /// # Panics
     /// Panics if the row arity or a value is out of range.
@@ -300,42 +239,19 @@ impl OnlineNet {
         let ll = self.stats.row_log2_likelihood(&self.net, row);
         self.ewma_ll = Some(match self.ewma_ll {
             None => ll,
-            Some(e) => e + self.cfg.ewma_alpha * (ll - e),
+            Some(e) => e + EWMA_ALPHA * (ll - e),
         });
         self.stats.observe(row);
-        self.stats
-            .update_columns(&mut self.net, row, self.cfg.alpha);
-        if self.window.len() >= self.cfg.window_cap {
-            self.window.pop_front();
-        }
-        self.window.push_back(row.to_vec());
-        self.obs_since_relearn += 1;
-        self.obs_since_relearn >= self.cfg.min_obs_between_relearns
-            && self.drift_bits() > self.cfg.drift_threshold_bits
-    }
-
-    /// Re-learns the structure from the retained window (order-constrained
-    /// BIC hill-climb), refits counters and CPTs from the window only —
-    /// data older than the window is forgotten, which is what lets the
-    /// model track a drifted distribution. Resets the drift baseline.
-    /// Returns `true` if the parent sets actually changed.
-    pub fn relearn(&mut self) -> bool {
-        let rows: Vec<Vec<usize>> = self.window.iter().cloned().collect();
-        let data = DiscreteData::new(rows, self.stats.card.clone()).expect("window rows in range");
-        let parents = learn_order_hill_climb(&data, &self.order, self.cfg.max_parents);
-        let changed = parents != self.stats.parents;
-        self.stats = SuffStats::from_data(&data, parents).expect("learned structure is valid");
-        self.net = self.stats.fit(self.cfg.alpha);
-        self.baseline_ll = self.net.mean_log2_likelihood(&data);
-        self.ewma_ll = None;
-        self.obs_since_relearn = 0;
-        changed
+        self.stats.update_columns(&mut self.net, row, self.alpha);
+        self.obs_since_fit += 1;
+        self.obs_since_fit >= RELEARN_BACKOFF && self.drift_bits() > DRIFT_THRESHOLD_BITS
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::structure::learn_order_hill_climb;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -402,92 +318,43 @@ mod tests {
     }
 
     #[test]
-    fn cold_net_is_uniform_laplace_prior() {
-        let net = OnlineNet::cold(vec![4, 2], vec![0, 1], OnlineNetConfig::default());
-        let p = net.net().posterior_marginal(0, &Default::default());
-        for &pi in &p {
-            assert!((pi - 0.25).abs() < 1e-12, "uniform prior, got {p:?}");
-        }
-        assert_eq!(net.n_obs(), 0);
-    }
-
-    #[test]
-    fn cold_net_converges_to_data() {
-        let mut net = OnlineNet::cold(vec![3, 3], vec![0, 1], OnlineNetConfig::default());
-        for row in coupled_rows(400, 2, 0.1) {
-            assert!(
-                !net.observe(&row),
-                "stationary data on a cold net must not read as drift \
-                 ({} bits)",
-                net.drift_bits()
-            );
-        }
-        // Parameters adapt even without edges: the marginal of variable 0
-        // approaches the empirical distribution (uniform over 3 values).
-        let p = net.net().posterior_marginal(0, &Default::default());
-        for &pi in &p {
-            assert!((pi - 1.0 / 3.0).abs() < 0.08, "marginal converged: {p:?}");
-        }
-        // A relearn on the window recovers the 0 -> 1 coupling.
-        net.relearn();
-        assert_eq!(net.net().parents()[1], vec![0]);
-    }
-
-    #[test]
     fn drift_trigger_fires_only_when_data_moves() {
-        let pre = coupled_rows(400, 3, 0.1);
-        let data = DiscreteData::new(pre, vec![3, 3]).unwrap();
-        let mut net = OnlineNet::from_data(&data, vec![0, 1], OnlineNetConfig::default());
+        let pre = DiscreteData::new(coupled_rows(400, 3, 0.1), vec![3, 3]).unwrap();
+        let parents = learn_order_hill_climb(&pre, &[0, 1], 2);
+        assert_eq!(parents, vec![vec![], vec![0]], "the coupling is learned");
+        let mut net = OnlineNet::from_data(&pre, parents.clone(), 1.0);
 
         // Stationary continuation: no recommendation.
         let mut fired = false;
         for row in coupled_rows(200, 4, 0.1) {
             fired |= net.observe(&row);
         }
-        assert!(!fired, "stationary data must not trigger a re-learn");
+        assert!(!fired, "stationary data must not trigger a re-fit");
 
         // Shifted regime: variable 1 decouples and concentrates on value 2.
         let mut rng = StdRng::seed_from_u64(5);
+        let mut shifted = Vec::new();
         let mut recommended = false;
-        for _ in 0..400 {
-            let a = rng.gen_range(0..3usize);
-            if net.observe(&[a, 2]) {
-                recommended = true;
-                break;
-            }
+        while !recommended && shifted.len() < 400 {
+            let row = vec![rng.gen_range(0..3usize), 2];
+            recommended = net.observe(&row);
+            shifted.push(row);
         }
         assert!(
             recommended,
             "drifted data must trigger within 400 rows (drift {} bits)",
             net.drift_bits()
         );
-        assert!(net.drift_bits() > 1.0);
-        net.relearn();
-        assert_eq!(net.drift_bits(), 0.0, "relearn resets the baseline");
-    }
+        assert!(net.drift_bits() > DRIFT_THRESHOLD_BITS);
 
-    #[test]
-    fn relearn_window_forgets_old_regime() {
-        let cfg = OnlineNetConfig {
-            window_cap: 64,
-            ..OnlineNetConfig::default()
-        };
-        let pre = DiscreteData::new(coupled_rows(100, 6, 0.05), vec![3, 3]).unwrap();
-        let mut net = OnlineNet::from_data(&pre, vec![0, 1], cfg);
-        assert_eq!(net.window_len(), 64);
-        // New regime: b independent, always 0.
-        let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..64 {
-            let a = rng.gen_range(0..3usize);
-            net.observe(&[a, 0]);
+        // The owner's re-fit: a fresh network on the new regime's rows
+        // starts from a zero drift signal and honours the backoff again.
+        let post = DiscreteData::new(shifted, vec![3, 3]).unwrap();
+        let mut refit = OnlineNet::from_data(&post, parents, 1.0);
+        assert_eq!(refit.drift_bits(), 0.0, "a fit resets the baseline");
+        for _ in 1..RELEARN_BACKOFF {
+            assert!(!refit.observe(&[0, 0]), "backoff holds after a fit");
         }
-        net.relearn();
-        // The window now holds only new-regime rows: P(b=0) ≈ 1.
-        let p = net.net().posterior_marginal(1, &Default::default());
-        assert!(
-            p[0] > 0.9,
-            "post-relearn marginal tracks the new regime: {p:?}"
-        );
     }
 
     #[test]

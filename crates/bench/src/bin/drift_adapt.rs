@@ -201,7 +201,6 @@ fn store_for(
                 ProfileUpdate::Frozen
             },
             window_cap: 128,
-            ..ProfileStoreConfig::default()
         },
     )
 }

@@ -106,10 +106,7 @@ fn main() {
         ("hill-climb BIC", StructureLearner::HillClimb),
         ("Chow-Liu tree", StructureLearner::ChowLiu),
     ] {
-        let cfg = ProfilerConfig {
-            learner,
-            ..Default::default()
-        };
+        let cfg = ProfilerConfig { learner };
         let profiler = Profiler::train(&templates, &corpus, &cfg);
         let mut sched = LlmSched::new(profiler, LlmSchedConfig::default());
         let w = generate_workload(WorkloadKind::Mixed, n_jobs, 0.9, 42);

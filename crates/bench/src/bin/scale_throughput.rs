@@ -32,11 +32,6 @@
 //!                          # the scheduler, or the ε>0 avg-JCT drift vs
 //!                          # the ε=0 twin exceeds 0.5% on any backend
 //!     [--out <path>]       # default BENCH_scale.json
-//!     [--trace <prefix>]   # also run one probed sweep point and export
-//!                          # <prefix>.jsonl + <prefix>.trace.json
-//!                          # (Perfetto-loadable); exit non-zero if the
-//!                          # exports fail validation
-//!     [--timeseries]       # print the probed run's windowed time-series
 //!     [--no-coalescing]    # A/B switch: disable scheduler invocation
 //!                          # coalescing (schedules stay bit-identical)
 //!     [--jobs <n>]         # one incremental sweep at a custom job
@@ -54,9 +49,7 @@ use std::time::Instant;
 use llmsched_bench::cli::{Args, Cli, Flag};
 use llmsched_bench::{ExperimentConfig, Policy, TrainedArtifacts};
 use llmsched_core::prelude::LlmSchedConfig;
-use llmsched_dag::time::SimDuration;
 use llmsched_sim::engine::{ClusterConfig, EngineMode};
-use llmsched_sim::telemetry::{TraceConfig, TraceRecorder, WindowConfig};
 use llmsched_workloads::prelude::WorkloadKind;
 
 /// Cluster scale factor. The Mixed default cluster is tuned for the
@@ -152,8 +145,6 @@ fn args() -> &'static Args {
                 Flag::value("--floor", "jobs/s"),
                 Flag::switch("--check"),
                 Flag::value("--out", "path"),
-                Flag::optional("--trace", "prefix"),
-                Flag::switch("--timeseries"),
                 Flag::switch("--no-coalescing"),
                 Flag::value("--jobs", "n"),
             ],
@@ -342,10 +333,6 @@ fn main() {
         .value("--out")
         .unwrap_or("BENCH_scale.json")
         .to_string();
-    let trace: Option<String> = args
-        .value_or("--trace", "results/scale_trace")
-        .map(str::to_string);
-    let timeseries = args.has("--timeseries");
     // Tuning escape hatch: one incremental sweep at a custom job count
     // (zero jobs has no throughput and no JCT to report).
     let jobs_override: Option<usize> = match args.get("--jobs") {
@@ -495,38 +482,6 @@ fn main() {
     std::fs::write(&out, to_json(&runs, quick, &speedups, &drifts))
         .expect("write BENCH_scale.json");
     println!("wrote {out}");
-
-    // Probed run (observation-only; the schedule is bit-identical to the
-    // unprobed sweep rows — DESIGN.md §11). One incremental analytic point
-    // at the sweep's smallest size keeps the full event buffer affordable.
-    if trace.is_some() || timeseries {
-        let n = sweep[0];
-        let mut rec = TraceRecorder::new(TraceConfig {
-            window: Some(WindowConfig::new(
-                SimDuration::from_secs(10),
-                SimDuration::from_secs(60),
-            )),
-        });
-        let exp = exp_for(n, EngineMode::Analytic, Path::Incremental, eps);
-        let r = llmsched_bench::run_policy_probed(&art, Policy::LlmSched, &exp, &mut rec);
-        assert_eq!(r.incomplete, 0, "probed run stranded jobs");
-        println!(
-            "probed run: {} jobs, {} probe events, avg JCT {:.3}s",
-            n,
-            rec.events().len(),
-            r.avg_jct_secs()
-        );
-        if timeseries {
-            let ts = r
-                .timeseries
-                .as_ref()
-                .expect("probed run aggregates windows");
-            llmsched_bench::print_timeseries(ts);
-        }
-        if let Some(prefix) = &trace {
-            llmsched_bench::export_trace_or_die(prefix, &rec, &r, true);
-        }
-    }
 
     if let Some(floor) = floor {
         let worst = runs

@@ -17,5 +17,5 @@ pub mod trace;
 
 pub use report::{jct_summary_cells, write_csv, Table, JCT_SUMMARY_HEADER};
 pub use roster::{Policy, TrainedArtifacts};
-pub use runner::{run_policy, run_policy_probed, ExperimentConfig};
+pub use runner::{run_policy, ExperimentConfig};
 pub use trace::{export_trace, export_trace_or_die, print_timeseries};

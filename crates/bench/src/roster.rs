@@ -2,6 +2,7 @@
 //! variants of Fig. 10, constructed from shared training artifacts.
 
 use llmsched_core::prelude::*;
+use llmsched_core::profiler::PER_TOKEN_B1;
 use llmsched_dag::template::TemplateSet;
 use llmsched_schedulers::prelude::*;
 use llmsched_sim::scheduler::Scheduler;
@@ -79,9 +80,8 @@ impl TrainedArtifacts {
     pub fn train(per_app: usize, seed: u64) -> Self {
         let templates = all_templates();
         let corpus = training_jobs(&AppKind::ALL, per_app, seed);
-        let cfg = ProfilerConfig::default();
-        let profiler = Profiler::train(&templates, &corpus, &cfg);
-        let priors = AppPriors::from_training(&corpus, cfg.per_token_b1);
+        let profiler = Profiler::train(&templates, &corpus, &ProfilerConfig::default());
+        let priors = AppPriors::from_training(&corpus, PER_TOKEN_B1);
         TrainedArtifacts {
             templates,
             priors,

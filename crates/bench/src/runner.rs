@@ -2,9 +2,8 @@
 //! with optional thread-parallel sweeps.
 
 use llmsched_core::prelude::LlmSchedConfig;
-use llmsched_sim::engine::{simulate, simulate_probed, ClusterConfig, EngineMode};
+use llmsched_sim::engine::{simulate, ClusterConfig, EngineMode};
 use llmsched_sim::metrics::SimResult;
-use llmsched_sim::telemetry::Probe;
 use llmsched_workloads::prelude::*;
 
 use crate::roster::{Policy, TrainedArtifacts};
@@ -75,20 +74,6 @@ pub fn run_policy(art: &TrainedArtifacts, policy: Policy, exp: &ExperimentConfig
     let w = generate_workload_with(exp.kind, exp.n_jobs, &exp.arrival_process(), exp.seed);
     let mut sched = art.build_mode(policy, exp.llmsched.clone(), exp.rebuild);
     simulate(&exp.cluster(), &w.templates, w.jobs, &mut sched)
-}
-
-/// [`run_policy`] with a telemetry probe attached (trace export and
-/// windowed time-series; the schedule is bit-identical to the unprobed
-/// run — see DESIGN.md §11).
-pub fn run_policy_probed(
-    art: &TrainedArtifacts,
-    policy: Policy,
-    exp: &ExperimentConfig,
-    probe: &mut dyn Probe,
-) -> SimResult {
-    let w = generate_workload_with(exp.kind, exp.n_jobs, &exp.arrival_process(), exp.seed);
-    let mut sched = art.build_mode(policy, exp.llmsched.clone(), exp.rebuild);
-    simulate_probed(&exp.cluster(), &w.templates, w.jobs, &mut sched, probe)
 }
 
 /// Runs several policies on the same workload in parallel (bounded by

@@ -26,6 +26,18 @@ use llmsched_dag::template::{Template, TemplateSet, TemplateStageKind};
 use llmsched_dag::time::SimDuration;
 use llmsched_sim::state::JobRt;
 
+/// Maximum duration intervals per stage (the paper uses 6).
+pub(crate) const MAX_BINS: usize = 6;
+
+/// Maximum parents per BN node.
+pub(crate) const MAX_PARENTS: usize = 2;
+
+/// Laplace smoothing for CPTs.
+pub(crate) const LAPLACE_ALPHA: f64 = 1.0;
+
+/// Batch-1 decode latency used to price LLM work in training jobs.
+pub const PER_TOKEN_B1: SimDuration = SimDuration::from_millis(20);
+
 /// Structure-learning algorithm choice (ablation knob).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StructureLearner {
@@ -36,31 +48,34 @@ pub enum StructureLearner {
     ChowLiu,
 }
 
-/// Profiler configuration.
-#[derive(Debug, Clone)]
-pub struct ProfilerConfig {
-    /// Maximum duration intervals per stage (the paper uses 6).
-    pub max_bins: usize,
-    /// Maximum parents per BN node.
-    pub max_parents: usize,
-    /// Laplace smoothing for CPTs.
-    pub alpha: f64,
-    /// Structure learner.
-    pub learner: StructureLearner,
-    /// Batch-1 decode latency used to price LLM work in training jobs.
-    pub per_token_b1: SimDuration,
-}
-
-impl Default for ProfilerConfig {
-    fn default() -> Self {
-        ProfilerConfig {
-            max_bins: 6,
-            max_parents: 2,
-            alpha: 1.0,
-            learner: StructureLearner::HillClimb,
-            per_token_b1: SimDuration::from_millis(20),
+impl StructureLearner {
+    /// Learns parent sets over `data`, one variable per stage of
+    /// `template`. Edges respect the stages' smallest-index-first
+    /// topological order (§3.4 of DESIGN.md), in batch and online training
+    /// alike.
+    pub(crate) fn learn(self, data: &DiscreteData, template: &Template) -> Vec<Vec<usize>> {
+        let order: Vec<usize> = template
+            .dag()
+            .topo_order()
+            .expect("templates are DAGs")
+            .into_iter()
+            .map(|v| v as usize)
+            .collect();
+        match self {
+            StructureLearner::HillClimb => learn_order_hill_climb(data, &order, MAX_PARENTS),
+            StructureLearner::ChowLiu => learn_chow_liu(data, &order, 0.02),
         }
     }
+}
+
+/// Profiler configuration. Binning (≤ 6 intervals), smoothing (Laplace
+/// α = 1), structure size (≤ 2 parents) and LLM pricing
+/// ([`PER_TOKEN_B1`]) are constants shared with the online
+/// [`ProfileStore`](crate::store::ProfileStore), so both train alike.
+#[derive(Debug, Clone, Default)]
+pub struct ProfilerConfig {
+    /// Structure learner.
+    pub learner: StructureLearner,
 }
 
 /// Structure statistics of one dynamic placeholder (Eq. 4 inputs).
@@ -114,22 +129,39 @@ pub struct AppProfile {
 }
 
 impl AppProfile {
-    /// Assembles a profile from already-learned parts — the constructor
-    /// the online [`ProfileStore`](crate::store::ProfileStore) publishes
-    /// snapshots through. Crate-internal: external profiles come from
-    /// [`Profiler::train`] or the store.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        app: AppId,
+    /// Assembles `template`'s profile from learned parts — the one
+    /// constructor behind batch training and the online
+    /// [`ProfileStore`](crate::store::ProfileStore)'s snapshots. The LLM
+    /// stages and each placeholder's preceding LLM stage are read off the
+    /// template; `dyn_stats(d, n_candidates)` supplies placeholder `d`'s
+    /// structure statistics.
+    pub(crate) fn assemble(
+        template: &Template,
         discretizers: Vec<Discretizer>,
         net: BayesNet,
         static_means: Vec<f64>,
-        is_llm: Vec<bool>,
-        dynamic: HashMap<StageId, DynamicStats>,
-        dynamic_preceding: HashMap<StageId, StageId>,
+        mut dyn_stats: impl FnMut(StageId, usize) -> DynamicStats,
     ) -> Self {
+        let is_llm = template
+            .stages()
+            .iter()
+            .map(|s| matches!(s.kind, TemplateStageKind::Llm))
+            .collect();
+        let mut dynamic = HashMap::new();
+        let mut dynamic_preceding = HashMap::new();
+        for d in template.dynamic_stages() {
+            let TemplateStageKind::Dynamic {
+                candidates,
+                preceding_llm,
+            } = &template.stage(d).kind
+            else {
+                unreachable!("dynamic_stages() only returns dynamic stages");
+            };
+            dynamic.insert(d, dyn_stats(d, candidates.len()));
+            dynamic_preceding.insert(d, *preceding_llm);
+        }
         AppProfile {
-            app,
+            app: template.app(),
             discretizers,
             net,
             static_means,
@@ -323,30 +355,17 @@ impl DynCounts {
     }
 }
 
-/// The template's stages in smallest-index-first topological order: the
-/// order that constrains BN edge direction in batch and online training.
-pub(crate) fn stage_order(template: &Template) -> Vec<usize> {
-    let order = template.dag().topo_order().expect("templates are DAGs");
-    order.into_iter().map(|v| v as usize).collect()
-}
-
 fn train_one(template: &Template, jobs: &[&JobSpec], cfg: &ProfilerConfig) -> AppProfile {
     let n = template.len();
     // Duration matrix: one row per job, one column per template stage
     // (placeholders aggregate generated work; unexecuted stages are 0 s).
     let samples: Vec<Vec<f64>> = jobs
         .iter()
-        .map(|j| j.template_stage_durations_secs(cfg.per_token_b1))
+        .map(|j| j.template_stage_durations_secs(PER_TOKEN_B1))
         .collect();
-    let (discretizers, data) = DiscreteData::discretize(&samples, cfg.max_bins);
-
-    // Stage topological order constrains edge direction (§3.4 of DESIGN.md).
-    let order: Vec<usize> = stage_order(template);
-    let parents = match cfg.learner {
-        StructureLearner::HillClimb => learn_order_hill_climb(&data, &order, cfg.max_parents),
-        StructureLearner::ChowLiu => learn_chow_liu(&data, &order, 0.02),
-    };
-    let net = BayesNet::fit(&data, parents, cfg.alpha).expect("learned structure is valid");
+    let (discretizers, data) = DiscreteData::discretize(&samples, MAX_BINS);
+    let parents = cfg.learner.learn(&data, template);
+    let net = BayesNet::fit(&data, parents, LAPLACE_ALPHA).expect("learned structure is valid");
 
     let static_means: Vec<f64> = (0..n)
         .map(|s| {
@@ -354,40 +373,19 @@ fn train_one(template: &Template, jobs: &[&JobSpec], cfg: &ProfilerConfig) -> Ap
             llmsched_bayes::stats::mean(&col)
         })
         .collect();
-    let is_llm: Vec<bool> = template
-        .stages()
-        .iter()
-        .map(|s| matches!(s.kind, TemplateStageKind::Llm))
-        .collect();
-
-    // Dynamic-placeholder structure statistics.
-    let mut dynamic = HashMap::new();
-    let mut dynamic_preceding = HashMap::new();
-    for d in template.dynamic_stages() {
-        let TemplateStageKind::Dynamic {
-            candidates,
-            preceding_llm,
-        } = &template.stage(d).kind
-        else {
-            unreachable!("dynamic_stages() only returns dynamic stages");
-        };
-        let mut counts = DynCounts::new(candidates.len());
-        for j in jobs {
-            counts.observe_job(j, d);
-        }
-        dynamic.insert(d, counts.stats(jobs.len().max(1)));
-        dynamic_preceding.insert(d, *preceding_llm);
-    }
-
-    AppProfile {
-        app: template.app(),
+    AppProfile::assemble(
+        template,
         discretizers,
         net,
         static_means,
-        is_llm,
-        dynamic,
-        dynamic_preceding,
-    }
+        |d, n_candidates| {
+            let mut counts = DynCounts::new(n_candidates);
+            for j in jobs {
+                counts.observe_job(j, d);
+            }
+            counts.stats(jobs.len().max(1))
+        },
+    )
 }
 
 #[cfg(test)]
@@ -470,7 +468,6 @@ mod tests {
         let corpus = training_jobs(&[AppKind::SequenceSorting], 200, 6);
         let cfg = ProfilerConfig {
             learner: StructureLearner::ChowLiu,
-            ..Default::default()
         };
         let p = Profiler::train(&templates, &corpus, &cfg);
         let prof = p.profile(AppKind::SequenceSorting.app_id()).unwrap();

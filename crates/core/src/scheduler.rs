@@ -45,7 +45,7 @@ use rand::{Rng, SeedableRng};
 use crate::belief::BeliefStore;
 use crate::estimator::WorkEstimate;
 use crate::profiler::Profiler;
-use crate::store::{ProfileStore, ProfileStoreConfig, ProfileUpdate};
+use crate::store::ProfileStore;
 use crate::uncertainty::{uncertainty_reduction, MiEstimator};
 
 /// LLMSched configuration (defaults follow the paper's sensitivity
@@ -86,13 +86,6 @@ pub struct LlmSchedConfig {
     /// decisions see — a different (neither better nor worse) schedule.
     /// Golden pins therefore stay on `false`; throughput benches opt in.
     pub work_conserving: bool,
-    /// Online-profiling cadence for the scheduler's [`ProfileStore`]:
-    /// how often completed-stage observations are folded into new profile
-    /// snapshots. The default, [`ProfileUpdate::Frozen`], reproduces the
-    /// classic train-once profiler bit-for-bit. (Only consulted by
-    /// [`LlmSched::new`]; [`LlmSched::with_store`] keeps the store's own
-    /// configuration.)
-    pub profile_update: ProfileUpdate,
 }
 
 impl Default for LlmSchedConfig {
@@ -107,7 +100,6 @@ impl Default for LlmSchedConfig {
             seed: 0xC0FFEE,
             incremental: true,
             work_conserving: false,
-            profile_update: ProfileUpdate::Frozen,
         }
     }
 }
@@ -251,30 +243,20 @@ impl PartialOrd for SuEntry {
 
 impl LlmSched {
     /// Builds LLMSched from a trained profiler, wrapped in a
-    /// [`ProfileStore`] at the [`LlmSchedConfig::profile_update`] cadence
-    /// (the default, frozen, is bit-identical to the classic profiler).
+    /// [`ProfileStore::frozen`] store: the classic train-once profiler.
     ///
     /// # Panics
     /// Panics with the field's [`LlmSchedConfigError`] if
     /// [`LlmSchedConfig::validate`] rejects `cfg`.
     pub fn new(profiler: Profiler, cfg: LlmSchedConfig) -> Self {
-        check(&cfg);
-        let store = ProfileStore::from_profiler(
-            &profiler,
-            ProfileStoreConfig {
-                update: cfg.profile_update,
-                ..ProfileStoreConfig::default()
-            },
-        );
-        LlmSched::with_store(store, cfg)
+        LlmSched::with_store(ProfileStore::frozen(&profiler), cfg)
     }
 
     /// Builds LLMSched on an explicit [`ProfileStore`] — the online
-    /// profiling path (e.g. [`ProfileStore::train`] seeds windows and
-    /// sufficient statistics from a retained corpus, or
+    /// profiling path ([`ProfileStore::train`] seeds windows and
+    /// sufficient statistics from a retained corpus;
     /// [`ProfileStore::empty`] cold-starts every app). The store's own
-    /// update cadence applies; [`LlmSchedConfig::profile_update`] is
-    /// ignored.
+    /// update cadence applies.
     ///
     /// # Panics
     /// Panics with the field's [`LlmSchedConfigError`] if

@@ -21,6 +21,14 @@
 //! observation count doubles, or when a cold-start application first
 //! accumulates enough history to bootstrap from its Laplace prior.
 //!
+//! The store's bounded row window is the only observation window: every
+//! re-fit re-bins it and builds a fresh [`OnlineNet`] from it, and the
+//! network's drift trigger ([`OnlineNet::observe`]) is the only backoff.
+//! Binning, smoothing, structure size and LLM pricing are the batch
+//! profiler's constants (`MAX_BINS`, `MAX_PARENTS`, `LAPLACE_ALPHA`,
+//! [`PER_TOKEN_B1`]), so streaming training equals batch training by
+//! construction.
+//!
 //! The [`ProfileUpdate`] cadence knob makes the whole subsystem opt-in:
 //! [`ProfileUpdate::Frozen`] (the default) ignores observations entirely
 //! and reproduces the classic frozen-profiler behavior bit-for-bit —
@@ -31,16 +39,23 @@ use std::sync::Arc;
 
 use llmsched_bayes::dataset::DiscreteData;
 use llmsched_bayes::discretize::Discretizer;
-use llmsched_bayes::online::{OnlineNet, OnlineNetConfig};
+use llmsched_bayes::online::OnlineNet;
 use llmsched_dag::ids::{AppId, JobId, StageId};
 use llmsched_dag::job::JobSpec;
 use llmsched_dag::template::{Template, TemplateSet, TemplateStageKind};
 use llmsched_sim::scheduler::SchedDelta;
 
-use crate::profiler::{AppProfile, DynCounts, Profiler, ProfilerConfig};
+use crate::profiler::{
+    AppProfile, DynCounts, Profiler, StructureLearner, LAPLACE_ALPHA, MAX_BINS, PER_TOKEN_B1,
+};
+
+/// Cold-start bootstrap threshold: observed jobs before an app with no
+/// profile learns its first one (until then the scheduler falls back to
+/// zero-work estimates, exactly like an untrained app).
+pub(crate) const MIN_JOBS: usize = 8;
 
 /// Monotonic per-application snapshot version. `0` means "never
-/// published" (no profile); seeded stores start at `1`.
+/// published" (no profile); frozen stores start at `1`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ProfileVersion(pub u64);
 
@@ -56,32 +71,15 @@ pub enum ProfileUpdate {
     PerCompletion,
 }
 
-/// Store configuration.
+/// Store configuration. (Online structure re-learns always use the
+/// order-constrained BIC hill-climb.)
 #[derive(Debug, Clone)]
 pub struct ProfileStoreConfig {
-    /// Discretization / smoothing / structure parameters shared with
-    /// batch training. (Online structure re-learns always use the
-    /// order-constrained BIC hill-climb, regardless of
-    /// [`ProfilerConfig::learner`].)
-    pub profiler: ProfilerConfig,
     /// Publish cadence.
     pub update: ProfileUpdate,
-    /// Cold-start bootstrap threshold: observed jobs before an app with
-    /// no profile learns its first one (until then the scheduler falls
-    /// back to zero-work estimates, exactly like an untrained app today).
-    pub min_jobs: usize,
-    /// For apps seeded from a [`Profiler`] *without* retained training
-    /// rows: live observations required before the window-learned profile
-    /// replaces the seed.
-    pub seeded_takeover: usize,
     /// Observation rows retained per app — the adaptation window that
     /// re-fits learn from (older data is forgotten).
     pub window_cap: usize,
-    /// Drift trigger threshold (bits of EWMA log-likelihood drop) for
-    /// scheduling a full re-discretize + structure re-learn.
-    pub drift_threshold_bits: f64,
-    /// Minimum observations between drift-triggered re-fits.
-    pub relearn_backoff: usize,
 }
 
 /// Why a [`ProfileStoreConfig`] was rejected: each variant names the
@@ -90,8 +88,6 @@ pub struct ProfileStoreConfig {
 pub enum ProfileStoreConfigError {
     /// `window_cap` is 0: the window could hold no row to learn from.
     WindowCap(usize),
-    /// `drift_threshold_bits` is NaN or negative.
-    DriftThresholdBits(f64),
 }
 
 impl std::fmt::Display for ProfileStoreConfigError {
@@ -103,10 +99,6 @@ impl std::fmt::Display for ProfileStoreConfigError {
                     "window_cap is {v}: the window must retain at least one row"
                 )
             }
-            ProfileStoreConfigError::DriftThresholdBits(v) => write!(
-                f,
-                "drift_threshold_bits is {v}: must be >= 0 (infinity disables drift re-learns)"
-            ),
         }
     }
 }
@@ -117,17 +109,10 @@ impl ProfileStoreConfig {
     /// Checks the fields the online learner relies on.
     ///
     /// # Errors
-    /// The first [`ProfileStoreConfigError`] found: a zero `window_cap`,
-    /// or a `drift_threshold_bits` that is NaN (which would silently
-    /// disable drift re-learns) or negative.
+    /// [`ProfileStoreConfigError::WindowCap`] on a zero `window_cap`.
     pub fn validate(&self) -> Result<(), ProfileStoreConfigError> {
         if self.window_cap == 0 {
             return Err(ProfileStoreConfigError::WindowCap(self.window_cap));
-        }
-        if self.drift_threshold_bits.is_nan() || self.drift_threshold_bits < 0.0 {
-            return Err(ProfileStoreConfigError::DriftThresholdBits(
-                self.drift_threshold_bits,
-            ));
         }
         Ok(())
     }
@@ -144,13 +129,8 @@ fn check(cfg: &ProfileStoreConfig) {
 impl Default for ProfileStoreConfig {
     fn default() -> Self {
         ProfileStoreConfig {
-            profiler: ProfilerConfig::default(),
             update: ProfileUpdate::Frozen,
-            min_jobs: 8,
-            seeded_takeover: 32,
             window_cap: 512,
-            drift_threshold_bits: 1.0,
-            relearn_backoff: 24,
         }
     }
 }
@@ -176,9 +156,6 @@ struct Learner {
 struct AppEntry {
     version: u64,
     profile: Option<Arc<AppProfile>>,
-    /// Profile came from batch training without retained rows: the
-    /// window must reach `seeded_takeover` before replacing it.
-    seeded: bool,
     /// Continuous duration rows (template-stage seconds), bounded window.
     rows: VecDeque<Vec<f64>>,
     /// Running per-stage sums over `rows` (windowed static means).
@@ -189,7 +166,6 @@ struct AppEntry {
     /// Jobs observed per placeholder (the `n` behind the frequencies).
     dyn_jobs: HashMap<StageId, u64>,
     n_obs: u64,
-    obs_since_refit: usize,
     /// Next observation-count milestone forcing a re-fit (doubling
     /// schedule: bins and structure refine as history grows).
     next_milestone: u64,
@@ -200,25 +176,13 @@ impl AppEntry {
         AppEntry {
             version: 0,
             profile: None,
-            seeded: false,
             rows: VecDeque::new(),
             sums: vec![0.0; n_stages],
             learner: None,
             dyn_counts: HashMap::new(),
             dyn_jobs: HashMap::new(),
             n_obs: 0,
-            obs_since_refit: 0,
             next_milestone: u64::MAX,
-        }
-    }
-
-    fn seeded(profile: AppProfile) -> Self {
-        let n = profile.n_stages();
-        AppEntry {
-            version: 1,
-            profile: Some(Arc::new(profile)),
-            seeded: true,
-            ..AppEntry::fresh(n)
         }
     }
 }
@@ -262,24 +226,24 @@ impl ProfileStore {
         }
     }
 
-    /// Wraps a batch-trained [`Profiler`]'s profiles as version-1
-    /// snapshots. With a non-frozen cadence, each app's live window must
-    /// reach [`ProfileStoreConfig::seeded_takeover`] observations before
-    /// online profiles replace the seed (the training rows themselves are
-    /// not retained by a `Profiler`); prefer [`ProfileStore::train`] when
-    /// the corpus is at hand.
-    ///
-    /// # Panics
-    /// Panics with the field's [`ProfileStoreConfigError`] if
-    /// [`ProfileStoreConfig::validate`] rejects `cfg`.
-    pub fn from_profiler(profiler: &Profiler, cfg: ProfileStoreConfig) -> Self {
-        check(&cfg);
+    /// The frozen classic: a batch-trained [`Profiler`]'s profiles as
+    /// version-1 snapshots, observations ignored. Online learning starts
+    /// from [`ProfileStore::train`] or [`ProfileStore::empty`], which keep
+    /// the rows a re-fit learns from.
+    pub fn frozen(profiler: &Profiler) -> Self {
         let apps: HashMap<AppId, AppEntry> = profiler
             .iter()
-            .map(|(app, p)| (app, AppEntry::seeded(p.clone())))
+            .map(|(app, p)| {
+                let entry = AppEntry {
+                    version: 1,
+                    profile: Some(Arc::new(p.clone())),
+                    ..AppEntry::fresh(p.n_stages())
+                };
+                (app, entry)
+            })
             .collect();
         ProfileStore {
-            cfg,
+            cfg: ProfileStoreConfig::default(),
             pristine: apps.clone(),
             apps,
             pending: HashMap::new(),
@@ -287,21 +251,12 @@ impl ProfileStore {
         }
     }
 
-    /// The frozen classic: batch profiles, observations ignored.
-    pub fn frozen(profiler: &Profiler) -> Self {
-        ProfileStore::from_profiler(
-            profiler,
-            ProfileStoreConfig {
-                update: ProfileUpdate::Frozen,
-                ..ProfileStoreConfig::default()
-            },
-        )
-    }
-
     /// Trains from a historical corpus **through the streaming path**:
     /// every job is absorbed one observation at a time (seeding windows,
     /// sufficient statistics and dynamic counters), then each app re-fits
-    /// and publishes version 1. With the corpus inside the window this
+    /// and publishes a snapshot (version 1 under [`ProfileUpdate::Frozen`];
+    /// a per-completion store has already published once per corpus row
+    /// after the bootstrap). With the corpus inside the window this
     /// produces the same discretizers, structure and CPTs as
     /// [`Profiler::train`] — pinned by tests — while leaving the store
     /// ready to keep learning online.
@@ -320,22 +275,12 @@ impl ProfileStore {
         for app in apps {
             if let Some(t) = templates.get(app) {
                 let entry = store.apps.get_mut(&app).expect("just listed");
-                refit(entry, t, &store.cfg);
+                refit(entry, t);
                 publish(entry, t);
             }
         }
         store.pristine = store.apps.clone();
         store
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &ProfileStoreConfig {
-        &self.cfg
-    }
-
-    /// The publish cadence.
-    pub fn update_policy(&self) -> ProfileUpdate {
-        self.cfg.update
     }
 
     /// The currently published profile of `app`, if any.
@@ -373,8 +318,9 @@ impl ProfileStore {
         self.apps.get(&app).map_or(0, |e| e.n_obs)
     }
 
-    /// Restores construction-time state (scheduler reset): seed profiles
-    /// back at version 1, live windows and pending observations dropped.
+    /// Restores construction-time state (scheduler reset): trained
+    /// profiles back at version 1, live windows and pending observations
+    /// dropped.
     pub fn reset(&mut self) {
         self.apps = self.pristine.clone();
         self.pending.clear();
@@ -478,7 +424,7 @@ impl ProfileStore {
     }
 
     fn ingest_job_spec(&mut self, template: &Template, job: &JobSpec) -> bool {
-        let row = job.template_stage_durations_secs(self.cfg.profiler.per_token_b1);
+        let row = job.template_stage_durations_secs(PER_TOKEN_B1);
         let entry = self
             .apps
             .entry(template.app())
@@ -532,12 +478,11 @@ impl ProfileStore {
     /// Window + learner update for one prepared row, then the cadence
     /// decision. Returns whether a snapshot was published.
     fn ingest_prepared(&mut self, template: &Template, row: Vec<f64>) -> bool {
-        let cfg = &self.cfg;
         let entry = self
             .apps
             .get_mut(&template.app())
             .expect("entry created by caller");
-        if entry.rows.len() >= cfg.window_cap {
+        if entry.rows.len() >= self.cfg.window_cap {
             let old = entry.rows.pop_front().expect("non-empty");
             for (s, x) in old.into_iter().enumerate() {
                 entry.sums[s] -= x;
@@ -547,7 +492,6 @@ impl ProfileStore {
             entry.sums[s] += x;
         }
         entry.n_obs += 1;
-        entry.obs_since_refit += 1;
         // Bin the row for the learner before it moves into the window.
         let drift = entry.learner.as_mut().map(|l| {
             let binned: Vec<usize> = row
@@ -559,26 +503,18 @@ impl ProfileStore {
         });
         entry.rows.push_back(row);
 
-        let mut want_refit = match drift {
-            Some(drift) => {
-                (drift && entry.obs_since_refit >= cfg.relearn_backoff)
-                    || entry.n_obs == entry.next_milestone
-            }
+        let want_refit = match drift {
+            // The learner's drift trigger carries the re-fit backoff.
+            Some(drift) => drift || entry.n_obs == entry.next_milestone,
             // Cold-start bootstrap: first profile learned from the
-            // Laplace-smoothed window. Seeded apps are excluded — their
-            // batch-trained profile outranks a tiny live window.
-            None => !entry.seeded && entry.rows.len() >= cfg.min_jobs,
+            // Laplace-smoothed window.
+            None => entry.rows.len() >= MIN_JOBS,
         };
-        if entry.seeded && entry.rows.len() >= cfg.seeded_takeover {
-            // A profiler-seeded app keeps its batch profile until the
-            // live window alone is worth learning from.
-            want_refit = true;
-        }
         if want_refit {
-            refit(entry, template, cfg);
+            refit(entry, template);
         }
 
-        cfg.update == ProfileUpdate::PerCompletion && publish(entry, template)
+        self.cfg.update == ProfileUpdate::PerCompletion && publish(entry, template)
     }
 }
 
@@ -590,25 +526,14 @@ struct DynObs<'a> {
 
 /// Re-discretizes the window, re-learns structure (order-constrained BIC
 /// hill-climb) and rebuilds the streaming learner from the window rows.
-fn refit(entry: &mut AppEntry, template: &Template, cfg: &ProfileStoreConfig) {
+fn refit(entry: &mut AppEntry, template: &Template) {
     if entry.rows.is_empty() {
         return;
     }
-    let (disc, data) =
-        DiscreteData::discretize(entry.rows.make_contiguous(), cfg.profiler.max_bins);
-    let order = crate::profiler::stage_order(template);
-    let ocfg = OnlineNetConfig {
-        alpha: cfg.profiler.alpha,
-        max_parents: cfg.profiler.max_parents,
-        window_cap: cfg.window_cap,
-        drift_threshold_bits: cfg.drift_threshold_bits,
-        min_obs_between_relearns: cfg.relearn_backoff,
-        ..OnlineNetConfig::default()
-    };
-    let net = OnlineNet::from_data(&data, order, ocfg);
+    let (disc, data) = DiscreteData::discretize(entry.rows.make_contiguous(), MAX_BINS);
+    let parents = StructureLearner::HillClimb.learn(&data, template);
+    let net = OnlineNet::from_data(&data, parents, LAPLACE_ALPHA);
     entry.learner = Some(Learner { disc, net });
-    entry.seeded = false;
-    entry.obs_since_refit = 0;
     entry.next_milestone = entry.n_obs.saturating_mul(2);
 }
 
@@ -621,37 +546,18 @@ fn publish(entry: &mut AppEntry, template: &Template) -> bool {
     };
     let n = entry.rows.len().max(1) as f64;
     let static_means: Vec<f64> = entry.sums.iter().map(|&s| s / n).collect();
-    let is_llm: Vec<bool> = template
-        .stages()
-        .iter()
-        .map(|s| matches!(s.kind, TemplateStageKind::Llm))
-        .collect();
-    let mut dynamic = HashMap::new();
-    let mut dynamic_preceding = HashMap::new();
-    for d in template.dynamic_stages() {
-        let TemplateStageKind::Dynamic {
-            candidates,
-            preceding_llm,
-        } = &template.stage(d).kind
-        else {
-            unreachable!("dynamic_stages() only returns dynamic stages");
-        };
-        let counts = entry
-            .dyn_counts
-            .entry(d)
-            .or_insert_with(|| DynCounts::new(candidates.len()));
-        let n_jobs = entry.dyn_jobs.get(&d).copied().unwrap_or(0).max(1) as usize;
-        dynamic.insert(d, counts.stats(n_jobs));
-        dynamic_preceding.insert(d, *preceding_llm);
-    }
-    let profile = AppProfile::from_parts(
-        template.app(),
+    let profile = AppProfile::assemble(
+        template,
         l.disc.clone(),
         l.net.net().clone(),
         static_means,
-        is_llm,
-        dynamic,
-        dynamic_preceding,
+        |d, n_candidates| {
+            let n_jobs = entry.dyn_jobs.get(&d).copied().unwrap_or(0).max(1) as usize;
+            match entry.dyn_counts.get(&d) {
+                Some(counts) => counts.stats(n_jobs),
+                None => DynCounts::new(n_candidates).stats(n_jobs),
+            }
+        },
     );
     entry.profile = Some(Arc::new(profile));
     entry.version += 1;
@@ -661,6 +567,7 @@ fn publish(entry: &mut AppEntry, template: &Template) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profiler::ProfilerConfig;
     use llmsched_workloads::prelude::*;
 
     fn online_cfg() -> ProfileStoreConfig {
@@ -737,7 +644,7 @@ mod tests {
         }
         assert_eq!(
             first_publish_at,
-            Some(store.config().min_jobs),
+            Some(MIN_JOBS),
             "first snapshot publishes exactly at the bootstrap threshold"
         );
         let prof = store.profile(app).expect("bootstrapped");
@@ -747,28 +654,51 @@ mod tests {
     }
 
     #[test]
-    fn seeded_profiles_survive_until_takeover() {
+    fn online_train_refits_after_a_duration_shift_and_not_before() {
         let templates = all_templates();
-        let corpus = training_jobs(&[AppKind::WebSearch], 60, 3);
-        let profiler = Profiler::train(&templates, &corpus, &ProfilerConfig::default());
-        let mut store = ProfileStore::from_profiler(&profiler, online_cfg());
-        let app = AppKind::WebSearch.app_id();
+        let kind = AppKind::WebSearch;
+        let app = kind.app_id();
         let t = templates.expect(app);
-        let takeover = store.config().seeded_takeover;
-        let live = training_jobs(&[AppKind::WebSearch], takeover + 5, 8);
-        for (i, j) in live.iter().enumerate() {
-            let bumped = store.observe_job_spec(t, j);
-            if i + 1 < takeover {
-                assert!(
-                    !bumped && store.version(app) == ProfileVersion(1),
-                    "seed must hold until takeover (obs {})",
-                    i + 1
-                );
+        let corpus = training_jobs(&[kind], 120, 3);
+        let cfg = ProfileStoreConfig {
+            window_cap: 64,
+            ..online_cfg()
+        };
+        let mut store = ProfileStore::train(&templates, &corpus, cfg);
+        let bins = |s: &ProfileStore| s.profile(app).unwrap().discretizers().to_vec();
+        let expected_first_stage = |s: &ProfileStore| {
+            let p = s.profile(app).unwrap();
+            let e = llmsched_bayes::network::Evidence::new();
+            p.discretizers()[0].expectation(&p.net().posterior_marginal(0, &e))
+        };
+        let trained = bins(&store);
+        let trained_mean = expected_first_stage(&store);
+
+        // Stationary rows: every one publishes, none moves the bins.
+        let live = training_jobs(&[kind], 120, 8);
+        let (before, after) = live.split_at(60);
+        for j in before {
+            assert!(store.observe_job_spec(t, j));
+            assert_eq!(bins(&store), trained, "a stationary row re-fitted");
+        }
+        // The same app at 0.3x the work. On this stream the re-fit comes
+        // from the doubling milestone (240 observations): the likelihood
+        // drift trigger does not fire on the shift.
+        let mut refit_at = None;
+        for (i, j) in after.iter().enumerate() {
+            store.observe_job_spec(t, &scale_job_spec(t, j, 0.3));
+            if bins(&store) != trained {
+                refit_at = Some(i + 1);
+                break;
             }
         }
+        assert_eq!(refit_at, Some(60), "shifted rows must re-fit the bins");
+        // The re-fit learned from the window, which now holds the new
+        // regime: the first stage's expected duration follows the shift.
+        let refit_mean = expected_first_stage(&store);
         assert!(
-            store.version(app) > ProfileVersion(1),
-            "takeover must eventually replace the seed"
+            refit_mean < 0.6 * trained_mean,
+            "re-fit kept the old regime: {trained_mean:.3}s -> {refit_mean:.3}s"
         );
     }
 
@@ -793,12 +723,11 @@ mod tests {
     }
 
     #[test]
-    fn validate_accepts_the_defaults_and_an_infinite_drift_threshold() {
+    fn validate_accepts_the_defaults_and_a_one_row_window() {
         assert_eq!(ProfileStoreConfig::default().validate(), Ok(()));
         let cfg = ProfileStoreConfig {
             window_cap: 1,
-            drift_threshold_bits: f64::INFINITY,
-            ..ProfileStoreConfig::default()
+            ..online_cfg()
         };
         assert_eq!(cfg.validate(), Ok(()));
     }
@@ -812,25 +741,6 @@ mod tests {
         let err = cfg.validate().unwrap_err();
         assert_eq!(err, ProfileStoreConfigError::WindowCap(0));
         assert!(err.to_string().starts_with("window_cap is 0"), "{err}");
-    }
-
-    #[test]
-    fn validate_rejects_a_nan_or_negative_drift_threshold() {
-        for bits in [f64::NAN, -0.5] {
-            let cfg = ProfileStoreConfig {
-                drift_threshold_bits: bits,
-                ..online_cfg()
-            };
-            let err = cfg.validate().unwrap_err();
-            assert!(matches!(
-                err,
-                ProfileStoreConfigError::DriftThresholdBits(_)
-            ));
-            assert!(
-                err.to_string().starts_with("drift_threshold_bits is"),
-                "{err}"
-            );
-        }
     }
 
     #[test]
@@ -869,8 +779,8 @@ mod tests {
         let app = AppKind::WebSearch.app_id();
         let t = templates.expect(app);
         let mut store = ProfileStore::empty(online_cfg());
-        // Synthesize min_jobs identical jobs' delta streams.
-        for j in 0..store.config().min_jobs as u64 {
+        // Synthesize MIN_JOBS identical jobs' delta streams.
+        for j in 0..MIN_JOBS as u64 {
             for s in 0..t.len() as u32 {
                 store.on_delta(&SchedDelta::StageObserved {
                     job: JobId(j),
@@ -885,7 +795,7 @@ mod tests {
         assert_eq!(bumped, vec![app]);
         let prof = store.profile(app).expect("published");
         assert!((prof.static_mean(StageId(0)) - 1.0).abs() < 1e-9);
-        assert_eq!(store.observations(app), store.config().min_jobs as u64);
+        assert_eq!(store.observations(app), MIN_JOBS as u64);
         // Nothing pending: a second absorb is a no-op.
         assert!(store.absorb(&templates).is_empty());
     }

@@ -67,7 +67,7 @@ impl SimDuration {
     }
 
     /// Builds a duration from milliseconds.
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms * 1_000)
     }
 
@@ -79,11 +79,6 @@ impl SimDuration {
     /// Returns the duration as fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / TICKS_PER_SEC as f64
-    }
-
-    /// Returns the duration as fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
     }
 
     /// Multiplies the duration by a non-negative float, rounding to ticks.

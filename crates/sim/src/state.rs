@@ -491,17 +491,6 @@ impl JobRt {
         }
     }
 
-    /// Total work (batch-1 seconds) completed so far across the whole job —
-    /// an observable progress measure.
-    pub fn completed_work_secs(&self) -> f64 {
-        self.task_state
-            .iter()
-            .zip(&self.task_nominal)
-            .filter(|(&s, _)| s == TaskState::Done)
-            .map(|(_, &d)| d)
-            .sum()
-    }
-
     /// Number of tasks currently running across the job (the Fair
     /// scheduler's notion of a job's current service share).
     pub fn running_tasks(&self) -> usize {
@@ -542,14 +531,6 @@ pub struct StageView<'a> {
     pub candidate: Option<usize>,
     /// True if the stage was generated at runtime.
     pub is_generated: bool,
-}
-
-impl StageView<'_> {
-    /// Unstarted task count, when the task count is known.
-    pub fn tasks_unstarted(&self) -> Option<usize> {
-        self.n_tasks
-            .map(|n| n - self.tasks_done - self.tasks_running)
-    }
 }
 
 /// Public occupancy info of one LLM executor.

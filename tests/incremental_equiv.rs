@@ -138,10 +138,6 @@ fn assert_golden(pins: impl Fn(EngineMode) -> bool) -> usize {
 /// profiler that predates the versioned profile store: the Analytic pins.
 #[test]
 fn frozen_profile_update_is_bit_identical_to_pre_store_schedules() {
-    assert_eq!(
-        LlmSchedConfig::default().profile_update,
-        ProfileUpdate::Frozen
-    );
     assert_eq!(assert_golden(|m| m == EngineMode::Analytic), 4);
 }
 
