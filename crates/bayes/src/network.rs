@@ -11,6 +11,7 @@ use std::collections::BTreeMap;
 
 use crate::dataset::DiscreteData;
 use crate::factor::{card_to_row_major, Factor};
+use crate::online::SuffStats;
 use crate::plan::{EliminationPlan, PlanScratch};
 
 /// Evidence: observed values for a subset of variables.
@@ -57,7 +58,8 @@ impl std::error::Error for BayesNetError {}
 
 impl BayesNet {
     /// Learns CPTs by maximum likelihood with Laplace smoothing `alpha`
-    /// from discretized data, under the given parent sets.
+    /// from discretized data, under the given parent sets: the data's
+    /// [`SuffStats`] count tables, normalized once.
     ///
     /// # Errors
     /// Returns [`BayesNetError`] if the parent structure is malformed or
@@ -67,8 +69,11 @@ impl BayesNet {
         parents: Vec<Vec<usize>>,
         alpha: f64,
     ) -> Result<Self, BayesNetError> {
-        let n = data.n_vars();
-        let card = data.cardinalities().to_vec();
+        Ok(SuffStats::from_data(data, parents)?.fit(alpha))
+    }
+
+    /// Checks that `parents` is an acyclic structure over `n` variables.
+    pub(crate) fn check_structure(parents: &[Vec<usize>], n: usize) -> Result<(), BayesNetError> {
         if parents.len() != n {
             return Err(BayesNetError::ArityMismatch);
         }
@@ -77,28 +82,24 @@ impl BayesNet {
                 return Err(BayesNetError::BadParent { var: v });
             }
         }
-        if topo_order(&parents).is_none() {
+        if topo_order(parents).is_none() {
             return Err(BayesNetError::Cyclic);
         }
+        Ok(())
+    }
 
-        let mut cpts = Vec::with_capacity(n);
-        for (v, ps) in parents.iter().enumerate() {
-            let fam = FamilyLayout::new(v, ps, &card);
-            // Count joint occurrences over the scope.
-            let mut counts = vec![0.0f64; fam.size()];
-            for row in data.rows() {
-                counts[fam.index_of(row)] += 1.0;
-            }
-            let values = fam.normalize(&counts, alpha);
-            cpts.push(Factor::new(fam.scope, fam.scard, values));
-        }
-        let descendants = (0..n).map(|v| descendants_of(&parents, v)).collect();
-        Ok(BayesNet {
+    /// A network over a structure [`BayesNet::check_structure`] accepted,
+    /// with one CPT per variable.
+    pub(crate) fn from_cpts(card: Vec<usize>, parents: Vec<Vec<usize>>, cpts: Vec<Factor>) -> Self {
+        let descendants = (0..card.len())
+            .map(|v| descendants_of(&parents, v))
+            .collect();
+        BayesNet {
             card,
             parents,
             cpts,
             descendants,
-        })
+        }
     }
 
     /// Number of variables.
@@ -240,8 +241,8 @@ impl BayesNet {
     }
 
     /// Average log₂-likelihood per row of `data` under the network
-    /// (diagnostic for structure-learning tests and the online drift
-    /// trigger's baseline).
+    /// (diagnostic for structure-learning tests; the online drift
+    /// trigger's baseline equals it).
     ///
     /// # Panics
     /// Panics if the data arity differs from the network's.

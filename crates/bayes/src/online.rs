@@ -3,24 +3,27 @@
 //! log-likelihood drift trigger that recommends structure re-learning only
 //! when the data has actually moved.
 //!
-//! Batch fitting ([`BayesNet::fit`]) counts joint family occurrences over
-//! a full dataset and normalizes once. [`SuffStats`] keeps exactly those
-//! count tables alive between observations, so absorbing one new row is
-//! one counter increment plus one column renormalization per family —
-//! no retraining pass over historical data. Both paths share the
-//! family-table layout, so a network streamed one row at a time is
+//! Batch fitting ([`BayesNet::fit`]) is [`SuffStats::from_data`]: count
+//! joint family occurrences over a full dataset, then normalize once.
+//! [`SuffStats`] keeps exactly those count tables alive between
+//! observations, so absorbing one new row is one counter increment plus
+//! one column renormalization per family — no retraining pass over
+//! historical data. A network streamed one row at a time is therefore
 //! **bit-identical** to one fitted on the same rows in batch (pinned by
 //! tests).
 //!
-//! [`OnlineNet`] packages the counters with a live [`BayesNet`] and a
-//! BIC-flavored drift detector: it tracks an EWMA of per-row
-//! log₂-likelihood against the baseline recorded at the fit. A sustained
-//! drop means the current structure+parameters explain incoming data
-//! measurably worse — the "BIC delta" of keeping the stale model — and
-//! only then is the expensive re-fit recommended. The network keeps no
-//! rows: whoever owns the observation window re-fits from it.
+//! [`OnlineNet`] puts a fitted network online: it keeps the fit's counters
+//! and [`BayesNet`] live and adds a BIC-flavored drift detector that
+//! tracks an EWMA of per-row log₂-likelihood against the baseline
+//! recorded at the fit. A sustained drop means the current
+//! structure+parameters explain incoming data measurably worse — the
+//! "BIC delta" of keeping the stale model — and only then is the
+//! expensive re-fit recommended. The network keeps no rows: whoever owns
+//! the observation window re-fits from it. A network that is never
+//! updated needs none of this: it is just [`SuffStats::fit`]'s output.
 
 use crate::dataset::DiscreteData;
+use crate::factor::Factor;
 use crate::network::{BayesNet, BayesNetError, FamilyLayout};
 
 /// Per-family sufficient statistics for a fixed structure: the same count
@@ -38,14 +41,13 @@ impl SuffStats {
     /// Empty counters for the given structure.
     ///
     /// # Errors
-    /// Returns [`BayesNetError`] if the parent structure is malformed
-    /// (validated by fitting a zero-count network).
+    /// Returns [`BayesNetError`] if the parent structure is malformed or
+    /// a cardinality is zero.
     pub fn new(card: Vec<usize>, parents: Vec<Vec<usize>>) -> Result<Self, BayesNetError> {
-        // Validate structure via a zero-row batch fit (cheap, reuses the
-        // canonical checks).
-        let empty = DiscreteData::new(Vec::new(), card.clone())
-            .map_err(|_| BayesNetError::ArityMismatch)?;
-        BayesNet::fit(&empty, parents.clone(), 1.0)?;
+        if card.contains(&0) {
+            return Err(BayesNetError::ArityMismatch);
+        }
+        BayesNet::check_structure(&parents, card.len())?;
         let layouts: Vec<FamilyLayout> = (0..card.len())
             .map(|v| FamilyLayout::new(v, &parents[v], &card))
             .collect();
@@ -59,18 +61,19 @@ impl SuffStats {
         })
     }
 
-    /// Counters pre-filled from a dataset (the batch starting point).
+    /// Counters filled from a dataset (the batch starting point).
     ///
     /// # Errors
     /// Returns [`BayesNetError`] if the structure is malformed.
-    ///
-    /// # Panics
-    /// Panics if a data row's arity differs from `card`'s.
     pub fn from_data(data: &DiscreteData, parents: Vec<Vec<usize>>) -> Result<Self, BayesNetError> {
         let mut s = SuffStats::new(data.cardinalities().to_vec(), parents)?;
-        for row in data.rows() {
-            s.observe(row);
+        // Family by family, so each count table stays hot across the rows.
+        for (layout, counts) in s.layouts.iter().zip(&mut s.counts) {
+            for row in data.rows() {
+                counts[layout.index_of(row)] += 1.0;
+            }
         }
+        s.n_obs = data.n_rows() as u64;
         Ok(s)
     }
 
@@ -105,17 +108,18 @@ impl SuffStats {
         self.n_obs += 1;
     }
 
-    /// Fits a network from the current counters — bit-identical to
-    /// [`BayesNet::fit`] on the same rows (shared layout + normalization).
+    /// Fits a network from the current counters with Laplace smoothing
+    /// `alpha` — what [`BayesNet::fit`] returns on the same rows.
     pub fn fit(&self, alpha: f64) -> BayesNet {
-        let empty = DiscreteData::new(Vec::new(), self.card.clone()).expect("validated card");
-        let mut net =
-            BayesNet::fit(&empty, self.parents.clone(), alpha).expect("validated structure");
-        for (v, layout) in self.layouts.iter().enumerate() {
-            let values = layout.normalize(&self.counts[v], alpha);
-            net.cpt_mut(v).values_mut().copy_from_slice(&values);
-        }
-        net
+        let cpts = self
+            .layouts
+            .iter()
+            .zip(&self.counts)
+            .map(|(l, counts)| {
+                Factor::new(l.scope.clone(), l.scard.clone(), l.normalize(counts, alpha))
+            })
+            .collect();
+        BayesNet::from_cpts(self.card.clone(), self.parents.clone(), cpts)
     }
 
     /// log₂-likelihood of one complete row under `net`, read off the CPT
@@ -176,7 +180,7 @@ const RELEARN_BACKOFF: usize = 24;
 /// A Bayesian network maintained online: live CPTs backed by
 /// [`SuffStats`], plus the drift trigger that recommends a re-fit. The
 /// re-fit itself (fresh bins, structure and counters) is the owner's job:
-/// it builds a new network with [`OnlineNet::from_data`].
+/// it puts the new fit online with [`OnlineNet::new`].
 #[derive(Debug, Clone)]
 pub struct OnlineNet {
     alpha: f64,
@@ -189,17 +193,22 @@ pub struct OnlineNet {
 }
 
 impl OnlineNet {
-    /// A network fitted on `data` under the structure `parents` with
-    /// Laplace smoothing `alpha`; the drift baseline is the data's mean
-    /// row log₂-likelihood under the fitted network.
+    /// Puts a fit online: `net` is `stats.fit(alpha)`, and `stats` counted
+    /// the rows of `data`. The drift baseline is the data's mean row
+    /// log₂-likelihood under `net` — bit-identical to
+    /// [`BayesNet::mean_log2_likelihood`], read through the counters'
+    /// family layout.
     ///
     /// # Panics
-    /// Panics if `parents` is not a valid structure over `data`'s
-    /// variables.
-    pub fn from_data(data: &DiscreteData, parents: Vec<Vec<usize>>, alpha: f64) -> Self {
-        let stats = SuffStats::from_data(data, parents).expect("learned structure is valid");
-        let net = stats.fit(alpha);
-        let baseline_ll = net.mean_log2_likelihood(data);
+    /// Panics if `net` was fitted under a different structure or arity
+    /// than `stats`, or a row of `data` is out of range.
+    pub fn new(stats: SuffStats, net: BayesNet, data: &DiscreteData, alpha: f64) -> Self {
+        let total: f64 = data
+            .rows()
+            .iter()
+            .map(|row| stats.row_log2_likelihood(&net, row))
+            .sum();
+        let baseline_ll = total / data.n_rows().max(1) as f64;
         OnlineNet {
             alpha,
             stats,
@@ -317,12 +326,29 @@ mod tests {
         }
     }
 
+    fn online(data: &DiscreteData, parents: Vec<Vec<usize>>) -> OnlineNet {
+        let stats = SuffStats::from_data(data, parents).unwrap();
+        let net = stats.fit(1.0);
+        OnlineNet::new(stats, net, data, 1.0)
+    }
+
+    #[test]
+    fn drift_baseline_is_the_mean_row_likelihood() {
+        let data = DiscreteData::new(coupled_rows(300, 2, 0.2), vec![3, 3]).unwrap();
+        let net = online(&data, vec![vec![], vec![0]]);
+        assert_eq!(
+            net.baseline_ll,
+            net.net().mean_log2_likelihood(&data),
+            "the layout baseline must match the general path bit for bit"
+        );
+    }
+
     #[test]
     fn drift_trigger_fires_only_when_data_moves() {
         let pre = DiscreteData::new(coupled_rows(400, 3, 0.1), vec![3, 3]).unwrap();
         let parents = learn_order_hill_climb(&pre, &[0, 1], 2);
         assert_eq!(parents, vec![vec![], vec![0]], "the coupling is learned");
-        let mut net = OnlineNet::from_data(&pre, parents.clone(), 1.0);
+        let mut net = online(&pre, parents.clone());
 
         // Stationary continuation: no recommendation.
         let mut fired = false;
@@ -350,7 +376,7 @@ mod tests {
         // The owner's re-fit: a fresh network on the new regime's rows
         // starts from a zero drift signal and honours the backoff again.
         let post = DiscreteData::new(shifted, vec![3, 3]).unwrap();
-        let mut refit = OnlineNet::from_data(&post, parents, 1.0);
+        let mut refit = online(&post, parents);
         assert_eq!(refit.drift_bits(), 0.0, "a fit resets the baseline");
         for _ in 1..RELEARN_BACKOFF {
             assert!(!refit.observe(&[0, 0]), "backoff holds after a fit");

@@ -1,7 +1,7 @@
 //! **Drift adaptation** — frozen vs online profiling under
 //! non-stationary traffic: the evaluation for the versioned
 //! [`ProfileStore`] path (observation-driven snapshots, cold-start
-//! bootstrapping, drift-triggered re-learning).
+//! bootstrapping, re-learning at doubling milestones and on drift).
 //!
 //! Two scenarios, each run with the same workload under two schedulers
 //! that differ **only** in profile-update cadence:
@@ -9,8 +9,10 @@
 //! * **drift** — a Chain-like mix in which code-generation jobs speed up
 //!   to 0.3x their trained durations mid-run ([`DriftSpec`]). The frozen
 //!   profiler keeps predicting the old regime, so SRTF delays jobs that
-//!   are now short; the online store's drift trigger re-discretizes and
-//!   re-learns, restoring the cross-app ordering.
+//!   are now short; the online store re-discretizes and re-learns the
+//!   window, restoring the cross-app ordering. Most of those re-fits
+//!   come at the store's observation-count doublings: the likelihood
+//!   drift trigger rarely fires on a duration scale shift.
 //! * **cold_start** — a Mixed mix in which code generation is held out of
 //!   the training corpus entirely. The frozen profiler never learns it
 //!   (zero-work estimates forever); the online store bootstraps a profile

@@ -513,7 +513,6 @@ mod tests {
             backend: "cluster/least-loaded",
             regular_total: 2,
             regular_busy: 0,
-            dispatchable: jobs.iter().map(|j| j.ready_unstarted_tasks()).sum(),
             dispatchable_regular: jobs.iter().map(|j| j.ready_unstarted_by_class().0).sum(),
             dispatchable_llm: jobs.iter().map(|j| j.ready_unstarted_by_class().1).sum(),
             could_dispatch: true,

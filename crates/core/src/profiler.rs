@@ -6,6 +6,13 @@
 //! structure statistics for every dynamic placeholder (candidate-inclusion
 //! and inner-edge frequencies, feeding Eq. 4).
 //!
+//! One fit serves batch training and the online
+//! [`ProfileStore`](crate::store::ProfileStore) alike: an application's
+//! history (its duration rows and placeholder counters) is binned, its
+//! structure learned and its CPTs counted by the same function, so a
+//! store trained on a corpus holds the profiles [`Profiler::train`]
+//! learns from it, bit for bit.
+//!
 //! At runtime the profile answers three queries given the durations of the
 //! stages completed so far (the *evidence*):
 //!
@@ -14,14 +21,15 @@
 //! * joint posteriors over correlated stage sets (for Eq. 5/6);
 //! * the correlated-stage sets themselves via BN reachability (Eq. 1).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use llmsched_bayes::dataset::DiscreteData;
 use llmsched_bayes::discretize::Discretizer;
 use llmsched_bayes::network::{BayesNet, Evidence};
+use llmsched_bayes::online::SuffStats;
 use llmsched_bayes::structure::{learn_chow_liu, learn_order_hill_climb};
 use llmsched_dag::ids::{AppId, StageId};
-use llmsched_dag::job::JobSpec;
+use llmsched_dag::job::{DynOutcome, JobSpec, StageKind};
 use llmsched_dag::template::{Template, TemplateSet, TemplateStageKind};
 use llmsched_dag::time::SimDuration;
 use llmsched_sim::state::JobRt;
@@ -70,8 +78,8 @@ impl StructureLearner {
 
 /// Profiler configuration. Binning (≤ 6 intervals), smoothing (Laplace
 /// α = 1), structure size (≤ 2 parents) and LLM pricing
-/// ([`PER_TOKEN_B1`]) are constants shared with the online
-/// [`ProfileStore`](crate::store::ProfileStore), so both train alike.
+/// ([`PER_TOKEN_B1`]) are constants of the one fit that batch training
+/// and the online [`ProfileStore`](crate::store::ProfileStore) share.
 #[derive(Debug, Clone, Default)]
 pub struct ProfilerConfig {
     /// Structure learner.
@@ -79,7 +87,7 @@ pub struct ProfilerConfig {
 }
 
 /// Structure statistics of one dynamic placeholder (Eq. 4 inputs).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DynamicStats {
     /// `P(candidate c is instantiated)` per candidate index.
     pub candidate_freq: Vec<f64>,
@@ -129,48 +137,6 @@ pub struct AppProfile {
 }
 
 impl AppProfile {
-    /// Assembles `template`'s profile from learned parts — the one
-    /// constructor behind batch training and the online
-    /// [`ProfileStore`](crate::store::ProfileStore)'s snapshots. The LLM
-    /// stages and each placeholder's preceding LLM stage are read off the
-    /// template; `dyn_stats(d, n_candidates)` supplies placeholder `d`'s
-    /// structure statistics.
-    pub(crate) fn assemble(
-        template: &Template,
-        discretizers: Vec<Discretizer>,
-        net: BayesNet,
-        static_means: Vec<f64>,
-        mut dyn_stats: impl FnMut(StageId, usize) -> DynamicStats,
-    ) -> Self {
-        let is_llm = template
-            .stages()
-            .iter()
-            .map(|s| matches!(s.kind, TemplateStageKind::Llm))
-            .collect();
-        let mut dynamic = HashMap::new();
-        let mut dynamic_preceding = HashMap::new();
-        for d in template.dynamic_stages() {
-            let TemplateStageKind::Dynamic {
-                candidates,
-                preceding_llm,
-            } = &template.stage(d).kind
-            else {
-                unreachable!("dynamic_stages() only returns dynamic stages");
-            };
-            dynamic.insert(d, dyn_stats(d, candidates.len()));
-            dynamic_preceding.insert(d, *preceding_llm);
-        }
-        AppProfile {
-            app: template.app(),
-            discretizers,
-            net,
-            static_means,
-            is_llm,
-            dynamic,
-            dynamic_preceding,
-        }
-    }
-
     /// The application this profile describes.
     pub fn app(&self) -> AppId {
         self.app
@@ -256,23 +222,21 @@ pub struct Profiler {
 }
 
 impl Profiler {
-    /// Trains profiles for every template from a historical corpus.
+    /// Trains profiles for every template from a historical corpus: each
+    /// application's jobs go into one unbounded history, which is then
+    /// fitted once.
     ///
     /// Jobs of applications absent from `templates` are ignored;
     /// applications without training jobs get no profile (the scheduler
     /// falls back to zero estimates for them).
     pub fn train(templates: &TemplateSet, corpus: &[JobSpec], cfg: &ProfilerConfig) -> Self {
-        let mut by_app: HashMap<AppId, Vec<&JobSpec>> = HashMap::new();
-        for j in corpus {
-            if templates.get(j.app()).is_some() {
-                by_app.entry(j.app()).or_default().push(j);
-            }
-        }
-        let mut profiles = HashMap::new();
-        for (app, jobs) in by_app {
-            let template = templates.expect(app);
-            profiles.insert(app, train_one(template, &jobs, cfg));
-        }
+        let profiles = histories(templates, corpus, usize::MAX)
+            .into_iter()
+            .map(|(app, mut history)| {
+                let fit = fit_profile(templates.expect(app), &mut history, cfg.learner);
+                (app, fit.profile)
+            })
+            .collect();
         Profiler { profiles }
     }
 
@@ -299,93 +263,188 @@ impl Profiler {
     }
 }
 
-/// Running dynamic-placeholder structure counters: the sufficient
-/// statistics behind [`DynamicStats`], shared by batch training (counting
-/// a corpus) and the online store (incrementing per observation delta).
-#[derive(Debug, Clone)]
-pub(crate) struct DynCounts {
-    /// Per-candidate inclusion counts.
-    pub(crate) cand: Vec<u64>,
+/// Running structure counters of one dynamic placeholder: the
+/// sufficient statistics behind [`DynamicStats`].
+#[derive(Debug, Clone, Default)]
+struct DynCounts {
+    /// Per-candidate inclusion counts (grown to the largest index seen).
+    cand: Vec<u64>,
     /// Inner-edge counts keyed by candidate pair.
-    pub(crate) edges: HashMap<(usize, usize), u64>,
+    edges: HashMap<(usize, usize), u64>,
 }
 
 impl DynCounts {
-    pub(crate) fn new(n_candidates: usize) -> Self {
-        DynCounts {
-            cand: vec![0; n_candidates],
-            edges: HashMap::new(),
-        }
-    }
-
-    /// Counts one training job's realized structure under placeholder `d`.
-    pub(crate) fn observe_job(&mut self, job: &JobSpec, d: StageId) {
-        let mut cand_of_stage: HashMap<u32, usize> = HashMap::new();
-        for &g in job.children_of_dynamic(d) {
-            if let Some(c) = job.stage(g).candidate {
-                if c < self.cand.len() {
-                    self.cand[c] += 1;
-                    cand_of_stage.insert(g.0, c);
+    fn count(&mut self, outcome: DynOutcome) {
+        match outcome {
+            DynOutcome::Candidate(c) => {
+                let c = c as usize;
+                if c >= self.cand.len() {
+                    self.cand.resize(c + 1, 0);
                 }
+                self.cand[c] += 1;
             }
-        }
-        for &(u, v) in job.generated_edges() {
-            if let (Some(&cu), Some(&cv)) = (cand_of_stage.get(&u.0), cand_of_stage.get(&v.0)) {
-                *self.edges.entry((cu, cv)).or_insert(0) += 1;
+            DynOutcome::Edge(from, to) => {
+                *self.edges.entry((from as usize, to as usize)).or_insert(0) += 1;
             }
         }
     }
 
-    /// Normalizes the counters into frequencies over `n_jobs` observed
-    /// jobs.
-    pub(crate) fn stats(&self, n_jobs: usize) -> DynamicStats {
+    /// Normalizes the counters into frequencies of `n_candidates`
+    /// candidates over `n_jobs` observed jobs.
+    fn stats(&self, n_candidates: usize, n_jobs: usize) -> DynamicStats {
+        let freq = |c: u64| c as f64 / n_jobs as f64;
         DynamicStats {
-            candidate_freq: self
-                .cand
-                .iter()
-                .map(|&c| c as f64 / n_jobs as f64)
+            candidate_freq: (0..n_candidates)
+                .map(|c| freq(self.cand.get(c).copied().unwrap_or(0)))
                 .collect(),
-            edge_freq: self
-                .edges
-                .iter()
-                .map(|(&k, &c)| (k, c as f64 / n_jobs as f64))
-                .collect(),
+            edge_freq: self.edges.iter().map(|(&k, &c)| (k, freq(c))).collect(),
             n_samples: n_jobs,
         }
     }
 }
 
-fn train_one(template: &Template, jobs: &[&JobSpec], cfg: &ProfilerConfig) -> AppProfile {
-    let n = template.len();
-    // Duration matrix: one row per job, one column per template stage
-    // (placeholders aggregate generated work; unexecuted stages are 0 s).
-    let samples: Vec<Vec<f64>> = jobs
-        .iter()
-        .map(|j| j.template_stage_durations_secs(PER_TOKEN_B1))
+/// A historical job as one observation: its template-stage durations at
+/// batch-1 pricing and every placeholder's structural outcome — what the
+/// engine's observation deltas carry for a completed job.
+pub(crate) fn observation(job: &JobSpec) -> (Vec<f64>, Vec<(StageId, DynOutcome)>) {
+    let outcomes = (0..job.template_len() as u32)
+        .map(StageId)
+        .filter(|&d| job.stage(d).kind == StageKind::DynamicPlaceholder)
+        .flat_map(|d| job.dynamic_outcome(d).map(move |o| (d, o)))
         .collect();
-    let (discretizers, data) = DiscreteData::discretize(&samples, MAX_BINS);
-    let parents = cfg.learner.learn(&data, template);
-    let net = BayesNet::fit(&data, parents, LAPLACE_ALPHA).expect("learned structure is valid");
+    (job.template_stage_durations_secs(PER_TOKEN_B1), outcomes)
+}
 
-    let static_means: Vec<f64> = (0..n)
-        .map(|s| {
-            let col: Vec<f64> = samples.iter().map(|r| r[s]).collect();
-            llmsched_bayes::stats::mean(&col)
-        })
-        .collect();
-    AppProfile::assemble(
-        template,
-        discretizers,
-        net,
-        static_means,
-        |d, n_candidates| {
-            let mut counts = DynCounts::new(n_candidates);
-            for j in jobs {
-                counts.observe_job(j, d);
+/// One application's training history: the window of duration rows a fit
+/// learns from (each push names the window's cap), their running sums
+/// (the static means) and the placeholder counters. Batch training fills
+/// an unbounded one from the corpus; the online
+/// [`ProfileStore`](crate::store::ProfileStore) keeps one per app.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct AppHistory {
+    /// Template-stage duration rows (seconds), oldest first.
+    rows: VecDeque<Vec<f64>>,
+    /// Running per-stage sums over `rows`.
+    sums: Vec<f64>,
+    /// Structure counters per placeholder (cumulative: never evicted).
+    dynamic: HashMap<StageId, DynCounts>,
+    /// Jobs pushed (cumulative): the `n` behind the placeholder
+    /// frequencies.
+    pub(crate) n_obs: u64,
+}
+
+impl AppHistory {
+    /// Appends one job's observation, first evicting the oldest row if
+    /// the window already holds `cap`.
+    pub(crate) fn push(&mut self, row: Vec<f64>, outcomes: &[(StageId, DynOutcome)], cap: usize) {
+        if self.rows.len() >= cap {
+            let old = self.rows.pop_front().expect("non-empty");
+            for (s, x) in old.into_iter().enumerate() {
+                self.sums[s] -= x;
             }
-            counts.stats(jobs.len().max(1))
-        },
-    )
+        }
+        self.sums.resize(row.len(), 0.0);
+        for (s, &x) in row.iter().enumerate() {
+            self.sums[s] += x;
+        }
+        self.rows.push_back(row);
+        for &(d, o) in outcomes {
+            self.dynamic.entry(d).or_default().count(o);
+        }
+        self.n_obs += 1;
+    }
+
+    /// Rows in the window.
+    pub(crate) fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// `template`'s profile from this history under learned bins and
+    /// network. The LLM stages and each placeholder's preceding LLM stage
+    /// are read off the template.
+    pub(crate) fn profile(
+        &self,
+        template: &Template,
+        discretizers: Vec<Discretizer>,
+        net: BayesNet,
+    ) -> AppProfile {
+        let n = self.rows.len().max(1) as f64;
+        let n_jobs = self.n_obs.max(1) as usize;
+        let is_llm = template
+            .stages()
+            .iter()
+            .map(|s| matches!(s.kind, TemplateStageKind::Llm))
+            .collect();
+        let mut dynamic = HashMap::new();
+        let mut dynamic_preceding = HashMap::new();
+        for d in template.dynamic_stages() {
+            let TemplateStageKind::Dynamic {
+                candidates,
+                preceding_llm,
+            } = &template.stage(d).kind
+            else {
+                unreachable!("dynamic_stages() only returns dynamic stages");
+            };
+            let stats = match self.dynamic.get(&d) {
+                Some(counts) => counts.stats(candidates.len(), n_jobs),
+                None => DynCounts::default().stats(candidates.len(), n_jobs),
+            };
+            dynamic.insert(d, stats);
+            dynamic_preceding.insert(d, *preceding_llm);
+        }
+        AppProfile {
+            app: template.app(),
+            discretizers,
+            net,
+            static_means: self.sums.iter().map(|&s| s / n).collect(),
+            is_llm,
+            dynamic,
+            dynamic_preceding,
+        }
+    }
+}
+
+/// Each application's history of `corpus`, in windows of `cap` rows.
+/// Jobs of applications absent from `templates` are ignored.
+pub(crate) fn histories(
+    templates: &TemplateSet,
+    corpus: &[JobSpec],
+    cap: usize,
+) -> HashMap<AppId, AppHistory> {
+    let mut out: HashMap<AppId, AppHistory> = HashMap::new();
+    for job in corpus.iter().filter(|j| templates.get(j.app()).is_some()) {
+        let (row, outcomes) = observation(job);
+        out.entry(job.app()).or_default().push(row, &outcomes, cap);
+    }
+    out
+}
+
+/// A fitted profile, with what an online learner resumes from.
+pub(crate) struct Fit {
+    pub(crate) profile: AppProfile,
+    /// The window binned under the profile's discretizers.
+    pub(crate) data: DiscreteData,
+    /// The count tables the profile's network was fitted from.
+    pub(crate) stats: SuffStats,
+}
+
+/// The one profile fit, batch and online: bins `history`'s window, learns
+/// the parents with `learner`, counts and normalizes the CPTs through
+/// [`SuffStats`] (as [`BayesNet::fit`] does) and assembles the profile.
+pub(crate) fn fit_profile(
+    template: &Template,
+    history: &mut AppHistory,
+    learner: StructureLearner,
+) -> Fit {
+    let (discretizers, data) = DiscreteData::discretize(history.rows.make_contiguous(), MAX_BINS);
+    let parents = learner.learn(&data, template);
+    let stats = SuffStats::from_data(&data, parents).expect("learned structure is valid");
+    let net = stats.fit(LAPLACE_ALPHA);
+    Fit {
+        profile: history.profile(template, discretizers, net),
+        data,
+        stats,
+    }
 }
 
 #[cfg(test)]

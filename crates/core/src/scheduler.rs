@@ -1130,7 +1130,7 @@ impl Scheduler for LlmSched {
     }
 
     fn schedule(&mut self, ctx: &SchedContext<'_>) -> Preference {
-        if ctx.dispatchable == 0 {
+        if ctx.dispatchable_regular + ctx.dispatchable_llm == 0 {
             // Nothing could start, so Algorithm 1 would emit nothing and
             // draw nothing (every ready set is empty, so the ε-merge runs
             // zero steps). Deferring the profile absorb / belief sync to

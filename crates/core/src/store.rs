@@ -17,36 +17,38 @@
 //! [`SchedDelta::JobCompleted`] closes the row. Between full re-fits the
 //! Bayesian network absorbs each row in O(1) per CPT family via
 //! [`OnlineNet`]'s sufficient-statistic counters; re-discretization and
-//! structure re-learning run only when the drift trigger fires, when the
-//! observation count doubles, or when a cold-start application first
-//! accumulates enough history to bootstrap from its Laplace prior.
+//! structure re-learning run only when a cold-start application first
+//! accumulates enough history to bootstrap from its Laplace prior, when
+//! the observation count doubles, or when the drift trigger fires.
 //!
-//! The store's bounded row window is the only observation window: every
-//! re-fit re-bins it and builds a fresh [`OnlineNet`] from it, and the
+//! Each re-fit is the batch profiler's one fit over the app's bounded row
+//! window and placeholder counters; only the store then puts the fitted
+//! network online ([`OnlineNet::new`]: live counters plus the drift
+//! baseline), so frozen training never pays for the baseline. The
 //! network's drift trigger ([`OnlineNet::observe`]) is the only backoff.
-//! Binning, smoothing, structure size and LLM pricing are the batch
-//! profiler's constants (`MAX_BINS`, `MAX_PARENTS`, `LAPLACE_ALPHA`,
-//! [`PER_TOKEN_B1`]), so streaming training equals batch training by
-//! construction.
+//! [`ProfileStore::train`] fills the windows from the corpus and fits
+//! each app once, publishing version 1, so a trained store holds exactly
+//! the profiles [`Profiler::train`] learns from a corpus that fits in the
+//! window.
 //!
 //! The [`ProfileUpdate`] cadence knob makes the whole subsystem opt-in:
 //! [`ProfileUpdate::Frozen`] (the default) ignores observations entirely
 //! and reproduces the classic frozen-profiler behavior bit-for-bit —
 //! pinned by the golden schedules in `tests/incremental_equiv.rs`.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use llmsched_bayes::dataset::DiscreteData;
 use llmsched_bayes::discretize::Discretizer;
 use llmsched_bayes::online::OnlineNet;
 use llmsched_dag::ids::{AppId, JobId, StageId};
-use llmsched_dag::job::JobSpec;
-use llmsched_dag::template::{Template, TemplateSet, TemplateStageKind};
+use llmsched_dag::job::{DynOutcome, JobSpec};
+use llmsched_dag::template::{Template, TemplateSet};
 use llmsched_sim::scheduler::SchedDelta;
 
 use crate::profiler::{
-    AppProfile, DynCounts, Profiler, StructureLearner, LAPLACE_ALPHA, MAX_BINS, PER_TOKEN_B1,
+    fit_profile, histories, observation, AppHistory, AppProfile, Profiler, StructureLearner,
+    LAPLACE_ALPHA,
 };
 
 /// Cold-start bootstrap threshold: observed jobs before an app with no
@@ -152,39 +154,16 @@ struct Learner {
 }
 
 /// Per-application store state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct AppEntry {
     version: u64,
     profile: Option<Arc<AppProfile>>,
-    /// Continuous duration rows (template-stage seconds), bounded window.
-    rows: VecDeque<Vec<f64>>,
-    /// Running per-stage sums over `rows` (windowed static means).
-    sums: Vec<f64>,
+    /// The bounded row window and placeholder counters re-fits learn from.
+    history: AppHistory,
     learner: Option<Learner>,
-    /// Dynamic-placeholder structure counters (cumulative).
-    dyn_counts: HashMap<StageId, DynCounts>,
-    /// Jobs observed per placeholder (the `n` behind the frequencies).
-    dyn_jobs: HashMap<StageId, u64>,
-    n_obs: u64,
     /// Next observation-count milestone forcing a re-fit (doubling
     /// schedule: bins and structure refine as history grows).
     next_milestone: u64,
-}
-
-impl AppEntry {
-    fn fresh(n_stages: usize) -> Self {
-        AppEntry {
-            version: 0,
-            profile: None,
-            rows: VecDeque::new(),
-            sums: vec![0.0; n_stages],
-            learner: None,
-            dyn_counts: HashMap::new(),
-            dyn_jobs: HashMap::new(),
-            n_obs: 0,
-            next_milestone: u64::MAX,
-        }
-    }
 }
 
 /// A job's observation row being assembled from the delta stream.
@@ -192,8 +171,7 @@ impl AppEntry {
 struct PendingJob {
     app: Option<AppId>,
     durs: Vec<(u32, f64)>,
-    cands: Vec<(StageId, u32)>,
-    edges: Vec<(StageId, u32, u32)>,
+    outcomes: Vec<(StageId, DynOutcome)>,
 }
 
 /// The versioned, observation-driven profile store.
@@ -237,7 +215,7 @@ impl ProfileStore {
                 let entry = AppEntry {
                     version: 1,
                     profile: Some(Arc::new(p.clone())),
-                    ..AppEntry::fresh(p.n_stages())
+                    ..AppEntry::default()
                 };
                 (app, entry)
             })
@@ -251,34 +229,29 @@ impl ProfileStore {
         }
     }
 
-    /// Trains from a historical corpus **through the streaming path**:
-    /// every job is absorbed one observation at a time (seeding windows,
-    /// sufficient statistics and dynamic counters), then each app re-fits
-    /// and publishes a snapshot (version 1 under [`ProfileUpdate::Frozen`];
-    /// a per-completion store has already published once per corpus row
-    /// after the bootstrap). With the corpus inside the window this
-    /// produces the same discretizers, structure and CPTs as
-    /// [`Profiler::train`] — pinned by tests — while leaving the store
-    /// ready to keep learning online.
+    /// Trains from a historical corpus: each app's jobs fill its window
+    /// and placeholder counters with no re-fit or publish along the way,
+    /// then each app is fitted once and published as version 1, whatever
+    /// the cadence. With the corpus inside the window the profiles equal
+    /// [`Profiler::train`]'s bit for bit — pinned by tests — and the store
+    /// is ready to keep learning online.
     ///
     /// # Panics
     /// Panics with the field's [`ProfileStoreConfigError`] if
     /// [`ProfileStoreConfig::validate`] rejects `cfg`.
     pub fn train(templates: &TemplateSet, corpus: &[JobSpec], cfg: ProfileStoreConfig) -> Self {
         let mut store = ProfileStore::empty(cfg);
-        for job in corpus {
-            if let Some(t) = templates.get(job.app()) {
-                store.ingest_job_spec(t, job);
-            }
-        }
-        let apps: Vec<AppId> = store.apps.keys().copied().collect();
-        for app in apps {
-            if let Some(t) = templates.get(app) {
-                let entry = store.apps.get_mut(&app).expect("just listed");
-                refit(entry, t);
-                publish(entry, t);
-            }
-        }
+        store.apps = histories(templates, corpus, store.cfg.window_cap)
+            .into_iter()
+            .map(|(app, history)| {
+                let mut entry = AppEntry {
+                    history,
+                    ..AppEntry::default()
+                };
+                refit(&mut entry, templates.expect(app));
+                (app, entry)
+            })
+            .collect();
         store.pristine = store.apps.clone();
         store
     }
@@ -315,7 +288,7 @@ impl ProfileStore {
 
     /// Observations absorbed for `app` so far.
     pub fn observations(&self, app: AppId) -> u64 {
-        self.apps.get(&app).map_or(0, |e| e.n_obs)
+        self.apps.get(&app).map_or(0, |e| e.history.n_obs)
     }
 
     /// Restores construction-time state (scheduler reset): trained
@@ -353,8 +326,8 @@ impl ProfileStore {
                 self.pending
                     .entry(job)
                     .or_default()
-                    .cands
-                    .push((placeholder, candidate));
+                    .outcomes
+                    .push((placeholder, DynOutcome::Candidate(candidate)));
             }
             SchedDelta::DynEdgeObserved {
                 job,
@@ -365,8 +338,8 @@ impl ProfileStore {
                 self.pending
                     .entry(job)
                     .or_default()
-                    .edges
-                    .push((placeholder, from, to));
+                    .outcomes
+                    .push((placeholder, DynOutcome::Edge(from, to)));
             }
             SchedDelta::JobCompleted { job } => {
                 if let Some(p) = self.pending.remove(&job) {
@@ -399,11 +372,7 @@ impl ProfileStore {
                     row[s as usize] = d;
                 }
             }
-            let dyn_obs = DynObs {
-                cands: &p.cands,
-                edges: &p.edges,
-            };
-            if self.ingest(template, row, dyn_obs) {
+            if self.ingest(template, row, &p.outcomes) {
                 bumped.push(app);
             }
         }
@@ -420,78 +389,20 @@ impl ProfileStore {
         if self.cfg.update == ProfileUpdate::Frozen {
             return false;
         }
-        self.ingest_job_spec(template, job)
+        let (row, outcomes) = observation(job);
+        self.ingest(template, row, &outcomes)
     }
 
-    fn ingest_job_spec(&mut self, template: &Template, job: &JobSpec) -> bool {
-        let row = job.template_stage_durations_secs(PER_TOKEN_B1);
-        let entry = self
-            .apps
-            .entry(template.app())
-            .or_insert_with(|| AppEntry::fresh(template.len()));
-        for d in template.dynamic_stages() {
-            let TemplateStageKind::Dynamic { candidates, .. } = &template.stage(d).kind else {
-                unreachable!("dynamic_stages() only returns dynamic stages");
-            };
-            entry
-                .dyn_counts
-                .entry(d)
-                .or_insert_with(|| DynCounts::new(candidates.len()))
-                .observe_job(job, d);
-            *entry.dyn_jobs.entry(d).or_insert(0) += 1;
-        }
-        self.ingest_prepared(template, row)
-    }
-
-    /// Shared ingest for delta-assembled rows.
-    fn ingest(&mut self, template: &Template, row: Vec<f64>, dyn_obs: DynObs<'_>) -> bool {
-        let entry = self
-            .apps
-            .entry(template.app())
-            .or_insert_with(|| AppEntry::fresh(template.len()));
-        for d in template.dynamic_stages() {
-            let TemplateStageKind::Dynamic { candidates, .. } = &template.stage(d).kind else {
-                unreachable!("dynamic_stages() only returns dynamic stages");
-            };
-            let counts = entry
-                .dyn_counts
-                .entry(d)
-                .or_insert_with(|| DynCounts::new(candidates.len()));
-            for &(ph, c) in dyn_obs.cands {
-                if ph == d && (c as usize) < counts.cand.len() {
-                    counts.cand[c as usize] += 1;
-                }
-            }
-            for &(ph, from, to) in dyn_obs.edges {
-                if ph == d {
-                    *counts
-                        .edges
-                        .entry((from as usize, to as usize))
-                        .or_insert(0) += 1;
-                }
-            }
-            *entry.dyn_jobs.entry(d).or_insert(0) += 1;
-        }
-        self.ingest_prepared(template, row)
-    }
-
-    /// Window + learner update for one prepared row, then the cadence
-    /// decision. Returns whether a snapshot was published.
-    fn ingest_prepared(&mut self, template: &Template, row: Vec<f64>) -> bool {
-        let entry = self
-            .apps
-            .get_mut(&template.app())
-            .expect("entry created by caller");
-        if entry.rows.len() >= self.cfg.window_cap {
-            let old = entry.rows.pop_front().expect("non-empty");
-            for (s, x) in old.into_iter().enumerate() {
-                entry.sums[s] -= x;
-            }
-        }
-        for (s, &x) in row.iter().enumerate() {
-            entry.sums[s] += x;
-        }
-        entry.n_obs += 1;
+    /// Absorbs one live observation into the app's learner and history,
+    /// then re-fits or publishes per the cadence. Returns whether a
+    /// snapshot was published.
+    fn ingest(
+        &mut self,
+        template: &Template,
+        row: Vec<f64>,
+        outcomes: &[(StageId, DynOutcome)],
+    ) -> bool {
+        let entry = self.apps.entry(template.app()).or_default();
         // Bin the row for the learner before it moves into the window.
         let drift = entry.learner.as_mut().map(|l| {
             let binned: Vec<usize> = row
@@ -501,40 +412,41 @@ impl ProfileStore {
                 .collect();
             l.net.observe(&binned)
         });
-        entry.rows.push_back(row);
+        entry.history.push(row, outcomes, self.cfg.window_cap);
 
         let want_refit = match drift {
             // The learner's drift trigger carries the re-fit backoff.
-            Some(drift) => drift || entry.n_obs == entry.next_milestone,
+            Some(drift) => drift || entry.history.n_obs == entry.next_milestone,
             // Cold-start bootstrap: first profile learned from the
             // Laplace-smoothed window.
-            None => entry.rows.len() >= MIN_JOBS,
+            None => entry.history.len() >= MIN_JOBS,
         };
         if want_refit {
             refit(entry, template);
+            return true;
         }
-
-        self.cfg.update == ProfileUpdate::PerCompletion && publish(entry, template)
+        publish(entry, template)
     }
 }
 
-/// Borrowed dynamic-structure observations of one finalized job.
-struct DynObs<'a> {
-    cands: &'a [(StageId, u32)],
-    edges: &'a [(StageId, u32, u32)],
-}
-
-/// Re-discretizes the window, re-learns structure (order-constrained BIC
-/// hill-climb) and rebuilds the streaming learner from the window rows.
+/// Fits the app's window and counters (order-constrained BIC hill-climb),
+/// puts the network online for the live rows that follow and publishes
+/// the fit.
 fn refit(entry: &mut AppEntry, template: &Template) {
-    if entry.rows.is_empty() {
-        return;
-    }
-    let (disc, data) = DiscreteData::discretize(entry.rows.make_contiguous(), MAX_BINS);
-    let parents = StructureLearner::HillClimb.learn(&data, template);
-    let net = OnlineNet::from_data(&data, parents, LAPLACE_ALPHA);
-    entry.learner = Some(Learner { disc, net });
-    entry.next_milestone = entry.n_obs.saturating_mul(2);
+    let fit = fit_profile(template, &mut entry.history, StructureLearner::HillClimb);
+    let net = OnlineNet::new(
+        fit.stats,
+        fit.profile.net().clone(),
+        &fit.data,
+        LAPLACE_ALPHA,
+    );
+    entry.learner = Some(Learner {
+        disc: fit.profile.discretizers().to_vec(),
+        net,
+    });
+    entry.next_milestone = entry.history.n_obs.saturating_mul(2);
+    entry.profile = Some(Arc::new(fit.profile));
+    entry.version += 1;
 }
 
 /// Publishes a new immutable snapshot from the live learner state.
@@ -544,21 +456,9 @@ fn publish(entry: &mut AppEntry, template: &Template) -> bool {
     let Some(l) = &entry.learner else {
         return false;
     };
-    let n = entry.rows.len().max(1) as f64;
-    let static_means: Vec<f64> = entry.sums.iter().map(|&s| s / n).collect();
-    let profile = AppProfile::assemble(
-        template,
-        l.disc.clone(),
-        l.net.net().clone(),
-        static_means,
-        |d, n_candidates| {
-            let n_jobs = entry.dyn_jobs.get(&d).copied().unwrap_or(0).max(1) as usize;
-            match entry.dyn_counts.get(&d) {
-                Some(counts) => counts.stats(n_jobs),
-                None => DynCounts::new(n_candidates).stats(n_jobs),
-            }
-        },
-    );
+    let profile = entry
+        .history
+        .profile(template, l.disc.clone(), l.net.net().clone());
     entry.profile = Some(Arc::new(profile));
     entry.version += 1;
     true
@@ -568,7 +468,12 @@ fn publish(entry: &mut AppEntry, template: &Template) -> bool {
 mod tests {
     use super::*;
     use crate::profiler::ProfilerConfig;
+    use crate::scheduler::{LlmSched, LlmSchedConfig};
+    use llmsched_dag::time::SimTime;
+    use llmsched_sim::engine::simulate;
     use llmsched_workloads::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn online_cfg() -> ProfileStoreConfig {
         ProfileStoreConfig {
@@ -600,28 +505,92 @@ mod tests {
         assert_eq!(store.observations(app), 0);
     }
 
+    /// Bins, parents, CPT values, static means and placeholder stats
+    /// equal bit for bit.
+    fn assert_same_profile(a: &AppProfile, b: &AppProfile, what: &str) {
+        assert_eq!(a.discretizers(), b.discretizers(), "{what}: bins");
+        assert_eq!(a.net().parents(), b.net().parents(), "{what}: parents");
+        for (v, (ca, cb)) in a.net().cpts().iter().zip(b.net().cpts()).enumerate() {
+            assert_eq!(ca.values(), cb.values(), "{what}: stage {v} CPT");
+        }
+        for v in 0..a.n_stages() {
+            let s = StageId(v as u32);
+            assert_eq!(
+                a.static_mean(s).to_bits(),
+                b.static_mean(s).to_bits(),
+                "{what}: stage {v} static mean"
+            );
+            assert_eq!(
+                a.dynamic_stats(s),
+                b.dynamic_stats(s),
+                "{what}: stage {v} placeholder stats"
+            );
+        }
+    }
+
     #[test]
     fn streaming_train_matches_batch_profiler() {
         let templates = all_templates();
-        let corpus = training_jobs(&[AppKind::SequenceSorting], 120, 9);
-        let cfg = ProfilerConfig::default();
-        let batch = Profiler::train(&templates, &corpus, &cfg);
-        let store = ProfileStore::train(&templates, &corpus, online_cfg());
-
-        let app = AppKind::SequenceSorting.app_id();
-        let b = batch.profile(app).unwrap();
-        let s = store.profile(app).unwrap();
-        assert_eq!(b.net().parents(), s.net().parents(), "same structure");
-        assert_eq!(b.discretizers(), s.discretizers(), "same bins");
-        let e = llmsched_bayes::network::Evidence::new();
-        for v in 0..b.n_stages() {
-            let pb = b.net().posterior_marginal(v, &e);
-            let ps = s.net().posterior_marginal(v, &e);
-            for (x, y) in pb.iter().zip(&ps) {
-                assert!((x - y).abs() < 1e-12, "stage {v} CPT diverged: {x} vs {y}");
+        // TaskAutomation carries a dynamic placeholder, SequenceSorting none.
+        for kind in [AppKind::SequenceSorting, AppKind::TaskAutomation] {
+            let app = kind.app_id();
+            let corpus = training_jobs(&[kind], 120, 9);
+            let batch = Profiler::train(&templates, &corpus, &ProfilerConfig::default());
+            let store = ProfileStore::train(&templates, &corpus, online_cfg());
+            let b = batch.profile(app).unwrap();
+            assert_same_profile(b, store.profile(app).unwrap(), kind.name());
+            if kind == AppKind::TaskAutomation {
+                let stats = b.dynamic_stats(StageId(1)).expect("placeholder stats");
+                assert!(!stats.edge_freq.is_empty(), "inner edges are compared too");
             }
-            assert!(
-                (b.static_mean(StageId(v as u32)) - s.static_mean(StageId(v as u32))).abs() < 1e-9
+
+            // The same jobs through the engine: the store counts the
+            // placeholder outcomes the observation deltas carry. A late
+            // job of another app flushes the last completion's deltas.
+            let mut jobs = corpus.clone();
+            jobs.push(AppKind::DocumentMerging.generator().generate(
+                JobId(jobs.len() as u64),
+                SimTime::from_secs_f64(1e6),
+                &mut StdRng::seed_from_u64(1),
+            ));
+            let mut sched =
+                LlmSched::with_store(ProfileStore::empty(online_cfg()), LlmSchedConfig::default());
+            let cluster = WorkloadKind::Mixed.default_cluster();
+            let r = simulate(&cluster, &templates, jobs, &mut sched);
+            assert_eq!(r.incomplete, 0);
+            let mut live = sched.profile_store().clone();
+            live.absorb(&templates);
+            assert_eq!(live.observations(app), corpus.len() as u64);
+            let l = live.profile(app).unwrap();
+            for v in 0..b.n_stages() {
+                let s = StageId(v as u32);
+                assert_eq!(b.dynamic_stats(s), l.dynamic_stats(s), "stage {v} stats");
+                // Summed in completion order, not corpus order.
+                let (mb, ml) = (b.static_mean(s), l.static_mean(s));
+                assert!(
+                    (mb - ml).abs() <= 1e-9 * mb.max(1.0),
+                    "stage {v}: {mb} vs {ml}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn per_completion_train_fits_once_at_version_one() {
+        let templates = all_templates();
+        let corpus = training_jobs(&AppKind::ALL, 100, 4);
+        let online = ProfileStore::train(&templates, &corpus, online_cfg());
+        let frozen = ProfileStore::train(&templates, &corpus, ProfileStoreConfig::default());
+        assert_eq!(online.len(), AppKind::ALL.len());
+        for kind in AppKind::ALL {
+            let app = kind.app_id();
+            // Streaming the corpus row by row would publish once per row
+            // from the 8-row bootstrap on, reaching version 94.
+            assert_eq!(online.version(app), ProfileVersion(1), "{}", kind.name());
+            assert_same_profile(
+                online.profile(app).unwrap(),
+                frozen.profile(app).unwrap(),
+                kind.name(),
             );
         }
     }

@@ -44,6 +44,17 @@ impl StageKind {
     }
 }
 
+/// One structural fact of a dynamic placeholder's realized expansion, in
+/// candidate terms (the Eq. 4 statistics count these).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum DynOutcome {
+    /// The candidate with this index was instantiated.
+    Candidate(u32),
+    /// An inner edge ran between two instantiated candidates
+    /// `(from, to)`.
+    Edge(u32, u32),
+}
+
 /// Ground truth for one stage of a job.
 #[derive(Debug, Clone)]
 pub struct StageSpec {
@@ -465,6 +476,30 @@ impl JobSpec {
         self.dyn_children.row(dynamic.index())
     }
 
+    /// The structural outcome of placeholder `dynamic`: one
+    /// [`DynOutcome::Candidate`] per generated stage, in stage order, then
+    /// one [`DynOutcome::Edge`] per generated edge between two of them,
+    /// in edge order. Empty for a stage that is not a placeholder.
+    pub fn dynamic_outcome(&self, dynamic: StageId) -> impl Iterator<Item = DynOutcome> + '_ {
+        let candidate = move |s: StageId| {
+            let s = self.stage(s);
+            if s.parent_dynamic == Some(dynamic) {
+                s.candidate.map(|c| c as u32)
+            } else {
+                None
+            }
+        };
+        let candidates = self
+            .children_of_dynamic(dynamic)
+            .iter()
+            .filter_map(move |&g| candidate(g).map(DynOutcome::Candidate));
+        let edges = self
+            .generated_edges()
+            .iter()
+            .filter_map(move |&(u, v)| Some(DynOutcome::Edge(candidate(u)?, candidate(v)?)));
+        candidates.chain(edges)
+    }
+
     /// The tasks of one stage, borrowed from the flat task arena.
     pub fn stage_tasks(&self, stage: StageId) -> &[TaskWork] {
         self.tasks.row(stage.index())
@@ -716,6 +751,22 @@ mod tests {
         );
         // Generated edges are the runtime-revealed ones.
         assert_eq!(j.generated_edges().len(), 5);
+    }
+
+    #[test]
+    fn dynamic_outcome_lists_candidates_then_inner_edges() {
+        let j = planning_job();
+        let outcome: Vec<DynOutcome> = j.dynamic_outcome(StageId(1)).collect();
+        // Of the five generated edges only g2 -> g3 joins two candidates.
+        assert_eq!(
+            outcome,
+            vec![
+                DynOutcome::Candidate(0),
+                DynOutcome::Candidate(1),
+                DynOutcome::Edge(0, 1)
+            ]
+        );
+        assert_eq!(j.dynamic_outcome(StageId(0)).count(), 0);
     }
 
     #[test]

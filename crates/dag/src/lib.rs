@@ -61,7 +61,7 @@ pub mod work;
 pub mod prelude {
     pub use crate::csr::{Csr, CsrDag};
     pub use crate::ids::{AppId, JobId, StageId, TaskId};
-    pub use crate::job::{JobSpec, JobSpecError, StageKind, StageSpec};
+    pub use crate::job::{DynOutcome, JobSpec, JobSpecError, StageKind, StageSpec};
     pub use crate::template::{
         Candidate, Template, TemplateBuilder, TemplateError, TemplateSet, TemplateStage,
         TemplateStageKind,

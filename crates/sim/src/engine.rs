@@ -31,7 +31,7 @@
 
 use llmsched_cluster::{ClusterSpec, ClusterSpecError};
 use llmsched_dag::ids::{AppId, JobId, StageId};
-use llmsched_dag::job::{JobSpec, StageKind};
+use llmsched_dag::job::{DynOutcome, JobSpec, StageKind};
 use llmsched_dag::template::TemplateSet;
 use llmsched_dag::time::SimTime;
 use llmsched_dag::work::{ExecutorClass, LlmWork, TaskWork};
@@ -266,12 +266,10 @@ struct Engine<'a> {
     now: SimTime,
     regular_busy: usize,
     llm: Box<dyn ExecutorBackend>,
-    /// Ready, unstarted tasks across active jobs — the dispatchable-work
-    /// count behind scheduler-invocation coalescing. Maintained
+    /// Ready, unstarted tasks across active jobs, by executor class
+    /// (regular / LLM): their sum drives scheduler-invocation coalescing,
+    /// the halves the capacity-aware elision predicate. Maintained
     /// incrementally at arrivals, dispatches and completion cascades.
-    ready_unstarted: usize,
-    /// `ready_unstarted` split by executor class (regular / LLM) — the
-    /// per-class halves of the capacity-aware elision predicate.
     ready_reg: usize,
     ready_llm: usize,
     /// Scheduler opportunities skipped because nothing was dispatchable.
@@ -415,7 +413,6 @@ fn run_checked(
         now: SimTime::ZERO,
         regular_busy: 0,
         llm,
-        ready_unstarted: 0,
         ready_reg: 0,
         ready_llm: 0,
         sched_skipped: 0,
@@ -531,22 +528,14 @@ impl Engine<'_> {
     /// deltas stay queued for the next real invocation, and the
     /// opportunity still consumes
     /// a sequence number so provenance streams align bit-for-bit with an
-    /// uncoalesced run (whose policies short-circuit on
-    /// `dispatchable == 0` and decide nothing). Under a policy that
+    /// uncoalesced run (whose policies short-circuit when no ready task
+    /// is unstarted and decide nothing). Under a policy that
     /// declares itself work-conserving ([`Scheduler::is_work_conserving`]),
     /// decision points whose ready work has no free executor of the
     /// matching class are elided the same way: the policy's
     /// `!could_dispatch` early-return guarantees the elided invocation
     /// would have decided nothing and touched no state.
     fn scheduler_opportunity(&mut self, scheduler: &mut dyn Scheduler) {
-        debug_assert_eq!(
-            self.ready_unstarted,
-            self.active
-                .iter()
-                .map(|&j| self.jobs[j as usize].ready_unstarted_tasks())
-                .sum::<usize>(),
-            "dispatchable-work counter drifted from ground truth"
-        );
         debug_assert_eq!(
             (self.ready_reg, self.ready_llm),
             self.active.iter().fold((0, 0), |(r, l), &j| {
@@ -560,7 +549,7 @@ impl Engine<'_> {
             self.llm.ledger().recount(),
             "slot-ledger totals drifted from the per-executor views"
         );
-        if self.cfg.coalescing && self.ready_unstarted == 0 {
+        if self.cfg.coalescing && self.ready_reg + self.ready_llm == 0 {
             self.sched_skipped += 1;
             return;
         }
@@ -702,7 +691,6 @@ impl Engine<'_> {
                 self.finalize_completion(job);
                 // The job's ready work becomes dispatchable only now.
                 let (reg, llm) = self.jobs[job].ready_unstarted_by_class();
-                self.ready_unstarted += reg + llm;
                 self.ready_reg += reg;
                 self.ready_llm += llm;
                 true
@@ -785,7 +773,6 @@ impl Engine<'_> {
         let (reg_after, llm_after) = self.jobs[job].ready_unstarted_by_class();
         self.ready_reg = self.ready_reg - reg_before + reg_after;
         self.ready_llm = self.ready_llm - llm_before + llm_after;
-        self.ready_unstarted = self.ready_reg + self.ready_llm;
     }
 
     /// Marks `stage` complete, propagates dependency counts, processes
@@ -869,8 +856,8 @@ impl Engine<'_> {
     /// [`SchedDelta::DynEdgeObserved`] per inner edge between them.
     /// Generated stages carry no BN variable and emit nothing of their
     /// own; their work aggregates into the placeholder's observation.
-    /// Candidate indices come straight off the stage specs (the CSR
-    /// children arena makes the old side-table rebuild unnecessary).
+    /// The outcome is [`JobSpec::dynamic_outcome`], the same one batch
+    /// training counts.
     fn emit_observations(&mut self, job: usize, stage: u32) {
         let sid = StageId(stage);
         if sid.index() >= self.jobs[job].spec.template_len() {
@@ -878,43 +865,24 @@ impl Engine<'_> {
         }
         let id = self.jobs[job].id();
         let app = self.jobs[job].app();
-        if self.jobs[job].spec.stage(sid).kind == StageKind::DynamicPlaceholder {
-            // Structural outcome: candidate inclusion + inner edges, in
-            // candidate terms (mirrors the profiler's training statistics).
-            let n_children = self.jobs[job].spec.children_of_dynamic(sid).len();
-            for k in 0..n_children {
-                let g = self.jobs[job].spec.children_of_dynamic(sid)[k];
-                let cand = self.jobs[job].spec.stage(g).candidate;
-                if let Some(c) = cand {
-                    self.emit(SchedDelta::DynCandidateObserved {
+        let spec = &self.jobs[job].spec;
+        if spec.stage(sid).kind == StageKind::DynamicPlaceholder {
+            // Structural outcome in candidate terms, as the profiler counts
+            // it. Pushed directly: `emit` coalesces task counts only.
+            self.deltas
+                .extend(spec.dynamic_outcome(sid).map(|o| match o {
+                    DynOutcome::Candidate(candidate) => SchedDelta::DynCandidateObserved {
                         job: id,
                         placeholder: sid,
-                        candidate: c as u32,
-                    });
-                }
-            }
-            let n_edges = self.jobs[job].spec.generated_edges().len();
-            for k in 0..n_edges {
-                let (u, v) = self.jobs[job].spec.generated_edges()[k];
-                let (pu, cu) = {
-                    let s = self.jobs[job].spec.stage(u);
-                    (s.parent_dynamic, s.candidate)
-                };
-                let (pv, cv) = {
-                    let s = self.jobs[job].spec.stage(v);
-                    (s.parent_dynamic, s.candidate)
-                };
-                if pu == Some(sid) && pv == Some(sid) {
-                    if let (Some(cu), Some(cv)) = (cu, cv) {
-                        self.emit(SchedDelta::DynEdgeObserved {
-                            job: id,
-                            placeholder: sid,
-                            from: cu as u32,
-                            to: cv as u32,
-                        });
-                    }
-                }
-            }
+                        candidate,
+                    },
+                    DynOutcome::Edge(from, to) => SchedDelta::DynEdgeObserved {
+                        job: id,
+                        placeholder: sid,
+                        from,
+                        to,
+                    },
+                }));
         }
         let nominal = self.jobs[job]
             .completed_nominal_secs(sid)
@@ -977,7 +945,6 @@ impl Engine<'_> {
                 backend: &self.backend_desc,
                 regular_total: self.cfg.regular_executors,
                 regular_busy: self.regular_busy,
-                dispatchable: self.ready_unstarted,
                 dispatchable_regular: self.ready_reg,
                 dispatchable_llm: self.ready_llm,
                 could_dispatch: self.could_dispatch(),
@@ -1092,7 +1059,6 @@ impl Engine<'_> {
         };
         let epoch = self.jobs[j].start_task(tr.stage.0, tr.task, None, self.now);
         self.regular_busy += 1;
-        self.ready_unstarted -= 1;
         self.ready_reg -= 1;
         self.emit(SchedDelta::TasksDispatched {
             job: tr.job,
@@ -1122,7 +1088,6 @@ impl Engine<'_> {
 
     fn start_llm(&mut self, j: usize, tr: &TaskRef, e: usize, work: LlmWork) {
         self.jobs[j].start_task(tr.stage.0, tr.task, Some(e as u32), self.now);
-        self.ready_unstarted -= 1;
         self.ready_llm -= 1;
         self.emit(SchedDelta::TasksDispatched {
             job: tr.job,

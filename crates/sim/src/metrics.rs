@@ -84,7 +84,7 @@ pub struct SimResult {
     /// calls — see [`SimResult::sched_elided`] for the full invariant.
     pub sched_skipped: u64,
     /// Scheduler opportunities elided by the capacity-aware check: work
-    /// was dispatchable in principle (`ready_unstarted > 0`) but no
+    /// was dispatchable in principle (a ready task was unstarted) but no
     /// executor of the matching class had a free slot, and the active
     /// policy declared itself work-conserving
     /// ([`Scheduler::is_work_conserving`](crate::scheduler::Scheduler)),

@@ -377,20 +377,19 @@ pub struct SchedContext<'a> {
     pub regular_total: usize,
     /// Currently busy regular executors.
     pub regular_busy: usize,
-    /// Number of ready, unstarted tasks across active jobs — the amount of
-    /// work a preference could actually start right now. Zero means this
-    /// invocation cannot dispatch anything; policies short-circuit on it
-    /// (and the engine's coalescing skips such invocations entirely when
+    /// Number of ready, unstarted tasks of regular-executor stages across
+    /// active jobs: the engine's running per-class count, so a policy
+    /// learns how much regular work could start without rescanning
+    /// (LLMSched caps its regular emission budget with it). With
+    /// [`SchedContext::dispatchable_llm`] it sums to the work a preference
+    /// could start right now. A zero sum means this invocation cannot
+    /// dispatch anything; policies short-circuit on it (and the engine's
+    /// coalescing skips such invocations entirely when
     /// [`ClusterConfig::coalescing`](crate::engine::ClusterConfig) is on),
     /// so policy state evolves identically either way.
-    pub dispatchable: usize,
-    /// [`SchedContext::dispatchable`] restricted to regular-executor
-    /// stages: the engine's running per-class count, so a policy learns
-    /// how much regular work could start without rescanning (LLMSched
-    /// caps its regular emission budget with it).
     pub dispatchable_regular: usize,
-    /// [`SchedContext::dispatchable`] restricted to LLM-executor stages
-    /// (LLMSched caps its LLM emission budget with it).
+    /// The ready, unstarted tasks of LLM-executor stages (LLMSched caps
+    /// its LLM emission budget with it).
     pub dispatchable_llm: usize,
     /// Engine-computed capacity verdict: true iff at least one ready,
     /// unstarted task could start *right now* — a free regular executor
@@ -636,7 +635,6 @@ mod tests {
             backend: "cluster/least-loaded",
             regular_total: 1,
             regular_busy: 0,
-            dispatchable: jobs.iter().map(|j| j.ready_unstarted_tasks()).sum(),
             dispatchable_regular: jobs.iter().map(|j| j.ready_unstarted_by_class().0).sum(),
             dispatchable_llm: jobs.iter().map(|j| j.ready_unstarted_by_class().1).sum(),
             could_dispatch: true,

@@ -411,19 +411,14 @@ impl JobRt {
             .filter_map(|(i, &s)| (s == TaskState::NotStarted).then_some(i as u32))
     }
 
-    /// Total unstarted tasks across the job's ready stages — the job's
-    /// contribution to the engine's dispatchable-work count (which drives
-    /// scheduler-invocation coalescing). O(ready stages).
-    pub fn ready_unstarted_tasks(&self) -> usize {
-        self.ready.iter().map(|&s| self.unstarted_count(s)).sum()
-    }
-
-    /// [`JobRt::ready_unstarted_tasks`] split by executor class:
-    /// `(regular, llm)`. Dynamic placeholders never enter the ready set
-    /// (they auto-complete), so the two classes partition the total.
-    /// Drives capacity-aware decision-point elision: an invocation can
-    /// be skipped when neither class has both ready work *and* a free
-    /// executor of that class.
+    /// Unstarted tasks across the job's ready stages, by executor class:
+    /// `(regular, llm)` — the job's contribution to the engine's
+    /// dispatchable-work counts. Dynamic placeholders never enter the
+    /// ready set (they auto-complete), so the two classes partition the
+    /// total. Their sum drives scheduler-invocation coalescing, the
+    /// halves capacity-aware decision-point elision: an invocation can be
+    /// skipped when neither class has both ready work *and* a free
+    /// executor of that class. O(ready stages).
     pub fn ready_unstarted_by_class(&self) -> (usize, usize) {
         let (mut regular, mut llm) = (0usize, 0usize);
         for &s in &self.ready {
