@@ -88,7 +88,9 @@ pub struct ProfileStoreConfig {
 /// field at fault and carries its value.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ProfileStoreConfigError {
-    /// `window_cap` is 0: the window could hold no row to learn from.
+    /// `window_cap` is below the cold-start bootstrap threshold (8
+    /// rows): an empty store's window could never hold enough rows to
+    /// learn its first profile.
     WindowCap(usize),
 }
 
@@ -98,7 +100,8 @@ impl std::fmt::Display for ProfileStoreConfigError {
             ProfileStoreConfigError::WindowCap(v) => {
                 write!(
                     f,
-                    "window_cap is {v}: the window must retain at least one row"
+                    "window_cap is {v}: the window must retain at least {MIN_JOBS} rows, \
+                     the cold-start bootstrap threshold"
                 )
             }
         }
@@ -111,9 +114,10 @@ impl ProfileStoreConfig {
     /// Checks the fields the online learner relies on.
     ///
     /// # Errors
-    /// [`ProfileStoreConfigError::WindowCap`] on a zero `window_cap`.
+    /// [`ProfileStoreConfigError::WindowCap`] on a `window_cap` below
+    /// the cold-start bootstrap threshold (8).
     pub fn validate(&self) -> Result<(), ProfileStoreConfigError> {
-        if self.window_cap == 0 {
+        if self.window_cap < MIN_JOBS {
             return Err(ProfileStoreConfigError::WindowCap(self.window_cap));
         }
         Ok(())
@@ -469,11 +473,8 @@ mod tests {
     use super::*;
     use crate::profiler::ProfilerConfig;
     use crate::scheduler::{LlmSched, LlmSchedConfig};
-    use llmsched_dag::time::SimTime;
     use llmsched_sim::engine::simulate;
     use llmsched_workloads::prelude::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn online_cfg() -> ProfileStoreConfig {
         ProfileStoreConfig {
@@ -545,18 +546,11 @@ mod tests {
             }
 
             // The same jobs through the engine: the store counts the
-            // placeholder outcomes the observation deltas carry. A late
-            // job of another app flushes the last completion's deltas.
-            let mut jobs = corpus.clone();
-            jobs.push(AppKind::DocumentMerging.generator().generate(
-                JobId(jobs.len() as u64),
-                SimTime::from_secs_f64(1e6),
-                &mut StdRng::seed_from_u64(1),
-            ));
+            // placeholder outcomes the observation deltas carry.
             let mut sched =
                 LlmSched::with_store(ProfileStore::empty(online_cfg()), LlmSchedConfig::default());
             let cluster = WorkloadKind::Mixed.default_cluster();
-            let r = simulate(&cluster, &templates, jobs, &mut sched);
+            let r = simulate(&cluster, &templates, corpus.clone(), &mut sched);
             assert_eq!(r.incomplete, 0);
             let mut live = sched.profile_store().clone();
             live.absorb(&templates);
@@ -573,6 +567,21 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn an_engine_run_delivers_its_last_completion_to_the_store() {
+        let templates = all_templates();
+        let kind = AppKind::TaskAutomation;
+        let jobs = training_jobs(&[kind], 120, 9);
+        let mut sched =
+            LlmSched::with_store(ProfileStore::empty(online_cfg()), LlmSchedConfig::default());
+        let cluster = WorkloadKind::Mixed.default_cluster();
+        let r = simulate(&cluster, &templates, jobs, &mut sched);
+        assert_eq!(r.incomplete, 0);
+        let mut live = sched.profile_store().clone();
+        live.absorb(&templates);
+        assert_eq!(live.observations(kind.app_id()), 120);
     }
 
     #[test]
@@ -692,13 +701,16 @@ mod tests {
     }
 
     #[test]
-    fn validate_accepts_the_defaults_and_a_one_row_window() {
+    fn validate_rejects_7_and_accepts_8_window_rows() {
         assert_eq!(ProfileStoreConfig::default().validate(), Ok(()));
-        let cfg = ProfileStoreConfig {
-            window_cap: 1,
+        let cap = |window_cap| ProfileStoreConfig {
+            window_cap,
             ..online_cfg()
         };
-        assert_eq!(cfg.validate(), Ok(()));
+        let err = cap(MIN_JOBS - 1).validate().unwrap_err();
+        assert_eq!(err, ProfileStoreConfigError::WindowCap(7));
+        assert!(err.to_string().contains("at least 8 rows"), "{err}");
+        assert_eq!(cap(MIN_JOBS).validate(), Ok(()));
     }
 
     #[test]

@@ -133,7 +133,7 @@ impl Scheduler for Argus {
             });
             let mut p = Preference::new();
             for (_, job, s) in candidates {
-                p.push_stage_tasks(job, s);
+                Budget::UNBOUNDED.push_stage(&mut p, job, s);
             }
             return p;
         }

@@ -1,58 +1,165 @@
-//! Job-agnostic and duration-based baselines: FCFS, Fair, SJF, SRTF.
+//! Job-agnostic and duration-based baselines: FCFS, SJF and SRTF — one
+//! key-ordered policy, [`Ordered`] — and Fair.
 //!
-//! Every policy here ships two execution paths producing bit-identical
-//! schedules:
+//! FCFS, SJF and SRTF differ only in how they rank jobs: each is
+//! [`Ordered`] over a [`JobOrder`] key ([`Arrival`], [`HistoricalMean`],
+//! [`RemainingEstimate`]), serving every ready task of the jobs in
+//! ascending `(key, JobId)` order. Every policy here ships two execution
+//! paths producing bit-identical schedules:
 //!
 //! * **incremental** (default) — a persistent [`DeltaIndex`] keeps the
 //!   job ordering across invocations; [`Scheduler::on_delta`] marks jobs
 //!   whose sort key or ready set may have changed, only those are
 //!   re-derived, and a decision walks only the jobs with ready work (a
-//!   job with none emits nothing in any policy here);
+//!   job with none emits nothing in any policy here), emitting until the
+//!   free capacity is covered;
 //! * **rebuild** (via the `::rebuild()` constructors) — the original
-//!   sort-everything-per-call behavior, kept as the reference
-//!   implementation the equivalence tests and the `scale_throughput`
-//!   bench compare against.
+//!   sort-everything-per-call behavior, emitting through
+//!   `Budget::UNBOUNDED`, kept as the reference implementation the
+//!   equivalence tests and the `scale_throughput` bench compare against.
 
 use llmsched_dag::time::SimTime;
 use llmsched_sim::incr::{DeltaIndex, FiniteF64};
 use llmsched_sim::scheduler::{Preference, SchedContext, SchedDelta, Scheduler};
 use llmsched_sim::state::JobRt;
 
-use crate::util::{AppPriors, Budget, ReadyTasks};
+use crate::util::{ready_tasks, AppPriors, Budget, ReadyTasks};
 
-/// Pushes every ready task of `job` in ascending stage order.
-fn push_all_ready(p: &mut Preference, job: &JobRt) {
-    for &s in job.ready_stage_ids() {
-        p.push_stage_tasks(job, s);
+/// A job ranking: the one thing that tells FCFS, SJF and SRTF apart.
+pub trait JobOrder {
+    /// The sort key; ties are broken by `JobId`.
+    type Key: Ord + Copy + std::fmt::Debug;
+    /// The policy's report name.
+    const NAME: &'static str;
+    /// `job`'s key at the current decision point. The incremental path
+    /// re-derives it only on the deltas [`DeltaIndex::on_delta`] marks.
+    fn key(&self, job: &JobRt) -> Self::Key;
+}
+
+/// Arrival order — FCFS's key (job-agnostic).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Arrival;
+
+impl JobOrder for Arrival {
+    type Key = SimTime;
+    const NAME: &'static str = "FCFS";
+    fn key(&self, job: &JobRt) -> SimTime {
+        job.arrival()
+    }
+}
+
+/// The historical mean duration of the job's application, then arrival —
+/// SJF's key. Static: it never moves with runtime observations.
+#[derive(Debug, Clone)]
+pub struct HistoricalMean(pub AppPriors);
+
+impl JobOrder for HistoricalMean {
+    type Key = (FiniteF64, SimTime);
+    const NAME: &'static str = "SJF";
+    fn key(&self, job: &JobRt) -> Self::Key {
+        (FiniteF64(self.0.job_mean(job.app())), job.arrival())
+    }
+}
+
+/// The static remaining-work estimate
+/// ([`AppPriors::remaining_estimate`]), then arrival — SRTF's key. It
+/// moves only when a stage of the job completes.
+#[derive(Debug, Clone)]
+pub struct RemainingEstimate(pub AppPriors);
+
+impl JobOrder for RemainingEstimate {
+    type Key = (FiniteF64, SimTime);
+    const NAME: &'static str = "SRTF";
+    fn key(&self, job: &JobRt) -> Self::Key {
+        (FiniteF64(self.0.remaining_estimate(job)), job.arrival())
+    }
+}
+
+/// Serves every ready task of the active jobs in ascending
+/// `(O::key, JobId)` order.
+#[derive(Debug, Default)]
+pub struct Ordered<O: JobOrder> {
+    order: O,
+    rebuild: bool,
+    index: DeltaIndex<O::Key>,
+}
+
+impl<O: JobOrder> Ordered<O> {
+    fn with(order: O, rebuild: bool) -> Self {
+        Ordered {
+            order,
+            rebuild,
+            index: DeltaIndex::new(),
+        }
     }
 }
 
 /// **First Come First Serve** — jobs in arrival order (Spark's default
 /// scheme; job-agnostic).
-#[derive(Debug, Default)]
-pub struct Fcfs {
-    rebuild: bool,
-    index: DeltaIndex<SimTime>,
-}
+pub type Fcfs = Ordered<Arrival>;
 
 impl Fcfs {
     /// The incremental FCFS scheduler (same as `Default`).
     pub fn new() -> Self {
-        Self::default()
+        Self::with(Arrival, false)
     }
 
     /// The reference rebuild-per-call variant.
     pub fn rebuild() -> Self {
-        Fcfs {
-            rebuild: true,
-            ..Self::default()
-        }
+        Self::with(Arrival, true)
     }
 }
 
-impl Scheduler for Fcfs {
+/// **Shortest Job First** — prioritizes the job with the shortest
+/// *historical mean* duration for its application (§II-C). Static: it never
+/// updates with runtime observations, which is exactly the weakness the
+/// motivating example (Fig. 2) exposes.
+pub type Sjf = Ordered<HistoricalMean>;
+
+impl Sjf {
+    /// Builds incremental SJF with historical priors.
+    pub fn new(priors: AppPriors) -> Self {
+        Self::with(HistoricalMean(priors), false)
+    }
+
+    /// The reference rebuild-per-call variant.
+    pub fn rebuild(priors: AppPriors) -> Self {
+        Self::with(HistoricalMean(priors), true)
+    }
+}
+
+/// **Shortest Remaining Time First** — like SJF but subtracts completed
+/// stages from the static estimate. This is the JCT-efficient scheme inside
+/// Algorithm 1 when stripped of both the BN and the uncertainty strategy.
+pub type Srtf = Ordered<RemainingEstimate>;
+
+impl Srtf {
+    /// Builds incremental SRTF with historical priors.
+    pub fn new(priors: AppPriors) -> Self {
+        Self::with(RemainingEstimate(priors), false)
+    }
+
+    /// The reference rebuild-per-call variant.
+    pub fn rebuild(priors: AppPriors) -> Self {
+        Self::with(RemainingEstimate(priors), true)
+    }
+}
+
+/// Pushes every ready task of `jobs`, in order, until `budget` is met.
+fn emit_in_order<'a>(budget: Budget, jobs: impl Iterator<Item = &'a JobRt>) -> Preference {
+    let mut p = Preference::new();
+    for job in jobs {
+        if budget.met(&p) {
+            break;
+        }
+        budget.push_all_ready(&mut p, job);
+    }
+    p
+}
+
+impl<O: JobOrder> Scheduler for Ordered<O> {
     fn name(&self) -> &str {
-        "FCFS"
+        O::NAME
     }
 
     fn on_delta(&mut self, d: &SchedDelta) {
@@ -80,26 +187,16 @@ impl Scheduler for Fcfs {
             // bit-identical.
             return Preference::new();
         }
-        let mut p = Preference::new();
         if self.rebuild {
-            let mut jobs: Vec<&JobRt> = ctx.jobs.iter().collect();
-            jobs.sort_by_key(|j| (j.arrival(), j.id()));
-            for job in jobs {
-                push_all_ready(&mut p, job);
-            }
-        } else {
-            self.index.refresh(ctx, |j| j.arrival());
-            let budget = Budget::of(ctx);
-            for id in self.index.ready_ids() {
-                if budget.met(&p) {
-                    break;
-                }
-                if let Some(job) = ctx.job(id) {
-                    budget.push_all_ready(&mut p, job);
-                }
-            }
+            let mut jobs: Vec<(O::Key, &JobRt)> =
+                ctx.jobs.iter().map(|j| (self.order.key(j), j)).collect();
+            jobs.sort_by_key(|&(key, j)| (key, j.id()));
+            return emit_in_order(Budget::UNBOUNDED, jobs.into_iter().map(|(_, j)| j));
         }
-        p
+        let order = &self.order;
+        self.index.refresh(ctx, |j| order.key(j));
+        let ready = self.index.ready_ids().filter_map(|id| ctx.job(id));
+        emit_in_order(Budget::of(ctx), ready)
     }
 }
 
@@ -128,11 +225,15 @@ impl Fair {
         }
     }
 
-    /// Round-robin task interleaving over per-job ready queues, offered in
-    /// the given (least-served-first) job order. With a budget, emission
-    /// is class-aware and stops once the free capacity is covered
-    /// (dispatch-invariant: skipped entries could never start).
-    fn round_robin(p: &mut Preference, queues: &[(&JobRt, ReadyTasks)], budget: Option<Budget>) {
+    /// Round-robin task interleaving over the ready queues of `jobs`,
+    /// offered in the given (least-served-first) order. Emission is
+    /// class-aware and stops once `budget` is met (dispatch-invariant:
+    /// skipped entries could never start).
+    fn round_robin<'a>(jobs: impl Iterator<Item = &'a JobRt>, budget: Budget) -> Preference {
+        let queues: Vec<(&JobRt, ReadyTasks)> = jobs
+            .map(|job| (job, ready_tasks(job, job.ready_stage_ids())))
+            .collect();
+        let mut p = Preference::new();
         let mut cursors = vec![0usize; queues.len()];
         let mut progressed = true;
         while progressed {
@@ -141,37 +242,14 @@ impl Fair {
                 if let Some(&(stage, task)) = tasks.get(cursors[qi]) {
                     cursors[qi] += 1;
                     progressed = true;
-                    match budget {
-                        Some(b) => {
-                            if b.met(p) {
-                                return;
-                            }
-                            b.push_task(p, job, stage, task);
-                        }
-                        None => {
-                            let view = job.stage_view(stage).expect("ready stage is visible");
-                            let r = llmsched_sim::scheduler::TaskRef {
-                                job: job.id(),
-                                stage,
-                                task,
-                            };
-                            match view.kind {
-                                llmsched_dag::job::StageKind::Llm => p.llm.push(r),
-                                llmsched_dag::job::StageKind::Regular => p.regular.push(r),
-                                llmsched_dag::job::StageKind::DynamicPlaceholder => {}
-                            }
-                        }
+                    if budget.met(&p) {
+                        return p;
                     }
+                    budget.push_task(&mut p, job, stage, task);
                 }
             }
         }
-    }
-
-    fn ready_queue(job: &JobRt) -> ReadyTasks {
-        job.ready_stage_ids()
-            .iter()
-            .flat_map(|&s| job.unstarted_tasks(s).map(move |t| (s, t)))
-            .collect()
+        p
     }
 }
 
@@ -205,219 +283,17 @@ impl Scheduler for Fair {
             // bit-identical.
             return Preference::new();
         }
-        let mut p = Preference::new();
-        if self.rebuild {
-            let mut queues: Vec<(usize, &JobRt, ReadyTasks)> = ctx
-                .jobs
-                .iter()
-                .map(|j| (j.running_tasks(), j, Self::ready_queue(j)))
-                .collect();
-            queues.sort_by_key(|(running, j, _)| (*running, j.arrival(), j.id()));
-            let flat: Vec<(&JobRt, ReadyTasks)> =
-                queues.into_iter().map(|(_, j, tasks)| (j, tasks)).collect();
-            Self::round_robin(&mut p, &flat, None);
-        } else {
-            self.index
-                .refresh(ctx, |j| (j.running_tasks(), j.arrival()));
-            // A non-ready job's queue is empty and never emits or moves
-            // the budget check: only ready jobs need a queue.
-            let queues: Vec<(&JobRt, ReadyTasks)> = self
-                .index
-                .ready_ids()
-                .filter_map(|id| ctx.job(id))
-                .map(|j| (j, Self::ready_queue(j)))
-                .collect();
-            Self::round_robin(&mut p, &queues, Some(Budget::of(ctx)));
-        }
-        p
-    }
-}
-
-/// **Shortest Job First** — prioritizes the job with the shortest
-/// *historical mean* duration for its application (§II-C). Static: it never
-/// updates with runtime observations, which is exactly the weakness the
-/// motivating example (Fig. 2) exposes.
-#[derive(Debug)]
-pub struct Sjf {
-    priors: AppPriors,
-    rebuild: bool,
-    /// Ordered by (historical app mean, arrival): keys are static, so the
-    /// index only tracks membership.
-    index: DeltaIndex<(FiniteF64, SimTime)>,
-}
-
-impl Sjf {
-    /// Builds incremental SJF with historical priors.
-    pub fn new(priors: AppPriors) -> Self {
-        Sjf {
-            priors,
-            rebuild: false,
-            index: DeltaIndex::new(),
-        }
-    }
-
-    /// The reference rebuild-per-call variant.
-    pub fn rebuild(priors: AppPriors) -> Self {
-        Sjf {
-            rebuild: true,
-            ..Self::new(priors)
-        }
-    }
-}
-
-impl Scheduler for Sjf {
-    fn name(&self) -> &str {
-        "SJF"
-    }
-
-    fn on_delta(&mut self, d: &SchedDelta) {
-        if !self.rebuild {
-            self.index.on_delta(d);
-        }
-    }
-
-    fn reset(&mut self) {
-        self.index.clear();
-    }
-
-    // The `!could_dispatch` early-return above every decision makes the
-    // policy a provable no-op at capacity-starved points: capacity-aware
-    // elision is sound.
-    fn is_work_conserving(&self) -> bool {
-        true
-    }
-
-    fn schedule(&mut self, ctx: &SchedContext<'_>) -> Preference {
-        if !ctx.could_dispatch {
-            // Nothing could start (no ready work, or no free executor of
-            // a ready class): decide nothing, touch no state, so an
-            // engine that coalesces or elides this call stays
-            // bit-identical.
-            return Preference::new();
-        }
-        let mut p = Preference::new();
         if self.rebuild {
             let mut jobs: Vec<&JobRt> = ctx.jobs.iter().collect();
-            jobs.sort_by(|a, b| {
-                self.priors
-                    .job_mean(a.app())
-                    .partial_cmp(&self.priors.job_mean(b.app()))
-                    .expect("means are finite")
-                    .then_with(|| (a.arrival(), a.id()).cmp(&(b.arrival(), b.id())))
-            });
-            for job in jobs {
-                push_all_ready(&mut p, job);
-            }
-        } else {
-            let priors = &self.priors;
-            self.index
-                .refresh(ctx, |j| (FiniteF64(priors.job_mean(j.app())), j.arrival()));
-            let budget = Budget::of(ctx);
-            for id in self.index.ready_ids() {
-                if budget.met(&p) {
-                    break;
-                }
-                if let Some(job) = ctx.job(id) {
-                    budget.push_all_ready(&mut p, job);
-                }
-            }
+            jobs.sort_by_cached_key(|j| (j.running_tasks(), j.arrival(), j.id()));
+            return Self::round_robin(jobs.into_iter(), Budget::UNBOUNDED);
         }
-        p
-    }
-}
-
-/// **Shortest Remaining Time First** — like SJF but subtracts completed
-/// stages from the static estimate. This is the JCT-efficient scheme inside
-/// Algorithm 1 when stripped of both the BN and the uncertainty strategy.
-#[derive(Debug)]
-pub struct Srtf {
-    priors: AppPriors,
-    rebuild: bool,
-    /// Ordered by (remaining estimate, arrival): repositioned when a stage
-    /// of the job completes — the only event that can move the estimate.
-    index: DeltaIndex<(FiniteF64, SimTime)>,
-}
-
-impl Srtf {
-    /// Builds incremental SRTF with historical priors.
-    pub fn new(priors: AppPriors) -> Self {
-        Srtf {
-            priors,
-            rebuild: false,
-            index: DeltaIndex::new(),
-        }
-    }
-
-    /// The reference rebuild-per-call variant.
-    pub fn rebuild(priors: AppPriors) -> Self {
-        Srtf {
-            rebuild: true,
-            ..Self::new(priors)
-        }
-    }
-}
-
-impl Scheduler for Srtf {
-    fn name(&self) -> &str {
-        "SRTF"
-    }
-
-    fn on_delta(&mut self, d: &SchedDelta) {
-        if !self.rebuild {
-            self.index.on_delta(d);
-        }
-    }
-
-    fn reset(&mut self) {
-        self.index.clear();
-    }
-
-    // The `!could_dispatch` early-return above every decision makes the
-    // policy a provable no-op at capacity-starved points: capacity-aware
-    // elision is sound.
-    fn is_work_conserving(&self) -> bool {
-        true
-    }
-
-    fn schedule(&mut self, ctx: &SchedContext<'_>) -> Preference {
-        if !ctx.could_dispatch {
-            // Nothing could start (no ready work, or no free executor of
-            // a ready class): decide nothing, touch no state, so an
-            // engine that coalesces or elides this call stays
-            // bit-identical.
-            return Preference::new();
-        }
-        let mut p = Preference::new();
-        if self.rebuild {
-            let mut jobs: Vec<(f64, &JobRt)> = ctx
-                .jobs
-                .iter()
-                .map(|j| (self.priors.remaining_estimate(j), j))
-                .collect();
-            jobs.sort_by(|a, b| {
-                a.0.partial_cmp(&b.0)
-                    .expect("estimates are finite")
-                    .then_with(|| (a.1.arrival(), a.1.id()).cmp(&(b.1.arrival(), b.1.id())))
-            });
-            for (_, job) in jobs {
-                push_all_ready(&mut p, job);
-            }
-        } else {
-            let priors = &self.priors;
-            self.index.refresh(ctx, |j| {
-                (FiniteF64(priors.remaining_estimate(j)), j.arrival())
-            });
-            let budget = Budget::of(ctx);
-            for id in self.index.ready_ids() {
-                if budget.met(&p) {
-                    break;
-                }
-                if let Some(job) = ctx.job(id) {
-                    budget.push_all_ready(&mut p, job);
-                }
-            }
-        }
-        p
+        self.index
+            .refresh(ctx, |j| (j.running_tasks(), j.arrival()));
+        // A non-ready job's queue is empty and never emits or moves the
+        // budget check: only ready jobs need a queue.
+        let ready = self.index.ready_ids().filter_map(|id| ctx.job(id));
+        Self::round_robin(ready, Budget::of(ctx))
     }
 }
 
@@ -471,7 +347,10 @@ mod tests {
 
     #[test]
     fn names_are_stable() {
+        let priors = AppPriors::default();
         assert_eq!(Fcfs::new().name(), "FCFS");
         assert_eq!(Fair::new().name(), "Fair");
+        assert_eq!(Sjf::new(priors.clone()).name(), "SJF");
+        assert_eq!(Srtf::rebuild(priors).name(), "SRTF");
     }
 }

@@ -17,13 +17,12 @@
 //! this heuristic preserves that behavior. Substitution documented in
 //! `DESIGN.md` §6.
 
-use llmsched_dag::ids::StageId;
 use llmsched_dag::time::SimTime;
 use llmsched_sim::incr::{DeltaIndex, EstimateCache};
-use llmsched_sim::scheduler::{Preference, SchedContext, SchedDelta, Scheduler, TaskRef};
+use llmsched_sim::scheduler::{Preference, SchedContext, SchedDelta, Scheduler};
 use llmsched_sim::state::JobRt;
 
-use crate::util::{visible_heights, AppPriors, Budget, ReadyTasks};
+use crate::util::{ready_tasks, visible_heights, AppPriors, Budget, ReadyTasks};
 
 /// The Carbyne-like altruistic scheduler.
 ///
@@ -59,13 +58,9 @@ impl CarbyneLike {
     }
 
     /// Phase 1 on one job: pushes the critical (max-height) ready stage's
-    /// tasks and returns the donated leftovers, if any. With a budget,
-    /// pushes are class-aware (dispatch-invariant truncation).
-    fn fair_phase<'a>(
-        p: &mut Preference,
-        job: &'a JobRt,
-        budget: Option<Budget>,
-    ) -> Option<(&'a JobRt, ReadyTasks)> {
+    /// tasks, class-aware under `budget` (dispatch-invariant truncation),
+    /// and returns the donated leftovers, if any.
+    fn fair_phase(p: &mut Preference, job: &JobRt, budget: Budget) -> Option<ReadyTasks> {
         let heights = visible_heights(job);
         let mut ready = job.ready_stage_ids().to_vec();
         if ready.is_empty() {
@@ -73,61 +68,47 @@ impl CarbyneLike {
         }
         // Critical stage = max height (ties: lowest id).
         ready.sort_by_key(|s| (std::cmp::Reverse(heights.get(s).copied().unwrap_or(0)), *s));
-        let critical = ready[0];
-        match budget {
-            Some(b) => b.push_stage(p, job, critical),
-            None => {
-                for t in job.unstarted_tasks(critical) {
-                    push_ref(p, job, critical, t);
-                }
-            }
-        }
+        budget.push_stage(p, job, ready[0]);
         // Everything else is donated to the leftover pool.
-        let rest: Vec<(StageId, u32)> = ready[1..]
-            .iter()
-            .flat_map(|&s| job.unstarted_tasks(s).map(move |t| (s, t)))
-            .collect();
-        (!rest.is_empty()).then_some((job, rest))
+        let rest = ready_tasks(job, &ready[1..]);
+        (!rest.is_empty()).then_some(rest)
     }
 
-    /// Phase 2: redistributes leftovers, shortest-remaining job first.
-    fn leftover_phase(
-        p: &mut Preference,
-        mut leftovers: Vec<(f64, &JobRt, ReadyTasks)>,
-        budget: Option<Budget>,
-    ) {
+    /// Both phases over `jobs` (least served first), stopping once
+    /// `budget` is met; `estimate` prices a donating job's remaining work.
+    fn two_phase<'a>(
+        jobs: impl Iterator<Item = &'a JobRt>,
+        budget: Budget,
+        mut estimate: impl FnMut(&JobRt) -> f64,
+    ) -> Preference {
+        let mut p = Preference::new();
+        // Phase 1: fair share of critical work. For each job offer the
+        // ready stage with the greatest height — the one whose delay would
+        // stretch the job's critical path.
+        let mut leftovers: Vec<(f64, &JobRt, ReadyTasks)> = Vec::new();
+        for job in jobs {
+            if budget.met(&p) {
+                break;
+            }
+            if let Some(rest) = Self::fair_phase(&mut p, job, budget) {
+                leftovers.push((estimate(job), job, rest));
+            }
+        }
+        // Phase 2: redistribute leftovers, shortest-remaining job first.
         leftovers.sort_by(|a, b| {
             a.0.partial_cmp(&b.0)
                 .expect("estimates are finite")
                 .then_with(|| (a.1.arrival(), a.1.id()).cmp(&(b.1.arrival(), b.1.id())))
         });
         for (_, job, tasks) in leftovers {
-            if budget.is_some_and(|b| b.met(p)) {
+            if budget.met(&p) {
                 break;
             }
             for (s, t) in tasks {
-                match budget {
-                    Some(b) => b.push_task(p, job, s, t),
-                    None => push_ref(p, job, s, t),
-                }
+                budget.push_task(&mut p, job, s, t);
             }
         }
-    }
-}
-
-fn push_ref(p: &mut Preference, job: &JobRt, stage: StageId, task: u32) {
-    let Some(view) = job.stage_view(stage) else {
-        return;
-    };
-    let r = TaskRef {
-        job: job.id(),
-        stage,
-        task,
-    };
-    match view.kind {
-        llmsched_dag::job::StageKind::Llm => p.llm.push(r),
-        llmsched_dag::job::StageKind::Regular => p.regular.push(r),
-        llmsched_dag::job::StageKind::DynamicPlaceholder => {}
+        p
     }
 }
 
@@ -164,43 +145,23 @@ impl Scheduler for CarbyneLike {
             // bit-identical.
             return Preference::new();
         }
-        let mut p = Preference::new();
-
-        // Phase 1: fair share of critical work. For each job (least served
-        // first) offer the ready stage with the greatest height — the one
-        // whose delay would stretch the job's critical path.
+        let priors = &self.priors;
         if self.rebuild {
             let mut jobs: Vec<&JobRt> = ctx.jobs.iter().collect();
             jobs.sort_by_key(|j| (j.running_tasks(), j.arrival(), j.id()));
-            let mut leftovers: Vec<(f64, &JobRt, ReadyTasks)> = Vec::new();
-            for job in jobs {
-                if let Some((job, rest)) = Self::fair_phase(&mut p, job, None) {
-                    leftovers.push((self.priors.remaining_estimate(job), job, rest));
-                }
-            }
-            Self::leftover_phase(&mut p, leftovers, None);
-        } else {
-            self.index
-                .refresh(ctx, |j| (j.running_tasks(), j.arrival()));
-            let priors = &self.priors;
-            self.estimates
-                .refresh(ctx, |j| priors.remaining_estimate(j));
-            let budget = Budget::of(ctx);
-            let mut leftovers: Vec<(f64, &JobRt, ReadyTasks)> = Vec::new();
-            // `fair_phase` pushes nothing for a job with no ready stage,
-            // so the walk visits ready jobs only.
-            for id in self.index.ready_ids() {
-                if budget.met(&p) {
-                    break;
-                }
-                let Some(job) = ctx.job(id) else { continue };
-                if let Some((job, rest)) = Self::fair_phase(&mut p, job, Some(budget)) {
-                    leftovers.push((self.estimates.get(id), job, rest));
-                }
-            }
-            Self::leftover_phase(&mut p, leftovers, Some(budget));
+            return Self::two_phase(jobs.into_iter(), Budget::UNBOUNDED, |j| {
+                priors.remaining_estimate(j)
+            });
         }
-        p
+        self.index
+            .refresh(ctx, |j| (j.running_tasks(), j.arrival()));
+        self.estimates
+            .refresh(ctx, |j| priors.remaining_estimate(j));
+        // `fair_phase` pushes nothing for a job with no ready stage, so
+        // the walk visits ready jobs only.
+        let ready = self.index.ready_ids().filter_map(|id| ctx.job(id));
+        let estimates = &self.estimates;
+        Self::two_phase(ready, Budget::of(ctx), |j| estimates.get(j.id()))
     }
 }
 

@@ -14,6 +14,13 @@
 //! * [`carbyne::CarbyneLike`] — altruistic fair sharing with leftover
 //!   redistribution.
 //!
+//! FCFS, SJF and SRTF are one key-ordered policy, [`basic::Ordered`], over
+//! the [`basic::JobOrder`] keys [`basic::Arrival`],
+//! [`basic::HistoricalMean`] and [`basic::RemainingEstimate`]; the three
+//! names are type aliases of it. Every baseline that orders more than one
+//! stage emits through one class-aware free-capacity budget, and the
+//! `::rebuild()` reference paths emit through its unbounded form.
+//!
 //! All baselines receive the same prior information the paper grants them:
 //! per-application historical duration averages ([`util::AppPriors`]) and
 //! the DAG structure from the LLM DAG model.

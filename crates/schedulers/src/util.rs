@@ -11,22 +11,32 @@ use std::collections::HashMap;
 use llmsched_dag::ids::{AppId, StageId};
 use llmsched_dag::job::{JobSpec, StageKind};
 use llmsched_dag::time::SimDuration;
-use llmsched_sim::scheduler::{Preference, SchedContext, TaskRef};
+use llmsched_sim::scheduler::{Preference, SchedContext};
 use llmsched_sim::state::JobRt;
 
 /// A job's schedulable tasks as `(stage, task index)` pairs — the queue
 /// shape the round-robin baselines carry per job.
 pub(crate) type ReadyTasks = Vec<(StageId, u32)>;
 
-/// Free-capacity budgets for *dispatch-invariant bounded emission*.
+/// The unstarted tasks of `stages` of `job`, stage by stage.
+pub(crate) fn ready_tasks(job: &JobRt, stages: &[StageId]) -> ReadyTasks {
+    stages
+        .iter()
+        .flat_map(|&s| job.unstarted_tasks(s).map(move |t| (s, t)))
+        .collect()
+}
+
+/// Free-capacity budgets for *dispatch-invariant bounded emission* — the
+/// one emission path of every baseline that orders more than one stage.
 ///
 /// The engine starts at most `regular_free()` regular tasks and
 /// `llm_free_slots()` LLM tasks from the front of each preference list,
 /// and every entry an incremental policy emits is startable at dispatch
 /// time — so once a class's list covers its budget, further entries for
 /// that class can never start and may be skipped without changing the
-/// schedule. The equivalence tests pin this against the unbounded rebuild
-/// paths.
+/// schedule. The rebuild reference paths emit through
+/// [`Budget::UNBOUNDED`], which never skips, and the equivalence tests pin
+/// the bounded incremental paths against them.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Budget {
     reg: usize,
@@ -34,6 +44,12 @@ pub(crate) struct Budget {
 }
 
 impl Budget {
+    /// No limit on either class: emits every task offered.
+    pub const UNBOUNDED: Budget = Budget {
+        reg: usize::MAX,
+        llm: usize::MAX,
+    };
+
     /// The current invocation's free capacity.
     pub fn of(ctx: &SchedContext<'_>) -> Budget {
         Budget {
@@ -47,23 +63,19 @@ impl Budget {
         p.regular.len() >= self.reg && p.llm.len() >= self.llm
     }
 
-    /// True if the class-appropriate list still has room for `stage`'s
-    /// tasks.
-    fn wants(&self, p: &Preference, kind: StageKind) -> bool {
-        match kind {
-            StageKind::Regular => p.regular.len() < self.reg,
-            StageKind::Llm => p.llm.len() < self.llm,
-            StageKind::DynamicPlaceholder => false,
+    /// True if the list `stage`'s tasks go to still has room.
+    fn wants(&self, p: &Preference, job: &JobRt, stage: StageId) -> bool {
+        match job.visible_kind(stage) {
+            Some(StageKind::Regular) => p.regular.len() < self.reg,
+            Some(StageKind::Llm) => p.llm.len() < self.llm,
+            Some(StageKind::DynamicPlaceholder) | None => false,
         }
     }
 
     /// Pushes all unstarted tasks of `stage` unless its class budget is
     /// already covered.
     pub fn push_stage(&self, p: &mut Preference, job: &JobRt, stage: StageId) {
-        let Some(view) = job.stage_view(stage) else {
-            return;
-        };
-        if self.wants(p, view.kind) {
+        if self.wants(p, job, stage) {
             p.push_stage_tasks(job, stage);
         }
     }
@@ -77,20 +89,8 @@ impl Budget {
 
     /// Pushes one task reference if its class budget still has room.
     pub fn push_task(&self, p: &mut Preference, job: &JobRt, stage: StageId, task: u32) {
-        let Some(view) = job.stage_view(stage) else {
-            return;
-        };
-        if self.wants(p, view.kind) {
-            let r = TaskRef {
-                job: job.id(),
-                stage,
-                task,
-            };
-            match view.kind {
-                StageKind::Llm => p.llm.push(r),
-                StageKind::Regular => p.regular.push(r),
-                StageKind::DynamicPlaceholder => {}
-            }
+        if self.wants(p, job, stage) {
+            p.push_task(job, stage, task);
         }
     }
 }
@@ -163,7 +163,7 @@ impl AppPriors {
                 continue;
             }
             let mut remaining = self.stage_mean(app, sid);
-            if view.kind == llmsched_dag::job::StageKind::DynamicPlaceholder {
+            if view.kind == StageKind::DynamicPlaceholder {
                 // Subtract completed generated work under this placeholder.
                 for &g in job.visible_stage_ids() {
                     if let Some(gv) = job.stage_view(g) {

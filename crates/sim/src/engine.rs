@@ -482,7 +482,11 @@ impl Engine<'_> {
     }
 
     /// The event loop: drain one timestamp at a time, then offer the
-    /// scheduler one decision point.
+    /// scheduler one decision point. Once the queue drains, the deltas
+    /// emitted after the last invocation (the final completions, their
+    /// observations) are delivered with no decision — outside the
+    /// overhead window, so `sched_calls` and `sched_wall` count decisions
+    /// only.
     fn event_loop(&mut self, scheduler: &mut dyn Scheduler) {
         loop {
             // A pending batched decision strictly before every queued
@@ -520,6 +524,9 @@ impl Engine<'_> {
             if (effective || flush_due) && self.has_free_capacity() && !self.active.is_empty() {
                 self.scheduler_opportunity(scheduler);
             }
+        }
+        for d in self.deltas.drain(..) {
+            scheduler.on_delta(&d);
         }
     }
 
@@ -1529,8 +1536,7 @@ mod tests {
         // stage, its finish + stage completion + duration observation. The
         // regular stage's dispatch delta — and the final TasksFinished /
         // StageCompleted / StageObserved / JobCompleted — land in a batch
-        // after the last invocation and are never delivered: the sim ends
-        // without another decision point.
+        // after the last invocation (checked below).
         let expect = [
             SchedDelta::JobArrived {
                 job: JobId(0),
@@ -1559,6 +1565,32 @@ mod tests {
             },
         ];
         assert_eq!(flat, expect, "causal order of the delta stream");
+        // The trailing batch arrives when the run drains, with no decision
+        // after it (the counts above are unchanged by it).
+        let trailing = [
+            SchedDelta::TasksDispatched {
+                job: JobId(0),
+                stage: StageId(1),
+                count: 1,
+            },
+            SchedDelta::TasksFinished {
+                job: JobId(0),
+                stage: StageId(1),
+                count: 1,
+            },
+            SchedDelta::StageCompleted {
+                job: JobId(0),
+                stage: StageId(1),
+            },
+            SchedDelta::StageObserved {
+                job: JobId(0),
+                app: AppId(0),
+                stage: StageId(1),
+                nominal: SimDuration::from_secs(2),
+            },
+            SchedDelta::JobCompleted { job: JobId(0) },
+        ];
+        assert_eq!(rec.pending, trailing, "deltas after the last decision");
     }
 
     /// `try_simulate` on the one-job pipeline under `cfg`.

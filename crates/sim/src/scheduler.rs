@@ -297,14 +297,35 @@ impl Preference {
         Self::default()
     }
 
-    /// Appends all unstarted ready tasks of `stage`, routed to the matching
-    /// list by the stage's kind. Convenience shared by every scheduler.
-    pub fn push_stage_tasks(&mut self, job: &JobRt, stage: StageId) {
+    /// The list a task of `stage` belongs in, by the stage's visible
+    /// kind: `None` for placeholders and hidden or out-of-range stages,
+    /// which never execute tasks.
+    fn list_for(&mut self, job: &JobRt, stage: StageId) -> Option<&mut Vec<TaskRef>> {
         use llmsched_dag::job::StageKind;
-        let list = match job.visible_kind(stage) {
-            Some(StageKind::Regular) => &mut self.regular,
-            Some(StageKind::Llm) => &mut self.llm,
-            Some(StageKind::DynamicPlaceholder) | None => return,
+        match job.visible_kind(stage)? {
+            StageKind::Regular => Some(&mut self.regular),
+            StageKind::Llm => Some(&mut self.llm),
+            StageKind::DynamicPlaceholder => None,
+        }
+    }
+
+    /// Appends one task of `stage`, routed to the matching list by the
+    /// stage's kind (nothing for a placeholder or an invisible stage).
+    pub fn push_task(&mut self, job: &JobRt, stage: StageId, task: u32) {
+        if let Some(list) = self.list_for(job, stage) {
+            list.push(TaskRef {
+                job: job.id(),
+                stage,
+                task,
+            });
+        }
+    }
+
+    /// Appends all unstarted ready tasks of `stage`, routed like
+    /// [`Preference::push_task`]. Convenience shared by every scheduler.
+    pub fn push_stage_tasks(&mut self, job: &JobRt, stage: StageId) {
+        let Some(list) = self.list_for(job, stage) else {
+            return;
         };
         for task in job.unstarted_tasks(stage) {
             list.push(TaskRef {
@@ -319,11 +340,8 @@ impl Preference {
     /// Algorithm 1's task sampling (line 15). `fraction` is clamped to
     /// [0, 1]; at least one task is sampled from a non-empty stage.
     pub fn push_stage_sample(&mut self, job: &JobRt, stage: StageId, fraction: f64) {
-        use llmsched_dag::job::StageKind;
-        let list = match job.visible_kind(stage) {
-            Some(StageKind::Regular) => &mut self.regular,
-            Some(StageKind::Llm) => &mut self.llm,
-            Some(StageKind::DynamicPlaceholder) | None => return,
+        let Some(list) = self.list_for(job, stage) else {
+            return;
         };
         let n = job.unstarted_count(stage);
         if n == 0 {
@@ -456,7 +474,10 @@ pub trait Scheduler {
 
     /// Observes one state change. The engine delivers the pending delta
     /// batch in emission order immediately before each [`Scheduler::schedule`]
-    /// call; stateless policies may ignore it (the default is a no-op).
+    /// call, and once more when the run drains, so the deltas of the last
+    /// completions (their observations, `JobCompleted`) arrive too, with
+    /// no decision after them. Stateless policies may ignore it (the
+    /// default is a no-op).
     ///
     /// Wrapper schedulers (recorders, probes) MUST forward this hook to
     /// their inner policy, or the inner policy's persistent state goes
@@ -582,6 +603,75 @@ mod tests {
                 task: 0
             }
         );
+    }
+
+    #[test]
+    fn push_task_routes_one_task_by_kind() {
+        // plan (LLM), post (regular), a placeholder whose one generated
+        // stage stays hidden until plan completes.
+        let mut b = TemplateBuilder::new(AppId(0), "planning");
+        let plan = b.llm("plan");
+        let post = b.regular("post");
+        let dynamic = b.dynamic(
+            "exec_plan",
+            plan,
+            vec![Candidate {
+                name: "tool".into(),
+                class: ExecutorClass::Regular,
+            }],
+        );
+        b.edge(plan, post);
+        b.edge(plan, dynamic);
+        let t = b.build().unwrap();
+        let regular = |secs| {
+            vec![TaskWork::Regular {
+                duration: SimDuration::from_secs(secs),
+            }]
+        };
+        let spec = JobSpec::new(
+            JobId(7),
+            &t,
+            SimTime::ZERO,
+            vec![
+                StageSpec::executing(
+                    "plan",
+                    StageKind::Llm,
+                    vec![TaskWork::Llm {
+                        prompt_tokens: 0,
+                        output_tokens: 10,
+                    }],
+                ),
+                StageSpec::executing("post", StageKind::Regular, regular(1)),
+                StageSpec::executing("exec_plan", StageKind::DynamicPlaceholder, vec![]),
+                StageSpec {
+                    revealed_by: Some(plan),
+                    parent_dynamic: Some(dynamic),
+                    candidate: Some(0),
+                    ..StageSpec::executing("tool", StageKind::Regular, regular(2))
+                },
+            ],
+            vec![(plan, StageId(3)), (StageId(3), dynamic)],
+        )
+        .unwrap();
+        let job = crate::state::JobRt::new(spec);
+        let task = |stage, task| TaskRef {
+            job: JobId(7),
+            stage,
+            task,
+        };
+
+        let mut p = Preference::new();
+        p.push_task(&job, plan, 0);
+        p.push_task(&job, post, 0);
+        assert_eq!(p.llm, vec![task(plan, 0)]);
+        assert_eq!(p.regular, vec![task(post, 0)]);
+        // A placeholder, a hidden generated stage and an out-of-range
+        // stage add nothing.
+        assert!(!job.is_visible(StageId(3)));
+        for stage in [dynamic, StageId(3), StageId(9)] {
+            p.push_task(&job, stage, 0);
+        }
+        assert_eq!(p.len(), 2);
     }
 
     #[test]
