@@ -24,6 +24,8 @@
 //! thirds.
 //!
 //! Usage:
+//!
+//! ```text
 //!   cargo run --release -p llmsched-bench --bin drift_adapt
 //!     [--quick]        # one seed, smaller workloads (CI)
 //!     [--check]        # exit non-zero unless online beats frozen on the
@@ -34,6 +36,7 @@
 //!                         # decision provenance: evidence masks, profile
 //!                         # versions, posterior work estimates)
 //!     [--timeseries]      # print that run's windowed time-series
+//! ```
 
 use std::collections::HashMap;
 use std::fmt::Write as _;

@@ -17,6 +17,8 @@
 //! repo root, including the host's `hw_threads`.
 //!
 //! Usage:
+//!
+//! ```text
 //!   cargo run --release -p llmsched-bench --bin scale_throughput
 //!     [--quick]            # one small sweep (CI)
 //!     [--runs <n>]         # repeat every row n times, report the
@@ -36,6 +38,7 @@
 //!                          # coalescing (schedules stay bit-identical)
 //!     [--jobs <n>]         # one incremental sweep at a custom job
 //!                          # count (n ≥ 1)
+//! ```
 //!
 //! An unknown flag, a flag missing its value, an unparsable value or an
 //! out-of-range one (`--runs 0`, `--jobs 0`, a negative or non-finite

@@ -9,34 +9,37 @@
 //! lists at each step, and explored stages contribute only a sampled
 //! fraction `r` of their tasks (line 15).
 //!
-//! Two execution paths produce bit-identical schedules:
+//! Both execution paths run the one ε-greedy merge (`Merge`, lines
+//! 11-22) and produce bit-identical schedules. They differ only in the
+//! St and Su sources they hand it and in the per-class cut-off:
 //!
-//! * **incremental** (default) — persistent per-job
-//!   [`JobBelief`](crate::belief::JobBelief)s (see [`crate::belief`])
-//!   plus two delta-maintained dense indices: the SRTF exploitation
-//!   order over the ready jobs only, and the ready-flagged interval
-//!   index over every job behind the non-overlapping grouping. Only jobs
-//!   whose evidence changed are re-estimated and repositioned; both
-//!   indices are rebuilt only when the Eq. 2 calibration factor itself
-//!   moves (rare at saturation, where the average busy batch pins to the
-//!   max batch size).
-//! * **rebuild** (`incremental = false`) — the original
-//!   recompute-everything-per-call reference that equivalence tests and
-//!   `scale_throughput` compare against.
+//! * **incremental** (default) — lazy sources over persistent per-job
+//!   [`JobBelief`](crate::belief::JobBelief)s (see [`crate::belief`]) and
+//!   two delta-maintained dense indices: the SRTF order over the ready
+//!   jobs only, and the ready-flagged interval index over every job
+//!   behind the non-overlapping grouping. Only jobs whose evidence
+//!   changed are re-estimated and repositioned; both indices are rebuilt
+//!   only when the Eq. 2 calibration factor itself moves (rare at
+//!   saturation, where the average busy batch pins to the max batch
+//!   size). The cut-off is the startable capacity, so emission stops
+//!   once nothing more could start.
+//! * **rebuild** (`incremental = false`) — the recompute-everything-per-
+//!   call reference that equivalence tests and `scale_throughput` compare
+//!   against: fully sorted lists and no cut-off.
 //!
 //! The ablation variants of §V-C are configuration flags:
 //! `use_bn = false` → *LLMSched w/o BN* (static historical means);
 //! `use_uncertainty = false` → *LLMSched w/o uncertainty* (pure SRTF on
 //! BN estimates).
 
-use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
 
 use llmsched_bayes::network::Evidence;
 use llmsched_dag::ids::{JobId, StageId};
+use llmsched_dag::job::StageKind;
 use llmsched_dag::time::SimTime;
 use llmsched_sim::incr::{FiniteF64, IndexEntry, ReadyIndex};
-use llmsched_sim::scheduler::{Preference, SchedContext, SchedDelta, Scheduler};
+use llmsched_sim::scheduler::{ActiveJobs, Preference, SchedContext, SchedDelta, Scheduler};
 use llmsched_sim::state::JobRt;
 use llmsched_telemetry::{DecisionList, DecisionRecord};
 use rand::rngs::StdRng;
@@ -173,7 +176,7 @@ struct JobAnalysis {
 pub struct LlmSched {
     store: ProfileStore,
     cfg: LlmSchedConfig,
-    rng: StdRng,
+    merge: Merge,
     /// Rebuild-path cache keyed by (job, profile version, evidence mask).
     cache: HashMap<(JobId, u64, u64), JobAnalysis>,
     /// Incremental path: one record per active job — belief, ready-stage
@@ -194,11 +197,7 @@ pub struct LlmSched {
     /// The Eq. 2 calibration the persistent keys were computed under; a
     /// moved calibration re-keys everything.
     last_calib: Option<f64>,
-    /// Reused per-invocation merge scratch (cleared at the top of every
-    /// incremental schedule; persisting the capacity keeps the merge
-    /// allocation-free at steady state).
-    merge_emitted: HashMap<(usize, StageId), usize>,
-    st_mat_buf: Vec<StageRef>,
+    /// The incremental Su source's reused heap (cleared per invocation).
     su_heap_buf: BinaryHeap<SuEntry>,
     /// Decision-provenance collection, flipped by the engine via
     /// [`Scheduler::set_telemetry`]. Observation-only: records are built
@@ -220,25 +219,14 @@ fn check(cfg: &LlmSchedConfig) {
 
 /// One scored exploration candidate in the lazy Su heap: max-heap order is
 /// highest Eq. 6 score first, ties broken by smallest (job id, stage id) —
-/// exactly the rebuild path's `sort_scored` order.
-#[derive(Debug, PartialEq, Eq)]
+/// exactly the rebuild path's `sort_scored` order. The tie is unique, so
+/// the derived order never reaches the trailing fields.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct SuEntry {
     score: FiniteF64,
     tie: std::cmp::Reverse<(JobId, StageId)>,
     job_idx: usize,
     stage: StageId,
-}
-
-impl Ord for SuEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.score, self.tie).cmp(&(other.score, other.tie))
-    }
-}
-
-impl PartialOrd for SuEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 impl LlmSched {
@@ -274,14 +262,12 @@ impl LlmSched {
         LlmSched {
             store,
             cfg,
-            rng: StdRng::seed_from_u64(seed),
+            merge: Merge::new(seed),
             cache: HashMap::new(),
             beliefs: BeliefStore::new(),
             exploit: ReadyIndex::default(),
             intervals: ReadyIndex::default(),
             last_calib: None,
-            merge_emitted: HashMap::new(),
-            st_mat_buf: Vec::new(),
             su_heap_buf: BinaryHeap::new(),
             telemetry: false,
             decisions: Vec::new(),
@@ -410,19 +396,11 @@ impl LlmSched {
                         .cmp(&(ctx.jobs[b.1].arrival(), ctx.jobs[b.1].id()))
                 })
         });
-        let mut st: Vec<StageRef> = Vec::new();
-        for &(_, i) in &job_order {
-            for &s in ctx.jobs[i].ready_stage_ids() {
-                st.push(StageRef {
-                    job_idx: i,
-                    stage: s,
-                });
-            }
-        }
+        let st_len = ctx.jobs.iter().map(|j| j.ready_stage_ids().len()).sum();
 
         // --- Exploration list Su: non-overlapping sets, then most
         //     uncertainty reduction first (lines 5-10). ---
-        let mut su: Vec<StageRef> = Vec::new();
+        let mut su: Vec<(f64, StageRef)> = Vec::new();
         if self.cfg.use_uncertainty {
             let intervals: Vec<(usize, f64, f64)> = ctx
                 .jobs
@@ -434,25 +412,42 @@ impl LlmSched {
                 })
                 .collect();
             for group in non_overlapping_groups(intervals) {
-                let mut scored: Vec<(f64, StageRef)> = Vec::new();
+                let start = su.len();
                 for i in group {
-                    for &s in ctx.jobs[i].ready_stage_ids() {
-                        let r = self.reduction_of(&ctx.jobs[i], s);
-                        scored.push((
-                            r,
-                            StageRef {
-                                job_idx: i,
-                                stage: s,
-                            },
-                        ));
+                    for &stage in ctx.jobs[i].ready_stage_ids() {
+                        let r = self.reduction_of(&ctx.jobs[i], stage);
+                        su.push((r, StageRef { job_idx: i, stage }));
                     }
                 }
-                sort_scored(&mut scored, ctx);
-                su.extend(scored.into_iter().map(|(_, s)| s));
+                sort_scored(&mut su[start..], ctx);
             }
         }
 
-        self.epsilon_merge(ctx, &st, &su)
+        let from = self.decisions.len();
+        let p = self.merge.run(
+            ctx,
+            &self.cfg,
+            (
+                st_len,
+                ready_stages(ctx.jobs, job_order.iter().map(|&(_, i)| i)),
+            ),
+            (su.len(), su.iter().copied()),
+            (usize::MAX, usize::MAX),
+            self.telemetry.then_some(&mut self.decisions),
+        );
+        // Provenance reads the analyses the lists above memoized.
+        let (store, cache) = (&self.store, &self.cache);
+        annotate(&mut self.decisions[from..], ctx, calib, |job| {
+            let version = store.version(job.app()).0;
+            let mask = store
+                .profile(job.app())
+                .map_or(0, |pr| pr.evidence_mask(job));
+            let work = cache
+                .get(&(job.id(), version, mask))
+                .map_or_else(WorkEstimate::default, |a| a.work);
+            (version, mask, work)
+        });
+        p
     }
 
     // ------------------------------------------------------------------
@@ -553,33 +548,33 @@ impl LlmSched {
     /// Key observation: once both preference lists cover the free capacity
     /// (`regular_free` / `llm_free_slots`), no further entry can start —
     /// so only the consumed prefixes of St and Su need real identities.
-    /// The rest of the merge must still *run* (the ε-draw RNG stream
-    /// length depends on both list lengths), but it only needs counts,
-    /// which the records' running ready-stage total and the engine's
-    /// per-class [`SchedContext::dispatchable_regular`] /
-    /// [`SchedContext::dispatchable_llm`] provide without touching any
-    /// job. St materializes per-job on demand in the persistent SRTF
-    /// order, which holds only ready jobs; Su materializes per *group* on
-    /// demand (groups scanned off the persistent interval index) into a
-    /// max-heap, so the most-uncertainty-reduction-first order costs
-    /// O(pops · log g) instead of a full per-invocation sort. While two or
-    /// more ready jobs are still off the heap, the group scan walks
-    /// non-ready entries too — their intervals can bridge two groups — but
-    /// reads nothing beyond the entry itself for them. It stops once every
-    /// ready job's frontier is on the heap, and the last one is pushed
-    /// alone: no other ready job can share its group, so no bridging can
-    /// change the order. Everything emitted is bit-identical to the
-    /// rebuild path's schedule; the equivalence suite pins it.
+    /// The merge must still *run* to the end (the ε-draw RNG stream length
+    /// depends on both list lengths), but past the cut-off it only needs
+    /// counts, which the records' running ready-stage total provides
+    /// without touching any job. St materializes per job on demand in the
+    /// persistent SRTF order, which holds only ready jobs; Su materializes
+    /// per *group* on demand (groups scanned off the persistent interval
+    /// index) into a max-heap, so the most-uncertainty-reduction-first
+    /// order costs O(pops · log g) instead of a full per-invocation sort.
+    /// While two or more ready jobs are still off the heap, the group scan
+    /// walks non-ready entries too — their intervals can bridge two groups
+    /// — but reads nothing beyond the entry itself for them. It stops once
+    /// every ready job's frontier is on the heap, and the last one is
+    /// pushed alone: no other ready job can share its group, so no
+    /// bridging can change the order. Everything emitted is bit-identical
+    /// to the rebuild path's schedule; the equivalence suite pins it.
     fn schedule_incremental(&mut self, ctx: &SchedContext<'_>) -> Preference {
         self.sync(ctx);
-        let telemetry = self.telemetry;
         let calib = self.last_calib.unwrap_or(1.0);
-        let mut rank: u32 = 0;
         // A class is *closed* once its list covers what could possibly
         // start: the free capacity, or everything available when the
-        // class has fewer unstarted tasks than capacity.
-        let rb = ctx.regular_free().min(ctx.dispatchable_regular);
-        let lb = ctx.llm_free_slots().min(ctx.dispatchable_llm);
+        // class has fewer unstarted tasks than capacity
+        // ([`SchedContext::dispatchable_regular`] /
+        // [`SchedContext::dispatchable_llm`]).
+        let cut = (
+            ctx.regular_free().min(ctx.dispatchable_regular),
+            ctx.llm_free_slots().min(ctx.dispatchable_llm),
+        );
         let st_len = self.beliefs.ready_stages();
         let su_len = if self.cfg.use_uncertainty { st_len } else { 0 };
 
@@ -592,120 +587,189 @@ impl LlmSched {
             ref mut beliefs,
             ref store,
             ref cfg,
-            ref mut rng,
-            ref mut merge_emitted,
-            ref mut st_mat_buf,
+            ref mut merge,
             ref mut su_heap_buf,
             ref mut decisions,
+            telemetry,
             ..
         } = *self;
-
-        let mut p = Preference::new();
-        // Stage -> number of task refs emitted for it during the merge
-        // (the tail subtracts these as duplicates).
-        let emitted = merge_emitted;
-        emitted.clear();
-        // Lazy St state: materialized prefix + cursor into the SRTF order.
-        let st_mat = st_mat_buf;
-        st_mat.clear();
-        let mut st_src = exploit.entries().iter().map(|e| e.job);
+        let st = ready_stages(
+            ctx.jobs,
+            exploit
+                .entries()
+                .iter()
+                .filter_map(|e| ctx.job_index(e.job)),
+        );
         // Lazy Su state: cursor into the interval order, the ready jobs
         // not yet on the heap, and the current group's scored heap.
-        let mut iv_src = intervals.entries().iter().peekable();
+        let mut iv = intervals.entries().iter().peekable();
         let mut su_ready = beliefs.ready_jobs();
         let heap = su_heap_buf;
         heap.clear();
+        let su = std::iter::from_fn(|| {
+            while heap.is_empty() && su_ready > 0 && iv.peek().is_some() {
+                if su_ready == 1 {
+                    // The last ready job forms its group's whole frontier:
+                    // push it without tracking bounds.
+                    if let Some(e) = iv.find(|e| e.ready) {
+                        push_frontier(heap, beliefs, store, cfg.mi, ctx, e.job);
+                    }
+                    su_ready = 0;
+                    break;
+                }
+                // Materialize the next non-overlapping group: scan the
+                // interval order, merging while lower bounds stay within
+                // the group's running upper bound (exactly
+                // `non_overlapping_groups`), pushing the group's scored
+                // ready-stage frontier onto the heap.
+                let mut cur_hi = f64::NEG_INFINITY;
+                let mut first = true;
+                while let Some(&e) = iv.peek() {
+                    if !first && e.key.0 > cur_hi {
+                        break;
+                    }
+                    first = false;
+                    cur_hi = cur_hi.max(e.val);
+                    iv.next();
+                    // Jobs with no ready stages contribute nothing but
+                    // their interval: skip them on the flag. Past the last
+                    // ready job the group adds nothing more.
+                    if e.ready {
+                        push_frontier(heap, beliefs, store, cfg.mi, ctx, e.job);
+                        su_ready -= 1;
+                        if su_ready == 0 {
+                            break;
+                        }
+                    }
+                }
+            }
+            heap.pop().map(|e| {
+                let s = StageRef {
+                    job_idx: e.job_idx,
+                    stage: e.stage,
+                };
+                (e.score.0, s)
+            })
+        });
 
+        let from = decisions.len();
+        let p = merge.run(
+            ctx,
+            cfg,
+            (st_len, st),
+            (su_len, su),
+            cut,
+            telemetry.then_some(&mut *decisions),
+        );
+        annotate(&mut decisions[from..], ctx, calib, |job| {
+            match beliefs.get(job.id()) {
+                Some(b) => (b.version, b.mask, b.work),
+                None => (0, 0, WorkEstimate::default()),
+            }
+        });
+        p
+    }
+}
+
+/// Algorithm 1's ε-greedy merge of St and Su (lines 11-22), with its
+/// persistent state: the ε-draw stream, and scratch whose capacity
+/// persists so the merge stays allocation-free at steady state.
+#[derive(Debug)]
+struct Merge {
+    rng: StdRng,
+    /// Stage -> task refs pushed for it during the merge (0 marks a stage
+    /// consumed without emission); the tail subtracts them as duplicates.
+    emitted: HashMap<(usize, StageId), usize>,
+    /// The St prefix the merge consumed, which the tail walks again.
+    st: Vec<StageRef>,
+}
+
+impl Merge {
+    fn new(seed: u64) -> Self {
+        Merge {
+            rng: StdRng::seed_from_u64(seed),
+            emitted: HashMap::new(),
+            st: Vec::new(),
+        }
+    }
+
+    /// Merges St and Su as a *biased merge* of two priority queues: each
+    /// draw takes the head of Su with probability ε (attaching only a
+    /// sampled fraction r of its tasks) and the head of St otherwise —
+    /// the list not drawn keeps its head. (A literal pop-both reading of
+    /// Algorithm 1 would demote the best SRTF stage to the tail on every
+    /// exploration draw, which measurably hurts every workload; see
+    /// DESIGN.md §3 for this documented deviation.) Stages already
+    /// emitted via one list are skipped in the other, and the tail (line
+    /// 21) attaches the unsampled remainders in SRTF order.
+    ///
+    /// Each source is its length and its entries in list order; Su
+    /// entries carry their Eq. 6 score. `cut` caps the (regular, LLM)
+    /// entries that could start: an entry for a class whose list covers
+    /// its cut is skipped, and once both are covered emission stops while
+    /// the draws run on, so the ε-draw stream advances exactly as without
+    /// a cut. `(usize::MAX, usize::MAX)` never skips.
+    ///
+    /// With `log`, one [`DecisionRecord`] per emission is appended,
+    /// ranked in emission order; its posterior fields are left for
+    /// [`annotate`].
+    fn run(
+        &mut self,
+        ctx: &SchedContext<'_>,
+        cfg: &LlmSchedConfig,
+        (st_len, mut st_src): (usize, impl Iterator<Item = StageRef>),
+        (su_len, mut su_src): (usize, impl Iterator<Item = (f64, StageRef)>),
+        (rb, lb): (usize, usize),
+        mut log: Option<&mut Vec<DecisionRecord>>,
+    ) -> Preference {
+        let Merge { rng, emitted, st } = self;
+        emitted.clear();
+        st.clear();
+        let mut rank = 0u32;
+        let mut note = |s: StageRef, list, tasks: usize, reduction| {
+            if let Some(out) = log.as_deref_mut() {
+                out.push(DecisionRecord {
+                    at: SimTime::ZERO,
+                    seq: 0,
+                    job: ctx.jobs[s.job_idx].id(),
+                    stage: s.stage,
+                    list,
+                    rank,
+                    tasks: tasks as u32,
+                    evidence_mask: 0,
+                    profile_version: 0,
+                    expected_work: 0.0,
+                    interval: (0.0, 0.0),
+                    reduction,
+                });
+                rank += 1;
+            }
+        };
+        let mut p = Preference::new();
         let (mut st_i, mut su_i) = (0usize, 0usize);
-        // Set once both budgets are covered: emission (and materialization)
-        // stops; only the counters and RNG draws continue.
+        // Set once both lists cover their cut: only the counters and the
+        // draws continue.
         let mut satiated = false;
         while st_i < st_len || su_i < su_len {
             let explore = su_i < su_len && (st_i >= st_len || rng.gen::<f64>() <= cfg.epsilon);
-            if satiated {
-                // Fast drain: emission is over, but the ε-draw stream must
-                // advance exactly as the unbounded path's would — one draw
-                // per step while both lists remain unexhausted.
-                if explore {
-                    su_i += 1;
-                } else {
-                    st_i += 1;
-                }
-                while st_i < st_len || su_i < su_len {
-                    let e = su_i < su_len && (st_i >= st_len || rng.gen::<f64>() <= cfg.epsilon);
-                    if e {
-                        su_i += 1;
-                    } else {
-                        st_i += 1;
-                    }
-                }
-                continue;
-            }
-            let (sref, sample, score) = if explore {
+            let next = if explore {
                 su_i += 1;
-                while heap.is_empty() && su_ready > 0 && iv_src.peek().is_some() {
-                    if su_ready == 1 {
-                        // The last ready job forms its group's whole
-                        // frontier: push it without tracking bounds.
-                        if let Some(e) = iv_src.find(|e| e.ready) {
-                            push_frontier(heap, beliefs, store, cfg.mi, ctx, e.job);
-                        }
-                        su_ready = 0;
-                        break;
-                    }
-                    // Materialize the next non-overlapping group: scan the
-                    // interval order, merging while lower bounds stay
-                    // within the group's running upper bound (exactly
-                    // `non_overlapping_groups`), pushing the group's
-                    // scored ready-stage frontier onto the heap.
-                    let mut cur_hi = f64::NEG_INFINITY;
-                    let mut first = true;
-                    while let Some(&e) = iv_src.peek() {
-                        if !first && e.key.0 > cur_hi {
-                            break;
-                        }
-                        first = false;
-                        cur_hi = cur_hi.max(e.val);
-                        iv_src.next();
-                        // Jobs with no ready stages contribute nothing
-                        // but their interval: skip them on the flag. Past
-                        // the last ready job the group adds nothing more.
-                        if e.ready {
-                            push_frontier(heap, beliefs, store, cfg.mi, ctx, e.job);
-                            su_ready -= 1;
-                            if su_ready == 0 {
-                                break;
-                            }
-                        }
-                    }
+                if satiated {
+                    continue;
                 }
-                let popped = heap.pop();
-                let score = popped.as_ref().map(|e| e.score.0);
-                (
-                    popped.map(|e| StageRef {
-                        job_idx: e.job_idx,
-                        stage: e.stage,
-                    }),
-                    true,
-                    score,
-                )
+                su_src.next().map(|(r, s)| (s, Some(r)))
             } else {
                 st_i += 1;
-                while st_mat.len() < st_i {
-                    let Some(id) = st_src.next() else { break };
-                    if let Some(i) = ctx.job_index(id) {
-                        for &s in ctx.jobs[i].ready_stage_ids() {
-                            st_mat.push(StageRef {
-                                job_idx: i,
-                                stage: s,
-                            });
-                        }
-                    }
+                if satiated {
+                    continue;
                 }
-                (st_mat.get(st_i - 1).copied(), false, None)
+                st_src.next().map(|s| {
+                    st.push(s);
+                    (s, None)
+                })
             };
-            let Some(s) = sref else {
-                debug_assert!(false, "ready-stage count out of sync with the lazy sources");
+            let Some((s, score)) = next else {
+                debug_assert!(false, "list length out of sync with its source");
                 continue;
             };
             let key = (s.job_idx, s.stage);
@@ -714,252 +778,107 @@ impl LlmSched {
             }
             // During the merge every pushed entry is fresh and startable,
             // so raw list lengths are the startable-entry counts.
-            let (closed_reg, closed_llm) = (p.regular.len() >= rb, p.llm.len() >= lb);
-            if closed_reg && closed_llm {
+            let (reg, llm) = (p.regular.len(), p.llm.len());
+            if reg >= rb && llm >= lb {
                 satiated = true;
                 continue;
             }
-            // Class-aware skip: entries for a closed class can never
-            // start, whatever their position.
-            let kind = ctx.jobs[s.job_idx].visible_kind(s.stage);
-            let skip = match kind {
-                Some(llmsched_dag::job::StageKind::Regular) => closed_reg,
-                Some(llmsched_dag::job::StageKind::Llm) => closed_llm,
-                _ => true,
-            };
-            if skip {
+            let job = &ctx.jobs[s.job_idx];
+            if !below_cut(job, s.stage, (reg, llm), (rb, lb)) {
                 emitted.insert(key, 0);
                 continue;
             }
-            let before = p.len();
-            if sample {
-                p.push_stage_sample(&ctx.jobs[s.job_idx], s.stage, cfg.sampling_ratio);
-            } else {
-                p.push_stage_tasks(&ctx.jobs[s.job_idx], s.stage);
-            }
-            emitted.insert(key, p.len() - before);
-            if telemetry {
-                let list = if sample {
-                    DecisionList::Explore
-                } else {
-                    DecisionList::Exploit
-                };
-                decisions.push(provenance_record(
-                    beliefs,
-                    calib,
-                    &ctx.jobs[s.job_idx],
-                    s.stage,
-                    list,
-                    rank,
-                    (p.len() - before) as u32,
-                    score,
-                ));
-                rank += 1;
-            }
-        }
-
-        // Line 21 tail: attach the unsampled remainders in SRTF order. If
-        // the budgets were covered during the merge nothing here could
-        // start; otherwise St is fully materialized and the tail tracks
-        // *fresh* entries (duplicates are skipped by the dispatcher
-        // without consuming capacity).
-        if !satiated {
-            let (mut fresh_reg, mut fresh_llm) = (p.regular.len(), p.llm.len());
-            for s in st_mat.iter() {
-                if fresh_reg >= rb && fresh_llm >= lb {
-                    break;
-                }
-                let kind = ctx.jobs[s.job_idx].visible_kind(s.stage);
-                let skip = match kind {
-                    Some(llmsched_dag::job::StageKind::Regular) => fresh_reg >= rb,
-                    Some(llmsched_dag::job::StageKind::Llm) => fresh_llm >= lb,
-                    _ => true,
-                };
-                if skip {
-                    continue;
-                }
-                // A merge-emitted stage re-pushes `prior` duplicate refs
-                // (the sampled prefix, or everything for exploited
-                // stages); only the surplus counts toward capacity.
-                let prior = emitted.get(&(s.job_idx, s.stage)).copied().unwrap_or(0);
-                let (r0, l0) = (p.regular.len(), p.llm.len());
-                p.push_stage_tasks(&ctx.jobs[s.job_idx], s.stage);
-                let (dr, dl) = (p.regular.len() - r0, p.llm.len() - l0);
-                let fresh = if dr > 0 {
-                    dr.saturating_sub(prior)
-                } else {
-                    dl.saturating_sub(prior)
-                };
-                if dr > 0 {
-                    fresh_reg += fresh;
-                } else {
-                    fresh_llm += fresh;
-                }
-                if telemetry && fresh > 0 {
-                    decisions.push(provenance_record(
-                        beliefs,
-                        calib,
-                        &ctx.jobs[s.job_idx],
-                        s.stage,
-                        DecisionList::Tail,
-                        rank,
-                        fresh as u32,
-                        None,
-                    ));
-                    rank += 1;
-                }
-            }
-        }
-        p
-    }
-
-    // ------------------------------------------------------------------
-    // Shared tail: the ε-greedy merge (lines 11-22)
-    // ------------------------------------------------------------------
-
-    /// Implemented as a *biased merge* of the two priority queues: each
-    /// draw takes the head of Su with probability ε (attaching only a
-    /// sampled fraction r of its tasks) and the head of St otherwise —
-    /// the list not drawn keeps its head. (A literal pop-both reading of
-    /// Algorithm 1 would demote the best SRTF stage to the tail on every
-    /// exploration draw, which measurably hurts every workload; see
-    /// DESIGN.md §3 for this documented deviation.) Stages already
-    /// emitted via one list are skipped in the other.
-    ///
-    /// This is the rebuild path's merge; the incremental path runs the
-    /// same algorithm over *lazy* sources in `schedule_incremental`.
-    fn epsilon_merge(
-        &mut self,
-        ctx: &SchedContext<'_>,
-        st: &[StageRef],
-        su: &[StageRef],
-    ) -> Preference {
-        // Provenance is built from the memoized analyses the list
-        // construction above already populated, so collection touches no
-        // new state (and the calibration recompute is a pure fold).
-        let calib = if self.telemetry {
-            crate::estimator::batching_calibration(ctx)
-        } else {
-            1.0
-        };
-        let mut rank: u32 = 0;
-        let mut p = Preference::new();
-        // Stage -> task refs pushed during the merge (0 marks "seen"; the
-        // tail subtracts the counts to find fresh remainders).
-        let mut emitted: HashMap<(usize, StageId), usize> = HashMap::new();
-        let (mut st_i, mut su_i) = (0usize, 0usize);
-        while st_i < st.len() || su_i < su.len() {
-            let explore =
-                su_i < su.len() && (st_i >= st.len() || self.rng.gen::<f64>() <= self.cfg.epsilon);
             if explore {
-                let s = su[su_i];
-                su_i += 1;
-                if let Entry::Vacant(e) = emitted.entry((s.job_idx, s.stage)) {
-                    // Explore: sample a fraction r of the uncertain stage's
-                    // tasks (line 15); the rest re-attach at the tail below.
-                    let before = p.len();
-                    p.push_stage_sample(&ctx.jobs[s.job_idx], s.stage, self.cfg.sampling_ratio);
-                    e.insert(p.len() - before);
-                    if self.telemetry {
-                        let score = self.reduction_of(&ctx.jobs[s.job_idx], s.stage);
-                        let r = self.record_rebuild(
-                            ctx,
-                            s,
-                            DecisionList::Explore,
-                            rank,
-                            (p.len() - before) as u32,
-                            Some(score),
-                            calib,
-                        );
-                        self.decisions.push(r);
-                        rank += 1;
-                    }
-                }
+                p.push_stage_sample(job, s.stage, cfg.sampling_ratio);
             } else {
-                let s = st[st_i];
-                st_i += 1;
-                if let Entry::Vacant(e) = emitted.entry((s.job_idx, s.stage)) {
-                    // Exploit: all tasks of the SRTF-preferred stage.
-                    let before = p.len();
-                    p.push_stage_tasks(&ctx.jobs[s.job_idx], s.stage);
-                    e.insert(p.len() - before);
-                    if self.telemetry {
-                        let r = self.record_rebuild(
-                            ctx,
-                            s,
-                            DecisionList::Exploit,
-                            rank,
-                            (p.len() - before) as u32,
-                            None,
-                            calib,
-                        );
-                        self.decisions.push(r);
-                        rank += 1;
-                    }
-                }
+                p.push_stage_tasks(job, s.stage);
             }
+            let tasks = p.len() - (reg + llm);
+            emitted.insert(key, tasks);
+            let list = if explore {
+                DecisionList::Explore
+            } else {
+                DecisionList::Exploit
+            };
+            note(s, list, tasks, score);
         }
-        // Line 21: attach all remaining tasks (the unsampled remainders of
-        // explored stages) at the end, in SRTF order. Duplicate references
-        // are skipped by the dispatcher.
-        for s in st {
+        if satiated {
+            // Nothing the tail could add would start.
+            return p;
+        }
+        // Line 21 tail: St was consumed whole. Merge-emitted stages
+        // re-push their `prior` refs as duplicates (the dispatcher skips
+        // them without consuming capacity), so only the surplus counts
+        // toward the cut.
+        let (mut fresh_reg, mut fresh_llm) = (p.regular.len(), p.llm.len());
+        for &s in st.iter() {
+            if fresh_reg >= rb && fresh_llm >= lb {
+                break;
+            }
+            let job = &ctx.jobs[s.job_idx];
+            if !below_cut(job, s.stage, (fresh_reg, fresh_llm), (rb, lb)) {
+                continue;
+            }
             let prior = emitted.get(&(s.job_idx, s.stage)).copied().unwrap_or(0);
-            let before = p.len();
-            p.push_stage_tasks(&ctx.jobs[s.job_idx], s.stage);
-            let fresh = (p.len() - before).saturating_sub(prior);
-            if self.telemetry && fresh > 0 {
-                let r = self.record_rebuild(
-                    ctx,
-                    *s,
-                    DecisionList::Tail,
-                    rank,
-                    fresh as u32,
-                    None,
-                    calib,
-                );
-                self.decisions.push(r);
-                rank += 1;
+            let (r0, l0) = (p.regular.len(), p.llm.len());
+            p.push_stage_tasks(job, s.stage);
+            // A stage's tasks all go to one list.
+            let (dr, dl) = (p.regular.len() - r0, p.llm.len() - l0);
+            let fresh = (dr + dl).saturating_sub(prior);
+            if dr > 0 {
+                fresh_reg += fresh;
+            } else {
+                fresh_llm += fresh;
+            }
+            if fresh > 0 {
+                note(s, DecisionList::Tail, fresh, None);
             }
         }
         p
     }
+}
 
-    /// Builds one rebuild-path provenance record from the memoized
-    /// per-(job, evidence) analysis cache. `at`/`seq` are stamped by the
-    /// engine at drain time.
-    #[allow(clippy::too_many_arguments)]
-    fn record_rebuild(
-        &mut self,
-        ctx: &SchedContext<'_>,
-        s: StageRef,
-        list: DecisionList,
-        rank: u32,
-        tasks: u32,
-        reduction: Option<f64>,
-        calib: f64,
-    ) -> DecisionRecord {
-        let job = &ctx.jobs[s.job_idx];
-        let a = self.analysis(job);
-        let version = self.store.version(job.app()).0;
-        let mask = self
-            .store
-            .profile(job.app())
-            .map(|pr| pr.evidence_mask(job))
-            .unwrap_or(0);
-        DecisionRecord {
-            at: SimTime::ZERO,
-            seq: 0,
-            job: job.id(),
-            stage: s.stage,
-            list,
-            rank,
-            tasks,
-            evidence_mask: mask,
-            profile_version: version,
-            expected_work: a.work.expected(calib),
-            interval: a.work.interval(calib),
-            reduction,
-        }
+/// True if `stage`'s class still has room: its list holds fewer than its
+/// cut-off's entries, with `have` and `cut` as (regular, LLM) pairs.
+fn below_cut(job: &JobRt, stage: StageId, have: (usize, usize), cut: (usize, usize)) -> bool {
+    match job.visible_kind(stage) {
+        Some(StageKind::Regular) => have.0 < cut.0,
+        Some(StageKind::Llm) => have.1 < cut.1,
+        _ => false,
+    }
+}
+
+/// The ready stages of the jobs at indices `order`, job by job: an St
+/// source.
+fn ready_stages<'a>(
+    jobs: ActiveJobs<'a>,
+    order: impl Iterator<Item = usize> + 'a,
+) -> impl Iterator<Item = StageRef> + 'a {
+    order.flat_map(move |job_idx| {
+        jobs.get(job_idx)
+            .ready_stage_ids()
+            .iter()
+            .map(move |&stage| StageRef { job_idx, stage })
+    })
+}
+
+/// Fills the posterior fields of freshly merged provenance `records`:
+/// `lookup` gives a job's (profile version, evidence mask, work
+/// estimate), read under the Eq. 2 calibration `calib`. `at`/`seq` are
+/// stamped by the engine at drain time.
+fn annotate(
+    records: &mut [DecisionRecord],
+    ctx: &SchedContext<'_>,
+    calib: f64,
+    lookup: impl Fn(&JobRt) -> (u64, u64, WorkEstimate),
+) {
+    for d in records {
+        let job = ctx.job(d.job).expect("records name active jobs");
+        let (version, mask, work) = lookup(job);
+        d.profile_version = version;
+        d.evidence_mask = mask;
+        d.expected_work = work.expected(calib);
+        d.interval = work.interval(calib);
     }
 }
 
@@ -1027,40 +946,6 @@ fn push_frontier(
     }
 }
 
-/// Builds one incremental-path provenance record from the job's persistent
-/// belief — pure reads of state `sync` already materialized. `at`/`seq`
-/// are stamped by the engine at drain time.
-#[allow(clippy::too_many_arguments)]
-fn provenance_record(
-    beliefs: &BeliefStore,
-    calib: f64,
-    job: &JobRt,
-    stage: StageId,
-    list: DecisionList,
-    rank: u32,
-    tasks: u32,
-    reduction: Option<f64>,
-) -> DecisionRecord {
-    let (version, mask, work) = match beliefs.get(job.id()) {
-        Some(b) => (b.version, b.mask, b.work),
-        None => (0, 0, WorkEstimate::default()),
-    };
-    DecisionRecord {
-        at: SimTime::ZERO,
-        seq: 0,
-        job: job.id(),
-        stage,
-        list,
-        rank,
-        tasks,
-        evidence_mask: mask,
-        profile_version: version,
-        expected_work: work.expected(calib),
-        interval: work.interval(calib),
-        reduction,
-    }
-}
-
 /// Most-uncertainty-reduction-first ordering within one group (ties by
 /// (job id, stage id) so runs are deterministic).
 fn sort_scored(scored: &mut [(f64, StageRef)], ctx: &SchedContext<'_>) {
@@ -1076,8 +961,8 @@ fn sort_scored(scored: &mut [(f64, StageRef)], ctx: &SchedContext<'_>) {
 
 /// Groups jobs into non-overlapping sets by their duration-support
 /// intervals (Algorithm 1, line 5). Input: `(job index, lo, hi)`.
-/// Returns groups ordered by lower bound; within a group the original
-/// entries are kept in input order.
+/// Returns groups ordered by lower bound; within a group, entries are
+/// ordered by (lo, job index).
 fn non_overlapping_groups(mut intervals: Vec<(usize, f64, f64)>) -> Vec<Vec<usize>> {
     intervals.sort_by(|a, b| {
         a.1.partial_cmp(&b.1)
@@ -1125,7 +1010,7 @@ impl Scheduler for LlmSched {
         self.exploit.clear();
         self.intervals.clear();
         self.last_calib = None;
-        self.rng = StdRng::seed_from_u64(self.cfg.seed);
+        self.merge = Merge::new(self.cfg.seed);
         self.decisions.clear();
     }
 
@@ -1202,6 +1087,125 @@ mod tests {
     fn single_interval_is_one_group() {
         assert_eq!(non_overlapping_groups(vec![(7, 1.0, 2.0)]), vec![vec![7]]);
         assert!(non_overlapping_groups(vec![]).is_empty());
+    }
+
+    /// Three one-stage regular jobs of 5, 3 and 4 tasks.
+    fn wide_jobs() -> Vec<JobRt> {
+        use llmsched_dag::prelude::*;
+        let mut b = TemplateBuilder::new(AppId(0), "wide");
+        b.regular("wide");
+        let t = b.build().unwrap();
+        let task = TaskWork::Regular {
+            duration: SimDuration::from_secs(1),
+        };
+        [5, 3, 4]
+            .into_iter()
+            .enumerate()
+            .map(|(id, n)| {
+                let stage = StageSpec::executing("wide", StageKind::Regular, vec![task; n]);
+                let spec = JobSpec::new(JobId(id as u64), &t, SimTime::ZERO, vec![stage], vec![]);
+                JobRt::new(spec.unwrap())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn merge_follows_epsilon_and_its_cut_keeps_the_startable_prefix() {
+        let jobs = wide_jobs();
+        let latency = llmsched_sim::latency::LatencyProfile::default();
+        let templates: llmsched_dag::template::TemplateSet = std::iter::empty().collect();
+        let ctx = SchedContext {
+            now: SimTime::ZERO,
+            jobs: ActiveJobs::dense(&jobs),
+            llm_executors: &[],
+            backend: "cluster/least-loaded",
+            regular_total: 16,
+            regular_busy: 0,
+            dispatchable_regular: 12,
+            dispatchable_llm: 0,
+            could_dispatch: true,
+            templates: &templates,
+            latency: &latency,
+        };
+        let at = |job_idx| StageRef {
+            job_idx,
+            stage: StageId(0),
+        };
+        // St (SRTF): jobs 2, 0, 1. Su (by score): jobs 1, 0, 2.
+        let st = [at(2), at(0), at(1)];
+        let su = [(3.0, at(1)), (2.0, at(0)), (1.0, at(2))];
+        let run = |epsilon, cut, seed| {
+            let cfg = LlmSchedConfig {
+                epsilon,
+                sampling_ratio: 0.5,
+                ..Default::default()
+            };
+            let mut merge = Merge::new(seed);
+            let mut log = Vec::new();
+            let (st, su) = ((3, st.iter().copied()), (3, su.iter().copied()));
+            let p = merge.run(&ctx, &cfg, st, su, cut, Some(&mut log));
+            let refs: Vec<(u64, u32)> = p.regular.iter().map(|t| (t.job.0, t.task)).collect();
+            let log: Vec<_> = log
+                .iter()
+                .map(|d| (d.list, d.job.0, d.tasks, d.reduction))
+                .collect();
+            (refs, log, rand::RngCore::next_u64(&mut merge.rng))
+        };
+        let unbounded = (usize::MAX, usize::MAX);
+        let tasks = |stages: &[(u64, u32)]| -> Vec<(u64, u32)> {
+            stages
+                .iter()
+                .flat_map(|&(j, n)| (0..n).map(move |t| (j, t)))
+                .collect()
+        };
+        use DecisionList::{Exploit, Explore, Tail};
+
+        // ε = 0: St in order, whole stages; the tail adds only duplicates.
+        let (refs, log, _) = run(0.0, unbounded, 7);
+        assert_eq!(refs[..12], tasks(&[(2, 4), (0, 5), (1, 3)])[..]);
+        assert_eq!(
+            log,
+            [
+                (Exploit, 2, 4, None),
+                (Exploit, 0, 5, None),
+                (Exploit, 1, 3, None)
+            ]
+        );
+
+        // ε = 1: ⌈r·n⌉ tasks of each Su head in Su order, then the
+        // remainders re-attached in SRTF order.
+        let (refs, log, _) = run(1.0, unbounded, 7);
+        assert_eq!(refs[..7], tasks(&[(1, 2), (0, 3), (2, 2)])[..]);
+        assert_eq!(
+            log,
+            [
+                (Explore, 1, 2, Some(3.0)),
+                (Explore, 0, 3, Some(2.0)),
+                (Explore, 2, 2, Some(1.0)),
+                (Tail, 2, 2, None),
+                (Tail, 0, 2, None),
+                (Tail, 1, 1, None),
+            ]
+        );
+
+        // A cut of k regular entries emits the first k distinct refs of
+        // the unbounded run (the dispatcher skips duplicates) and leaves
+        // the ε-draw stream where the unbounded run leaves it.
+        let startable = |refs: &[(u64, u32)], k| {
+            let mut seen = std::collections::HashSet::new();
+            let distinct = refs.iter().filter(|&&r| seen.insert(r));
+            distinct.take(k).copied().collect::<Vec<_>>()
+        };
+        for seed in 0..16 {
+            let (all, all_log, all_next) = run(0.5, unbounded, seed);
+            for k in 0..=12 {
+                let (cut, cut_log, cut_next) = run(0.5, (k, 0), seed);
+                assert_eq!(startable(&cut, k), startable(&all, k), "seed {seed}, k {k}");
+                assert_eq!(startable(&cut, k).len(), k);
+                assert!(all_log.starts_with(&cut_log), "seed {seed}, k {k}");
+                assert_eq!(cut_next, all_next, "seed {seed}, k {k}");
+            }
+        }
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //!   ([`crate::exec::DisaggExec`]).
 //!
 //! The engine owns the hidden [`JobSpec`]s and implements the reveal
-//! protocol; schedulers only observe the filtered
-//! [`SchedContext`](crate::scheduler::SchedContext).
+//! protocol; schedulers only observe the filtered [`SchedContext`].
 //!
 //! # Hot-path layout
 //!
@@ -85,11 +84,10 @@ pub struct ClusterConfig {
     /// Bounded-staleness decision batching: with ε > 0 (simulated
     /// seconds), a decision point falling within ε of the previous
     /// policy invocation is *deferred* — its deltas keep accumulating on
-    /// the existing [`SchedDelta`](crate::scheduler::SchedDelta) stream —
-    /// and all deferred points fold into one batched invocation at the
-    /// horizon edge (the clock advances to exactly
-    /// `previous invocation + ε` when no earlier event exists). `0.0`
-    /// (the default) is the exact mode: every decision point is
+    /// the existing [`SchedDelta`] stream — and all deferred points fold
+    /// into one batched invocation at the horizon edge (the clock advances
+    /// to exactly `previous invocation + ε` when no earlier event exists).
+    /// `0.0` (the default) is the exact mode: every decision point is
     /// evaluated at its own timestamp, bit-identical to an engine without
     /// this field (pinned by `tests/batching_equiv.rs`). ε > 0 is a
     /// *relaxation*: dispatch can lag a ready task by at most ε, bounding
@@ -813,36 +811,28 @@ impl Engine<'_> {
             match self.jobs[job].vis_of(r.0) {
                 Visibility::Hidden | Visibility::Undetermined => {
                     let id = self.jobs[job].id();
-                    if self.jobs[job].spec.stage(r).executed {
-                        self.jobs[job].set_visibility(r.0, Visibility::Known);
-                        self.emit(SchedDelta::StageRevealed {
-                            job: id,
-                            stage: r,
-                            executes: true,
-                        });
-                        if self.probe_on {
-                            self.probe.record(&ProbeEvent::StageRevealed {
-                                at: self.now,
-                                job: id,
-                                stage: r,
-                                executes: true,
-                            });
-                        }
+                    let executes = self.jobs[job].spec.stage(r).executed;
+                    let vis = if executes {
+                        Visibility::Known
                     } else {
-                        self.jobs[job].set_visibility(r.0, Visibility::Void);
-                        self.emit(SchedDelta::StageRevealed {
+                        Visibility::Void
+                    };
+                    self.jobs[job].set_visibility(r.0, vis);
+                    self.emit(SchedDelta::StageRevealed {
+                        job: id,
+                        stage: r,
+                        executes,
+                    });
+                    if self.probe_on {
+                        self.probe.record(&ProbeEvent::StageRevealed {
+                            at: self.now,
                             job: id,
                             stage: r,
-                            executes: false,
+                            executes,
                         });
-                        if self.probe_on {
-                            self.probe.record(&ProbeEvent::StageRevealed {
-                                at: self.now,
-                                job: id,
-                                stage: r,
-                                executes: false,
-                            });
-                        }
+                    }
+                    // A void stage completes at once, cascading its reveals.
+                    if !executes {
                         self.complete_stage(job, r.0);
                     }
                 }
@@ -1060,13 +1050,9 @@ impl Engine<'_> {
         }
     }
 
-    fn start_regular(&mut self, j: usize, tr: &TaskRef) {
-        let TaskWork::Regular { duration } = self.jobs[j].spec.task_work(tr.stage, tr.task) else {
-            unreachable!("validated as regular");
-        };
-        let epoch = self.jobs[j].start_task(tr.stage.0, tr.task, None, self.now);
-        self.regular_busy += 1;
-        self.ready_reg -= 1;
+    /// Tells the policy (one coalescable `TasksDispatched`) and the probe
+    /// that `tr` started on `class`, on LLM executor `exec` if any.
+    fn emit_dispatch(&mut self, tr: &TaskRef, class: ExecutorClass, exec: Option<u32>) {
         self.emit(SchedDelta::TasksDispatched {
             job: tr.job,
             stage: tr.stage,
@@ -1078,10 +1064,20 @@ impl Engine<'_> {
                 job: tr.job,
                 stage: tr.stage,
                 task: tr.task,
-                class: ExecutorClass::Regular,
-                exec: None,
+                class,
+                exec,
             });
         }
+    }
+
+    fn start_regular(&mut self, j: usize, tr: &TaskRef) {
+        let TaskWork::Regular { duration } = self.jobs[j].spec.task_work(tr.stage, tr.task) else {
+            unreachable!("validated as regular");
+        };
+        let epoch = self.jobs[j].start_task(tr.stage.0, tr.task, None, self.now);
+        self.regular_busy += 1;
+        self.ready_reg -= 1;
+        self.emit_dispatch(tr, ExecutorClass::Regular, None);
         self.queue.push(
             self.now + duration,
             Event::TaskFinish {
@@ -1096,21 +1092,7 @@ impl Engine<'_> {
     fn start_llm(&mut self, j: usize, tr: &TaskRef, e: usize, work: LlmWork) {
         self.jobs[j].start_task(tr.stage.0, tr.task, Some(e as u32), self.now);
         self.ready_llm -= 1;
-        self.emit(SchedDelta::TasksDispatched {
-            job: tr.job,
-            stage: tr.stage,
-            count: 1,
-        });
-        if self.probe_on {
-            self.probe.record(&ProbeEvent::TaskDispatched {
-                at: self.now,
-                job: tr.job,
-                stage: tr.stage,
-                task: tr.task,
-                class: ExecutorClass::Llm,
-                exec: Some(e as u32),
-            });
-        }
+        self.emit_dispatch(tr, ExecutorClass::Llm, Some(e as u32));
         self.llm.admit(
             e,
             LlmTaskRef {

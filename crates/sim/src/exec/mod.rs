@@ -39,7 +39,7 @@
 //!   [`cluster::ClusterExec`]), so the backend is event-sparse: one
 //!   [`Event::LlmStep`] per admitted task (the prefill→decode handoff)
 //!   plus re-timed [`Event::TaskFinish`]s.
-//! * [`pool`] — the [`EngineMode`](pool::EngineMode) → backend factory.
+//! * [`pool`] — the [`EngineMode`] → backend factory.
 //!
 //! Backends interact with the engine through [`ExecCtx`]: they may read
 //! the clock and the reference latency curve, and post [`Event`]s into

@@ -95,10 +95,11 @@ pub struct SimResult {
     /// of decision points the run evaluated.
     pub sched_elided: u64,
     /// Scheduler opportunities deferred under the bounded-staleness
-    /// horizon ([`ClusterConfig::decision_horizon`]
-    /// (crate::engine::ClusterConfig)): the decision point fell within ε
-    /// of the previous invocation, so it was folded — deltas and all —
-    /// into the batched invocation at the horizon edge. Always 0 in
+    /// horizon
+    /// ([`ClusterConfig::decision_horizon`](crate::engine::ClusterConfig::decision_horizon)):
+    /// the decision point fell within ε of the previous invocation, so it
+    /// was folded — deltas and all — into the batched invocation at the
+    /// horizon edge. Always 0 in
     /// exact mode (`decision_horizon` 0). Deferred opportunities consume
     /// sequence numbers alongside the other three outcomes, so
     /// `sched_calls + sched_skipped + sched_elided + sched_deferred` is
