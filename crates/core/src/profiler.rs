@@ -21,7 +21,7 @@
 //! * joint posteriors over correlated stage sets (for Eq. 5/6);
 //! * the correlated-stage sets themselves via BN reachability (Eq. 1).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use llmsched_bayes::dataset::DiscreteData;
 use llmsched_bayes::discretize::Discretizer;
@@ -92,15 +92,17 @@ pub struct DynamicStats {
     /// `P(candidate c is instantiated)` per candidate index.
     pub candidate_freq: Vec<f64>,
     /// `P(edge between candidates (a, b) exists)`, for pairs observed at
-    /// least once.
-    pub edge_freq: HashMap<(usize, usize), f64>,
+    /// least once. Ordered by pair, so Eq. 4 sums its terms in one order
+    /// in every process.
+    pub edge_freq: BTreeMap<(usize, usize), f64>,
     /// Training jobs observed.
     pub n_samples: usize,
 }
 
 impl DynamicStats {
     /// The dynamic stage's structural entropy: node entropy + edge entropy
-    /// (Eq. 4), in bits.
+    /// (Eq. 4), in bits. Edge terms are summed in pair order, so the
+    /// result is bit-identical however the counts were gathered.
     pub fn structural_entropy(&self) -> f64 {
         let nodes: f64 = self
             .candidate_freq
@@ -270,7 +272,7 @@ struct DynCounts {
     /// Per-candidate inclusion counts (grown to the largest index seen).
     cand: Vec<u64>,
     /// Inner-edge counts keyed by candidate pair.
-    edges: HashMap<(usize, usize), u64>,
+    edges: BTreeMap<(usize, usize), u64>,
 }
 
 impl DynCounts {
@@ -534,6 +536,36 @@ mod tests {
             !prof.net().edges().is_empty(),
             "Chow-Liu should find the latent coupling"
         );
+    }
+
+    #[test]
+    fn structural_entropy_is_independent_of_insertion_order() {
+        // 28 inner edges with uneven frequencies: a float sum over them
+        // depends on the order its terms are added in.
+        let outcomes: Vec<DynOutcome> = (0..8u32)
+            .flat_map(|a| (a + 1..8).map(move |b| (a, b)))
+            .flat_map(|(a, b)| {
+                let n = 1 + (a * 7 + b * 3) % 11;
+                std::iter::repeat(DynOutcome::Edge(a, b)).take(n as usize)
+            })
+            .chain((0..8).map(DynOutcome::Candidate))
+            .collect();
+        let stats = |order: &[DynOutcome]| {
+            let mut counts = DynCounts::default();
+            order.iter().for_each(|&o| counts.count(o));
+            counts.stats(8, 13)
+        };
+        let forward = stats(&outcomes);
+        let bits = forward.structural_entropy().to_bits();
+        // Reversed, then rotated: eight more insertion orders.
+        let mut reordered = outcomes.clone();
+        reordered.reverse();
+        for order in 0..8 {
+            reordered.rotate_left(17);
+            let other = stats(&reordered);
+            assert_eq!(other, forward, "same counts (order {order})");
+            assert_eq!(other.structural_entropy().to_bits(), bits, "order {order}");
+        }
     }
 
     #[test]

@@ -37,9 +37,11 @@ pub enum Event {
         job: usize,
     },
     /// A task finishes. `epoch` invalidates stale finish events after an
-    /// LLM batch-size change re-timed the task (every
-    /// [`ExecCtx::post_finish`](crate::exec::ExecCtx::post_finish) bumps
-    /// the task's epoch).
+    /// LLM batch-size change re-timed the batch: every
+    /// [`ExecCtx::post_finish`](crate::exec::ExecCtx::post_finish) and
+    /// [`ExecCtx::cancel_finish`](crate::exec::ExecCtx::cancel_finish)
+    /// bumps the task's epoch. The analytic backends keep one live
+    /// finish event per busy replica, for its earliest finisher.
     TaskFinish {
         /// Dense job index.
         job: usize,

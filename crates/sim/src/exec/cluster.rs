@@ -6,11 +6,13 @@
 //! fast high-capacity replicas with a larger pool of slow ones. Within a
 //! replica, decoding is rate-rescaling batching (the shared
 //! `ReplicaBatch`): progress since the last batch membership change
-//! is settled at the old per-token rate and a fresh finish event is
-//! posted for every survivor at the new rate; per-task epochs invalidate
-//! the superseded events. Between membership changes the backend is
-//! idle — no per-iteration events — which is what makes this fidelity
-//! fast.
+//! is settled at the old per-token rate, and the batch is re-timed at
+//! the new rate. Only the earliest survivor's finish event is posted —
+//! the next membership change re-times the batch anyway, at the latest
+//! when that event fires — so a busy replica holds exactly one live
+//! event, and a per-task epoch invalidates the one it supersedes.
+//! Between membership changes the backend is idle — no per-iteration
+//! events — which is what makes this fidelity fast.
 //!
 //! Placement delegates to the [`Router`] the spec configured
 //! (least-loaded, join-shortest-queue, or session affinity), fed
@@ -114,8 +116,8 @@ impl ExecutorBackend for ClusterExec {
         _cx: &mut ExecCtx<'_>,
         _finished: &mut Vec<LlmTaskRef>,
     ) -> bool {
-        // Fully analytic: completions arrive as re-timed finish events,
-        // never via step wake-ups.
+        // Fully analytic: completions arrive as each replica's one live
+        // finish event (its earliest finisher), never via step wake-ups.
         false
     }
 
@@ -176,22 +178,45 @@ mod tests {
     }
 
     #[test]
-    fn admit_posts_one_finish_event_per_running_task() {
+    fn retime_keeps_one_live_finish_event_per_busy_replica() {
         let latency = profile(10);
         let mut queue = EventQueue::new();
         let mut jobs = [crate::state::test_support::job_with_llm_tasks(4)];
-        let mut be = homogeneous(1, &latency);
+        let mut be = homogeneous(2, &latency);
 
-        let mut cx = ExecCtx::for_test(SimTime::ZERO, &latency, &mut queue, &mut jobs);
-        be.admit(0, t(0, 0), w(100), &mut cx);
-        assert_eq!(be.ledger().occupancy(0), 1);
-        assert_eq!(queue.len(), 1, "one finish event for the lone task");
+        // Every membership change posts exactly one event: the replica's
+        // earliest finisher.
+        let changes: [(usize, u32, Option<u64>); 5] = [
+            (0, 0, Some(300)),
+            (0, 1, Some(100)),
+            (1, 2, Some(200)),
+            (0, 3, Some(50)),
+            // Kill task 3 before its posted finish event fires.
+            (0, 3, None),
+        ];
+        for (i, (exec, task, tokens)) in changes.into_iter().enumerate() {
+            let mut cx = ExecCtx::for_test(SimTime::ZERO, &latency, &mut queue, &mut jobs);
+            match tokens {
+                Some(n) => be.admit(exec, t(0, task), w(n), &mut cx),
+                None => be.drain(exec, t(0, task), &mut cx),
+            }
+            assert_eq!(queue.len(), i + 1, "one event per membership change");
+        }
+        assert_eq!((be.ledger().occupancy(0), be.ledger().occupancy(1)), (2, 1));
 
-        let mut cx = ExecCtx::for_test(SimTime::ZERO, &latency, &mut queue, &mut jobs);
-        be.admit(0, t(0, 1), w(100), &mut cx);
-        assert_eq!(be.ledger().occupancy(0), 2);
-        // Both tasks were re-timed: two new events on top of the stale one.
-        assert_eq!(queue.len(), 3);
+        let mut live = Vec::new();
+        while let Some((time, ev)) = queue.pop() {
+            if let Event::TaskFinish { task, epoch, .. } = ev {
+                if epoch == jobs[0].task_epoch_of(0, task) {
+                    live.push((task, time.as_secs_f64()));
+                }
+            }
+        }
+        // Replica 0 batches tasks 0 and 1 (100 tokens before 300) and
+        // replica 1 task 2; the killed task 3 left nothing live.
+        assert_eq!(live.len(), 2, "one live finish event per busy replica");
+        assert_eq!((live[0].0, live[1].0), (1, 2));
+        assert!((live[0].1 - 1.0).abs() < 1e-9 && (live[1].1 - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -237,7 +262,7 @@ mod tests {
                 valid += u32::from(epoch == current_epoch);
             }
         }
-        assert_eq!(valid, 1, "exactly one live finish event per running task");
+        assert_eq!(valid, 1, "exactly one live finish event for the lone task");
     }
 
     #[test]

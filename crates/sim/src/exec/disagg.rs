@@ -21,10 +21,12 @@
 //!
 //! Event usage: one [`Event::LlmStep`](crate::event::Event::LlmStep) per
 //! admitted request — the prefill→decode handoff at its transfer-arrival
-//! time — plus the re-timed
-//! [`Event::TaskFinish`](crate::event::Event::TaskFinish)s of analytic
-//! decode. Handoffs that find their request already moved (same-timestamp
-//! flushes) degrade to stale no-ops, so step handling is idempotent.
+//! time — plus, per decode membership change, one
+//! [`Event::TaskFinish`](crate::event::Event::TaskFinish) for the
+//! replica's earliest finisher (analytic decode keeps one live finish
+//! event per busy replica). Handoffs that find their request already
+//! moved (same-timestamp flushes) degrade to stale no-ops, so step
+//! handling is idempotent.
 
 use llmsched_cluster::{ClusterSpec, DisaggSpec, ReplicaView, RouteRequest, Router};
 use llmsched_dag::time::{SimDuration, SimTime};

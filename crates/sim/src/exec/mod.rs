@@ -20,7 +20,8 @@
 //!   scheduler views read it without walking the pool.
 //! * [`cluster::ClusterExec`] — the paper's *simulator*: rate-rescaling
 //!   batching that settles decode progress on every membership change and
-//!   re-posts finish events at the new batch rate, over the flat replica
+//!   re-times the batch at the new rate, keeping one live finish event
+//!   per busy replica (its earliest finisher), over the flat replica
 //!   table of a [`ClusterSpec`](llmsched_cluster::ClusterSpec). Each
 //!   replica carries its group's latency curve and batch capacity, and
 //!   placement goes through the spec's
@@ -38,7 +39,8 @@
 //!   (rate-rescaling, the same per-replica batch model as
 //!   [`cluster::ClusterExec`]), so the backend is event-sparse: one
 //!   [`Event::LlmStep`] per admitted task (the prefill→decode handoff)
-//!   plus re-timed [`Event::TaskFinish`]s.
+//!   plus one [`Event::TaskFinish`] per decode membership change, for
+//!   the busy replica's earliest finisher.
 //! * [`pool`] — the [`EngineMode`] → backend factory.
 //!
 //! Backends interact with the engine through [`ExecCtx`]: they may read
@@ -47,10 +49,10 @@
 //! completion time is now known (analytic re-timing) or a
 //! [`Event::LlmStep`] wake-up for their own deferred work (the
 //! token-level backend's iteration loop, the disaggregated backend's
-//! prefill→decode handoffs). Apart from the finish epoch a posted
-//! [`Event::TaskFinish`] bumps, the engine remains the only place that
-//! mutates job/stage/task state; the reveal protocol of §IV-A never
-//! leaks into backends.
+//! prefill→decode handoffs). Apart from the finish epochs that posting
+//! or cancelling a [`Event::TaskFinish`] bumps, the engine remains the
+//! only place that mutates job/stage/task state; the reveal protocol of
+//! §IV-A never leaks into backends.
 
 mod batching;
 pub mod cluster;
@@ -91,7 +93,8 @@ pub struct LlmTaskRef {
 /// through [`ExecCtx::post_finish`] and [`ExecCtx::post_step`], which push
 /// straight into the engine's queue — so a hook's events take their
 /// sequence numbers in emission order, and the job table is touched only
-/// to bump the re-timed task's epoch.
+/// to bump the epochs of the tasks whose finish events are posted or
+/// cancelled.
 #[derive(Debug)]
 pub struct ExecCtx<'a> {
     /// Current simulation time.
@@ -122,6 +125,8 @@ impl ExecCtx<'_> {
 
     /// Schedules `task` to finish at `at`, invalidating any finish event
     /// posted for it earlier (per-task epochs make stale events no-ops).
+    /// The replica-table backends keep one such event live per busy
+    /// replica: the batch's earliest finisher.
     pub fn post_finish(&mut self, task: LlmTaskRef, at: SimTime) {
         debug_assert!(
             at >= self.now,
@@ -138,6 +143,13 @@ impl ExecCtx<'_> {
                 epoch,
             },
         );
+    }
+
+    /// Invalidates any finish event posted for `task` without posting a
+    /// new one. A re-timing replica cancels the event it posted last: its
+    /// task may have drained, or may no longer finish first.
+    pub fn cancel_finish(&mut self, task: LlmTaskRef) {
+        self.jobs[task.job].bump_task_epoch(task.stage, task.task);
     }
 
     /// Schedules a backend wake-up ([`Event::LlmStep`]) for executor

@@ -73,7 +73,10 @@ pub struct JobRt {
     preds_remaining: Vec<u32>,
     // ---- per-task arrays, indexed by the spec's flat task arena ----
     task_state: Vec<TaskState>,
-    /// Re-timing epoch; finish events from older epochs are stale.
+    /// Re-timing epoch; finish events from older epochs are stale. A
+    /// backend bumps it when it posts the task's finish event and when it
+    /// cancels it (the replica re-timed and its earliest finisher may
+    /// have changed), so at most the latest posted event is live.
     task_epoch: Vec<u32>,
     /// Batch-1-equivalent duration in seconds, set at completion. For
     /// regular tasks this equals the actual duration; for LLM tasks it is

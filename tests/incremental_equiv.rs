@@ -19,31 +19,33 @@ use common::{build, cluster, fingerprint, matrix, small};
 /// updates must reproduce them), the TokenLevel and Disagg rows before
 /// executor occupancy moved into the shared slot ledger. Analytic runs
 /// the homogeneous least-loaded replica table, so its rows also hold the
-/// routed placement and batch timing exact.
+/// routed placement and batch timing exact. The Analytic and Disagg
+/// event counts were re-captured when analytic decode moved to one live
+/// finish event per busy replica (the avg-JCT bits did not move).
 const GOLDEN: [(WorkloadKind, EngineMode, u64, u64); 12] = [
     (
         WorkloadKind::Mixed,
         EngineMode::Analytic,
         0x4035d5b500276d2b,
-        476,
+        161,
     ),
     (
         WorkloadKind::Predefined,
         EngineMode::Analytic,
         0x40402f78eacd68d4,
-        651,
+        257,
     ),
     (
         WorkloadKind::ChainLike,
         EngineMode::Analytic,
         0x402321c952c4c8f2,
-        116,
+        74,
     ),
     (
         WorkloadKind::Planning,
         EngineMode::Analytic,
         0x401f56f39085f4a2,
-        138,
+        82,
     ),
     (
         WorkloadKind::Mixed,
@@ -55,7 +57,7 @@ const GOLDEN: [(WorkloadKind, EngineMode, u64, u64); 12] = [
         WorkloadKind::Mixed,
         EngineMode::Disagg,
         0x403fa1efd86a8fc2,
-        425,
+        210,
     ),
     (
         WorkloadKind::Predefined,
@@ -67,7 +69,7 @@ const GOLDEN: [(WorkloadKind, EngineMode, u64, u64); 12] = [
         WorkloadKind::Predefined,
         EngineMode::Disagg,
         0x404604e90d75338a,
-        712,
+        331,
     ),
     (
         WorkloadKind::ChainLike,
@@ -79,7 +81,7 @@ const GOLDEN: [(WorkloadKind, EngineMode, u64, u64); 12] = [
         WorkloadKind::ChainLike,
         EngineMode::Disagg,
         0x4023807e78abe348,
-        134,
+        98,
     ),
     (
         WorkloadKind::Planning,
@@ -91,7 +93,7 @@ const GOLDEN: [(WorkloadKind, EngineMode, u64, u64); 12] = [
         WorkloadKind::Planning,
         EngineMode::Disagg,
         0x401f9abdfed3b015,
-        147,
+        97,
     ),
 ];
 
