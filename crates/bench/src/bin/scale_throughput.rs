@@ -34,8 +34,6 @@
 //!                          # the scheduler, or the ε>0 avg-JCT drift vs
 //!                          # the ε=0 twin exceeds 0.5% on any backend
 //!     [--out <path>]       # default BENCH_scale.json
-//!     [--no-coalescing]    # A/B switch: disable scheduler invocation
-//!                          # coalescing (schedules stay bit-identical)
 //!     [--jobs <n>]         # one incremental sweep at a custom job
 //!                          # count (n ≥ 1)
 //! ```
@@ -115,7 +113,7 @@ struct Run {
     jobs_per_sec: f64,
     events: u64,
     sched_calls: u64,
-    /// Decision points skipped by scheduler invocation coalescing
+    /// Decision points skipped because nothing was ready
     /// (`sched_calls + coalesced + elided + deferred` is the total).
     coalesced_sched_calls: u64,
     /// Decision points elided by the capacity-aware check (no free slot
@@ -148,7 +146,6 @@ fn args() -> &'static Args {
                 Flag::value("--floor", "jobs/s"),
                 Flag::switch("--check"),
                 Flag::value("--out", "path"),
-                Flag::switch("--no-coalescing"),
                 Flag::value("--jobs", "n"),
             ],
         )
@@ -201,9 +198,6 @@ fn scaled_cluster(mode: EngineMode) -> ClusterConfig {
 
 fn exp_for(n_jobs: usize, mode: EngineMode, path: Path, horizon_secs: f64) -> ExperimentConfig {
     let mut cluster = scaled_cluster(mode);
-    if args().has("--no-coalescing") {
-        cluster.coalescing = false;
-    }
     // Bounded-staleness decision batching (DESIGN.md §14). The rebuild
     // reference and the ε=0 drift twins pass 0.0: exact mode.
     cluster.decision_horizon = horizon_secs;
@@ -570,9 +564,9 @@ fn main() {
              ({ratio:.2}x)"
         );
 
-        // Scheduler-fraction gate: invocation coalescing + capacity-aware
-        // elision exist to keep the serial scheduler term of Amdahl's law
-        // bounded. LLMSched's BN inference legitimately dominates this
+        // Scheduler-fraction gate: skipping empty decision points and
+        // capacity-aware elision exist to keep the serial scheduler term
+        // of Amdahl's law bounded. LLMSched's BN inference legitimately dominates this
         // pipeline (incremental rows measure 73–79% of wall inside the
         // scheduler under exact decision timing), so the ceiling is a
         // regression tripwire above that band, not an aspiration: a

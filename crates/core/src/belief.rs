@@ -497,14 +497,17 @@ mod tests {
     use llmsched_sim::state::LlmExecutorView;
     use llmsched_workloads::prelude::*;
 
+    /// A context in which every job of `jobs` is active: `all` is the
+    /// identity index `0..jobs.len()`.
     fn ctx_of<'a>(
         jobs: &'a [JobRt],
+        all: &'a [u32],
         templates: &'a llmsched_dag::template::TemplateSet,
         latency: &'a llmsched_sim::latency::LatencyProfile,
     ) -> SchedContext<'a> {
         SchedContext {
             now: SimTime::ZERO,
-            jobs: llmsched_sim::scheduler::ActiveJobs::dense(jobs),
+            jobs: llmsched_sim::scheduler::ActiveJobs::projected(jobs, all),
             llm_executors: &[LlmExecutorView {
                 index: 0,
                 batch_len: 0,
@@ -534,7 +537,8 @@ mod tests {
         let w = generate_workload(WorkloadKind::Mixed, 5, 0.9, 4);
         let jobs: Vec<JobRt> = w.jobs.into_iter().map(JobRt::new).collect();
         let latency = llmsched_sim::latency::LatencyProfile::default();
-        let ctx = ctx_of(&jobs, &w.templates, &latency);
+        let all: Vec<u32> = (0..jobs.len() as u32).collect();
+        let ctx = ctx_of(&jobs, &all, &w.templates, &latency);
 
         let mut beliefs = BeliefStore::new();
         assert!(
@@ -700,7 +704,8 @@ mod tests {
         let w = generate_workload(WorkloadKind::Mixed, 8, 0.9, 4);
         let jobs: Vec<JobRt> = w.jobs.into_iter().map(JobRt::new).collect();
         let latency = llmsched_sim::latency::LatencyProfile::default();
-        let ctx = ctx_of(&jobs, &w.templates, &latency);
+        let all: Vec<u32> = (0..jobs.len() as u32).collect();
+        let ctx = ctx_of(&jobs, &all, &w.templates, &latency);
 
         let mut beliefs = BeliefStore::new();
         beliefs.refresh(&store, &ctx, true, 0.35);

@@ -1015,16 +1015,6 @@ impl Scheduler for LlmSched {
     }
 
     fn schedule(&mut self, ctx: &SchedContext<'_>) -> Preference {
-        if ctx.dispatchable_regular + ctx.dispatchable_llm == 0 {
-            // Nothing could start, so Algorithm 1 would emit nothing and
-            // draw nothing (every ready set is empty, so the ε-merge runs
-            // zero steps). Deferring the profile absorb / belief sync to
-            // the next real decision point folds the same observations
-            // into the same posteriors — it keeps this call an exact
-            // no-op, so a coalescing engine that skips it entirely stays
-            // bit-identical. Pinned by the coalescing equivalence suite.
-            return Preference::new();
-        }
         if self.cfg.work_conserving && !ctx.could_dispatch {
             // Work-conserving mode: ready tasks exist but no executor of
             // a ready class is free, so nothing emitted here could start.
@@ -1116,7 +1106,7 @@ mod tests {
         let templates: llmsched_dag::template::TemplateSet = std::iter::empty().collect();
         let ctx = SchedContext {
             now: SimTime::ZERO,
-            jobs: ActiveJobs::dense(&jobs),
+            jobs: ActiveJobs::projected(&jobs, &[0, 1, 2]),
             llm_executors: &[],
             backend: "cluster/least-loaded",
             regular_total: 16,

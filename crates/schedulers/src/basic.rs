@@ -181,10 +181,9 @@ impl<O: JobOrder> Scheduler for Ordered<O> {
 
     fn schedule(&mut self, ctx: &SchedContext<'_>) -> Preference {
         if !ctx.could_dispatch {
-            // Nothing could start (no ready work, or no free executor of
-            // a ready class): decide nothing, touch no state, so an
-            // engine that coalesces or elides this call stays
-            // bit-identical.
+            // Nothing could start (no free executor of a ready class):
+            // decide nothing, touch no state, so an engine that elides
+            // this call stays bit-identical.
             return Preference::new();
         }
         if self.rebuild {
@@ -277,10 +276,9 @@ impl Scheduler for Fair {
 
     fn schedule(&mut self, ctx: &SchedContext<'_>) -> Preference {
         if !ctx.could_dispatch {
-            // Nothing could start (no ready work, or no free executor of
-            // a ready class): decide nothing, touch no state, so an
-            // engine that coalesces or elides this call stays
-            // bit-identical.
+            // Nothing could start (no free executor of a ready class):
+            // decide nothing, touch no state, so an engine that elides
+            // this call stays bit-identical.
             return Preference::new();
         }
         if self.rebuild {

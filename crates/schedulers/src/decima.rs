@@ -104,10 +104,9 @@ impl Scheduler for DecimaLike {
 
     fn schedule(&mut self, ctx: &SchedContext<'_>) -> Preference {
         if !ctx.could_dispatch {
-            // Nothing could start (no ready work, or no free executor of
-            // a ready class): decide nothing, touch no state, so an
-            // engine that coalesces or elides this call stays
-            // bit-identical.
+            // Nothing could start (no free executor of a ready class):
+            // decide nothing, touch no state, so an engine that elides
+            // this call stays bit-identical.
             return Preference::new();
         }
         let best = if self.rebuild {

@@ -65,6 +65,7 @@ pub struct ClusterConfig {
     pub mode: EngineMode,
     /// Token-level mode only: tokens decoded per iteration event (1 =
     /// faithful per-token stepping; larger values trade fidelity for speed).
+    /// [`ClusterConfig::validate`] rejects 0 in every mode.
     pub iteration_chunk: u64,
     /// Serving-cluster topology for [`EngineMode::Analytic`] /
     /// [`EngineMode::Disagg`]: replica groups, routing policy, optional
@@ -72,15 +73,6 @@ pub struct ClusterConfig {
     /// (a homogeneous least-loaded pool; under `Disagg`, plus one
     /// prefill replica). [`EngineMode::TokenLevel`] rejects a spec.
     pub spec: Option<ClusterSpec>,
-    /// Scheduler invocation coalescing: skip decision points at which no
-    /// job has a ready, unstarted task (nothing could dispatch), carrying
-    /// the accumulated deltas to the next real invocation. Policies see
-    /// the identical delta stream in the identical order and every
-    /// opportunity keeps its sequence number, so decisions — and thus the
-    /// whole simulation — are bit-identical with the flag off (see
-    /// `DESIGN.md` §12). On by default; the A/B equivalence suite runs
-    /// both settings.
-    pub coalescing: bool,
     /// Bounded-staleness decision batching: with ε > 0 (simulated
     /// seconds), a decision point falling within ε of the previous
     /// policy invocation is *deferred* — its deltas keep accumulating on
@@ -88,8 +80,8 @@ pub struct ClusterConfig {
     /// into one batched invocation at the horizon edge (the clock advances
     /// to exactly `previous invocation + ε` when no earlier event exists).
     /// `0.0` (the default) is the exact mode: every decision point is
-    /// evaluated at its own timestamp, bit-identical to an engine without
-    /// this field (pinned by `tests/batching_equiv.rs`). ε > 0 is a
+    /// evaluated at its own timestamp, and nothing is deferred (every
+    /// cell of the equivalence matrix asserts it). ε > 0 is a
     /// *relaxation*: dispatch can lag a ready task by at most ε, bounding
     /// the avg-JCT drift (gated at ≤ 0.5 % by `scale_throughput --check`).
     /// See `DESIGN.md` §14.
@@ -105,6 +97,9 @@ pub enum ConfigError {
     /// `max_batch` is 0 in a mode that sizes batches from the scalar
     /// fields (no explicit [`ClusterConfig::spec`] in use).
     ZeroMaxBatch,
+    /// `iteration_chunk` is 0: a token-level iteration must decode at
+    /// least one token, or decoding never progresses.
+    ZeroIterationChunk,
     /// The LLM pool has no batch slots: `llm_executors` is 0 in a mode
     /// that sizes the pool from the scalar fields, or the built backend's
     /// [`SlotLedger`](crate::exec::SlotLedger) totals zero slots.
@@ -146,6 +141,10 @@ impl std::fmt::Display for ConfigError {
                 )
             }
             ConfigError::ZeroMaxBatch => write!(f, "max_batch is 0: LLM batches need a slot"),
+            ConfigError::ZeroIterationChunk => write!(
+                f,
+                "iteration_chunk is 0: an iteration must decode at least one token"
+            ),
             ConfigError::NoLlmCapacity => {
                 write!(f, "llm_executors is 0: need LLM capacity")
             }
@@ -180,15 +179,18 @@ impl ClusterConfig {
     /// Checks every field a run depends on, without building anything.
     ///
     /// # Errors
-    /// The first [`ConfigError`] found: no regular executors, a bad
-    /// `decision_horizon`, an invalid explicit `spec` (or one without a
-    /// disaggregation layout in [`EngineMode::Disagg`], or any spec in
-    /// [`EngineMode::TokenLevel`]), or — when the
-    /// scalar fields size the LLM pool — a zero `max_batch` or
-    /// `llm_executors`.
+    /// The first [`ConfigError`] found: no regular executors, a zero
+    /// `iteration_chunk`, a bad `decision_horizon`, an invalid explicit
+    /// `spec` (or one without a disaggregation layout in
+    /// [`EngineMode::Disagg`], or any spec in [`EngineMode::TokenLevel`]),
+    /// or — when the scalar fields size the LLM pool — a zero `max_batch`
+    /// or `llm_executors`.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.regular_executors == 0 {
             return Err(ConfigError::NoRegularExecutors);
+        }
+        if self.iteration_chunk == 0 {
+            return Err(ConfigError::ZeroIterationChunk);
         }
         let h = self.decision_horizon;
         if !(h.is_finite() && h >= 0.0) {
@@ -222,7 +224,6 @@ impl Default for ClusterConfig {
             mode: EngineMode::Analytic,
             iteration_chunk: 1,
             spec: None,
-            coalescing: true,
             decision_horizon: 0.0,
         }
     }
@@ -265,8 +266,8 @@ struct Engine<'a> {
     regular_busy: usize,
     llm: Box<dyn ExecutorBackend>,
     /// Ready, unstarted tasks across active jobs, by executor class
-    /// (regular / LLM): their sum drives scheduler-invocation coalescing,
-    /// the halves the capacity-aware elision predicate. Maintained
+    /// (regular / LLM): a zero sum skips a decision point, the halves
+    /// drive the capacity-aware elision predicate. Maintained
     /// incrementally at arrivals, dispatches and completion cascades.
     ready_reg: usize,
     ready_llm: usize,
@@ -496,9 +497,7 @@ impl Engine<'_> {
                     self.flush_at = None;
                     self.advance_integrals(f);
                     self.now = f;
-                    if self.has_free_capacity() && !self.active.is_empty() {
-                        self.scheduler_opportunity(scheduler);
-                    }
+                    self.scheduler_opportunity(scheduler);
                     continue;
                 }
             }
@@ -519,7 +518,7 @@ impl Engine<'_> {
             if flush_due {
                 self.flush_at = None;
             }
-            if (effective || flush_due) && self.has_free_capacity() && !self.active.is_empty() {
+            if effective || flush_due {
                 self.scheduler_opportunity(scheduler);
             }
         }
@@ -528,19 +527,20 @@ impl Engine<'_> {
         }
     }
 
-    /// One scheduler decision point. With coalescing on and nothing
-    /// dispatchable the invocation is skipped outright — the pending
-    /// deltas stay queued for the next real invocation, and the
-    /// opportunity still consumes
-    /// a sequence number so provenance streams align bit-for-bit with an
-    /// uncoalesced run (whose policies short-circuit when no ready task
-    /// is unstarted and decide nothing). Under a policy that
-    /// declares itself work-conserving ([`Scheduler::is_work_conserving`]),
-    /// decision points whose ready work has no free executor of the
-    /// matching class are elided the same way: the policy's
-    /// `!could_dispatch` early-return guarantees the elided invocation
-    /// would have decided nothing and touched no state.
+    /// One decision point, and the one place that lists every reason it
+    /// does not reach the policy, in order (`DESIGN.md` §12.1): no active
+    /// job or no free executor (not counted); `!could_dispatch`, counted
+    /// as *skipped* when nothing is ready — so [`Scheduler::schedule`]
+    /// never sees that — and as *elided* when the policy
+    /// [`Scheduler::is_work_conserving`]; and the ε deferral. A counted
+    /// point keeps its pending deltas for the next invocation and its
+    /// sequence number.
     fn scheduler_opportunity(&mut self, scheduler: &mut dyn Scheduler) {
+        let free =
+            self.regular_busy < self.cfg.regular_executors || self.llm.ledger().has_free_slot();
+        if self.active.is_empty() || !free {
+            return;
+        }
         debug_assert_eq!(
             (self.ready_reg, self.ready_llm),
             self.active.iter().fold((0, 0), |(r, l), &j| {
@@ -554,16 +554,18 @@ impl Engine<'_> {
             self.llm.ledger().recount(),
             "slot-ledger totals drifted from the per-executor views"
         );
-        if self.cfg.coalescing && self.ready_reg + self.ready_llm == 0 {
-            self.sched_skipped += 1;
-            return;
-        }
-        if !self.could_dispatch() && scheduler.is_work_conserving() {
-            self.sched_elided += 1;
-            return;
+        if !self.could_dispatch() {
+            if self.ready_reg + self.ready_llm == 0 {
+                self.sched_skipped += 1;
+                return;
+            }
+            if scheduler.is_work_conserving() {
+                self.sched_elided += 1;
+                return;
+            }
         }
         // Bounded-staleness batching (after the free skips — deferring a
-        // point that coalescing or elision would discard anyway would
+        // point that would be skipped or elided anyway would
         // manufacture a pointless future flush): within ε of the previous
         // invocation the decision is deferred to the horizon edge. The
         // deferred opportunity keeps its sequence number; its deltas stay
@@ -618,10 +620,6 @@ impl Engine<'_> {
             }
         }
         self.last_integral_at = t;
-    }
-
-    fn has_free_capacity(&self) -> bool {
-        self.regular_busy < self.cfg.regular_executors || self.llm.ledger().has_free_slot()
     }
 
     /// Inserts a dense index into the sorted active vector. Arrivals come
@@ -962,7 +960,7 @@ impl Engine<'_> {
         self.sched_samples.push(elapsed);
         // Opportunity sequence: skipped, elided and deferred opportunities
         // consume numbers too, so records carry the same seq whether or
-        // not coalescing / elision applies (deferral shifts timing by
+        // not elision applies (deferral shifts timing by
         // design, so its seqs align only within one configuration).
         let seq = self.sched_calls + self.sched_skipped + self.sched_elided + self.sched_deferred;
         self.sched_calls += 1;
@@ -1113,7 +1111,9 @@ mod tests {
     use llmsched_dag::prelude::*;
     use llmsched_dag::time::SimDuration;
 
-    /// A scheduler that always offers every ready task FCFS by job id.
+    /// A scheduler that always offers every ready task FCFS by job id,
+    /// and holds the engine to the contract on [`Scheduler::schedule`]:
+    /// it panics if invoked with nothing ready.
     struct Greedy;
 
     impl Scheduler for Greedy {
@@ -1122,6 +1122,11 @@ mod tests {
         }
 
         fn schedule(&mut self, ctx: &SchedContext<'_>) -> Preference {
+            assert!(
+                ctx.dispatchable_regular + ctx.dispatchable_llm > 0,
+                "policy invoked with nothing ready at {}",
+                ctx.now
+            );
             let mut p = Preference::new();
             for job in &ctx.jobs {
                 for &s in job.ready_stage_ids() {
@@ -1637,6 +1642,27 @@ mod tests {
     }
 
     #[test]
+    fn config_error_zero_iteration_chunk() {
+        // Rejected in every mode, not clamped: a zero chunk would decode
+        // nothing per iteration.
+        for mode in [
+            EngineMode::Analytic,
+            EngineMode::TokenLevel,
+            EngineMode::Disagg,
+        ] {
+            let cfg = ClusterConfig {
+                iteration_chunk: 0,
+                mode,
+                ..Default::default()
+            };
+            assert_eq!(cfg.validate(), Err(ConfigError::ZeroIterationChunk));
+            let err = try_pipeline(&cfg).unwrap_err();
+            assert_eq!(err, ConfigError::ZeroIterationChunk);
+            assert!(err.to_string().contains("iteration_chunk"), "{err}");
+        }
+    }
+
+    #[test]
     fn config_error_invalid_decision_horizon() {
         for h in [-0.5, f64::NAN, f64::INFINITY] {
             let cfg = ClusterConfig {
@@ -1744,6 +1770,37 @@ mod tests {
             ..Default::default()
         };
         simulate(&cfg, &set, vec![spec], &mut Greedy);
+    }
+
+    #[test]
+    fn policy_is_never_invoked_with_nothing_ready() {
+        // One LLM stage of a short and a long task: the short one's
+        // finish leaves the job active, a slot free and nothing ready,
+        // which `Greedy` would panic on.
+        let mut b = TemplateBuilder::new(AppId(0), "pair");
+        b.llm("gen");
+        let t = b.build().unwrap();
+        let task = |output_tokens| TaskWork::Llm {
+            prompt_tokens: 0,
+            output_tokens,
+        };
+        let stage = StageSpec::executing("gen", StageKind::Llm, vec![task(100), task(200)]);
+        let spec = JobSpec::new(JobId(0), &t, SimTime::ZERO, vec![stage], vec![]).unwrap();
+        let set: TemplateSet = [t].into_iter().collect();
+        for mode in [
+            EngineMode::Analytic,
+            EngineMode::TokenLevel,
+            EngineMode::Disagg,
+        ] {
+            let cfg = ClusterConfig {
+                latency: flat_latency(),
+                mode,
+                ..Default::default()
+            };
+            let res = simulate(&cfg, &set, vec![spec.clone()], &mut Greedy);
+            assert_eq!(res.incomplete, 0, "{mode:?}");
+            assert!(res.sched_skipped > 0, "{mode:?}: no empty decision point");
+        }
     }
 
     #[test]

@@ -71,7 +71,6 @@ mod tests {
             mode,
             iteration_chunk: 2,
             spec: None,
-            coalescing: true,
             decision_horizon: 0.0,
         }
     }

@@ -50,19 +50,15 @@ pub struct TokenExec {
 
 impl TokenExec {
     /// A pool of `n_execs` idle executors batching up to `max_batch` and
-    /// decoding `chunk` tokens per iteration event (`chunk` is clamped to
-    /// at least 1).
+    /// decoding `chunk` tokens per iteration event. Panics unless
+    /// `chunk ≥ 1`, which `ClusterConfig::validate` guarantees.
     pub fn new(n_execs: usize, max_batch: usize, chunk: u64) -> Self {
+        assert!(chunk > 0, "iteration chunk must be at least 1 token");
         TokenExec {
             units: (0..n_execs).map(|_| Unit::default()).collect(),
             ledger: SlotLedger::new(vec![max_batch; n_execs]),
-            chunk: chunk.max(1),
+            chunk,
         }
-    }
-
-    /// Tokens decoded per iteration event.
-    pub fn chunk(&self) -> u64 {
-        self.chunk
     }
 
     /// Starts the next iteration on `exec`: bumps the epoch and posts the

@@ -76,12 +76,11 @@ pub struct SimResult {
     pub makespan: SimTime,
     /// Number of scheduler invocations.
     pub sched_calls: u64,
-    /// Scheduler opportunities skipped by invocation coalescing (the
-    /// engine proved nothing was dispatchable, so the policy was not
-    /// called; the accumulated deltas carried over to the next real
-    /// invocation). Always 0 with coalescing off. Opportunity sequence
-    /// numbers count skipped and elided opportunities alongside real
-    /// calls — see [`SimResult::sched_elided`] for the full invariant.
+    /// Scheduler opportunities skipped because no task was ready (the
+    /// policy is never called then; the accumulated deltas carried over
+    /// to the next real invocation). Opportunity sequence numbers count
+    /// skipped and elided opportunities alongside real calls — see
+    /// [`SimResult::sched_elided`] for the full invariant.
     pub sched_skipped: u64,
     /// Scheduler opportunities elided by the capacity-aware check: work
     /// was dispatchable in principle (a ready task was unstarted) but no

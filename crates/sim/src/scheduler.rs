@@ -175,33 +175,21 @@ pub struct TaskRef {
 #[derive(Debug, Clone, Copy)]
 pub struct ActiveJobs<'a> {
     all: &'a [JobRt],
-    /// `None` means every entry of `all` is active (hand-built test
-    /// contexts); otherwise the sorted dense indices of active jobs.
-    active: Option<&'a [u32]>,
+    /// The sorted dense indices of active jobs.
+    active: &'a [u32],
 }
 
 impl<'a> ActiveJobs<'a> {
-    /// A view in which every job of `all` is active — the constructor for
-    /// hand-built contexts (tests, probes). `all` must ascend by `JobId`.
-    pub fn dense(all: &'a [JobRt]) -> Self {
-        ActiveJobs { all, active: None }
-    }
-
     /// The engine's projection: `active` holds sorted dense indices into
-    /// `all`.
+    /// `all`, which ascends by `JobId`. A hand-built context in which
+    /// every job is active passes the identity index `0..all.len()`.
     pub fn projected(all: &'a [JobRt], active: &'a [u32]) -> Self {
-        ActiveJobs {
-            all,
-            active: Some(active),
-        }
+        ActiveJobs { all, active }
     }
 
     /// Number of active jobs.
     pub fn len(&self) -> usize {
-        match self.active {
-            Some(a) => a.len(),
-            None => self.all.len(),
-        }
+        self.active.len()
     }
 
     /// True if no jobs are active.
@@ -214,10 +202,7 @@ impl<'a> ActiveJobs<'a> {
     /// # Panics
     /// Panics if `i >= self.len()`.
     pub fn get(&self, i: usize) -> &'a JobRt {
-        match self.active {
-            Some(a) => &self.all[a[i] as usize],
-            None => &self.all[i],
-        }
+        &self.all[self.active[i] as usize]
     }
 
     /// Iterates the active jobs in ascending `JobId` order.
@@ -399,12 +384,10 @@ pub struct SchedContext<'a> {
     /// active jobs: the engine's running per-class count, so a policy
     /// learns how much regular work could start without rescanning
     /// (LLMSched caps its regular emission budget with it). With
-    /// [`SchedContext::dispatchable_llm`] it sums to the work a preference
-    /// could start right now. A zero sum means this invocation cannot
-    /// dispatch anything; policies short-circuit on it (and the engine's
-    /// coalescing skips such invocations entirely when
-    /// [`ClusterConfig::coalescing`](crate::engine::ClusterConfig) is on),
-    /// so policy state evolves identically either way.
+    /// [`SchedContext::dispatchable_llm`] it sums to the ready work a
+    /// preference could name. The engine never invokes a policy with a
+    /// zero sum: it skips such decision points (see
+    /// [`Scheduler::schedule`]).
     pub dispatchable_regular: usize,
     /// The ready, unstarted tasks of LLM-executor stages (LLMSched caps
     /// its LLM emission budget with it).
@@ -460,16 +443,24 @@ impl SchedContext<'_> {
 
 /// A scheduling policy.
 ///
-/// The engine calls [`Scheduler::schedule`] after every event batch (job
-/// arrival, task completion, stage reveal) and dispatches tasks from the
-/// returned preference lists in order, subject to executor capacity and
-/// readiness. Invalid or stale [`TaskRef`]s are skipped silently, so a
-/// scheduler may cheaply resubmit its full preference each time.
+/// The engine calls [`Scheduler::schedule`] at the decision point after
+/// an event batch (job arrival, task completion, stage reveal) that has
+/// ready work, and dispatches tasks from the returned preference lists
+/// in order, subject to executor capacity and readiness. Invalid or
+/// stale [`TaskRef`]s are skipped silently, so a scheduler may cheaply
+/// resubmit its full preference each time.
 pub trait Scheduler {
     /// Human-readable policy name (used in reports).
     fn name(&self) -> &str;
 
     /// Produces scheduling preferences for the current cluster state.
+    ///
+    /// The engine calls it only at a decision point with at least one
+    /// active job, a free executor and ready work:
+    /// `ctx.dispatchable_regular + ctx.dispatchable_llm > 0` on every
+    /// call. A decision point with nothing ready is skipped and counted
+    /// in [`SimResult::sched_skipped`](crate::metrics::SimResult), its
+    /// deltas carried to the next call.
     fn schedule(&mut self, ctx: &SchedContext<'_>) -> Preference;
 
     /// Observes one state change. The engine delivers the pending delta
@@ -720,7 +711,7 @@ mod tests {
         let templates: TemplateSet = std::iter::empty().collect();
         let ctx = SchedContext {
             now: SimTime::ZERO,
-            jobs: ActiveJobs::dense(&jobs),
+            jobs: ActiveJobs::projected(&jobs, &[0, 1, 2]),
             llm_executors: &[],
             backend: "cluster/least-loaded",
             regular_total: 1,

@@ -418,8 +418,8 @@ impl JobRt {
     /// `(regular, llm)` — the job's contribution to the engine's
     /// dispatchable-work counts. Dynamic placeholders never enter the
     /// ready set (they auto-complete), so the two classes partition the
-    /// total. Their sum drives scheduler-invocation coalescing, the
-    /// halves capacity-aware decision-point elision: an invocation can be
+    /// total. A zero sum skips a decision point, and the halves drive
+    /// capacity-aware decision-point elision: an invocation can be
     /// skipped when neither class has both ready work *and* a free
     /// executor of that class. O(ready stages).
     pub fn ready_unstarted_by_class(&self) -> (usize, usize) {

@@ -86,11 +86,12 @@ impl Cell<'_> {
 
 /// The equivalence matrix: every [`ROSTER`] policy on every mix and every
 /// backend. Each cell runs the default configuration once, probed, as the
-/// reference and checks what holds of every reference: a zero decision
-/// horizon (the default) defers nothing, and a policy that does not opt
-/// into `is_work_conserving` is never elided. `toggle` then gets the cell,
-/// the reference run and its fingerprint, runs the cell with one
-/// exactness-preserving toggle and compares.
+/// reference and checks what holds of every reference: the default
+/// decision horizon, ε = 0, is exact and defers nothing (DESIGN.md §14),
+/// and a policy that does not opt into `is_work_conserving` is never
+/// elided. `toggle` then gets the cell, the reference run and its
+/// fingerprint, runs the cell with one exactness-preserving toggle
+/// (elision off, probe off, the rebuild path) and compares.
 pub fn matrix(mut toggle: impl FnMut(&Cell<'_>, &SimResult, &Fingerprint)) {
     for kind in WorkloadKind::ALL {
         let w = small(kind);
@@ -246,7 +247,7 @@ pub fn fingerprint(
 /// Wraps a scheduler and records, per job, every stage id in the order it
 /// first became visible to the policy. It keeps the default
 /// `is_work_conserving` (false), so the engine never elides it and every
-/// decision point is observed.
+/// decision point with ready work is observed.
 pub struct RevealRecorder<S> {
     inner: S,
     pub seen: HashMap<JobId, Vec<StageId>>,

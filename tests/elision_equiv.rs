@@ -1,7 +1,8 @@
 //! Decision-point elision (DESIGN.md §13): a policy that opts into
 //! `is_work_conserving` is not invoked at a capacity-starved decision
 //! point, and the schedule must not notice. The opt-in is the one switch
-//! for elision.
+//! for elision. A decision point with nothing ready never reaches any
+//! policy (§12); the elision-off wrapper checks that on every call.
 
 mod common;
 
@@ -13,7 +14,9 @@ use common::{assert_same, build, cluster, fingerprint, matrix, small, MODES};
 
 /// Elision off: forwards every hook to the wrapped policy but declines
 /// `is_work_conserving`, so the engine invokes it at every
-/// capacity-starved decision point it would otherwise elide.
+/// capacity-starved decision point it would otherwise elide. It also
+/// asserts the engine's contract on `schedule`: every call has ready
+/// work.
 struct NoElision(Box<dyn Scheduler>);
 
 impl Scheduler for NoElision {
@@ -22,6 +25,12 @@ impl Scheduler for NoElision {
     }
 
     fn schedule(&mut self, ctx: &SchedContext<'_>) -> Preference {
+        assert!(
+            ctx.dispatchable_regular + ctx.dispatchable_llm > 0,
+            "{} invoked with nothing ready at {}",
+            self.0.name(),
+            ctx.now
+        );
         self.0.schedule(ctx)
     }
 
@@ -44,10 +53,11 @@ impl Scheduler for NoElision {
 
 /// The elision-off leg: every policy × mix × backend run through
 /// [`NoElision`] reproduces the reference's schedule, decision provenance
-/// and time-series, and elides nothing.
+/// and time-series, and elides nothing. Both skips engage somewhere in
+/// the matrix, so neither contract holds vacuously.
 #[test]
 fn elided_runs_are_bit_identical_for_every_policy_mix_and_backend() {
-    let mut elided = 0;
+    let (mut elided, mut skipped) = (0, 0);
     matrix(|cell, r, reference| {
         let label = &cell.label;
         let mut unelided = NoElision(cell.build(false));
@@ -55,8 +65,10 @@ fn elided_runs_are_bit_identical_for_every_policy_mix_and_backend() {
         assert_same(&fp, reference, &format!("{label}: elision off"));
         assert_eq!(off.sched_elided, 0, "{label}: unelided run elided");
         elided += r.sched_elided;
+        skipped += r.sched_skipped;
     });
     assert!(elided > 0, "elision never engaged across the matrix");
+    assert!(skipped > 0, "no empty decision point across the matrix");
 }
 
 /// Stock LLMSched advances its ε-draw stream even at capacity-starved

@@ -133,10 +133,11 @@ fn llmsched_preferences_are_valid() {
         // Build a fresh context of 6 just-arrived jobs.
         let w = generate_workload(WorkloadKind::Mixed, 6, 0.9, seed);
         let jobs: Vec<JobRt> = w.jobs.into_iter().map(JobRt::new).collect();
+        let all: Vec<u32> = (0..jobs.len() as u32).collect();
         let latency = LatencyProfile::default();
         let ctx = SchedContext {
             now: SimTime::ZERO,
-            jobs: llmsched_sim::scheduler::ActiveJobs::dense(&jobs),
+            jobs: llmsched_sim::scheduler::ActiveJobs::projected(&jobs, &all),
             llm_executors: &[LlmExecutorView {
                 index: 0,
                 batch_len: 0,
