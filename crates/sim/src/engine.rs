@@ -63,8 +63,11 @@ pub struct ClusterConfig {
     pub latency: LatencyProfile,
     /// Execution fidelity (selects the [`ExecutorBackend`]).
     pub mode: EngineMode,
-    /// Token-level mode only: tokens decoded per iteration event (1 =
-    /// faithful per-token stepping; larger values trade fidelity for speed).
+    /// Token-level mode only: tokens each request decodes per iteration
+    /// (1 = faithful per-token stepping). A larger chunk coarsens the
+    /// iteration boundaries where requests join and finish, which moves
+    /// schedules; it saves few events, because the backend posts one
+    /// wake-up per batch change, not one per iteration.
     /// [`ClusterConfig::validate`] rejects 0 in every mode.
     pub iteration_chunk: u64,
     /// Serving-cluster topology for [`EngineMode::Analytic`] /

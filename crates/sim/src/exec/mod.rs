@@ -30,7 +30,9 @@
 //! * [`token_level::TokenExec`] — the paper's *testbed* stand-in:
 //!   per-iteration continuous batching (requests join at iteration
 //!   boundaries, every iteration costs `l(batch)` and emits `chunk`
-//!   tokens per request).
+//!   tokens per request), with one [`Event::LlmStep`] wake-up per batch
+//!   change: a busy unit computes the boundary where its next task
+//!   finishes instead of stepping to it.
 //! * [`disagg::DisaggExec`] — disaggregated prefill/decode serving: a
 //!   request first occupies a dedicated prefill replica for
 //!   `prompt_tokens × prefill_per_token`, pays a KV-cache
@@ -48,7 +50,7 @@
 //! the engine's queue — either a [`Event::TaskFinish`] for a task whose
 //! completion time is now known (analytic re-timing) or a
 //! [`Event::LlmStep`] wake-up for their own deferred work (the
-//! token-level backend's iteration loop, the disaggregated backend's
+//! token-level backend's decode stretches, the disaggregated backend's
 //! prefill→decode handoffs). Apart from the finish epochs that posting
 //! or cancelling a [`Event::TaskFinish`] bumps, the engine remains the
 //! only place that mutates job/stage/task state; the reveal protocol of

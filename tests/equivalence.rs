@@ -20,7 +20,7 @@ use llmsched_bench::{Policy, TrainedArtifacts};
 
 use common::{
     artifacts, assert_same, build, cluster, fingerprint, run_probed, small, window, Fingerprint,
-    RevealRecorder, MODES,
+    RevealRecorder, MODES, ROSTER,
 };
 
 /// Runs `policy` incrementally and by rebuild, unprobed, asserts the two
@@ -116,6 +116,176 @@ fn baselines_match_rebuild_at_benchmark_concurrency() {
         assert_equiv_at_benchmark_concurrency(policy, EngineMode::Analytic, 16);
     }
     assert_equiv_at_benchmark_concurrency(Policy::Fcfs, EngineMode::TokenLevel, 48);
+}
+
+/// One hash of what a run scheduled: FNV-1a over its `(job, completion)`
+/// pairs, decision points and avg-JCT bits.
+fn schedule_hash(s: &common::Schedule) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |x: u64| {
+        for b in x.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for &(job, at) in &s.completions {
+        eat(job.0);
+        eat(at.0);
+    }
+    eat(s.decision_points);
+    eat(s.avg_jct_bits);
+    h
+}
+
+/// Token-level schedules at the benchmark's concurrency, one
+/// [`schedule_hash`] per [`ROSTER`] policy (in roster order) per row:
+/// `(mix, cluster scale, decision horizon ε, hashes)`. Captured before the
+/// token-level backend stopped posting a wake-up per idle decode
+/// iteration, so they hold its stretch arithmetic to the per-iteration
+/// schedules where many units' boundaries share a microsecond. At ×48 a
+/// 300-job run rarely fills the cluster and eight of the nine policies
+/// schedule alike; the ε row and the ×16 row, where capacity binds, tell
+/// them apart.
+const TOKEN_LEVEL_PINS: [(WorkloadKind, usize, f64, [u64; 9]); 6] = [
+    (
+        WorkloadKind::Mixed,
+        48,
+        0.0,
+        [
+            0x9d738eb7ee0b626b,
+            0x9d738eb7ee0b626b,
+            0x9d738eb7ee0b626b,
+            0x9d738eb7ee0b626b,
+            0xb0b4660d438b0443,
+            0x9d738eb7ee0b626b,
+            0x9d738eb7ee0b626b,
+            0x9d738eb7ee0b626b,
+            0x9d738eb7ee0b626b,
+        ],
+    ),
+    (
+        WorkloadKind::Predefined,
+        48,
+        0.0,
+        [
+            0x5c36c17165d12bf6,
+            0x5c36c17165d12bf6,
+            0x5c36c17165d12bf6,
+            0x5c36c17165d12bf6,
+            0x85a232e810c35db2,
+            0x5c36c17165d12bf6,
+            0x5c36c17165d12bf6,
+            0x5c36c17165d12bf6,
+            0x5c36c17165d12bf6,
+        ],
+    ),
+    (
+        WorkloadKind::ChainLike,
+        48,
+        0.0,
+        [
+            0x097cf4f7a6167be5,
+            0x097cf4f7a6167be5,
+            0x097cf4f7a6167be5,
+            0x097cf4f7a6167be5,
+            0x6a70acbd2e6ab411,
+            0x097cf4f7a6167be5,
+            0x097cf4f7a6167be5,
+            0x097cf4f7a6167be5,
+            0x097cf4f7a6167be5,
+        ],
+    ),
+    (
+        WorkloadKind::Planning,
+        48,
+        0.0,
+        [
+            0x90c82764e30cc5a2,
+            0x90c82764e30cc5a2,
+            0x90c82764e30cc5a2,
+            0x90c82764e30cc5a2,
+            0x72e529649037a59c,
+            0x90c82764e30cc5a2,
+            0x90c82764e30cc5a2,
+            0x90c82764e30cc5a2,
+            0x90c82764e30cc5a2,
+        ],
+    ),
+    (
+        WorkloadKind::Mixed,
+        48,
+        0.03,
+        [
+            0x8dbb059e4c54c1e5,
+            0x5f75f4b68f650b45,
+            0x6fd9d042d868cfa2,
+            0x8dbb059e4c54c1e5,
+            0xe87c085ae15831bc,
+            0x697c524970752535,
+            0x900e1bc16695ddfe,
+            0xa653fb2a432e5b87,
+            0xa653fb2a432e5b87,
+        ],
+    ),
+    (
+        WorkloadKind::Mixed,
+        16,
+        0.0,
+        [
+            0x0f1c48cea2696160,
+            0x5d47e12b78104077,
+            0x86bf8588406389a2,
+            0xd40e6b0052f0419d,
+            0xec26afcc3fea5a1d,
+            0x18171ce2511a7558,
+            0x15427cc306586332,
+            0x689267924bf1fdb4,
+            0x11f16645a970736a,
+        ],
+    ),
+];
+
+/// Every roster policy on every mix, on the token-level backend at the
+/// benchmark's concurrency (300 jobs at λ = 24 on the mix's default
+/// cluster scaled ×48), plus an ε = 0.03 row and a ×16 row, against
+/// [`TOKEN_LEVEL_PINS`].
+#[test]
+fn token_level_schedules_are_pinned_at_benchmark_concurrency() {
+    let mut mismatches = Vec::new();
+    for (kind, scale, horizon, pins) in TOKEN_LEVEL_PINS {
+        let w = generate_workload(kind, 300, 24.0, 5);
+        let base = kind.default_cluster();
+        let cfg = ClusterConfig {
+            regular_executors: base.regular_executors * scale,
+            llm_executors: base.llm_executors * scale,
+            mode: EngineMode::TokenLevel,
+            decision_horizon: horizon,
+            ..base
+        };
+        let mut got = [0u64; 9];
+        for (i, (policy, work_conserving)) in ROSTER.into_iter().enumerate() {
+            let mut sched = build(policy, work_conserving, false);
+            let (r, fp) = fingerprint(&cfg, &w, &mut *sched, false);
+            let wc_mark = if work_conserving { " (wc)" } else { "" };
+            let label = format!(
+                "{}{wc_mark} / {} / ×{scale} / ε={horizon}",
+                policy.name(),
+                kind.name()
+            );
+            assert_eq!(r.incomplete, 0, "{label}: every job completes");
+            got[i] = schedule_hash(&fp.schedule);
+            if got[i] != pins[i] {
+                mismatches.push(label);
+            }
+        }
+        if got != pins {
+            let hex: Vec<_> = got.iter().map(|h| format!("{h:#018x}")).collect();
+            println!(
+                "re-pin: ({kind:?}, {scale}, {horizon:?}, [{}]),",
+                hex.join(", ")
+            );
+        }
+    }
+    assert!(mismatches.is_empty(), "schedules moved: {mismatches:?}");
 }
 
 /// Incremental ≡ rebuild with **online profiling active**: both paths
