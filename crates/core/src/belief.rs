@@ -36,9 +36,9 @@
 //! same inputs, just not redundantly.
 
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
 
 use llmsched_bayes::network::Evidence;
+use llmsched_dag::hash::{FxHashMap, FxHashSet};
 use llmsched_dag::ids::{AppId, JobId, StageId};
 use llmsched_sim::scheduler::{SchedContext, SchedDelta};
 use llmsched_sim::state::JobRt;
@@ -59,7 +59,7 @@ const BANDS_MEMO_CAP: usize = 1 << 16;
 #[derive(Debug, Clone, Default)]
 struct AppBands {
     version: u64,
-    by_evidence: HashMap<Vec<(usize, usize)>, Arc<EvidencePosteriors>>,
+    by_evidence: FxHashMap<Vec<(usize, usize)>, Arc<EvidencePosteriors>>,
     /// The snapshot's plans by observed-stage set: every evidence state
     /// over the same completed stages runs one compiled elimination.
     plans: PosteriorPlans,
@@ -85,7 +85,7 @@ pub struct JobBelief {
     pub work: WorkEstimate,
     /// Memoized Eq. 6 scores per stage, cleared whenever the evidence
     /// changes.
-    reductions: HashMap<u32, f64>,
+    reductions: FxHashMap<u32, f64>,
     /// The shared per-evidence posterior state this belief was derived
     /// from (bands + marginals) — Eq. 6 scoring reuses it instead of
     /// re-running the inference.
@@ -111,10 +111,10 @@ pub type Touched = (JobId, bool, bool, bool);
 /// Delta-maintained per-job records for every active job.
 #[derive(Debug, Clone, Default)]
 pub struct BeliefStore {
-    records: HashMap<JobId, JobRecord>,
+    records: FxHashMap<JobId, JobRecord>,
     /// Jobs marked since the last refresh, each with whether its evidence
     /// (mask or snapshot version) may have moved.
-    dirty: HashMap<JobId, bool>,
+    dirty: FxHashMap<JobId, bool>,
     /// Sum of every record's ready-stage count.
     ready_stages: usize,
     /// Number of records with at least one ready stage.
@@ -123,7 +123,7 @@ pub struct BeliefStore {
     touched: Vec<Touched>,
     /// Active jobs per application — the inverse index behind
     /// [`BeliefStore::mark_app_dirty`].
-    by_app: HashMap<AppId, HashSet<JobId>>,
+    by_app: FxHashMap<AppId, FxHashSet<JobId>>,
     /// Posterior bands shared across jobs: the BN inference behind a work
     /// estimate depends only on (application, snapshot version, evidence),
     /// so every job of an app under the same evidence reuses one
@@ -131,7 +131,7 @@ pub struct BeliefStore {
     /// single no-evidence entry. Next to them sit the app's compiled
     /// elimination plans. A snapshot bump drops exactly that app's
     /// entries and plans; [`BeliefStore::clear`] drops all of them.
-    bands: HashMap<AppId, AppBands>,
+    bands: FxHashMap<AppId, AppBands>,
 }
 
 impl BeliefStore {
@@ -356,13 +356,18 @@ impl BeliefStore {
                     mask,
                     evidence,
                     work,
-                    reductions: HashMap::new(),
+                    reductions: FxHashMap::default(),
                     shared: Some(shared),
                 }
             }
         };
-        self.by_app.entry(job.app()).or_default().insert(job.id());
-        self.records.entry(job.id()).or_default().belief = belief;
+        // A job's app never changes: index it once, with its new record.
+        let by_app = &mut self.by_app;
+        let rec = self.records.entry(job.id()).or_insert_with(|| {
+            by_app.entry(job.app()).or_default().insert(job.id());
+            JobRecord::default()
+        });
+        rec.belief = belief;
         true
     }
 
@@ -435,8 +440,8 @@ impl BeliefStore {
     /// joints from the app's cached plans while they belong to the
     /// published snapshot.
     fn score(
-        records: &HashMap<JobId, JobRecord>,
-        bands: &mut HashMap<AppId, AppBands>,
+        records: &FxHashMap<JobId, JobRecord>,
+        bands: &mut FxHashMap<AppId, AppBands>,
         store: &ProfileStore,
         mi: MiEstimator,
         job: &JobRt,
@@ -600,9 +605,9 @@ mod tests {
         store: ProfileStore,
         beliefs: BeliefStore,
         /// Jobs of the pending batch with a delta other than a dispatch.
-        other: HashSet<JobId>,
+        other: FxHashSet<JobId>,
         /// `(ready stages, evidence mask)` per job at the last refresh.
-        seen: HashMap<JobId, (usize, u64)>,
+        seen: FxHashMap<JobId, (usize, u64)>,
         /// Dispatch-only refreshes that exhausted a job's only ready stage.
         exhausted: usize,
         /// Refreshes whose stage completion moved the evidence mask.
@@ -680,8 +685,8 @@ mod tests {
         let mut checker = Checker {
             store: frozen_store(&AppKind::ALL),
             beliefs: BeliefStore::new(),
-            other: HashSet::new(),
-            seen: HashMap::new(),
+            other: FxHashSet::default(),
+            seen: FxHashMap::default(),
             exhausted: 0,
             mask_moves: 0,
         };

@@ -7,11 +7,10 @@
 //! factor `l(b_t)/l(b_r)`. The same machinery produces the support
 //! *interval* used to group jobs into non-overlapping sets (line 5).
 
-use std::collections::HashMap;
-
 use llmsched_bayes::info::mutual_information_of;
 use llmsched_bayes::network::{BayesNet, Evidence};
 use llmsched_bayes::plan::{EliminationPlan, PlanScratch};
+use llmsched_dag::hash::FxHashMap;
 use llmsched_dag::ids::StageId;
 use llmsched_dag::job::StageKind;
 use llmsched_sim::scheduler::SchedContext;
@@ -99,8 +98,8 @@ static NO_EVIDENCE: Evidence = Evidence::new();
 /// next to its band memo and drops both together).
 #[derive(Debug, Clone, Default)]
 pub struct PosteriorPlans {
-    marginals: HashMap<u64, EliminationPlan>,
-    joints: HashMap<(u64, u64, usize), EliminationPlan>,
+    marginals: FxHashMap<u64, EliminationPlan>,
+    joints: FxHashMap<(u64, u64, usize), EliminationPlan>,
     scratch: PlanScratch,
 }
 

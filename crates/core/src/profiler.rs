@@ -21,13 +21,14 @@
 //! * joint posteriors over correlated stage sets (for Eq. 5/6);
 //! * the correlated-stage sets themselves via BN reachability (Eq. 1).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use llmsched_bayes::dataset::DiscreteData;
 use llmsched_bayes::discretize::Discretizer;
 use llmsched_bayes::network::{BayesNet, Evidence};
 use llmsched_bayes::online::SuffStats;
 use llmsched_bayes::structure::{learn_chow_liu, learn_order_hill_climb};
+use llmsched_dag::hash::FxHashMap;
 use llmsched_dag::ids::{AppId, StageId};
 use llmsched_dag::job::{DynOutcome, JobSpec, StageKind};
 use llmsched_dag::template::{Template, TemplateSet, TemplateStageKind};
@@ -133,9 +134,9 @@ pub struct AppProfile {
     /// applies) — placeholders count as regular work (tool executions).
     is_llm: Vec<bool>,
     /// Dynamic-placeholder statistics keyed by placeholder stage id.
-    dynamic: HashMap<StageId, DynamicStats>,
+    dynamic: FxHashMap<StageId, DynamicStats>,
     /// Which LLM stage precedes each dynamic placeholder.
-    dynamic_preceding: HashMap<StageId, StageId>,
+    dynamic_preceding: FxHashMap<StageId, StageId>,
 }
 
 impl AppProfile {
@@ -220,7 +221,7 @@ impl AppProfile {
 /// The trained profiler: one [`AppProfile`] per application.
 #[derive(Debug, Clone, Default)]
 pub struct Profiler {
-    profiles: HashMap<AppId, AppProfile>,
+    profiles: FxHashMap<AppId, AppProfile>,
 }
 
 impl Profiler {
@@ -329,7 +330,7 @@ pub(crate) struct AppHistory {
     /// Running per-stage sums over `rows`.
     sums: Vec<f64>,
     /// Structure counters per placeholder (cumulative: never evicted).
-    dynamic: HashMap<StageId, DynCounts>,
+    dynamic: FxHashMap<StageId, DynCounts>,
     /// Jobs pushed (cumulative): the `n` behind the placeholder
     /// frequencies.
     pub(crate) n_obs: u64,
@@ -377,8 +378,8 @@ impl AppHistory {
             .iter()
             .map(|s| matches!(s.kind, TemplateStageKind::Llm))
             .collect();
-        let mut dynamic = HashMap::new();
-        let mut dynamic_preceding = HashMap::new();
+        let mut dynamic = FxHashMap::default();
+        let mut dynamic_preceding = FxHashMap::default();
         for d in template.dynamic_stages() {
             let TemplateStageKind::Dynamic {
                 candidates,
@@ -412,8 +413,8 @@ pub(crate) fn histories(
     templates: &TemplateSet,
     corpus: &[JobSpec],
     cap: usize,
-) -> HashMap<AppId, AppHistory> {
-    let mut out: HashMap<AppId, AppHistory> = HashMap::new();
+) -> FxHashMap<AppId, AppHistory> {
+    let mut out: FxHashMap<AppId, AppHistory> = FxHashMap::default();
     for job in corpus.iter().filter(|j| templates.get(j.app()).is_some()) {
         let (row, outcomes) = observation(job);
         out.entry(job.app()).or_default().push(row, &outcomes, cap);

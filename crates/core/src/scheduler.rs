@@ -18,10 +18,10 @@
 //!   two delta-maintained dense indices: the SRTF order over the ready
 //!   jobs only, and the ready-flagged interval index over every job
 //!   behind the non-overlapping grouping. Only jobs whose evidence
-//!   changed are re-estimated and repositioned; both indices are rebuilt
-//!   only when the Eq. 2 calibration factor itself moves (rare at
-//!   saturation, where the average busy batch pins to the max batch
-//!   size). The cut-off is the startable capacity, so emission stops
+//!   changed are re-estimated and repositioned; when the Eq. 2
+//!   calibration factor itself moves (about 1% of calls at benchmark
+//!   concurrency), both indices re-key their own entries in place and
+//!   sort once. The cut-off is the startable capacity, so emission stops
 //!   once nothing more could start.
 //! * **rebuild** (`incremental = false`) — the recompute-everything-per-
 //!   call reference that equivalence tests and `scale_throughput` compare
@@ -32,9 +32,10 @@
 //! `use_uncertainty = false` → *LLMSched w/o uncertainty* (pure SRTF on
 //! BN estimates).
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use llmsched_bayes::network::Evidence;
+use llmsched_dag::hash::FxHashMap;
 use llmsched_dag::ids::{JobId, StageId};
 use llmsched_dag::job::StageKind;
 use llmsched_dag::time::SimTime;
@@ -168,7 +169,7 @@ struct JobAnalysis {
     work: WorkEstimate,
     evidence: Evidence,
     /// Memoized Eq. 6 scores per stage.
-    reduction: HashMap<u32, f64>,
+    reduction: FxHashMap<u32, f64>,
 }
 
 /// The LLMSched scheduler.
@@ -178,7 +179,7 @@ pub struct LlmSched {
     cfg: LlmSchedConfig,
     merge: Merge,
     /// Rebuild-path cache keyed by (job, profile version, evidence mask).
-    cache: HashMap<(JobId, u64, u64), JobAnalysis>,
+    cache: FxHashMap<(JobId, u64, u64), JobAnalysis>,
     /// Incremental path: one record per active job — belief, ready-stage
     /// count (with the running total that sizes the lazy St/Su sources)
     /// and scored frontier…
@@ -188,14 +189,16 @@ pub struct LlmSched {
     /// emits nothing for the others, so St never walks them…
     exploit: ReadyIndex<(FiniteF64, SimTime), ()>,
     /// …and the interval index behind the non-overlapping grouping over
-    /// every job (ordered by calibrated lower bound; upper bounds ride
-    /// inline), since a non-ready job's interval can still bridge two
-    /// groups. Each entry carries the job's ready flag (the record's
-    /// ready-stage count is positive), so the Su scan skips non-ready
-    /// jobs without a lookup.
-    intervals: ReadyIndex<FiniteF64, f64>,
+    /// every job (ordered by calibrated lower bound), since a non-ready
+    /// job's interval can still bridge two groups. Each entry carries the
+    /// job's ready flag (the record's ready-stage count is positive), so
+    /// the Su scan skips non-ready jobs without a lookup, and a [`Span`]:
+    /// the calibrated upper bound the scan reads, and the job's
+    /// calibration-free bound parts, from which a calibration move
+    /// re-keys the entry where it stands, without a belief lookup.
+    intervals: ReadyIndex<FiniteF64, Span>,
     /// The Eq. 2 calibration the persistent keys were computed under; a
-    /// moved calibration re-keys everything.
+    /// moved calibration re-keys both indices.
     last_calib: Option<f64>,
     /// The incremental Su source's reused heap (cleared per invocation).
     su_heap_buf: BinaryHeap<SuEntry>,
@@ -263,7 +266,7 @@ impl LlmSched {
             store,
             cfg,
             merge: Merge::new(seed),
-            cache: HashMap::new(),
+            cache: FxHashMap::default(),
             beliefs: BeliefStore::new(),
             exploit: ReadyIndex::default(),
             intervals: ReadyIndex::default(),
@@ -304,7 +307,7 @@ impl LlmSched {
             return JobAnalysis {
                 work: WorkEstimate::default(),
                 evidence: Evidence::new(),
-                reduction: HashMap::new(),
+                reduction: FxHashMap::default(),
             };
         };
         let mask = profile.evidence_mask(job);
@@ -322,7 +325,7 @@ impl LlmSched {
         let a = JobAnalysis {
             work,
             evidence,
-            reduction: HashMap::new(),
+            reduction: FxHashMap::default(),
         };
         self.cache.insert((job.id(), version, mask), a.clone());
         a
@@ -362,7 +365,7 @@ impl LlmSched {
             // profile version: under per-completion publishing, stale
             // versions of long-lived jobs would otherwise accumulate for
             // as long as the job runs.
-            let alive: HashMap<JobId, u64> = ctx
+            let alive: FxHashMap<JobId, u64> = ctx
                 .jobs
                 .iter()
                 .map(|j| (j.id(), self.store.version(j.app()).0))
@@ -471,15 +474,15 @@ impl LlmSched {
         );
         let use_uncertainty = self.cfg.use_uncertainty;
         let beliefs = &self.beliefs;
-        let mut rebuild = rebuilt || self.last_calib != Some(calib);
+        let mut rebuild = rebuilt;
         if !rebuild {
-            // Calibration stable. The SRTF index follows the ready set: a
-            // job that turned ready enters, one whose belief moved while
-            // ready is re-keyed, one that stopped being ready leaves. The
-            // interval index re-keys every moved belief (arrivals included
-            // — their upsert is the insert, flagged from the record) and
-            // flips the flags whose ready status moved (an upsert keeps an
-            // existing entry's flag).
+            // The SRTF index follows the ready set: a job that turned
+            // ready enters, one whose belief moved while ready is
+            // re-keyed, one that stopped being ready leaves. The interval
+            // index re-keys every moved belief (arrivals included — their
+            // upsert is the insert, flagged from the record) and flips the
+            // flags whose ready status moved (an upsert keeps an existing
+            // entry's flag).
             for &(id, moved, was_ready, ready) in beliefs.touched() {
                 let Some(job) = ctx.job(id) else { continue };
                 if ready && (moved || !was_ready) {
@@ -500,10 +503,36 @@ impl LlmSched {
                 || (use_uncertainty && self.intervals.len() != ctx.jobs.len());
             debug_assert!(!rebuild, "delta-fed indices needed the safety net");
         }
+        if !rebuild && self.last_calib != Some(calib) {
+            // Calibration moved: every persistent key is stale, but each
+            // index already holds exactly the right jobs. Re-key them where
+            // they stand — the SRTF index from its (few) jobs' beliefs,
+            // the interval index from its entries' own bound parts — and
+            // sort once.
+            self.exploit.rekey_all(|e| {
+                let est = FiniteF64(beliefs.work(e.job).expected(calib));
+                ((est, e.key.1), ())
+            });
+            if use_uncertainty {
+                self.intervals
+                    .rekey_all(|e| Span::keyed(e.val.lo_parts, e.val.hi_parts, calib));
+                debug_assert!(
+                    {
+                        let mut fresh = ReadyIndex::default();
+                        fresh.rebuild(
+                            ctx.jobs
+                                .iter()
+                                .map(|job| interval_entry(beliefs, job, calib)),
+                        );
+                        fresh.entries() == self.intervals.entries()
+                    },
+                    "an in-place re-key differs from a from-scratch interval index"
+                );
+            }
+        }
         if rebuild {
-            // Calibration moved (every persistent key is stale), or the
-            // context bypassed the delta stream: rebuild the indices, the
-            // SRTF one from the ready jobs alone.
+            // The context bypassed the delta stream: rebuild the indices
+            // from the context, the SRTF one from the ready jobs alone.
             self.exploit.rebuild(
                 ctx.jobs
                     .iter()
@@ -629,7 +658,7 @@ impl LlmSched {
                         break;
                     }
                     first = false;
-                    cur_hi = cur_hi.max(e.val);
+                    cur_hi = cur_hi.max(e.val.hi);
                     iv.next();
                     // Jobs with no ready stages contribute nothing but
                     // their interval: skip them on the flag. Past the last
@@ -679,7 +708,7 @@ struct Merge {
     rng: StdRng,
     /// Stage -> task refs pushed for it during the merge (0 marks a stage
     /// consumed without emission); the tail subtracts them as duplicates.
-    emitted: HashMap<(usize, StageId), usize>,
+    emitted: FxHashMap<(usize, StageId), usize>,
     /// The St prefix the merge consumed, which the tail walks again.
     st: Vec<StageRef>,
 }
@@ -688,7 +717,7 @@ impl Merge {
     fn new(seed: u64) -> Self {
         Merge {
             rng: StdRng::seed_from_u64(seed),
-            emitted: HashMap::new(),
+            emitted: FxHashMap::default(),
             st: Vec::new(),
         }
     }
@@ -907,15 +936,47 @@ fn srtf_entry(
     }
 }
 
+/// An interval index entry's payload: the calibrated upper bound the Su
+/// group scan reads, and the job's calibration-free `(llm, regular)`
+/// bound parts ([`WorkEstimate::lo`] and [`WorkEstimate::hi`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Span {
+    hi: f64,
+    lo_parts: (f64, f64),
+    hi_parts: (f64, f64),
+}
+
+impl Span {
+    /// The interval index key (calibrated lower bound) and payload of
+    /// bound parts `lo_parts`/`hi_parts` under the Eq. 2 calibration
+    /// `calib`, through [`WorkEstimate::interval`] itself, so an in-place
+    /// re-key and a from-scratch entry agree to the bit.
+    fn keyed(lo_parts: (f64, f64), hi_parts: (f64, f64), calib: f64) -> (FiniteF64, Span) {
+        let parts = WorkEstimate {
+            lo: lo_parts,
+            hi: hi_parts,
+            ..WorkEstimate::default()
+        };
+        let (lo, hi) = parts.interval(calib);
+        let span = Span {
+            hi,
+            lo_parts,
+            hi_parts,
+        };
+        (FiniteF64(lo), span)
+    }
+}
+
 /// A job's interval (`Su`) index entry under the Eq. 2 calibration
 /// `calib`, flagged ready from its record.
-fn interval_entry(beliefs: &BeliefStore, job: &JobRt, calib: f64) -> IndexEntry<FiniteF64, f64> {
-    let (lo, hi) = beliefs.work(job.id()).interval(calib);
+fn interval_entry(beliefs: &BeliefStore, job: &JobRt, calib: f64) -> IndexEntry<FiniteF64, Span> {
+    let work = beliefs.work(job.id());
+    let (key, val) = Span::keyed(work.lo, work.hi, calib);
     IndexEntry {
-        key: FiniteF64(lo),
+        key,
         job: job.id(),
         ready: beliefs.is_ready(job.id()),
-        val: hi,
+        val,
     }
 }
 
@@ -1182,7 +1243,7 @@ mod tests {
         // the unbounded run (the dispatcher skips duplicates) and leaves
         // the ε-draw stream where the unbounded run leaves it.
         let startable = |refs: &[(u64, u32)], k| {
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = llmsched_dag::hash::FxHashSet::default();
             let distinct = refs.iter().filter(|&&r| seen.insert(r));
             distinct.take(k).copied().collect::<Vec<_>>()
         };

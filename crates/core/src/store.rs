@@ -36,11 +36,11 @@
 //! and reproduces the classic frozen-profiler behavior bit-for-bit —
 //! pinned by the golden schedules in `tests/incremental_equiv.rs`.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use llmsched_bayes::discretize::Discretizer;
 use llmsched_bayes::online::OnlineNet;
+use llmsched_dag::hash::FxHashMap;
 use llmsched_dag::ids::{AppId, JobId, StageId};
 use llmsched_dag::job::{DynOutcome, JobSpec};
 use llmsched_dag::template::{Template, TemplateSet};
@@ -182,11 +182,11 @@ struct PendingJob {
 #[derive(Debug, Clone)]
 pub struct ProfileStore {
     cfg: ProfileStoreConfig,
-    apps: HashMap<AppId, AppEntry>,
+    apps: FxHashMap<AppId, AppEntry>,
     /// Construction-time state, restored by [`ProfileStore::reset`] so a
     /// scheduler instance is reusable across simulations.
-    pristine: HashMap<AppId, AppEntry>,
-    pending: HashMap<JobId, PendingJob>,
+    pristine: FxHashMap<AppId, AppEntry>,
+    pending: FxHashMap<JobId, PendingJob>,
     finalized: Vec<PendingJob>,
 }
 
@@ -201,9 +201,9 @@ impl ProfileStore {
         check(&cfg);
         ProfileStore {
             cfg,
-            apps: HashMap::new(),
-            pristine: HashMap::new(),
-            pending: HashMap::new(),
+            apps: FxHashMap::default(),
+            pristine: FxHashMap::default(),
+            pending: FxHashMap::default(),
             finalized: Vec::new(),
         }
     }
@@ -213,7 +213,7 @@ impl ProfileStore {
     /// from [`ProfileStore::train`] or [`ProfileStore::empty`], which keep
     /// the rows a re-fit learns from.
     pub fn frozen(profiler: &Profiler) -> Self {
-        let apps: HashMap<AppId, AppEntry> = profiler
+        let apps: FxHashMap<AppId, AppEntry> = profiler
             .iter()
             .map(|(app, p)| {
                 let entry = AppEntry {
@@ -228,7 +228,7 @@ impl ProfileStore {
             cfg: ProfileStoreConfig::default(),
             pristine: apps.clone(),
             apps,
-            pending: HashMap::new(),
+            pending: FxHashMap::default(),
             finalized: Vec::new(),
         }
     }

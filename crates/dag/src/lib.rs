@@ -51,6 +51,7 @@
 #![warn(missing_docs)]
 
 pub mod csr;
+pub mod hash;
 pub mod ids;
 pub mod job;
 pub mod template;

@@ -380,7 +380,7 @@ mod tests {
         be.admit(e1, t(1), w(100, 50), &mut cx);
         let finishes = run_events(&mut be, &mut queue, &mut jobs, &reference);
         assert_eq!(finishes.len(), 2);
-        let by_task: std::collections::HashMap<u32, f64> = finishes.into_iter().collect();
+        let by_task: llmsched_dag::hash::FxHashMap<u32, f64> = finishes.into_iter().collect();
         assert!((by_task[&0] - 0.61).abs() < 1e-9);
         assert!((by_task[&1] - 0.71).abs() < 1e-9, "0.1 s prefill queueing");
     }

@@ -19,8 +19,7 @@
 //! outside the engine's delta stream (hand-built test contexts, wrappers
 //! that forget to forward `on_delta` after a membership change).
 
-use std::collections::{HashMap, HashSet};
-
+use llmsched_dag::hash::{FxHashMap, FxHashSet};
 use llmsched_dag::ids::JobId;
 
 use crate::scheduler::{SchedContext, SchedDelta};
@@ -59,7 +58,8 @@ pub struct IndexEntry<K, V> {
     /// Whether the job has at least one ready stage.
     pub ready: bool,
     /// Payload carried alongside the key (LLMSched's interval index
-    /// carries the upper bound; `()` elsewhere).
+    /// carries the upper bound and the parts it re-keys from; `()`
+    /// elsewhere).
     pub val: V,
 }
 
@@ -78,19 +78,20 @@ pub struct IndexEntry<K, V> {
 /// the job's stored key; inserting or removing shifts the entries after
 /// it. Those are rare next to walks: keys move only when a job's sort
 /// key does, flags only when a job's ready/non-ready status does. When
-/// every key moves at once, [`ReadyIndex::rebuild`] refills the index
-/// with one sort instead of n shifting inserts.
+/// every key moves at once, [`ReadyIndex::rekey_all`] re-keys the entries
+/// where they stand and sorts once, and [`ReadyIndex::rebuild`] refills
+/// the index from scratch with one sort, instead of n shifting inserts.
 #[derive(Debug, Clone)]
 pub struct ReadyIndex<K, V> {
     entries: Vec<IndexEntry<K, V>>,
-    keys: HashMap<JobId, K>,
+    keys: FxHashMap<JobId, K>,
 }
 
 impl<K, V> Default for ReadyIndex<K, V> {
     fn default() -> Self {
         ReadyIndex {
             entries: Vec::new(),
-            keys: HashMap::new(),
+            keys: FxHashMap::default(),
         }
     }
 }
@@ -134,6 +135,19 @@ impl<K: Ord + Copy, V: Copy> ReadyIndex<K, V> {
             let fresh = self.keys.insert(e.job, e.key).is_none();
             debug_assert!(fresh, "job indexed once");
         }
+    }
+
+    /// Re-keys every entry in place: `rekey` maps an entry to its new key
+    /// and payload (its job and ready flag stay). One stable sort restores
+    /// the `(key, JobId)` order, which is cheap when a shared shift left
+    /// the entries nearly sorted, and the job → key map's values are
+    /// overwritten, not re-inserted.
+    pub fn rekey_all(&mut self, mut rekey: impl FnMut(&IndexEntry<K, V>) -> (K, V)) {
+        for e in &mut self.entries {
+            (e.key, e.val) = rekey(e);
+            *self.keys.get_mut(&e.job).expect("indexed job has a key") = e.key;
+        }
+        self.entries.sort_by_key(|e| (e.key, e.job));
     }
 
     /// Inserts `entry.job` or moves it to `entry.key`, setting its
@@ -187,14 +201,14 @@ impl<K: Ord + Copy, V: Copy> ReadyIndex<K, V> {
 #[derive(Debug, Clone)]
 pub struct DeltaIndex<K> {
     index: ReadyIndex<K, ()>,
-    dirty: HashSet<JobId>,
+    dirty: FxHashSet<JobId>,
 }
 
 impl<K> Default for DeltaIndex<K> {
     fn default() -> Self {
         DeltaIndex {
             index: ReadyIndex::default(),
-            dirty: HashSet::new(),
+            dirty: FxHashSet::default(),
         }
     }
 }
@@ -301,8 +315,8 @@ fn entry<K>(job: &JobRt, key: K) -> IndexEntry<K, ()> {
 /// per-job estimate recomputed only when that job actually changed.
 #[derive(Debug, Clone, Default)]
 pub struct EstimateCache {
-    est: HashMap<JobId, f64>,
-    dirty: HashSet<JobId>,
+    est: FxHashMap<JobId, f64>,
+    dirty: FxHashSet<JobId>,
 }
 
 impl EstimateCache {
@@ -383,8 +397,11 @@ mod tests {
     /// The index equals a naive model — a map of job → (key, payload,
     /// ready), sorted by `(key, job)` on every query — after every step
     /// of random upserts (new and repositioning, same-key payload
-    /// updates included), removals, ready flips and occasional whole
-    /// rebuilds, both in full and filtered to ready entries.
+    /// updates included), removals, ready flips, occasional whole
+    /// rebuilds and occasional in-place re-keys of every entry, both in
+    /// full and filtered to ready entries. Later steps find entries by
+    /// their stored keys, so a re-key that left the job → key map stale
+    /// fails too.
     #[test]
     fn matches_a_sorted_and_filtered_model() {
         for seed in 0..32u64 {
@@ -393,7 +410,7 @@ mod tests {
             let mut model: BTreeMap<JobId, (u32, u32, bool)> = BTreeMap::new();
             for step in 0..400 {
                 let job = JobId(rng.gen_range(0..40u64));
-                match rng.gen_range(0..41u32) {
+                match rng.gen_range(0..42u32) {
                     0..=19 => {
                         // Narrow key range: ties on the key are common.
                         let key = rng.gen_range(0..8u32);
@@ -427,6 +444,17 @@ mod tests {
                             ready,
                             val,
                         }));
+                    }
+                    41 => {
+                        // Re-key every entry from its payload under a
+                        // fresh factor (as a calibration move does),
+                        // keeping payloads and flags.
+                        let c = rng.gen_range(1..5u32);
+                        let rekey = |val: u32| (val / c) % 8;
+                        index.rekey_all(|e| (rekey(e.val), e.val));
+                        for (key, val, _) in model.values_mut() {
+                            *key = rekey(*val);
+                        }
                     }
                     _ => {
                         let ready = rng.gen_bool(0.5);

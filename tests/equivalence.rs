@@ -23,18 +23,20 @@ use common::{
     RevealRecorder, MODES, ROSTER,
 };
 
-/// Runs `policy` incrementally and by rebuild, unprobed, asserts the two
-/// schedules are bit-identical and returns the incremental run.
+/// Runs `inc`, an incremental build of `policy`, and `policy` by rebuild,
+/// unprobed, asserts the two schedules are bit-identical and returns the
+/// incremental run.
 fn assert_matches_rebuild(
     cfg: &ClusterConfig,
     w: &Workload,
     policy: Policy,
+    inc: &mut dyn Scheduler,
     label: &str,
 ) -> SimResult {
-    let (inc, fp_inc) = fingerprint(cfg, w, &mut *build(policy, false, false), false);
+    let (r, fp_inc) = fingerprint(cfg, w, inc, false);
     let (_, fp_reb) = fingerprint(cfg, w, &mut *build(policy, false, true), false);
     assert_same(&fp_inc, &fp_reb, label);
-    inc
+    r
 }
 
 /// Extra analytic-backend seed sweep, including the LLMSched ablation
@@ -55,17 +57,23 @@ fn analytic_seed_sweep_with_ablations() {
             let w = generate_workload(kind, 10, 0.9, seed);
             for policy in policies {
                 let label = format!("{} / {} / seed {seed}", policy.name(), kind.name());
-                assert_matches_rebuild(&cfg, &w, policy, &label);
+                let inc = &mut *build(policy, false, false);
+                assert_matches_rebuild(&cfg, &w, policy, inc, &label);
             }
         }
     }
 }
 
-/// Runs `policy` incrementally and by rebuild on ~300 Mixed jobs
-/// arriving at λ = 24 jobs/s on the Mixed default cluster scaled
-/// `×scale` — the benchmark's concurrency — and asserts the two are
-/// bit-identical.
-fn assert_equiv_at_benchmark_concurrency(policy: Policy, mode: EngineMode, scale: usize) {
+/// Runs `inc`, an incremental build of `policy`, and `policy` by rebuild
+/// on ~300 Mixed jobs arriving at λ = 24 jobs/s on the Mixed default
+/// cluster scaled `×scale` — the benchmark's concurrency — and asserts
+/// the two are bit-identical.
+fn assert_equiv_at_benchmark_concurrency(
+    policy: Policy,
+    inc: &mut dyn Scheduler,
+    mode: EngineMode,
+    scale: usize,
+) {
     let w = generate_workload(WorkloadKind::Mixed, 300, 24.0, 5);
     let base = WorkloadKind::Mixed.default_cluster();
     let cfg = ClusterConfig {
@@ -78,8 +86,42 @@ fn assert_equiv_at_benchmark_concurrency(policy: Policy, mode: EngineMode, scale
         "{} / Mixed x300 / λ=24 / {mode:?} / cluster ×{scale}",
         policy.name()
     );
-    let inc = assert_matches_rebuild(&cfg, &w, policy, &label);
-    assert_eq!(inc.incomplete, 0, "{label}: every job completes");
+    let r = assert_matches_rebuild(&cfg, &w, policy, inc, &label);
+    assert_eq!(r.incomplete, 0, "{label}: every job completes");
+}
+
+/// Forwards every call to the scheduler it wraps and counts the calls at
+/// which the Eq. 2 batching calibration differs from the previous call's:
+/// the moves at which LLMSched re-keys its persistent indices.
+struct CalibrationMoves {
+    inner: Box<dyn Scheduler>,
+    last: Option<f64>,
+    moves: usize,
+}
+
+impl Scheduler for CalibrationMoves {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn schedule(&mut self, ctx: &SchedContext<'_>) -> Preference {
+        let calib = batching_calibration(ctx);
+        if self.last.is_some_and(|c| c != calib) {
+            self.moves += 1;
+        }
+        self.last = Some(calib);
+        self.inner.schedule(ctx)
+    }
+
+    // Wrappers must keep the inner policy on the delta stream.
+    fn on_delta(&mut self, d: &SchedDelta) {
+        self.inner.on_delta(d);
+    }
+
+    fn reset(&mut self) {
+        self.inner.reset();
+        self.last = None;
+    }
 }
 
 /// LLMSched at the benchmark's concurrency, analytic backend. Here a
@@ -90,19 +132,31 @@ fn assert_equiv_at_benchmark_concurrency(policy: Policy, mode: EngineMode, scale
 /// At ×48 (the benchmark's shape) a 300-job run rarely fills the
 /// cluster, so nearly every ready task starts whatever the order; the ×16
 /// run keeps the same concurrency with capacity binding, which is what
-/// makes a mis-grouped exploration list change the schedule.
+/// makes a mis-grouped exploration list change the schedule. Each run
+/// must cross at least 10 moves of the Eq. 2 calibration, so the
+/// incremental path's in-place re-key of its indices is what is checked.
 #[test]
 fn llmsched_matches_rebuild_at_benchmark_concurrency() {
+    let policy = Policy::LlmSched;
     for scale in [48, 16] {
-        assert_equiv_at_benchmark_concurrency(Policy::LlmSched, EngineMode::Analytic, scale);
+        let mut inc = CalibrationMoves {
+            inner: build(policy, false, false),
+            last: None,
+            moves: 0,
+        };
+        assert_equiv_at_benchmark_concurrency(policy, &mut inc, EngineMode::Analytic, scale);
+        let moves = inc.moves;
+        assert!(moves >= 10, "×{scale}: only {moves} calibration moves");
     }
 }
 
 /// The `DeltaIndex` baselines at the benchmark's concurrency, where their
 /// incremental paths walk only the few ready jobs among hundreds of
 /// active ones: all six on the analytic ×16 cluster, where capacity binds
-/// and the walk order decides who starts, and FCFS on the token-level ×48
-/// cluster, the benchmark's `fcfs-token-disagg` path.
+/// and the walk order decides who starts, and FCFS on the token-level
+/// backend: at ×48, the benchmark's `fcfs-token-disagg` path, where every
+/// policy schedules alike ([`TOKEN_LEVEL_PINS`]' first row), and at ×16,
+/// where the policies differ and so an ordering fault would show.
 #[test]
 fn baselines_match_rebuild_at_benchmark_concurrency() {
     for policy in [
@@ -113,9 +167,13 @@ fn baselines_match_rebuild_at_benchmark_concurrency() {
         Policy::Argus,
         Policy::Carbyne,
     ] {
-        assert_equiv_at_benchmark_concurrency(policy, EngineMode::Analytic, 16);
+        let inc = &mut *build(policy, false, false);
+        assert_equiv_at_benchmark_concurrency(policy, inc, EngineMode::Analytic, 16);
     }
-    assert_equiv_at_benchmark_concurrency(Policy::Fcfs, EngineMode::TokenLevel, 48);
+    for scale in [48, 16] {
+        let inc = &mut *build(Policy::Fcfs, false, false);
+        assert_equiv_at_benchmark_concurrency(Policy::Fcfs, inc, EngineMode::TokenLevel, scale);
+    }
 }
 
 /// One hash of what a run scheduled: FNV-1a over its `(job, completion)`
