@@ -27,7 +27,7 @@ pub mod router;
 pub use latency::{LatencyProfile, LatencyProfileError};
 pub use replica::{ClusterSpec, ClusterSpecError, DisaggSpec, ReplicaGroup};
 pub use router::{
-    JoinShortestQueue, LeastLoaded, ReplicaView, RouteRequest, Router, RoutingPolicy,
+    home_replica, JoinShortestQueue, LeastLoaded, ReplicaView, RouteRequest, Router, RoutingPolicy,
     SessionAffinity,
 };
 

@@ -18,6 +18,13 @@
 //! * [`SessionAffinity`] — requests of one job hash to a home replica
 //!   (KV-cache / prefix-cache reuse), spilling to the least-loaded
 //!   replica only when the home replica is full.
+//!
+//! The simulator's replica-table backends do not call these routers:
+//! they apply the same rules to state they keep incrementally, with
+//! least-loaded (and affinity's spill) in `llmsched-sim`'s slot ledger
+//! and affinity's home from [`home_replica`]. The routers here are the
+//! rules' reference; the simulator's ledger model test holds every
+//! backend placement to them.
 
 /// What a router may observe about one replica at a decision point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,9 +116,10 @@ impl Router for JoinShortestQueue {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SessionAffinity;
 
-/// Fibonacci-hash of a job id onto `n` replicas (avalanches well for the
-/// dense 0,1,2,… ids jobs actually carry).
-fn home_replica(job: u64, n: usize) -> usize {
+/// [`SessionAffinity`]'s home replica: a Fibonacci hash of the job key
+/// onto `n` replicas (avalanches well for the dense 0,1,2,… keys jobs
+/// actually carry). `n` must be non-zero.
+pub fn home_replica(job: u64, n: usize) -> usize {
     (job.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % n
 }
 

@@ -498,26 +498,25 @@ mod tests {
     use crate::store::{ProfileStoreConfig, ProfileUpdate};
     use llmsched_dag::time::SimTime;
     use llmsched_sim::engine::simulate;
+    use llmsched_sim::exec::SlotLedger;
     use llmsched_sim::scheduler::{Preference, Scheduler};
-    use llmsched_sim::state::LlmExecutorView;
     use llmsched_workloads::prelude::*;
 
-    /// A context in which every job of `jobs` is active: `all` is the
-    /// identity index `0..jobs.len()`.
+    /// A context in which every job of `jobs` (whose ids are `ids`) is
+    /// active: `all` is the identity index `0..jobs.len()`; one idle
+    /// 8-slot LLM executor.
     fn ctx_of<'a>(
         jobs: &'a [JobRt],
+        ids: &'a [JobId],
         all: &'a [u32],
+        pool: &'a SlotLedger,
         templates: &'a llmsched_dag::template::TemplateSet,
         latency: &'a llmsched_sim::latency::LatencyProfile,
     ) -> SchedContext<'a> {
         SchedContext {
             now: SimTime::ZERO,
-            jobs: llmsched_sim::scheduler::ActiveJobs::projected(jobs, all),
-            llm_executors: &[LlmExecutorView {
-                index: 0,
-                batch_len: 0,
-                max_batch: 8,
-            }],
+            jobs: llmsched_sim::scheduler::ActiveJobs::projected(jobs, ids, all),
+            llm_pool: pool,
             backend: "cluster/least-loaded",
             regular_total: 2,
             regular_busy: 0,
@@ -543,7 +542,9 @@ mod tests {
         let jobs: Vec<JobRt> = w.jobs.into_iter().map(JobRt::new).collect();
         let latency = llmsched_sim::latency::LatencyProfile::default();
         let all: Vec<u32> = (0..jobs.len() as u32).collect();
-        let ctx = ctx_of(&jobs, &all, &w.templates, &latency);
+        let ids: Vec<JobId> = jobs.iter().map(JobRt::id).collect();
+        let pool = SlotLedger::new([8]);
+        let ctx = ctx_of(&jobs, &ids, &all, &pool, &w.templates, &latency);
 
         let mut beliefs = BeliefStore::new();
         assert!(
@@ -710,7 +711,9 @@ mod tests {
         let jobs: Vec<JobRt> = w.jobs.into_iter().map(JobRt::new).collect();
         let latency = llmsched_sim::latency::LatencyProfile::default();
         let all: Vec<u32> = (0..jobs.len() as u32).collect();
-        let ctx = ctx_of(&jobs, &all, &w.templates, &latency);
+        let ids: Vec<JobId> = jobs.iter().map(JobRt::id).collect();
+        let pool = SlotLedger::new([8]);
+        let ctx = ctx_of(&jobs, &ids, &all, &pool, &w.templates, &latency);
 
         let mut beliefs = BeliefStore::new();
         beliefs.refresh(&store, &ctx, true, 0.35);

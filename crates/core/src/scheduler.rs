@@ -1165,10 +1165,12 @@ mod tests {
         let jobs = wide_jobs();
         let latency = llmsched_sim::latency::LatencyProfile::default();
         let templates: llmsched_dag::template::TemplateSet = std::iter::empty().collect();
+        let ids: Vec<JobId> = jobs.iter().map(JobRt::id).collect();
+        let pool = llmsched_sim::exec::SlotLedger::default();
         let ctx = SchedContext {
             now: SimTime::ZERO,
-            jobs: ActiveJobs::projected(&jobs, &[0, 1, 2]),
-            llm_executors: &[],
+            jobs: ActiveJobs::projected(&jobs, &ids, &[0, 1, 2]),
+            llm_pool: &pool,
             backend: "cluster/least-loaded",
             regular_total: 16,
             regular_busy: 0,

@@ -21,8 +21,10 @@
 //!
 //! # Hot-path layout
 //!
-//! The job table is a dense slab ascending by [`JobId`], so id lookup is
-//! a binary search (no side `HashMap`); the active set is one sorted
+//! The job table is a dense slab ascending by [`JobId`], with a compact
+//! id array beside it: id lookup ([`slot_of`]) is one interpolation
+//! probe of that array — O(1) on dense ids — with an exact binary search
+//! as the fallback, and no side `HashMap`; the active set is one sorted
 //! index vector lent to scheduler contexts as a zero-allocation
 //! projection; stage/task state is struct-of-arrays inside [`JobRt`];
 //! and the completion cascades walk the spec's CSR arenas by index — the
@@ -42,7 +44,9 @@ use crate::event::{Event, EventQueue};
 use crate::exec::{pool, ExecCtx, ExecutorBackend, LlmTaskRef};
 use crate::latency::LatencyProfile;
 use crate::metrics::{JobOutcome, SimResult, Utilization};
-use crate::scheduler::{ActiveJobs, Preference, SchedContext, SchedDelta, Scheduler, TaskRef};
+use crate::scheduler::{
+    slot_of, ActiveJobs, Preference, SchedContext, SchedDelta, Scheduler, TaskRef,
+};
 use crate::state::{JobRt, TaskState, Visibility};
 
 /// Cluster resources and engine options.
@@ -256,9 +260,11 @@ macro_rules! exec_ctx {
 struct Engine<'a> {
     cfg: &'a ClusterConfig,
     templates: &'a TemplateSet,
-    /// Dense job slab, ascending by `JobId` (asserted in `simulate`); id
-    /// lookup is a binary search over this order.
+    /// Dense job slab, ascending by `JobId` (checked in `run_checked`).
     jobs: Vec<JobRt>,
+    /// The slab's ids in slab order: the compact array [`slot_of`]
+    /// resolves ids against, so no lookup reads a [`JobRt`] per probe.
+    ids: Vec<JobId>,
     /// The persistent sorted job index: dense indices of active jobs,
     /// ascending (and dense indices ascend with `JobId`). Lent to
     /// scheduler contexts as a borrowed projection; membership changes
@@ -383,67 +389,77 @@ fn run_checked(
     scheduler: &mut dyn Scheduler,
     probe: &mut dyn Probe,
 ) -> Result<SimResult, ConfigError> {
-    cfg.validate()?;
-    if let Some(j) = jobs.iter().find(|j| templates.get(j.app()).is_none()) {
-        return Err(ConfigError::UnregisteredApp {
-            job: j.id(),
-            app: j.app(),
-        });
-    }
-    // The slab is documented ascending by `JobId` and every id lookup
-    // binary-searches it; a hard check (O(n), once per run) beats
-    // silently mis-resolving jobs in release builds.
-    if let Some(w) = jobs.windows(2).find(|w| w[0].id() >= w[1].id()) {
-        return Err(ConfigError::JobsNotAscending {
-            prev: w[0].id(),
-            next: w[1].id(),
-        });
-    }
-    let llm = pool::build_backend(cfg);
-    if llm.ledger().total_slots() == 0 {
-        return Err(ConfigError::NoLlmCapacity);
-    }
-    let backend_desc = llm.descriptor();
-    let probe_on = probe.enabled();
-    let queue = EventQueue::with_capacity(jobs.len() + 64);
-    let mut engine = Engine {
-        cfg,
-        templates,
-        jobs: jobs.into_iter().map(JobRt::new).collect(),
-        active: Vec::new(),
-        queue,
-        now: SimTime::ZERO,
-        regular_busy: 0,
-        llm,
-        ready_reg: 0,
-        ready_llm: 0,
-        sched_skipped: 0,
-        sched_elided: 0,
-        horizon: llmsched_dag::time::SimDuration::from_secs_f64(cfg.decision_horizon).0,
-        last_sched_at: None,
-        flush_at: None,
-        sched_deferred: 0,
-        deferred_fold: 0,
-        backend_desc,
-        finished_buf: Vec::new(),
-        deltas: Vec::new(),
-        outcomes: Vec::new(),
-        events: 0,
-        sched_calls: 0,
-        sched_wall: std::time::Duration::ZERO,
-        sched_samples: WallReservoir::default(),
-        last_integral_at: SimTime::ZERO,
-        reg_busy_integral: 0.0,
-        llm_slot_integral: 0.0,
-        llm_active_integral: 0.0,
-        probe,
-        probe_on,
-        prov_buf: Vec::new(),
-    };
-    Ok(engine.run(scheduler))
+    Ok(Engine::new(cfg, templates, jobs, probe)?.run(scheduler))
 }
 
-impl Engine<'_> {
+impl<'a> Engine<'a> {
+    /// Checks the inputs and builds an engine with nothing arrived yet.
+    fn new(
+        cfg: &'a ClusterConfig,
+        templates: &'a TemplateSet,
+        jobs: Vec<JobSpec>,
+        probe: &'a mut dyn Probe,
+    ) -> Result<Self, ConfigError> {
+        cfg.validate()?;
+        if let Some(j) = jobs.iter().find(|j| templates.get(j.app()).is_none()) {
+            return Err(ConfigError::UnregisteredApp {
+                job: j.id(),
+                app: j.app(),
+            });
+        }
+        // The slab is documented ascending by `JobId` and every id lookup
+        // (`slot_of`) relies on it; a hard check (O(n), once per run) beats
+        // silently mis-resolving jobs in release builds.
+        if let Some(w) = jobs.windows(2).find(|w| w[0].id() >= w[1].id()) {
+            return Err(ConfigError::JobsNotAscending {
+                prev: w[0].id(),
+                next: w[1].id(),
+            });
+        }
+        let llm = pool::build_backend(cfg);
+        if llm.ledger().total_slots() == 0 {
+            return Err(ConfigError::NoLlmCapacity);
+        }
+        let backend_desc = llm.descriptor();
+        let probe_on = probe.enabled();
+        let queue = EventQueue::with_capacity(jobs.len() + 64);
+        Ok(Engine {
+            cfg,
+            templates,
+            ids: jobs.iter().map(JobSpec::id).collect(),
+            jobs: jobs.into_iter().map(JobRt::new).collect(),
+            active: Vec::new(),
+            queue,
+            now: SimTime::ZERO,
+            regular_busy: 0,
+            llm,
+            ready_reg: 0,
+            ready_llm: 0,
+            sched_skipped: 0,
+            sched_elided: 0,
+            horizon: llmsched_dag::time::SimDuration::from_secs_f64(cfg.decision_horizon).0,
+            last_sched_at: None,
+            flush_at: None,
+            sched_deferred: 0,
+            deferred_fold: 0,
+            backend_desc,
+            finished_buf: Vec::new(),
+            deltas: Vec::new(),
+            outcomes: Vec::new(),
+            events: 0,
+            sched_calls: 0,
+            sched_wall: std::time::Duration::ZERO,
+            sched_samples: WallReservoir::default(),
+            last_integral_at: SimTime::ZERO,
+            reg_busy_integral: 0.0,
+            llm_slot_integral: 0.0,
+            llm_active_integral: 0.0,
+            probe,
+            probe_on,
+            prov_buf: Vec::new(),
+        })
+    }
+
     fn run(&mut self, scheduler: &mut dyn Scheduler) -> SimResult {
         scheduler.reset();
         scheduler.set_telemetry(self.probe_on);
@@ -938,8 +954,8 @@ impl Engine<'_> {
         let (pref, elapsed) = {
             let ctx = SchedContext {
                 now: self.now,
-                jobs: ActiveJobs::projected(&self.jobs, &self.active),
-                llm_executors: self.llm.ledger().views(),
+                jobs: ActiveJobs::projected(&self.jobs, &self.ids, &self.active),
+                llm_pool: self.llm.ledger(),
                 backend: &self.backend_desc,
                 regular_total: self.cfg.regular_executors,
                 regular_busy: self.regular_busy,
@@ -995,10 +1011,11 @@ impl Engine<'_> {
     }
 
     /// Looks up a task reference, returning the dense job index if the task
-    /// is startable on the given executor class. Id resolution is a binary
-    /// search over the ascending slab; activity is two O(1) flag reads.
+    /// is startable on the given executor class. Id resolution is
+    /// [`slot_of`] over the compact id array; activity is two O(1) flag
+    /// reads.
     fn validate(&self, tr: &TaskRef, class: ExecutorClass) -> Option<usize> {
-        let j = self.jobs.binary_search_by(|jr| jr.id().cmp(&tr.job)).ok()?;
+        let j = slot_of(&self.ids, tr.job)?;
         let jr = &self.jobs[j];
         if !jr.arrived || jr.is_complete() {
             return None;
@@ -1025,8 +1042,8 @@ impl Engine<'_> {
                 self.start_regular(j, tr);
             }
         }
-        // LLM tasks are routed by the backend: the default is the paper's
-        // least-loaded rule, cluster backends consult their Router policy.
+        // LLM tasks are placed by the backend: least-loaded through its
+        // slot ledger, or the cluster spec's routing policy.
         for tr in &pref.llm {
             if !self.llm.ledger().has_free_slot() {
                 break;
@@ -1803,6 +1820,67 @@ mod tests {
             let res = simulate(&cfg, &set, vec![spec.clone()], &mut Greedy);
             assert_eq!(res.incomplete, 0, "{mode:?}");
             assert!(res.sched_skipped > 0, "{mode:?}: no empty decision point");
+        }
+    }
+
+    #[test]
+    fn validate_resolves_sparse_ascending_ids() {
+        let (set, spec) = templates_and_job(0.0);
+        let t = set.get(AppId(0)).unwrap();
+        let ids = [2, 5, 9, 1_000_000, u64::MAX - 1].map(JobId);
+        let specs: Vec<JobSpec> = ids
+            .iter()
+            .map(|&id| JobSpec::new(id, t, SimTime::ZERO, spec.stages().to_vec(), vec![]).unwrap())
+            .collect();
+        let cfg = ClusterConfig {
+            latency: flat_latency(),
+            ..Default::default()
+        };
+        let mut probe = NoopProbe;
+        let mut engine = Engine::new(&cfg, &set, specs, &mut probe).unwrap();
+        // Slot 1 never arrives; slot 4 arrives and completes.
+        for job in [0, 2, 3, 4] {
+            assert!(engine.apply(Event::Arrival { job }));
+        }
+        let gen = |job| TaskRef {
+            job,
+            stage: StageId(0),
+            task: 0,
+        };
+        engine.dispatch(&Preference {
+            regular: vec![],
+            llm: vec![gen(ids[4])],
+        });
+        let (_, finish) = engine.queue.pop().expect("the dispatched task's finish");
+        assert!(engine.apply(finish));
+        assert!(engine.jobs[4].stage_ready(StageId(1)));
+        let exec = |job| TaskRef {
+            job,
+            stage: StageId(1),
+            task: 0,
+        };
+        engine.dispatch(&Preference {
+            regular: vec![exec(ids[4])],
+            llm: vec![],
+        });
+        let (_, finish) = engine.queue.pop().expect("the dispatched task's finish");
+        assert!(engine.apply(finish));
+        assert!(engine.jobs[4].is_complete());
+
+        for slot in [0, 2, 3] {
+            let tr = gen(ids[slot]);
+            assert_eq!(engine.validate(&tr, ExecutorClass::Llm), Some(slot));
+            assert_eq!(engine.validate(&tr, ExecutorClass::Regular), None);
+        }
+        let ctx = ActiveJobs::projected(&engine.jobs, &engine.ids, &engine.active);
+        assert_eq!(ctx.len(), 3);
+        for (pos, slot) in [0, 2, 3].into_iter().enumerate() {
+            assert_eq!(ctx.position_of(ids[slot]), Some(pos));
+        }
+        // Not yet arrived, completed, and absent ids resolve to nothing.
+        for id in [ids[1], ids[4], JobId(0), JobId(6), JobId(u64::MAX)] {
+            assert_eq!(engine.validate(&gen(id), ExecutorClass::Llm), None, "{id}");
+            assert_eq!(ctx.position_of(id), None, "{id}");
         }
     }
 

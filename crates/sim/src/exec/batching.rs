@@ -5,12 +5,88 @@
 //! rate-rescaling model, each replica against its *own* group's latency
 //! curve. That subtle settle/retime logic lives here exactly once; the
 //! backends differ only in how requests reach the batch (directly vs.
-//! via prefill transit).
+//! via prefill transit). Their slot accounting and placement live here
+//! once too ([`RoutedSlots`]).
 
-use llmsched_cluster::{ClusterSpec, LatencyProfile, ReplicaView};
+use llmsched_cluster::{
+    home_replica, ClusterSpec, JoinShortestQueue, LatencyProfile, ReplicaView, RouteRequest,
+    Router, RoutingPolicy,
+};
 use llmsched_dag::time::{SimDuration, SimTime};
 
-use super::{ExecCtx, LlmTaskRef};
+use super::{ExecCtx, LlmTaskRef, SlotLedger};
+
+/// The slot ledger of a replica table plus the placement its spec's
+/// routing policy makes over it.
+///
+/// Least-loaded placement, and session affinity's spill when the home
+/// replica is full, are [`SlotLedger::least_loaded`]: one scan of the
+/// ledger's views. Only join-shortest-queue needs the queued decode
+/// tokens the ledger does not keep; it scans `views`, which
+/// [`RoutedSlots::set`] keeps current at every occupancy change.
+#[derive(Debug)]
+pub(super) struct RoutedSlots {
+    pub(super) ledger: SlotLedger,
+    /// Every replica's router view as of its last occupancy change.
+    views: Vec<ReplicaView>,
+    routing: RoutingPolicy,
+}
+
+impl RoutedSlots {
+    /// An idle table over `units` under `routing`.
+    pub(super) fn new(units: &[ReplicaBatch], routing: RoutingPolicy) -> Self {
+        let views: Vec<ReplicaView> = units
+            .iter()
+            .enumerate()
+            .map(|(i, u)| u.view(i, 0, 0))
+            .collect();
+        RoutedSlots {
+            ledger: SlotLedger::new(views.iter().map(|v| v.capacity)),
+            views,
+            routing,
+        }
+    }
+
+    /// Records replica `view.index`'s state after an occupancy change.
+    pub(super) fn set(&mut self, view: ReplicaView) {
+        self.ledger.set(view.index, view.occupancy);
+        self.views[view.index] = view;
+    }
+
+    /// Replica `exec`'s router view.
+    pub(super) fn view(&self, exec: usize) -> ReplicaView {
+        self.views[exec]
+    }
+
+    /// The routing policy's name (e.g. `"jsq"`).
+    pub(super) fn policy(&self) -> &'static str {
+        self.routing.name()
+    }
+
+    /// The replica a request of dense job `job` with `tokens` decode
+    /// tokens joins, or `None` when every replica is full.
+    pub(super) fn place(&self, job: usize, tokens: u64) -> Option<usize> {
+        match self.routing {
+            RoutingPolicy::LeastLoaded => self.ledger.least_loaded(),
+            RoutingPolicy::SessionAffinity => {
+                // A validated spec has at least one serving replica.
+                let home = home_replica(job as u64, self.views.len());
+                if self.ledger.occupancy(home) < self.ledger.capacity(home) {
+                    Some(home)
+                } else {
+                    self.ledger.least_loaded()
+                }
+            }
+            RoutingPolicy::JoinShortestQueue => JoinShortestQueue.route(
+                &self.views,
+                RouteRequest {
+                    job: job as u64,
+                    tokens,
+                },
+            ),
+        }
+    }
+}
 
 /// One running task and its outstanding decode work.
 #[derive(Debug, Clone)]
@@ -56,11 +132,6 @@ impl ReplicaBatch {
                 posted: None,
             })
             .collect()
-    }
-
-    /// Number of co-batched running requests.
-    pub(super) fn len(&self) -> usize {
-        self.running.len()
     }
 
     /// Settles decode progress since the last membership change at the

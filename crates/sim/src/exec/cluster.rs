@@ -14,28 +14,25 @@
 //! Between membership changes the backend is idle — no per-iteration
 //! events — which is what makes this fidelity fast.
 //!
-//! Placement delegates to the [`Router`] the spec configured
-//! (least-loaded, join-shortest-queue, or session affinity), fed
-//! per-replica occupancy, capacity and queued decode tokens. The
-//! homogeneous least-loaded spec
-//! ([`ClusterSpec::homogeneous`]) is the paper's pool: there the
-//! router's choice equals [`SlotLedger::least_loaded`].
+//! Placement follows the spec's routing policy through the shared
+//! `RoutedSlots`: least-loaded, and session affinity's spill, pick
+//! [`SlotLedger::least_loaded`] (fewest occupied slots, then most free
+//! slots, then lowest index); join-shortest-queue scans per-replica
+//! queued decode tokens kept current at each admit and drain. The
+//! homogeneous least-loaded spec ([`ClusterSpec::homogeneous`]) is the
+//! paper's pool.
 
-use llmsched_cluster::{ClusterSpec, ReplicaView, RouteRequest, Router};
+use llmsched_cluster::ClusterSpec;
 use llmsched_dag::work::LlmWork;
 
-use super::batching::ReplicaBatch;
+use super::batching::{ReplicaBatch, RoutedSlots};
 use super::{ExecCtx, ExecutorBackend, LlmTaskRef, SlotLedger};
 
 /// The heterogeneous routed multi-replica backend.
 #[derive(Debug)]
 pub struct ClusterExec {
     units: Vec<ReplicaBatch>,
-    ledger: SlotLedger,
-    router: Box<dyn Router>,
-    /// Reused router-view buffer: refilled per `place` call instead of
-    /// collecting a fresh `Vec` (placement is per-dispatched-task hot).
-    view_scratch: Vec<ReplicaView>,
+    slots: RoutedSlots,
 }
 
 impl ClusterExec {
@@ -49,10 +46,8 @@ impl ClusterExec {
         spec.validate().expect("invalid cluster spec");
         let units = ReplicaBatch::table(spec);
         ClusterExec {
-            ledger: SlotLedger::new(units.iter().map(|u| u.capacity)),
+            slots: RoutedSlots::new(&units, spec.routing),
             units,
-            router: spec.routing.build(),
-            view_scratch: Vec::new(),
         }
     }
 }
@@ -63,26 +58,15 @@ impl ExecutorBackend for ClusterExec {
     }
 
     fn descriptor(&self) -> String {
-        format!("cluster/{}", self.router.name())
+        format!("cluster/{}", self.slots.policy())
     }
 
     fn ledger(&self) -> &SlotLedger {
-        &self.ledger
+        &self.slots.ledger
     }
 
     fn place(&mut self, task: LlmTaskRef, work: LlmWork) -> Option<usize> {
-        let mut views = std::mem::take(&mut self.view_scratch);
-        views.clear();
-        views.extend(self.units.iter().enumerate().map(|(i, u)| u.view(i, 0, 0)));
-        let chosen = self.router.route(
-            &views,
-            RouteRequest {
-                job: task.job as u64,
-                tokens: work.folded_tokens(),
-            },
-        );
-        self.view_scratch = views;
-        chosen
+        self.slots.place(task.job, work.folded_tokens())
     }
 
     fn admit(&mut self, exec: usize, task: LlmTaskRef, work: LlmWork, cx: &mut ExecCtx<'_>) {
@@ -90,15 +74,15 @@ impl ExecutorBackend for ClusterExec {
         unit.settle(cx.now);
         unit.join(task, work.folded_tokens());
         unit.retime(cx);
-        self.ledger.set(exec, unit.len());
+        self.slots.set(unit.view(exec, 0, 0));
         if cx.probe.is_some() {
-            let view = self.units[exec].view(exec, 0, 0);
+            let view = self.slots.view(exec);
             cx.emit(llmsched_telemetry::ProbeEvent::Routed {
                 at: cx.now,
                 job_index: task.job as u32,
                 exec: exec as u32,
                 group: view.group as u32,
-                policy: self.router.name(),
+                policy: self.slots.policy(),
             });
             cx.emit(llmsched_telemetry::ProbeEvent::BatchAdmit {
                 at: cx.now,
@@ -126,11 +110,11 @@ impl ExecutorBackend for ClusterExec {
         unit.settle(cx.now);
         unit.drain(task);
         unit.retime(cx);
-        self.ledger.set(exec, unit.len());
+        self.slots.set(unit.view(exec, 0, 0));
         cx.emit(llmsched_telemetry::ProbeEvent::BatchDrain {
             at: cx.now,
             exec: exec as u32,
-            occupancy: self.ledger.occupancy(exec) as u32,
+            occupancy: self.slots.ledger.occupancy(exec) as u32,
         });
     }
 }

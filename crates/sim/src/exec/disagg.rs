@@ -28,11 +28,11 @@
 //! moved (same-timestamp flushes) degrade to stale no-ops, so step
 //! handling is idempotent.
 
-use llmsched_cluster::{ClusterSpec, DisaggSpec, ReplicaView, RouteRequest, Router};
+use llmsched_cluster::{ClusterSpec, DisaggSpec, ReplicaView};
 use llmsched_dag::time::{SimDuration, SimTime};
 use llmsched_dag::work::LlmWork;
 
-use super::batching::ReplicaBatch;
+use super::batching::{ReplicaBatch, RoutedSlots};
 use super::{ExecCtx, ExecutorBackend, LlmTaskRef, SlotLedger};
 
 /// One task prefilling / in KV transfer toward a decode replica.
@@ -53,13 +53,6 @@ struct DecodeUnit {
     transit: Vec<Transit>,
     /// Monotone wake-up counter (one per posted handoff event).
     next_epoch: u64,
-}
-
-impl DecodeUnit {
-    /// Slots held: decoding requests plus transit reservations.
-    fn occupancy(&self) -> usize {
-        self.batch.len() + self.transit.len()
-    }
 }
 
 /// The FIFO prefill pool: earliest-free replica serves next.
@@ -113,13 +106,11 @@ impl PrefillPool {
 #[derive(Debug)]
 pub struct DisaggExec {
     units: Vec<DecodeUnit>,
-    /// Decode-replica slots; a request holds its slot from admission,
-    /// through prefill and KV transit, until its decode drains.
-    ledger: SlotLedger,
+    /// Decode-replica slots and placement; a request holds its slot from
+    /// admission, through prefill and KV transit, until its decode
+    /// drains.
+    slots: RoutedSlots,
     prefill: PrefillPool,
-    router: Box<dyn Router>,
-    /// Reused router-view buffer (see [`ClusterExec`](super::ClusterExec)).
-    view_scratch: Vec<ReplicaView>,
 }
 
 impl DisaggExec {
@@ -132,7 +123,7 @@ impl DisaggExec {
         spec.validate().expect("invalid cluster spec");
         let table = ReplicaBatch::table(spec);
         DisaggExec {
-            ledger: SlotLedger::new(table.iter().map(|b| b.capacity)),
+            slots: RoutedSlots::new(&table, spec.routing),
             units: table
                 .into_iter()
                 .map(|batch| DecodeUnit {
@@ -142,13 +133,12 @@ impl DisaggExec {
                 })
                 .collect(),
             prefill: PrefillPool::from_spec(spec),
-            router: spec.routing.build(),
-            view_scratch: Vec::new(),
         }
     }
 
     /// The router view of decode replica `exec`: slots and queued tokens
-    /// count requests still prefilling or in KV transfer toward it.
+    /// count requests still prefilling or in KV transfer toward it. A
+    /// handoff from transit to decode leaves it unchanged.
     fn unit_view(&self, exec: usize) -> ReplicaView {
         let unit = &self.units[exec];
         let staged_tokens = unit.transit.iter().map(|t| t.decode_tokens).sum();
@@ -162,26 +152,15 @@ impl ExecutorBackend for DisaggExec {
     }
 
     fn descriptor(&self) -> String {
-        format!("disagg/{}", self.router.name())
+        format!("disagg/{}", self.slots.policy())
     }
 
     fn ledger(&self) -> &SlotLedger {
-        &self.ledger
+        &self.slots.ledger
     }
 
     fn place(&mut self, task: LlmTaskRef, work: LlmWork) -> Option<usize> {
-        let mut views = std::mem::take(&mut self.view_scratch);
-        views.clear();
-        views.extend((0..self.units.len()).map(|i| self.unit_view(i)));
-        let chosen = self.router.route(
-            &views,
-            RouteRequest {
-                job: task.job as u64,
-                tokens: work.decode_tokens(),
-            },
-        );
-        self.view_scratch = views;
-        chosen
+        self.slots.place(task.job, work.decode_tokens())
     }
 
     fn admit(&mut self, exec: usize, task: LlmTaskRef, work: LlmWork, cx: &mut ExecCtx<'_>) {
@@ -194,15 +173,15 @@ impl ExecutorBackend for DisaggExec {
         });
         unit.next_epoch += 1;
         cx.post_step(exec, unit.next_epoch, ready_at);
-        self.ledger.set(exec, unit.occupancy());
+        self.slots.set(self.unit_view(exec));
         if cx.probe.is_some() {
-            let view = self.unit_view(exec);
+            let view = self.slots.view(exec);
             cx.emit(llmsched_telemetry::ProbeEvent::Routed {
                 at: cx.now,
                 job_index: task.job as u32,
                 exec: exec as u32,
                 group: view.group as u32,
-                policy: self.router.name(),
+                policy: self.slots.policy(),
             });
             cx.emit(llmsched_telemetry::ProbeEvent::BatchAdmit {
                 at: cx.now,
@@ -256,11 +235,11 @@ impl ExecutorBackend for DisaggExec {
             // Defensive: a task killed before its KV cache arrived.
             unit.transit.remove(i);
         }
-        self.ledger.set(exec, unit.occupancy());
+        self.slots.set(self.unit_view(exec));
         cx.emit(llmsched_telemetry::ProbeEvent::BatchDrain {
             at: cx.now,
             exec: exec as u32,
-            occupancy: self.ledger.occupancy(exec) as u32,
+            occupancy: self.slots.ledger.occupancy(exec) as u32,
         });
     }
 }
@@ -412,7 +391,7 @@ mod tests {
         let mut finished = Vec::new();
         assert!(!be.step(0, 1, &mut cx, &mut finished));
         assert!(finished.is_empty());
-        assert_eq!(be.units[0].batch.len(), 0);
+        assert_eq!(be.units[0].batch.view(0, 0, 0).occupancy, 0);
         assert_eq!(be.units[0].transit.len(), 1);
         // A foreign epoch far in the future is equally inert.
         assert!(!be.step(0, 99, &mut cx, &mut finished));

@@ -91,17 +91,54 @@ impl SlotLedger {
         self.full < self.views.len()
     }
 
-    /// The paper's least-loaded placement: the executor with a free slot
-    /// and the fewest occupied slots, ties to the lowest index; `None`
-    /// when the pool is full.
+    /// The one least-loaded placement rule: the executor with a free
+    /// slot and the fewest occupied slots, ties to the most free slots
+    /// (a big idle replica beats a small one), then the lowest index;
+    /// `None` when the pool is full. On a pool of equal capacities this
+    /// is the paper's rule: fewest occupied, lowest index.
     pub fn least_loaded(&self) -> Option<usize> {
         let mut best: Option<&LlmExecutorView> = None;
         for v in &self.views {
-            if v.batch_len < v.max_batch && best.map_or(true, |b| v.batch_len < b.batch_len) {
+            if v.batch_len < v.max_batch
+                && best.map_or(true, |b| {
+                    v.batch_len < b.batch_len
+                        || (v.batch_len == b.batch_len && v.max_batch > b.max_batch)
+                })
+            {
                 best = Some(v);
             }
         }
         best.map(|v| v.index)
+    }
+
+    /// Free batch slots across the pool: total slots − occupied, the
+    /// same integer sum as walking every view.
+    pub fn free_slots(&self) -> usize {
+        let free = self.slots - self.occupied;
+        debug_assert_eq!(
+            free,
+            self.views.iter().map(|v| v.free_slots()).sum::<usize>(),
+            "free-slot total drifted from the per-executor views"
+        );
+        free
+    }
+
+    /// Average batch size over busy executors (1 if all idle): occupied
+    /// slots over busy executors, bit-identical to
+    /// [`average_busy_batch`](crate::state::average_busy_batch) over the
+    /// views, since both divide the same two integers.
+    pub fn average_busy_batch(&self) -> f64 {
+        let avg = if self.busy == 0 {
+            1.0
+        } else {
+            self.occupied as f64 / self.busy as f64
+        };
+        debug_assert_eq!(
+            avg.to_bits(),
+            crate::state::average_busy_batch(&self.views).to_bits(),
+            "average busy batch drifted from the per-executor views"
+        );
+        avg
     }
 
     /// [`SlotLedger::totals`] recounted from the views — the ground
@@ -130,11 +167,17 @@ mod tests {
     use crate::event::{Event, EventQueue};
     use crate::exec::{ClusterExec, DisaggExec, ExecCtx, ExecutorBackend, LlmTaskRef, TokenExec};
     use crate::state::JobRt;
-    use llmsched_cluster::{ClusterSpec, DisaggSpec, LatencyProfile, ReplicaGroup, RoutingPolicy};
+    use llmsched_cluster::{
+        ClusterSpec, DisaggSpec, LatencyProfile, ReplicaGroup, ReplicaView, RouteRequest,
+        RoutingPolicy,
+    };
     use llmsched_dag::time::{SimDuration, SimTime};
     use llmsched_dag::work::LlmWork;
 
     const TASKS: u32 = 160;
+    /// Jobs the model's tasks spread over, so session affinity sees
+    /// several home replicas.
+    const JOBS: usize = 5;
 
     /// xorshift64*: a seeded operation stream with no dependency.
     struct Rng(u64);
@@ -164,27 +207,56 @@ mod tests {
         }
     }
 
-    /// The naive pool model: per executor, admitted − finished − drained.
+    /// Model task `task`, one of [`JOBS`] jobs' (round robin).
+    fn spread(task: u32) -> LlmTaskRef {
+        LlmTaskRef {
+            job: task as usize % JOBS,
+            stage: 0,
+            task,
+        }
+    }
+
+    /// The naive pool model: per executor, admitted − finished − drained
+    /// tasks and the decode tokens they charged; placement is the
+    /// pre-ledger router, fed views rebuilt from the model.
     struct Model {
         occ: Vec<usize>,
         cap: Vec<usize>,
-        /// Executor holding each task's slot, if it holds one.
-        live: Vec<Option<usize>>,
+        tokens: Vec<u64>,
+        /// Executor holding each task's slot and the tokens it charged,
+        /// if it holds one.
+        live: Vec<Option<(usize, u64)>>,
     }
 
     impl Model {
         fn release(&mut self, task: u32) -> usize {
-            let e = self.live[task as usize].take().expect("task holds a slot");
+            let (e, tokens) = self.live[task as usize].take().expect("task holds a slot");
             self.occ[e] -= 1;
+            self.tokens[e] -= tokens;
             e
         }
 
-        /// The least-loaded rule as the engine applied it before the
-        /// ledger: filter free executors, then the first minimum.
-        fn two_pass_least_loaded(&self) -> Option<usize> {
+        /// The router's input, rebuilt from scratch as the backends did
+        /// before the ledger placed (routers read no group).
+        fn views(&self) -> Vec<ReplicaView> {
             (0..self.cap.len())
-                .filter(|&e| self.occ[e] < self.cap[e])
-                .min_by_key(|&e| self.occ[e])
+                .map(|e| ReplicaView {
+                    index: e,
+                    group: 0,
+                    occupancy: self.occ[e],
+                    capacity: self.cap[e],
+                    pending_tokens: self.tokens[e],
+                })
+                .collect()
+        }
+
+        /// Where the pre-ledger `routing` router sends `task`.
+        fn route(&self, routing: RoutingPolicy, task: LlmTaskRef, tokens: u64) -> Option<usize> {
+            let req = RouteRequest {
+                job: task.job as u64,
+                tokens,
+            };
+            routing.build().route(&self.views(), req)
         }
     }
 
@@ -213,6 +285,13 @@ mod tests {
             });
         assert_eq!(l.totals(), expect, "{at}: totals");
         assert_eq!(l.recount(), expect, "{at}: recount");
+        assert_eq!(l.free_slots(), expect.3 - expect.0, "{at}: free slots");
+        let busy_batch = if expect.1 == 0 {
+            1.0
+        } else {
+            expect.0 as f64 / expect.1 as f64
+        };
+        assert_eq!(l.average_busy_batch(), busy_batch, "{at}: busy batch");
         assert_eq!(
             l.has_free_slot(),
             m.occ.iter().zip(&m.cap).any(|(o, c)| o < c),
@@ -220,25 +299,33 @@ mod tests {
         );
         assert_eq!(
             l.least_loaded(),
-            m.two_pass_least_loaded(),
+            m.route(RoutingPolicy::LeastLoaded, spread(0), 1),
             "{at}: least-loaded placement"
         );
     }
 
     /// Drives `be` through a seeded random admit / step / finish / drain
-    /// sequence, checking the ledger against the model after every hook;
-    /// `default_place` backends — the scalar pools and the homogeneous
-    /// least-loaded replica table — must also place exactly like the old
-    /// two-pass least-loaded rule.
-    fn run_model(mut be: Box<dyn ExecutorBackend>, default_place: bool, seed: u64) {
+    /// sequence, checking the ledger against the model after every hook,
+    /// and every placement against the pre-ledger `routing` router (the
+    /// scalar pools place least-loaded). `charge` gives the decode tokens
+    /// a request queues on its replica, as the backend counts them.
+    fn run_model(
+        mut be: Box<dyn ExecutorBackend>,
+        routing: RoutingPolicy,
+        charge: fn(&LlmWork) -> u64,
+        seed: u64,
+    ) {
         let name = be.descriptor();
         let reference = profile(10);
         let mut queue = EventQueue::new();
-        let mut jobs: [JobRt; 1] = [crate::state::test_support::job_with_llm_tasks(TASKS)];
+        let mut jobs: Vec<JobRt> = (0..JOBS)
+            .map(|_| crate::state::test_support::job_with_llm_tasks(TASKS))
+            .collect();
         let n = be.ledger().views().len();
         let mut m = Model {
             occ: vec![0; n],
             cap: (0..n).map(|e| be.ledger().capacity(e)).collect(),
+            tokens: vec![0; n],
             live: vec![None; TASKS as usize],
         };
         let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
@@ -251,25 +338,24 @@ mod tests {
             match rng.below(10) {
                 // Admit the next task wherever the backend places it.
                 0..=3 if next_task < TASKS => {
-                    let task = t(next_task);
+                    let task = spread(next_task);
                     let work = LlmWork {
                         prompt_tokens: rng.below(40),
                         output_tokens: 1 + rng.below(30),
                     };
-                    let expect = m.two_pass_least_loaded();
+                    let tokens = charge(&work);
+                    let expect = m.route(routing, task, tokens);
                     let placed = be.place(task, work);
-                    if default_place {
-                        assert_eq!(placed, expect, "{at}: default place");
-                    }
+                    assert_eq!(placed, expect, "{at}: placement");
                     let Some(e) = placed else {
-                        assert!(expect.is_none(), "{at}: refused with a free slot");
                         continue;
                     };
                     assert!(m.occ[e] < m.cap[e], "{at}: placed on a full executor");
                     let mut cx = ExecCtx::for_test(now, &reference, &mut queue, &mut jobs);
                     be.admit(e, task, work, &mut cx);
                     m.occ[e] += 1;
-                    m.live[next_task as usize] = Some(e);
+                    m.tokens[e] += tokens;
+                    m.live[next_task as usize] = Some((e, tokens));
                     next_task += 1;
                     check(&*be, &m, &format!("{at}: admit"));
                 }
@@ -295,14 +381,16 @@ mod tests {
                                 check(&*be, &m, &format!("{at}: drain after step"));
                             }
                         }
-                        Event::TaskFinish { task, epoch, .. } => {
+                        Event::TaskFinish {
+                            job, task, epoch, ..
+                        } => {
                             let live = m.live[task as usize];
-                            if jobs[0].task_epoch_of(0, task) != epoch || live.is_none() {
+                            if jobs[job].task_epoch_of(0, task) != epoch || live.is_none() {
                                 continue;
                             }
                             let e = m.release(task);
                             let mut cx = ExecCtx::for_test(now, &reference, &mut queue, &mut jobs);
-                            be.drain(e, t(task), &mut cx);
+                            be.drain(e, spread(task), &mut cx);
                             check(&*be, &m, &format!("{at}: finish"));
                         }
                         Event::Arrival { .. } => unreachable!("no arrivals posted"),
@@ -320,7 +408,7 @@ mod tests {
                     let task = held[rng.below(held.len() as u64) as usize];
                     let e = m.release(task);
                     let mut cx = ExecCtx::for_test(now, &reference, &mut queue, &mut jobs);
-                    be.drain(e, t(task), &mut cx);
+                    be.drain(e, spread(task), &mut cx);
                     check(&*be, &m, &format!("{at}: kill"));
                 }
                 // Drain a task the executor does not hold: a no-op.
@@ -334,18 +422,22 @@ mod tests {
                     }
                     let e = rng.below(n as u64) as usize;
                     let mut cx = ExecCtx::for_test(now, &reference, &mut queue, &mut jobs);
-                    be.drain(e, t(task), &mut cx);
+                    be.drain(e, spread(task), &mut cx);
                     check(&*be, &m, &format!("{at}: absent drain"));
                 }
             }
         }
     }
 
+    /// Mixed capacities in both index orders, so occupancy ties between
+    /// replicas of different capacity go both ways: a small replica
+    /// before a big one (the big one wins on free slots) and after it.
     fn hetero(routing: RoutingPolicy) -> ClusterSpec {
         ClusterSpec::new(
             vec![
-                ReplicaGroup::new("fast", 1, 4, profile(5)),
                 ReplicaGroup::new("slow", 2, 2, profile(20)),
+                ReplicaGroup::new("fast", 1, 4, profile(5)),
+                ReplicaGroup::new("mid", 2, 3, profile(10)),
             ],
             routing,
         )
@@ -354,9 +446,10 @@ mod tests {
     fn disagg(routing: RoutingPolicy) -> ClusterSpec {
         ClusterSpec {
             groups: vec![
-                ReplicaGroup::new("decode-a", 2, 3, profile(10)),
-                ReplicaGroup::new("prefill", 1, 1, profile(1)),
                 ReplicaGroup::new("decode-b", 1, 1, profile(15)),
+                ReplicaGroup::new("prefill", 1, 1, profile(1)),
+                ReplicaGroup::new("decode-a", 2, 3, profile(10)),
+                ReplicaGroup::new("decode-c", 1, 2, profile(12)),
             ],
             routing,
             disagg: Some(DisaggSpec {
@@ -369,27 +462,60 @@ mod tests {
 
     #[test]
     fn ledger_matches_naive_model_on_every_backend() {
+        let folded: fn(&LlmWork) -> u64 = LlmWork::folded_tokens;
+        let decode: fn(&LlmWork) -> u64 = LlmWork::decode_tokens;
         for seed in 1..=6 {
-            // The paper's pool: routed placement equals least-loaded.
+            // The paper's pool, and the scalar token-level pools.
             let paper = ClusterSpec::homogeneous(3, 2, profile(10));
-            run_model(Box::new(ClusterExec::new(&paper)), true, seed);
-            run_model(Box::new(TokenExec::new(3, 3, 1)), true, seed);
-            run_model(Box::new(TokenExec::new(2, 4, 3)), true, seed);
-            for routing in [
-                RoutingPolicy::LeastLoaded,
-                RoutingPolicy::JoinShortestQueue,
-                RoutingPolicy::SessionAffinity,
-            ] {
-                run_model(Box::new(ClusterExec::new(&hetero(routing))), false, seed);
-                run_model(Box::new(DisaggExec::new(&disagg(routing))), false, seed);
+            let ll = RoutingPolicy::LeastLoaded;
+            run_model(Box::new(ClusterExec::new(&paper)), ll, folded, seed);
+            run_model(Box::new(TokenExec::new(3, 3, 1)), ll, folded, seed);
+            run_model(Box::new(TokenExec::new(2, 4, 3)), ll, folded, seed);
+            for routing in RoutingPolicy::ALL {
+                run_model(
+                    Box::new(ClusterExec::new(&hetero(routing))),
+                    routing,
+                    folded,
+                    seed,
+                );
+                run_model(
+                    Box::new(DisaggExec::new(&disagg(routing))),
+                    routing,
+                    decode,
+                    seed,
+                );
             }
         }
     }
 
     #[test]
+    fn least_loaded_breaks_occupancy_ties_on_free_slots_then_index() {
+        // Idle: the big executor wins, wherever it sits.
+        let mut l = SlotLedger::new([2, 4, 4, 3]);
+        assert_eq!(l.least_loaded(), Some(1));
+        // One task on 1: of the idle executors, 2 has the most free slots.
+        l.set(1, 1);
+        assert_eq!(l.least_loaded(), Some(2));
+        // All hold one: free slots 1, 3, 3, 2; the first of the 3s wins.
+        l.set(0, 1);
+        l.set(2, 1);
+        l.set(3, 1);
+        assert_eq!(l.least_loaded(), Some(1));
+        // Equal capacities: fewest occupied, then lowest index.
+        let mut l = SlotLedger::new([4; 3]);
+        l.set(0, 2);
+        assert_eq!(l.least_loaded(), Some(1));
+    }
+
+    #[test]
     fn zero_capacity_executors_count_as_full() {
         // Whole pools with no slots never place, whatever the sequence.
-        run_model(Box::new(TokenExec::new(1, 0, 1)), true, 7);
+        run_model(
+            Box::new(TokenExec::new(1, 0, 1)),
+            RoutingPolicy::LeastLoaded,
+            LlmWork::folded_tokens,
+            7,
+        );
         // A zero-capacity executor inside a pool is full from the start
         // and never chosen, while its neighbours fill and drain.
         let mut l = SlotLedger::new([2, 0, 1]);

@@ -16,17 +16,18 @@
 //!   scheduler-visible per-executor views plus integer pool totals
 //!   (occupied slots, busy executors, full executors, total slots). A
 //!   backend updates it at each occupancy change; the engine's
-//!   utilization integrals, capacity checks, least-loaded placement and
-//!   scheduler views read it without walking the pool.
+//!   utilization integrals, capacity checks and scheduler views read it
+//!   without walking the pool, and it owns the one least-loaded
+//!   placement rule ([`SlotLedger::least_loaded`]).
 //! * [`cluster::ClusterExec`] — the paper's *simulator*: rate-rescaling
 //!   batching that settles decode progress on every membership change and
 //!   re-times the batch at the new rate, keeping one live finish event
 //!   per busy replica (its earliest finisher), over the flat replica
 //!   table of a [`ClusterSpec`](llmsched_cluster::ClusterSpec). Each
 //!   replica carries its group's latency curve and batch capacity, and
-//!   placement goes through the spec's
-//!   [`Router`](llmsched_cluster::Router). The default spec is the
-//!   paper's homogeneous least-loaded pool.
+//!   placement follows the spec's
+//!   [`RoutingPolicy`](llmsched_cluster::RoutingPolicy). The default
+//!   spec is the paper's homogeneous least-loaded pool.
 //! * [`token_level::TokenExec`] — the paper's *testbed* stand-in:
 //!   per-iteration continuous batching (requests join at iteration
 //!   boundaries, every iteration costs `l(batch)` and emits `chunk`
@@ -188,9 +189,8 @@ impl<'a> ExecCtx<'a> {
 /// through this trait:
 ///
 /// * [`place`](ExecutorBackend::place) when the dispatcher routes a
-///   ready LLM task (the default is the paper's least-loaded rule;
-///   replica-table backends delegate to their
-///   [`Router`](llmsched_cluster::Router)),
+///   ready LLM task (least-loaded through the ledger, or the replica
+///   table's [`RoutingPolicy`](llmsched_cluster::RoutingPolicy)),
 /// * [`admit`](ExecutorBackend::admit) when the dispatcher places a task
 ///   on the chosen executor,
 /// * [`step`](ExecutorBackend::step) when a [`Event::LlmStep`] the
@@ -240,10 +240,13 @@ pub trait ExecutorBackend: std::fmt::Debug {
     fn ledger(&self) -> &SlotLedger;
 
     /// Routes `task` to an executor with a free slot, or `None` when the
-    /// pool is full. The default is the paper's least-loaded placement
-    /// ([`SlotLedger::least_loaded`]: fewest occupied slots, ties by
-    /// index); cluster backends override it with their configured
-    /// [`Router`](llmsched_cluster::Router).
+    /// pool is full. The default is least-loaded placement
+    /// ([`SlotLedger::least_loaded`]: fewest occupied slots, then most
+    /// free slots, then lowest index). The replica-table backends follow
+    /// their spec's [`RoutingPolicy`](llmsched_cluster::RoutingPolicy):
+    /// least-loaded, and session affinity's spill, through the same
+    /// ledger rule, and join-shortest-queue over per-replica queued
+    /// tokens kept current at each occupancy change.
     fn place(&mut self, task: LlmTaskRef, work: LlmWork) -> Option<usize> {
         let _ = (task, work);
         self.ledger().least_loaded()

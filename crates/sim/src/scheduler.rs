@@ -6,8 +6,9 @@ use llmsched_dag::ids::{AppId, JobId, StageId};
 use llmsched_dag::template::TemplateSet;
 use llmsched_dag::time::{SimDuration, SimTime};
 
+use crate::exec::SlotLedger;
 use crate::latency::LatencyProfile;
-use crate::state::{JobRt, LlmExecutorView};
+use crate::state::JobRt;
 
 /// One incremental state change, emitted by the engine between scheduler
 /// invocations.
@@ -164,27 +165,57 @@ pub struct TaskRef {
     pub task: u32,
 }
 
+/// Resolves `id` to its slot in `ids`, a compact ascending id array
+/// (the engine keeps one beside its job slab), or `None` if absent.
+///
+/// One interpolation probe, `(id − first)·(n − 1)/(last − first)`, hits
+/// on the dense ids every workload generator emits, so resolution is
+/// O(1) there; a miss falls back to an exact binary search over `ids`,
+/// so any ascending ids resolve correctly.
+pub fn slot_of(ids: &[JobId], id: JobId) -> Option<usize> {
+    let (&first, &last) = (ids.first()?, ids.last()?);
+    if id < first || id > last {
+        return None;
+    }
+    let span = last.0 - first.0;
+    let probe = if span == 0 {
+        Some(0)
+    } else {
+        (id.0 - first.0)
+            .checked_mul(ids.len() as u64 - 1)
+            .map(|p| (p / span) as usize)
+    };
+    match probe {
+        Some(i) if ids[i] == id => Some(i),
+        _ => ids.binary_search(&id).ok(),
+    }
+}
+
 /// The engine's active-job projection: a borrowed view over the dense job
 /// table filtered to active (arrived, incomplete) jobs, ascending by
 /// [`JobId`].
 ///
 /// This replaces the old per-invocation `Vec<&JobRt>` collect — the view
-/// is two borrowed slices, so building a [`SchedContext`] allocates
+/// is three borrowed slices, so building a [`SchedContext`] allocates
 /// nothing. Index and iteration semantics are unchanged: `jobs[i]` is the
 /// i-th active job, iteration ascends by `JobId`.
 #[derive(Debug, Clone, Copy)]
 pub struct ActiveJobs<'a> {
     all: &'a [JobRt],
+    /// The ids of `all`, in its order: what [`slot_of`] resolves against.
+    ids: &'a [JobId],
     /// The sorted dense indices of active jobs.
     active: &'a [u32],
 }
 
 impl<'a> ActiveJobs<'a> {
-    /// The engine's projection: `active` holds sorted dense indices into
-    /// `all`, which ascends by `JobId`. A hand-built context in which
-    /// every job is active passes the identity index `0..all.len()`.
-    pub fn projected(all: &'a [JobRt], active: &'a [u32]) -> Self {
-        ActiveJobs { all, active }
+    /// The engine's projection: `all` ascends by `JobId`, `ids` holds
+    /// its ids in the same order and `active` the sorted dense indices of
+    /// the active jobs. A hand-built context in which every job is active
+    /// passes the identity index `0..all.len()`.
+    pub fn projected(all: &'a [JobRt], ids: &'a [JobId], active: &'a [u32]) -> Self {
+        debug_assert_eq!(all.len(), ids.len(), "one id per slab entry");
+        ActiveJobs { all, ids, active }
     }
 
     /// Number of active jobs.
@@ -210,18 +241,12 @@ impl<'a> ActiveJobs<'a> {
         ActiveJobsIter { jobs: *self, i: 0 }
     }
 
-    /// Binary-searches the active set for `id`, returning its position.
+    /// The position of active job `id`: [`slot_of`] resolves its slot in
+    /// the compact id array, then a binary search over the compact active
+    /// index finds the slot. No probe reads a [`JobRt`].
     pub fn position_of(&self, id: JobId) -> Option<usize> {
-        let (mut lo, mut hi) = (0usize, self.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match self.get(mid).id().cmp(&id) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Some(mid),
-            }
-        }
-        None
+        let slot = slot_of(self.ids, id)? as u32;
+        self.active.binary_search(&slot).ok()
     }
 }
 
@@ -367,10 +392,10 @@ pub struct SchedContext<'a> {
     pub now: SimTime,
     /// Active (arrived, incomplete) jobs, ascending by `JobId`.
     pub jobs: ActiveJobs<'a>,
-    /// LLM executor occupancy, as reported by the active
-    /// [`ExecutorBackend`](crate::exec::ExecutorBackend) (the engine
-    /// refreshes one reused buffer per invocation).
-    pub llm_executors: &'a [LlmExecutorView],
+    /// The LLM pool's slot ledger, as kept by the active
+    /// [`ExecutorBackend`](crate::exec::ExecutorBackend): per-executor
+    /// occupancy views ([`SlotLedger::views`]) and integer pool totals.
+    pub llm_pool: &'a SlotLedger,
     /// Descriptor of the active executor backend (e.g. `"token-level"`,
     /// `"cluster/jsq"`): lets fidelity-aware policies and the Eq. 2
     /// calibration know which serving model — and routing policy —
@@ -417,25 +442,26 @@ impl SchedContext<'_> {
         self.regular_total - self.regular_busy
     }
 
-    /// Total free LLM batch slots across executors.
+    /// Total free LLM batch slots across executors, read from the
+    /// ledger's totals ([`SlotLedger::free_slots`]).
     pub fn llm_free_slots(&self) -> usize {
-        self.llm_executors.iter().map(|e| e.free_slots()).sum()
+        self.llm_pool.free_slots()
     }
 
     /// Average batch size over busy LLM executors (1 if all idle) — the
-    /// `b_t` plugged into Eq. (2) when predicting run-time durations.
+    /// `b_t` plugged into Eq. (2) when predicting run-time durations —
+    /// read from the ledger's totals ([`SlotLedger::average_busy_batch`]).
     pub fn average_busy_batch(&self) -> f64 {
-        crate::state::average_busy_batch(self.llm_executors)
+        self.llm_pool.average_busy_batch()
     }
 
-    /// Looks up an active job by id. `jobs` is ascending by `JobId`, so
-    /// this is a binary search.
+    /// Looks up an active job by id ([`ActiveJobs::position_of`]).
     pub fn job(&self, id: JobId) -> Option<&JobRt> {
         self.job_index(id).map(|i| self.jobs.get(i))
     }
 
-    /// The position of an active job within [`SchedContext::jobs`], found
-    /// by binary search over the ascending `JobId` order.
+    /// The position of an active job within [`SchedContext::jobs`]
+    /// ([`ActiveJobs::position_of`]).
     pub fn job_index(&self, id: JobId) -> Option<usize> {
         self.jobs.position_of(id)
     }
@@ -682,16 +708,44 @@ mod tests {
     }
 
     #[test]
-    fn job_lookup_binary_searches_the_ascending_list() {
+    fn slot_of_resolves_dense_and_sparse_ascending_ids() {
+        let dense: Vec<JobId> = (10..30).map(JobId).collect();
+        for (i, &id) in dense.iter().enumerate() {
+            assert_eq!(slot_of(&dense, id), Some(i));
+        }
+        let sparse: Vec<JobId> = [2, 5, 9, 1_000_000, u64::MAX - 1]
+            .into_iter()
+            .map(JobId)
+            .collect();
+        for (i, &id) in sparse.iter().enumerate() {
+            assert_eq!(slot_of(&sparse, id), Some(i), "{id}");
+        }
+        for absent in [0, 3, 10, 999_999, u64::MAX - 2, u64::MAX] {
+            assert_eq!(slot_of(&sparse, JobId(absent)), None, "{absent}");
+        }
+        for absent in [0, 9, 30, u64::MAX] {
+            assert_eq!(slot_of(&dense, JobId(absent)), None, "{absent}");
+        }
+        assert_eq!(slot_of(&[JobId(7)], JobId(7)), Some(0));
+        assert_eq!(slot_of(&[JobId(7)], JobId(8)), None);
+        assert_eq!(slot_of(&[], JobId(0)), None);
+    }
+
+    #[test]
+    fn job_lookup_resolves_sparse_ids_through_the_id_array() {
         let mut b = TemplateBuilder::new(AppId(0), "wide");
         let s = b.regular("wide");
         b.typical_tasks(s, 1);
         let t = b.build().unwrap();
-        let jobs: Vec<crate::state::JobRt> = [2u64, 5, 9]
+        let ids: Vec<JobId> = [2u64, 5, 9, 1_000_000, u64::MAX - 1]
+            .into_iter()
+            .map(JobId)
+            .collect();
+        let jobs: Vec<crate::state::JobRt> = ids
             .iter()
             .map(|&id| {
                 let spec = JobSpec::new(
-                    JobId(id),
+                    id,
                     &t,
                     SimTime::ZERO,
                     vec![StageSpec::executing(
@@ -709,24 +763,33 @@ mod tests {
             .collect();
         let latency = crate::latency::LatencyProfile::default();
         let templates: TemplateSet = std::iter::empty().collect();
+        let pool = SlotLedger::default();
+        // Slots 1 and 4 are not active (not yet arrived, or completed).
+        let active = [0, 2, 3];
         let ctx = SchedContext {
             now: SimTime::ZERO,
-            jobs: ActiveJobs::projected(&jobs, &[0, 1, 2]),
-            llm_executors: &[],
+            jobs: ActiveJobs::projected(&jobs, &ids, &active),
+            llm_pool: &pool,
             backend: "cluster/least-loaded",
             regular_total: 1,
             regular_busy: 0,
-            dispatchable_regular: jobs.iter().map(|j| j.ready_unstarted_by_class().0).sum(),
-            dispatchable_llm: jobs.iter().map(|j| j.ready_unstarted_by_class().1).sum(),
+            dispatchable_regular: 3,
+            dispatchable_llm: 0,
             could_dispatch: true,
             templates: &templates,
             latency: &latency,
         };
-        assert_eq!(ctx.job(JobId(5)).map(|j| j.id()), Some(JobId(5)));
-        assert_eq!(ctx.job_index(JobId(9)), Some(2));
-        assert_eq!(ctx.job_index(JobId(2)), Some(0));
-        assert!(ctx.job(JobId(4)).is_none());
-        assert!(ctx.job(JobId(100)).is_none());
+        for (pos, &slot) in active.iter().enumerate() {
+            let id = ids[slot as usize];
+            assert_eq!(ctx.job_index(id), Some(pos), "{id}");
+            assert_eq!(ctx.job(id).map(|j| j.id()), Some(id));
+        }
+        for inactive in [JobId(5), JobId(u64::MAX - 1)] {
+            assert!(ctx.job(inactive).is_none(), "{inactive} is not active");
+        }
+        for absent in [0, 4, 100, u64::MAX] {
+            assert!(ctx.job(JobId(absent)).is_none(), "{absent} is absent");
+        }
     }
 
     #[test]

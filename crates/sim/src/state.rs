@@ -549,9 +549,10 @@ impl LlmExecutorView {
     }
 }
 
-/// Helper alias: average current batch size over non-empty LLM executors,
-/// used by Eq. (2) calibration when predicting runtime durations. Returns 1
-/// if all executors are idle. Single allocation-free pass.
+/// Average current batch size over non-empty LLM executors (1 if all
+/// are idle), walking the views: the reference that
+/// [`SlotLedger::average_busy_batch`](crate::exec::SlotLedger::average_busy_batch),
+/// which Eq. (2) calibration reads, is checked against.
 pub fn average_busy_batch(execs: &[LlmExecutorView]) -> f64 {
     let (mut sum, mut busy) = (0usize, 0usize);
     for e in execs {

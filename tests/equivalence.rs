@@ -349,6 +349,86 @@ fn token_level_schedules_are_pinned_at_benchmark_concurrency() {
 /// Incremental ≡ rebuild with **online profiling active**: both paths
 /// absorb the same observation stream at the same decision points, so
 /// per-completion snapshot publishing keeps the schedules bit-identical.
+/// `w` with job `i`'s id remapped to the `i`-th of an ascending but
+/// sparse id set whose last id is `u64::MAX − 1`.
+fn sparse_ids(w: &Workload) -> Workload {
+    let n = w.jobs.len() as u64;
+    let id = |i: u64| {
+        if i + 1 == n {
+            u64::MAX - 1
+        } else {
+            2 + i * 1_000_003 + i * i * 37
+        }
+    };
+    let jobs = w
+        .jobs
+        .iter()
+        .map(|j| {
+            let template = w.templates.get(j.app()).expect("registered app");
+            let stages = j.stages().to_vec();
+            let generated = j.generated_edges().to_vec();
+            JobSpec::new(
+                JobId(id(j.id().0)),
+                template,
+                j.arrival(),
+                stages,
+                generated,
+            )
+            .expect("a valid job stays valid under a new id")
+        })
+        .collect();
+    Workload {
+        kind: w.kind,
+        templates: w.templates.clone(),
+        jobs,
+    }
+}
+
+#[test]
+fn sparse_ids_schedule_exactly_like_dense_ids() {
+    let dense = generate_workload(WorkloadKind::Mixed, 40, 0.9, 11);
+    assert!(dense
+        .jobs
+        .iter()
+        .enumerate()
+        .all(|(i, j)| j.id() == JobId(i as u64)));
+    let sparse = sparse_ids(&dense);
+    let back: std::collections::HashMap<JobId, JobId> = sparse
+        .jobs
+        .iter()
+        .zip(&dense.jobs)
+        .map(|(s, d)| (s.id(), d.id()))
+        .collect();
+    for mode in MODES {
+        let cfg = cluster(WorkloadKind::Mixed, mode);
+        for policy in [Policy::LlmSched, Policy::Fcfs] {
+            let label = format!("{} / {mode:?}", policy.name());
+            let run = |w: &Workload| {
+                let mut sched = build(policy, false, false);
+                simulate(&cfg, &w.templates, w.jobs.clone(), &mut *sched)
+            };
+            let (d, s) = (run(&dense), run(&sparse));
+            assert_eq!(d.incomplete, 0, "{label}");
+            let order = |r: &SimResult, map: &dyn Fn(JobId) -> JobId| -> Vec<(JobId, u64)> {
+                r.jobs
+                    .iter()
+                    .map(|o| (map(o.id), o.jct().as_secs_f64().to_bits()))
+                    .collect()
+            };
+            assert_eq!(
+                order(&d, &|id| id),
+                order(&s, &|id| back[&id]),
+                "{label}: completion order and JCT bits"
+            );
+            assert_eq!(
+                (d.events, d.sched_calls, d.incomplete),
+                (s.events, s.sched_calls, s.incomplete),
+                "{label}: events, calls"
+            );
+        }
+    }
+}
+
 #[test]
 fn online_profile_updates_preserve_incremental_equivalence() {
     // The store learns from the corpus the shared profiler was fit on.

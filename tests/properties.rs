@@ -134,15 +134,13 @@ fn llmsched_preferences_are_valid() {
         let w = generate_workload(WorkloadKind::Mixed, 6, 0.9, seed);
         let jobs: Vec<JobRt> = w.jobs.into_iter().map(JobRt::new).collect();
         let all: Vec<u32> = (0..jobs.len() as u32).collect();
+        let ids: Vec<JobId> = jobs.iter().map(JobRt::id).collect();
+        let pool = SlotLedger::new([8]);
         let latency = LatencyProfile::default();
         let ctx = SchedContext {
             now: SimTime::ZERO,
-            jobs: llmsched_sim::scheduler::ActiveJobs::projected(&jobs, &all),
-            llm_executors: &[LlmExecutorView {
-                index: 0,
-                batch_len: 0,
-                max_batch: 8,
-            }],
+            jobs: llmsched_sim::scheduler::ActiveJobs::projected(&jobs, &ids, &all),
+            llm_pool: &pool,
             backend: "cluster/least-loaded",
             regular_total: 2,
             regular_busy: 0,
