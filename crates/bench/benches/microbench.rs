@@ -7,7 +7,7 @@
 //!   per-evidence posterior build with its elimination plan compiled
 //!   fresh (`posterior_build_cold`) or cached (`posterior_build_warm`),
 //!   each timed over [`BUILDS`] builds per iteration;
-//! * `uncertainty/...` — the Eq. 6 computation under both MI estimators;
+//! * `uncertainty/...` — the Eq. 6 computation (capped exact joint);
 //! * `engine/...` — raw event throughput of the two executor backends.
 //!
 //! Run with `cargo bench -p llmsched-bench`. Criterion is unavailable in
@@ -130,16 +130,6 @@ fn bench_uncertainty() {
             &job,
             llmsched_dag::ids::StageId(0),
             &ev,
-            MiEstimator::ExactJoint { max_joint: 3 },
-        ));
-    });
-    bench("uncertainty", "eq6_pairwise", 20, || {
-        black_box(uncertainty_reduction(
-            p,
-            &job,
-            llmsched_dag::ids::StageId(0),
-            &ev,
-            MiEstimator::PairwiseSum,
         ));
     });
     bench("uncertainty", "remaining_work", 20, || {

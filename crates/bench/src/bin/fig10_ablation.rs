@@ -6,9 +6,8 @@
 //! Paper shape: w/o BN is 5–20% worse, w/o uncertainty 12–21% worse;
 //! on Mixed, w/o BN outperforms w/o uncertainty.
 //!
-//! Also includes the extra design-choice ablations called out in
-//! DESIGN.md: MI estimator (exact-joint vs pairwise-sum) and BN structure
-//! learner (hill-climb vs Chow-Liu).
+//! Also includes the BN structure-learner ablation called out in
+//! DESIGN.md (hill-climb vs Chow-Liu).
 //!
 //! Writes `results/fig10.csv`.
 //!
@@ -70,35 +69,7 @@ fn main() {
     }
     println!("wrote {}", write_csv(&table, "fig10").display());
 
-    // --- Extra design-choice ablations (DESIGN.md §4) -------------------
-    println!("\nMI estimator ablation (Mixed):");
-    for (label, mi) in [
-        (
-            "exact joint (cap 3)",
-            MiEstimator::ExactJoint { max_joint: 3 },
-        ),
-        (
-            "exact joint (cap 2)",
-            MiEstimator::ExactJoint { max_joint: 2 },
-        ),
-        ("pairwise sum", MiEstimator::PairwiseSum),
-    ] {
-        let exp = ExperimentConfig {
-            n_jobs,
-            llmsched: Some(LlmSchedConfig {
-                mi,
-                ..Default::default()
-            }),
-            ..ExperimentConfig::paper_default(WorkloadKind::Mixed, 42)
-        };
-        let r = run_policy(&art, Policy::LlmSched, &exp);
-        println!(
-            "  {label:<22} avg JCT {:>7.1}s, overhead {:>6.3} ms",
-            r.avg_jct_secs(),
-            r.sched_overhead_ms()
-        );
-    }
-
+    // --- Extra design-choice ablation (DESIGN.md §4) --------------------
     println!("\nBN structure-learner ablation (Mixed):");
     let templates = all_templates();
     let corpus = training_jobs(&AppKind::ALL, per_app, 1);

@@ -11,9 +11,14 @@
 //!   memoized per-stage Eq. 6 reductions;
 //! * its ready-stage count, with a running total over all records — the
 //!   exact lengths of LLMSched's lazy St/Su lists — and a running count
-//!   of records with ready stages, the size of LLMSched's SRTF index;
-//! * its scored frontier: the ready stages with their Eq. 6 scores, in
-//!   `ready_stage_ids` order, or `None` once a delta touched the job.
+//!   of records with ready stages, the size of LLMSched's SRTF index.
+//!
+//! Eq. 6 scores are computed on demand, only where they order something:
+//! LLMSched scores a ready stage when its exploration group holds at
+//! least two candidates, or when a probed run records the stage's
+//! emission ([`BeliefStore::reduction`]). A score is memoized in the
+//! belief and stays valid for as long as the belief does, so a late
+//! score has the bits an early one would have had.
 //!
 //! One dirty set feeds the records. The four deltas that can move a job's
 //! ready-stage set ([`SchedDelta::JobArrived`],
@@ -21,21 +26,18 @@
 //! [`SchedDelta::TasksDispatched`]) mark the job, and so does
 //! [`BeliefStore::mark_app_dirty`], which the caller drives with the
 //! [`ProfileStore`]'s bumped-app list after a snapshot publish. A refresh
-//! re-counts each marked job's ready stages, drops its frontier, and
-//! recomputes its belief iff its evidence mask (or its app's snapshot
-//! version) actually moved. Evidence changes only when a stage completes
-//! and versions only on a publish, so the mark carries an "evidence may
-//! have moved" bit, set by arrivals, stage completions and
-//! `mark_app_dirty` only: a job marked by reveals or dispatches alone
-//! skips the O(template stages) mask scan. Completed jobs are evicted
+//! re-counts each marked job's ready stages and recomputes its belief iff
+//! its evidence mask (or its app's snapshot version) actually moved.
+//! Evidence changes only when a stage completes and versions only on a
+//! publish, so the mark carries an "evidence may have moved" bit, set by
+//! arrivals, stage completions and `mark_app_dirty` only: a job marked by
+//! reveals or dispatches alone skips the O(template stages) mask scan. Completed jobs are evicted
 //! deterministically on [`SchedDelta::JobCompleted`].
 //!
 //! The per-invocation cost drops from O(jobs · (stage scan + posterior
 //! clone)) to O(touched jobs · posterior), while producing bit-identical
 //! values to the rebuild path: the same estimator functions run on the
 //! same inputs, just not redundantly.
-
-use std::borrow::Cow;
 
 use llmsched_bayes::network::Evidence;
 use llmsched_dag::hash::{FxHashMap, FxHashSet};
@@ -47,7 +49,7 @@ use std::sync::Arc;
 
 use crate::estimator::{EvidencePosteriors, PosteriorPlans, WorkEstimate};
 use crate::store::ProfileStore;
-use crate::uncertainty::{uncertainty_reduction, MiEstimator};
+use crate::uncertainty::uncertainty_reduction;
 
 /// Cap on memoized posterior-band entries per app; reaching it clears
 /// that app's memo (values are recomputed identically, so this only
@@ -98,9 +100,6 @@ struct JobRecord {
     belief: JobBelief,
     /// Number of ready stages (the job's share of the St/Su lengths).
     ready_stages: usize,
-    /// Ready stages with their Eq. 6 scores, in `ready_stage_ids` order;
-    /// `None` until scored and again after any delta touches the job.
-    frontier: Option<Vec<(StageId, f64)>>,
 }
 
 /// One job a [`BeliefStore::refresh`] touched: `(job, moved, was_ready,
@@ -211,7 +210,7 @@ impl BeliefStore {
     /// Brings the records in sync with `ctx` and lists the jobs it touched
     /// in [`BeliefStore::touched`].
     ///
-    /// Each marked job re-counts its ready stages and drops its frontier.
+    /// Each marked job re-counts its ready stages.
     /// A job whose evidence may have moved (or that has no record yet)
     /// also re-derives its evidence mask — an O(template stages) scan —
     /// and only a *moved* mask (or snapshot version) triggers the BN
@@ -270,7 +269,7 @@ impl BeliefStore {
     }
 
     /// Re-counts a held job's ready stages into its record and the running
-    /// totals and drops its frontier; returns `(was_ready, ready)`.
+    /// totals; returns `(was_ready, ready)`.
     fn recount(&mut self, job: &JobRt) -> (bool, bool) {
         let rec = self
             .records
@@ -278,7 +277,6 @@ impl BeliefStore {
             .expect("update keeps a record");
         let (old, new) = (rec.ready_stages, job.ready_stage_ids().len());
         rec.ready_stages = new;
-        rec.frontier = None;
         self.ready_stages = self.ready_stages - old + new;
         self.ready_jobs = self.ready_jobs - usize::from(old > 0) + usize::from(new > 0);
         (old > 0, new > 0)
@@ -376,58 +374,38 @@ impl BeliefStore {
         self.records.get(&job).map(|r| &r.belief)
     }
 
+    /// Number of `job`'s stages with a memoized Eq. 6 score.
+    #[cfg(test)]
+    pub(crate) fn memoized(&self, job: JobId) -> usize {
+        self.get(job).map_or(0, |b| b.reductions.len())
+    }
+
     /// The remaining-work estimate of `job` (zero if unknown).
     pub fn work(&self, job: JobId) -> WorkEstimate {
         self.get(job).map(|b| b.work).unwrap_or_default()
     }
 
-    /// `job`'s ready stages with their Eq. 6 scores, in `ready_stage_ids`
-    /// order. A job no delta touched since its last scoring replays its
-    /// cached frontier without a single memo probe; otherwise the stages
-    /// are scored now (through the belief's memo) and cached. A job
-    /// without a record (context outside the delta stream, not yet
-    /// refreshed) is scored uncached.
-    pub fn frontier(
-        &mut self,
-        store: &ProfileStore,
-        mi: MiEstimator,
-        job: &JobRt,
-    ) -> Cow<'_, [(StageId, f64)]> {
-        let id = job.id();
-        let cached = self.records.get(&id).map(|r| r.frontier.is_some());
-        if cached != Some(true) {
-            let scored: Vec<(StageId, f64)> = job
-                .ready_stage_ids()
-                .iter()
-                .map(|&s| (s, self.reduction(store, mi, job, s)))
-                .collect();
-            match self.records.get_mut(&id) {
-                Some(r) => r.frontier = Some(scored),
-                None => return Cow::Owned(scored),
-            }
-        }
-        Cow::Borrowed(
-            self.records[&id]
-                .frontier
-                .as_deref()
-                .expect("frontier just cached"),
-        )
-    }
-
     /// Eq. 6 uncertainty-reduction score for a ready stage, memoized in
     /// the job's belief. One profile lookup per call — this is where the
     /// old path's double `profiler.profile()` per score went.
-    pub fn reduction(
-        &mut self,
-        store: &ProfileStore,
-        mi: MiEstimator,
-        job: &JobRt,
-        stage: StageId,
-    ) -> f64 {
-        if let Some(r) = self.get(job.id()).and_then(|b| b.reductions.get(&stage.0)) {
-            return *r;
+    ///
+    /// A memo may be read long after it was filled, or filled late by a
+    /// caller that skipped scoring while the stage ordered nothing; both
+    /// give the same bits because the score moves only with the belief
+    /// (DESIGN.md §7.5). Debug builds recompute every memoized score they
+    /// return and assert it.
+    pub fn reduction(&mut self, store: &ProfileStore, job: &JobRt, stage: StageId) -> f64 {
+        let memo = self.get(job.id()).and_then(|b| b.reductions.get(&stage.0));
+        if let Some(&r) = memo {
+            debug_assert_eq!(
+                r.to_bits(),
+                Self::score(&self.records, &mut self.bands, store, job, stage).to_bits(),
+                "stale Eq. 6 memo for {:?} stage {stage:?}",
+                job.id()
+            );
+            return r;
         }
-        let r = Self::score(&self.records, &mut self.bands, store, mi, job, stage);
+        let r = Self::score(&self.records, &mut self.bands, store, job, stage);
         // Belief-less scores (context outside the delta stream, not yet
         // refreshed) are not memoized.
         if let Some(rec) = self.records.get_mut(&job.id()) {
@@ -443,7 +421,6 @@ impl BeliefStore {
         records: &FxHashMap<JobId, JobRecord>,
         bands: &mut FxHashMap<AppId, AppBands>,
         store: &ProfileStore,
-        mi: MiEstimator,
         job: &JobRt,
         stage: StageId,
     ) -> f64 {
@@ -476,23 +453,22 @@ impl BeliefStore {
                                 &b.evidence,
                                 ep,
                                 plans,
-                                mi,
                             )
                         });
                         crate::uncertainty::add_dynamic_bonus(profile, job, stage, part)
                     }
                 }
-                _ => uncertainty_reduction(profile, job, stage, &b.evidence, mi),
+                _ => uncertainty_reduction(profile, job, stage, &b.evidence),
             },
             // No belief (context outside the delta stream and not yet
             // refreshed): compute against fresh evidence, uncached.
-            None => uncertainty_reduction(profile, job, stage, &profile.evidence_of(job), mi),
+            None => uncertainty_reduction(profile, job, stage, &profile.evidence_of(job)),
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::profiler::{Profiler, ProfilerConfig};
     use crate::store::{ProfileStoreConfig, ProfileUpdate};
@@ -502,20 +478,21 @@ mod tests {
     use llmsched_sim::scheduler::{Preference, Scheduler};
     use llmsched_workloads::prelude::*;
 
-    /// A context in which every job of `jobs` (whose ids are `ids`) is
-    /// active: `all` is the identity index `0..jobs.len()`; one idle
-    /// 8-slot LLM executor.
-    fn ctx_of<'a>(
+    /// A context at time zero in which the jobs at slots `active` of
+    /// `jobs` (whose ids are `ids`) are active; one idle 8-slot LLM
+    /// executor.
+    pub(crate) fn ctx_of<'a>(
         jobs: &'a [JobRt],
         ids: &'a [JobId],
-        all: &'a [u32],
+        active: &'a [u32],
         pool: &'a SlotLedger,
         templates: &'a llmsched_dag::template::TemplateSet,
         latency: &'a llmsched_sim::latency::LatencyProfile,
     ) -> SchedContext<'a> {
+        let jobs = llmsched_sim::scheduler::ActiveJobs::projected(jobs, ids, active);
         SchedContext {
             now: SimTime::ZERO,
-            jobs: llmsched_sim::scheduler::ActiveJobs::projected(jobs, ids, all),
+            jobs,
             llm_pool: pool,
             backend: "cluster/least-loaded",
             regular_total: 2,

@@ -71,5 +71,5 @@ pub mod prelude {
         ProfileSnapshot, ProfileStore, ProfileStoreConfig, ProfileStoreConfigError, ProfileUpdate,
         ProfileVersion,
     };
-    pub use crate::uncertainty::{uncertainty_reduction, MiEstimator};
+    pub use crate::uncertainty::{uncertainty_reduction, MAX_JOINT};
 }

@@ -21,8 +21,11 @@
 //!   changed are re-estimated and repositioned; when the Eq. 2
 //!   calibration factor itself moves (about 1% of calls at benchmark
 //!   concurrency), both indices re-key their own entries in place and
-//!   sort once. The cut-off is the startable capacity, so emission stops
-//!   once nothing more could start.
+//!   sort once. Eq. 6 scores are computed only for exploration groups
+//!   with two or more candidates, where they decide an order (and, on a
+//!   probed run, for the records of explored lone candidates). The
+//!   cut-off is the startable capacity, so emission stops once nothing
+//!   more could start.
 //! * **rebuild** (`incremental = false`) — the recompute-everything-per-
 //!   call reference that equivalence tests and `scale_throughput` compare
 //!   against: fully sorted lists and no cut-off.
@@ -50,7 +53,7 @@ use crate::belief::BeliefStore;
 use crate::estimator::WorkEstimate;
 use crate::profiler::Profiler;
 use crate::store::ProfileStore;
-use crate::uncertainty::{uncertainty_reduction, MiEstimator};
+use crate::uncertainty::uncertainty_reduction;
 
 /// LLMSched configuration (defaults follow the paper's sensitivity
 /// analysis: a moderate ε and a small task-sampling ratio, §V-D).
@@ -60,8 +63,6 @@ pub struct LlmSchedConfig {
     pub epsilon: f64,
     /// Task sampling ratio r ∈ (0, 1] for explored stages.
     pub sampling_ratio: f64,
-    /// Mutual-information estimator for Eq. 6.
-    pub mi: MiEstimator,
     /// Use Bayesian posterior updates (false = w/o-BN ablation).
     pub use_bn: bool,
     /// Use the uncertainty-reduction exploration list (false = w/o-
@@ -97,7 +98,6 @@ impl Default for LlmSchedConfig {
         LlmSchedConfig {
             epsilon: 0.4,
             sampling_ratio: 0.2,
-            mi: MiEstimator::default(),
             use_bn: true,
             use_uncertainty: true,
             interval_tail_mass: crate::estimator::INTERVAL_TAIL_MASS,
@@ -180,9 +180,9 @@ pub struct LlmSched {
     merge: Merge,
     /// Rebuild-path cache keyed by (job, profile version, evidence mask).
     cache: FxHashMap<(JobId, u64, u64), JobAnalysis>,
-    /// Incremental path: one record per active job — belief, ready-stage
-    /// count (with the running total that sizes the lazy St/Su sources)
-    /// and scored frontier…
+    /// Incremental path: one record per active job — belief (with its
+    /// memoized Eq. 6 scores) and ready-stage count (with the running
+    /// total that sizes the lazy St/Su sources)…
     beliefs: BeliefStore,
     /// …the SRTF exploitation order over exactly the jobs with ready
     /// stages, keyed by (calibrated estimate, arrival) — Algorithm 1
@@ -220,13 +220,14 @@ fn check(cfg: &LlmSchedConfig) {
     }
 }
 
-/// One scored exploration candidate in the lazy Su heap: max-heap order is
+/// One exploration candidate in the lazy Su heap: max-heap order is
 /// highest Eq. 6 score first, ties broken by smallest (job id, stage id) —
 /// exactly the rebuild path's `sort_scored` order. The tie is unique, so
-/// the derived order never reaches the trailing fields.
+/// the derived order never reaches the trailing fields. A group's lone
+/// candidate is the heap's only entry and goes on unscored (`None`).
 #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct SuEntry {
-    score: FiniteF64,
+    score: Option<FiniteF64>,
     tie: std::cmp::Reverse<(JobId, StageId)>,
     job_idx: usize,
     stage: StageId,
@@ -349,7 +350,7 @@ impl LlmSched {
         }
         let a = self.analysis(job);
         let profile = self.store.profile(job.app()).expect("checked above");
-        let r = uncertainty_reduction(profile, job, stage, &a.evidence, self.cfg.mi);
+        let r = uncertainty_reduction(profile, job, stage, &a.evidence);
         if let Some(cached) = self.cache.get_mut(&key) {
             cached.reduction.insert(stage.0, r);
         }
@@ -434,7 +435,7 @@ impl LlmSched {
                 st_len,
                 ready_stages(ctx.jobs, job_order.iter().map(|&(_, i)| i)),
             ),
-            (su.len(), su.iter().copied()),
+            (su.len(), su.iter().map(|&(r, s)| (Some(r), s))),
             (usize::MAX, usize::MAX),
             self.telemetry.then_some(&mut self.decisions),
         );
@@ -590,8 +591,17 @@ impl LlmSched {
     /// — but reads nothing beyond the entry itself for them. It stops once
     /// every ready job's frontier is on the heap, and the last one is
     /// pushed alone: no other ready job can share its group, so no
-    /// bridging can change the order. Everything emitted is bit-identical
-    /// to the rebuild path's schedule; the equivalence suite pins it.
+    /// bridging can change the order. With one ready job in all, the SRTF
+    /// index names it and the interval index is not walked at all.
+    ///
+    /// Eq. 6 scores only order stages within a group, so a group whose
+    /// frontier is a single (job, stage) goes on the heap unscored — at
+    /// benchmark concurrency that is almost every call. The merge reads a
+    /// Su score only for provenance; with telemetry on, an explored
+    /// unscored candidate is scored when its record is written, through
+    /// the same memo, so records carry the eager path's bits. Everything
+    /// emitted is bit-identical to the rebuild path's schedule; the
+    /// equivalence suite pins it.
     fn schedule_incremental(&mut self, ctx: &SchedContext<'_>) -> Preference {
         self.sync(ctx);
         let calib = self.last_calib.unwrap_or(1.0);
@@ -630,46 +640,63 @@ impl LlmSched {
                 .filter_map(|e| ctx.job_index(e.job)),
         );
         // Lazy Su state: cursor into the interval order, the ready jobs
-        // not yet on the heap, and the current group's scored heap.
+        // not yet on the heap, and the current group's heap. With one
+        // ready job, the SRTF index (exactly the ready jobs) names it.
         let mut iv = intervals.entries().iter().peekable();
         let mut su_ready = beliefs.ready_jobs();
+        let mut sole = match exploit.entries() {
+            [e] => Some(e.job),
+            _ => None,
+        };
         let heap = su_heap_buf;
         heap.clear();
         let su = std::iter::from_fn(|| {
             while heap.is_empty() && su_ready > 0 && iv.peek().is_some() {
+                // The group's first ready job is held back until a second
+                // one shows that Eq. 6 has an order to decide.
+                let mut held = None;
                 if su_ready == 1 {
                     // The last ready job forms its group's whole frontier:
-                    // push it without tracking bounds.
-                    if let Some(e) = iv.find(|e| e.ready) {
-                        push_frontier(heap, beliefs, store, cfg.mi, ctx, e.job);
-                    }
+                    // take it without tracking bounds.
+                    held = sole.take().or_else(|| iv.find(|e| e.ready).map(|e| e.job));
                     su_ready = 0;
-                    break;
-                }
-                // Materialize the next non-overlapping group: scan the
-                // interval order, merging while lower bounds stay within
-                // the group's running upper bound (exactly
-                // `non_overlapping_groups`), pushing the group's scored
-                // ready-stage frontier onto the heap.
-                let mut cur_hi = f64::NEG_INFINITY;
-                let mut first = true;
-                while let Some(&e) = iv.peek() {
-                    if !first && e.key.0 > cur_hi {
-                        break;
-                    }
-                    first = false;
-                    cur_hi = cur_hi.max(e.val.hi);
-                    iv.next();
-                    // Jobs with no ready stages contribute nothing but
-                    // their interval: skip them on the flag. Past the last
-                    // ready job the group adds nothing more.
-                    if e.ready {
-                        push_frontier(heap, beliefs, store, cfg.mi, ctx, e.job);
+                } else {
+                    // Materialize the next non-overlapping group: scan the
+                    // interval order, merging while lower bounds stay
+                    // within the group's running upper bound (exactly
+                    // `non_overlapping_groups`), pushing the group's
+                    // ready-stage frontier onto the heap.
+                    let mut cur_hi = f64::NEG_INFINITY;
+                    let mut first = true;
+                    while let Some(&e) = iv.peek() {
+                        if !first && e.key.0 > cur_hi {
+                            break;
+                        }
+                        first = false;
+                        cur_hi = cur_hi.max(e.val.hi);
+                        iv.next();
+                        // Jobs with no ready stages contribute nothing but
+                        // their interval: skip them on the flag. Past the
+                        // last ready job the group adds nothing more.
+                        if !e.ready {
+                            continue;
+                        }
+                        if let Some(h) = held.take() {
+                            push_frontier(heap, beliefs, store, ctx, h, false);
+                        }
+                        if heap.is_empty() {
+                            held = Some(e.job);
+                        } else {
+                            push_frontier(heap, beliefs, store, ctx, e.job, false);
+                        }
                         su_ready -= 1;
                         if su_ready == 0 {
                             break;
                         }
                     }
+                }
+                if let Some(h) = held {
+                    push_frontier(heap, beliefs, store, ctx, h, true);
                 }
             }
             heap.pop().map(|e| {
@@ -677,7 +704,7 @@ impl LlmSched {
                     job_idx: e.job_idx,
                     stage: e.stage,
                 };
-                (e.score.0, s)
+                (e.score.map(|r| r.0), s)
             })
         });
 
@@ -690,6 +717,14 @@ impl LlmSched {
             cut,
             telemetry.then_some(&mut *decisions),
         );
+        // An explored lone candidate went on the heap unscored: its
+        // record gets the score the eager path would have memoized.
+        for d in &mut decisions[from..] {
+            if d.list == DecisionList::Explore && d.reduction.is_none() {
+                let job = ctx.job(d.job).expect("records name active jobs");
+                d.reduction = Some(beliefs.reduction(store, job, d.stage));
+            }
+        }
         annotate(&mut decisions[from..], ctx, calib, |job| {
             match beliefs.get(job.id()) {
                 Some(b) => (b.version, b.mask, b.work),
@@ -733,7 +768,8 @@ impl Merge {
     /// 21) attaches the unsampled remainders in SRTF order.
     ///
     /// Each source is its length and its entries in list order; Su
-    /// entries carry their Eq. 6 score. `cut` caps the (regular, LLM)
+    /// entries carry their Eq. 6 score, or `None` where the source left a
+    /// candidate that ordered nothing unscored. `cut` caps the (regular, LLM)
     /// entries that could start: an entry for a class whose list covers
     /// its cut is skipped, and once both are covered emission stops while
     /// the draws run on, so the ε-draw stream advances exactly as without
@@ -747,7 +783,7 @@ impl Merge {
         ctx: &SchedContext<'_>,
         cfg: &LlmSchedConfig,
         (st_len, mut st_src): (usize, impl Iterator<Item = StageRef>),
-        (su_len, mut su_src): (usize, impl Iterator<Item = (f64, StageRef)>),
+        (su_len, mut su_src): (usize, impl Iterator<Item = (Option<f64>, StageRef)>),
         (rb, lb): (usize, usize),
         mut log: Option<&mut Vec<DecisionRecord>>,
     ) -> Preference {
@@ -786,7 +822,7 @@ impl Merge {
                 if satiated {
                     continue;
                 }
-                su_src.next().map(|(r, s)| (s, Some(r)))
+                su_src.next().map(|(r, s)| (s, r))
             } else {
                 st_i += 1;
                 if satiated {
@@ -980,30 +1016,38 @@ fn interval_entry(beliefs: &BeliefStore, job: &JobRt, calib: f64) -> IndexEntry<
     }
 }
 
-/// Pushes a ready job's scored frontier onto the Su heap. A job no delta
-/// touched since its last scoring replays its record's (stage, score)
-/// frontier straight into the heap — no job scan, no memo probes. The
-/// heap's order is total (ties break on unique (job, stage)), so the pops
-/// — and with them the ε-draw consumption — never observe the push order
-/// or which frontiers were cached.
+/// Pushes a ready job's frontier onto the Su heap. If `lone` (no other
+/// ready job shares its group) and the job has one ready stage, that stage
+/// goes on unscored: a one-entry heap has no order for Eq. 6 to decide.
+/// Otherwise every ready stage goes on with its score, through the
+/// belief's memo. The heap's order is total (ties break on unique (job,
+/// stage)), so the pops — and with them the ε-draw consumption — never
+/// observe the push order or which scores were memoized.
 fn push_frontier(
     heap: &mut BinaryHeap<SuEntry>,
     beliefs: &mut BeliefStore,
     store: &ProfileStore,
-    mi: MiEstimator,
     ctx: &SchedContext<'_>,
     id: JobId,
+    lone: bool,
 ) {
     let Some(idx) = ctx.job_index(id) else {
         return;
     };
-    for &(s, r) in beliefs.frontier(store, mi, &ctx.jobs[idx]).iter() {
-        heap.push(SuEntry {
-            score: FiniteF64(r),
-            tie: std::cmp::Reverse((id, s)),
-            job_idx: idx,
-            stage: s,
-        });
+    let job = &ctx.jobs[idx];
+    let entry = |stage, score| SuEntry {
+        score,
+        tie: std::cmp::Reverse((id, stage)),
+        job_idx: idx,
+        stage,
+    };
+    if let (true, &[s]) = (lone, job.ready_stage_ids()) {
+        heap.push(entry(s, None));
+        return;
+    }
+    for &s in job.ready_stage_ids() {
+        let r = beliefs.reduction(store, job, s);
+        heap.push(entry(s, Some(FiniteF64(r))));
     }
 }
 
@@ -1186,7 +1230,7 @@ mod tests {
         };
         // St (SRTF): jobs 2, 0, 1. Su (by score): jobs 1, 0, 2.
         let st = [at(2), at(0), at(1)];
-        let su = [(3.0, at(1)), (2.0, at(0)), (1.0, at(2))];
+        let su = [(Some(3.0), at(1)), (Some(2.0), at(0)), (Some(1.0), at(2))];
         let run = |epsilon, cut, seed| {
             let cfg = LlmSchedConfig {
                 epsilon,
@@ -1259,6 +1303,63 @@ mod tests {
                 assert_eq!(cut_next, all_next, "seed {seed}, k {k}");
             }
         }
+    }
+
+    /// A Su group with one (job, stage) candidate goes on the heap
+    /// unscored, leaving the job's Eq. 6 memo empty; a group with two is
+    /// scored. A probed call still records the lone candidate's score.
+    #[test]
+    fn lone_su_candidates_are_scored_only_for_provenance() {
+        let kind = AppKind::TaskAutomation;
+        let profiler = trained_profiler(&[kind]);
+        let mut rng = StdRng::seed_from_u64(3);
+        let jobs: Vec<JobRt> = (0..2)
+            .map(|i| JobRt::new(kind.generator().generate(JobId(i), SimTime::ZERO, &mut rng)))
+            .collect();
+        assert!(jobs.iter().all(|j| j.ready_stage_ids().len() == 1));
+        let ids: Vec<JobId> = jobs.iter().map(JobRt::id).collect();
+        let pool = llmsched_sim::exec::SlotLedger::new([8]);
+        let templates = all_templates();
+        let latency = llmsched_sim::latency::LatencyProfile::default();
+        // ε = 1: the first draw explores, so Su's head is emitted.
+        let cfg = LlmSchedConfig {
+            epsilon: 1.0,
+            ..LlmSchedConfig::default()
+        };
+        let call = |active: &[u32], telemetry: bool| {
+            let mut sched = LlmSched::new(profiler.clone(), cfg.clone());
+            sched.set_telemetry(telemetry);
+            let ctx =
+                crate::belief::tests::ctx_of(&jobs, &ids, active, &pool, &templates, &latency);
+            assert!(!sched.schedule(&ctx).is_empty());
+            let mut records = Vec::new();
+            sched.drain_provenance(&mut records);
+            (sched, records)
+        };
+
+        // Two fresh jobs of one app share an interval, so one group.
+        let (pair, _) = call(&[0, 1], false);
+        for id in &ids {
+            assert_eq!(pair.beliefs().memoized(*id), 1, "{id:?} unscored");
+        }
+
+        let (lone, _) = call(&[0], false);
+        assert_eq!(lone.beliefs().memoized(ids[0]), 0, "lone candidate scored");
+
+        let (_, records) = call(&[0], true);
+        let explored = records
+            .iter()
+            .find(|d| d.list == DecisionList::Explore)
+            .expect("ε = 1 explores");
+        let profile = profiler.profile(kind.app_id()).unwrap();
+        let want = uncertainty_reduction(
+            profile,
+            &jobs[0],
+            explored.stage,
+            &profile.evidence_of(&jobs[0]),
+        );
+        assert!(want > 0.0, "the plan stage reduces uncertainty");
+        assert_eq!(explored.reduction, Some(want));
     }
 
     #[test]

@@ -12,10 +12,9 @@
 //! placeholder's structural entropy (Eq. 4) times its duration range is
 //! credited to X on top.
 //!
-//! Exact joint mutual information is exponential in M, so the estimator is
-//! configurable (see `DESIGN.md` §3.5): exact joint elimination up to a
-//! cap (keeping the widest-range correlated stages), or a pairwise-sum
-//! approximation — the two are compared by an ablation bench.
+//! Exact joint mutual information is exponential in M, so the joint is
+//! capped at [`MAX_JOINT`] correlated stages, keeping the widest-range ones
+//! (see `DESIGN.md` §3.5).
 
 use std::borrow::Cow;
 
@@ -26,24 +25,10 @@ use llmsched_sim::state::JobRt;
 
 use crate::profiler::AppProfile;
 
-/// Mutual-information estimator for Eq. 6.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MiEstimator {
-    /// Exact `I(Y₁…Y_M; X | E)` by variable elimination, with `M` capped at
-    /// `max_joint` (widest posterior ranges kept).
-    ExactJoint {
-        /// Maximum number of correlated stages in the joint.
-        max_joint: usize,
-    },
-    /// `Σₘ I(Yₘ; X | E)` — cheaper, over-counts shared information.
-    PairwiseSum,
-}
-
-impl Default for MiEstimator {
-    fn default() -> Self {
-        MiEstimator::ExactJoint { max_joint: 3 }
-    }
-}
+/// Cap on the correlated stages `M` in Eq. 6's exact joint
+/// `I(Y₁…Y_M; X | E)`, computed by variable elimination; the widest
+/// posterior ranges are kept.
+pub const MAX_JOINT: usize = 3;
 
 /// The uncertainty reduction `R(X)` of scheduling template stage `stage`
 /// of `job` (Eq. 6), in bits × seconds.
@@ -55,13 +40,11 @@ pub fn uncertainty_reduction(
     job: &JobRt,
     stage: StageId,
     evidence: &Evidence,
-    estimator: MiEstimator,
 ) -> f64 {
     reduction_impl(
         profile,
         job,
         stage,
-        estimator,
         |y| Cow::Owned(profile.net().posterior_marginal(y, evidence)),
         |t, x| {
             let ys: Vec<usize> = t.iter().copied().filter(|&y| y != x).collect();
@@ -79,7 +62,6 @@ fn reduction_impl<'a>(
     profile: &AppProfile,
     job: &JobRt,
     stage: StageId,
-    estimator: MiEstimator,
     marginal: impl Fn(usize) -> Cow<'a, [f64]>,
     mutual_info: impl FnMut(&[usize], usize) -> f64,
     observed: impl Fn(usize) -> bool,
@@ -88,15 +70,7 @@ fn reduction_impl<'a>(
     if x >= profile.n_stages() || observed(x) {
         return 0.0;
     }
-    let mi = mi_part_impl(
-        profile,
-        job,
-        stage,
-        estimator,
-        marginal,
-        mutual_info,
-        observed,
-    );
+    let mi = mi_part_impl(profile, job, stage, marginal, mutual_info, observed);
     add_dynamic_bonus(profile, job, stage, mi)
 }
 
@@ -115,13 +89,11 @@ pub(crate) fn mi_part_cached(
     evidence: &Evidence,
     ep: &crate::estimator::EvidencePosteriors,
     plans: &mut crate::estimator::PosteriorPlans,
-    estimator: MiEstimator,
 ) -> f64 {
     mi_part_impl(
         profile,
         job,
         stage,
-        estimator,
         |y| Cow::Borrowed(ep.marginal(profile, y)),
         |t, x| plans.mutual_information(profile.net(), evidence, t, x),
         |x| evidence.contains_key(&x),
@@ -138,7 +110,6 @@ fn mi_part_impl<'a>(
     profile: &AppProfile,
     job: &JobRt,
     stage: StageId,
-    estimator: MiEstimator,
     marginal: impl Fn(usize) -> Cow<'a, [f64]>,
     mut mutual_info: impl FnMut(&[usize], usize) -> f64,
     observed: impl Fn(usize) -> bool,
@@ -163,27 +134,18 @@ fn mi_part_impl<'a>(
     let mut reduction = 0.0;
     if !correlated.is_empty() {
         let range_sum: f64 = correlated.iter().map(|&(_, r)| r).sum();
-        let mi = match estimator {
-            MiEstimator::ExactJoint { max_joint } => {
-                // Keep the widest-range stages if we must truncate.
-                correlated.sort_by(|a, b| {
-                    b.1.partial_cmp(&a.1)
-                        .expect("finite ranges")
-                        .then(a.0.cmp(&b.0))
-                });
-                correlated.truncate(max_joint.max(1));
-                let mut targets: Vec<usize> = correlated.iter().map(|&(y, _)| y).collect();
-                targets.push(x);
-                targets.sort_unstable();
-                targets.dedup();
-                mutual_info(&targets, x)
-            }
-            MiEstimator::PairwiseSum => correlated
-                .iter()
-                .map(|&(y, _)| mutual_info(&[x.min(y), x.max(y)], x))
-                .sum(),
-        };
-        reduction += mi * range_sum;
+        // Keep the widest-range stages if we must truncate.
+        correlated.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1)
+                .expect("finite ranges")
+                .then(a.0.cmp(&b.0))
+        });
+        correlated.truncate(MAX_JOINT);
+        let mut targets: Vec<usize> = correlated.iter().map(|&(y, _)| y).collect();
+        targets.push(x);
+        targets.sort_unstable();
+        targets.dedup();
+        reduction += mutual_info(&targets, x) * range_sum;
     }
     reduction
 }
@@ -253,7 +215,7 @@ mod tests {
         let (p, job) = setup(AppKind::TaskAutomation);
         let prof = p.profile(AppKind::TaskAutomation.app_id()).unwrap();
         let ev = Evidence::new();
-        let r_plan = uncertainty_reduction(prof, &job, StageId(0), &ev, MiEstimator::default());
+        let r_plan = uncertainty_reduction(prof, &job, StageId(0), &ev);
         assert!(
             r_plan > 0.0,
             "plan stage must reduce uncertainty, got {r_plan}"
@@ -266,10 +228,10 @@ mod tests {
         let prof = p.profile(AppKind::SequenceSorting.app_id()).unwrap();
         let ev = Evidence::new();
         // The split stage is upstream of everything in the learned BN.
-        let r0 = uncertainty_reduction(prof, &job, StageId(0), &ev, MiEstimator::default());
+        let r0 = uncertainty_reduction(prof, &job, StageId(0), &ev);
         assert!(r0 > 0.0, "upstream stage should reduce uncertainty");
         // A sink stage (final score) correlates with nothing downstream.
-        let r_last = uncertainty_reduction(prof, &job, StageId(10), &ev, MiEstimator::default());
+        let r_last = uncertainty_reduction(prof, &job, StageId(10), &ev);
         assert!(
             r_last <= r0,
             "sink reduction {r_last} must not exceed source {r0}"
@@ -282,28 +244,18 @@ mod tests {
         let prof = p.profile(AppKind::SequenceSorting.app_id()).unwrap();
         let mut ev = Evidence::new();
         ev.insert(0, 0);
-        let r = uncertainty_reduction(prof, &job, StageId(0), &ev, MiEstimator::default());
+        let r = uncertainty_reduction(prof, &job, StageId(0), &ev);
         assert_eq!(r, 0.0);
     }
 
     #[test]
-    fn pairwise_upper_bounds_capped_joint_loosely() {
-        // Both estimators must be non-negative and finite; pairwise
-        // over-counts so it is usually at least as large.
+    fn capped_joint_is_finite_and_non_negative() {
         let (p, job) = setup(AppKind::SequenceSorting);
         let prof = p.profile(AppKind::SequenceSorting.app_id()).unwrap();
         let ev = Evidence::new();
         for s in 0..prof.n_stages() as u32 {
-            let exact = uncertainty_reduction(
-                prof,
-                &job,
-                StageId(s),
-                &ev,
-                MiEstimator::ExactJoint { max_joint: 2 },
-            );
-            let pair = uncertainty_reduction(prof, &job, StageId(s), &ev, MiEstimator::PairwiseSum);
-            assert!(exact.is_finite() && exact >= 0.0);
-            assert!(pair.is_finite() && pair >= 0.0);
+            let r = uncertainty_reduction(prof, &job, StageId(s), &ev);
+            assert!(r.is_finite() && r >= 0.0);
         }
     }
 
@@ -314,10 +266,10 @@ mod tests {
         // After observing most ancestors, a mid-stage's reduction should
         // not grow.
         let ev = Evidence::new();
-        let before = uncertainty_reduction(prof, &job, StageId(3), &ev, MiEstimator::default());
+        let before = uncertainty_reduction(prof, &job, StageId(3), &ev);
         let mut ev2 = Evidence::new();
         ev2.insert(0, 1);
-        let after = uncertainty_reduction(prof, &job, StageId(3), &ev2, MiEstimator::default());
+        let after = uncertainty_reduction(prof, &job, StageId(3), &ev2);
         assert!(after.is_finite() && before.is_finite());
     }
 }

@@ -61,13 +61,7 @@ fn main() {
     // Eq. 6 scores: which ready stage reduces the most uncertainty?
     println!("\nuncertainty reduction R(X) per sorting stage (fresh job):");
     for s in 0..p.n_stages() as u32 {
-        let r = uncertainty_reduction(
-            p,
-            &job,
-            StageId(s),
-            &Evidence::new(),
-            MiEstimator::default(),
-        );
+        let r = uncertainty_reduction(p, &job, StageId(s), &Evidence::new());
         if r > 0.0 {
             println!(
                 "  S{s:<2} {:<14} R = {r:>8.2} bit·s",
@@ -92,12 +86,6 @@ fn main() {
     );
     let gen = AppKind::TaskAutomation.generator();
     let job = JobRt::new(gen.generate(JobId(1), SimTime::ZERO, &mut rng));
-    let r_plan = uncertainty_reduction(
-        p,
-        &job,
-        StageId(0),
-        &Evidence::new(),
-        MiEstimator::default(),
-    );
+    let r_plan = uncertainty_reduction(p, &job, StageId(0), &Evidence::new());
     println!("plan stage R = {r_plan:.2} bit·s — the dominant exploration target (Fig. 2)");
 }

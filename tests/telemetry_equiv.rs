@@ -4,6 +4,7 @@
 mod common;
 
 use llmsched::prelude::*;
+use llmsched::telemetry::DecisionList;
 use llmsched_bench::Policy;
 
 use common::{assert_same, build, cluster, fingerprint, matrix, small, Fingerprint, MODES};
@@ -53,4 +54,42 @@ fn noop_probe_is_indistinguishable_from_simulate() {
             );
         }
     }
+}
+
+/// LLMSched at the benchmark's concurrency: 300 Mixed jobs at λ = 24 on
+/// the analytic cluster ×48, where nearly every exploration group holds a
+/// single (job, stage) candidate. The unprobed run pushes such a
+/// candidate unscored; the probed run scores it for its record. Both
+/// must schedule alike, and every explore record carries its score.
+#[test]
+fn llmsched_probe_is_inert_at_benchmark_concurrency() {
+    let w = generate_workload(WorkloadKind::Mixed, 300, 24.0, 5);
+    let base = WorkloadKind::Mixed.default_cluster();
+    let cfg = ClusterConfig {
+        regular_executors: base.regular_executors * 48,
+        llm_executors: base.llm_executors * 48,
+        ..base
+    };
+    let run = |probed| {
+        fingerprint(
+            &cfg,
+            &w,
+            &mut *build(Policy::LlmSched, false, false),
+            probed,
+        )
+    };
+    let (r, probed) = run(true);
+    let (_, plain) = run(false);
+    assert_eq!(r.incomplete, 0);
+    assert_eq!(plain.schedule, probed.schedule, "probe off");
+    let explored: Vec<_> = probed
+        .decisions
+        .iter()
+        .filter(|d| d.list == DecisionList::Explore)
+        .collect();
+    assert!(!explored.is_empty(), "nothing explored");
+    assert!(
+        explored.iter().all(|d| d.reduction.is_some()),
+        "an explore record lost its Eq. 6 score"
+    );
 }
